@@ -308,11 +308,11 @@ fn bench_observatory(
 }
 
 /// The fabric scheduler-throughput entry: one fixed 16-tile slow-memory
-/// SpMV timed under all three schedulers (per-cycle lock-step, lock-step
-/// with global fast-forward, event queue). The workload is pinned —
-/// independent of `--n` — so `wall_cycles` is a deterministic gate; the
-/// host speedups are same-machine ratios gated against the absolute
-/// `min_host_speedup` floor carried in the committed baseline.
+/// SpMV timed under both schedulers (per-cycle loop, event queue). The
+/// workload is pinned — independent of `--n` — so `wall_cycles` is a
+/// deterministic gate; the host speedup is a same-machine ratio gated
+/// against the absolute `min_host_speedup` floor carried in the committed
+/// baseline.
 fn fabric_throughput_entry() -> hht_prof::FabricBenchConfig {
     use hht_system::FabricConfig;
     use std::time::Instant;
@@ -328,9 +328,7 @@ fn fabric_throughput_entry() -> hht_prof::FabricBenchConfig {
         (out, t0.elapsed().as_secs_f64())
     };
     let (eq, eq_secs) = run(&cfg);
-    let (ls, ls_secs) = run(&cfg.with_event_queue(false));
     let (pc, pc_secs) = run(&cfg.with_cycle_skip(false));
-    assert_eq!(eq.stats, ls.stats, "event queue must be bit-identical to lock-step");
     assert_eq!(eq.stats, pc.stats, "event queue must be bit-identical to per-cycle");
     let wall = eq.stats.cycles;
     let mcs = |secs: f64| wall as f64 / secs / 1e6;
@@ -341,9 +339,7 @@ fn fabric_throughput_entry() -> hht_prof::FabricBenchConfig {
         ram_word_cycles,
         wall_cycles: wall,
         eq_mcycles_per_sec: mcs(eq_secs),
-        lockstep_mcycles_per_sec: mcs(ls_secs),
         percycle_mcycles_per_sec: mcs(pc_secs),
-        host_speedup_vs_lockstep: ls_secs / eq_secs,
         host_speedup_vs_percycle: pc_secs / eq_secs,
         min_host_speedup: 10.0,
     };
@@ -352,10 +348,8 @@ fn fabric_throughput_entry() -> hht_prof::FabricBenchConfig {
         entry.name, entry.tiles, entry.banks, entry.ram_word_cycles, entry.wall_cycles
     );
     println!(
-        "  event queue {:.1} Mc/s | lock-step {:.1} Mc/s ({:.2}x) | per-cycle {:.1} Mc/s ({:.2}x, floor {:.0}x)",
+        "  event queue {:.1} Mc/s | per-cycle {:.1} Mc/s ({:.2}x, floor {:.0}x)",
         entry.eq_mcycles_per_sec,
-        entry.lockstep_mcycles_per_sec,
-        entry.host_speedup_vs_lockstep,
         entry.percycle_mcycles_per_sec,
         entry.host_speedup_vs_percycle,
         entry.min_host_speedup,
@@ -1355,8 +1349,8 @@ fn scaling(cfg: &SystemConfig, n: usize, jobs: usize, metrics_out: Option<String
 ///
 /// Every cell asserts the CPI exact-sum invariant (`stack.total() == cycles`
 /// even with row extras and window stalls in the cut), and the all-zero
-/// corner is asserted bit-identical — stats and output vector — to a run on
-/// the seed `SharedMemory` with no DRAM wrapper at all.
+/// corner is asserted bit-identical — stats and output vector — to the
+/// default run (`cfg.dram = None`, the flat `Dram`).
 fn memory(cfg: &SystemConfig, n: usize, jobs: usize, metrics_out: Option<String>) {
     use hht_mem::DramConfig;
     use hht_prof::{classify_with_bus, CpiStack};
@@ -1371,8 +1365,10 @@ fn memory(cfg: &SystemConfig, n: usize, jobs: usize, metrics_out: Option<String>
     // same-cycle CPU/HHT collision is a bank conflict before the grant
     // budget is even consulted, which would hide the bandwidth axis.
     let shape = FabricConfig::scaled(1);
-    // Reference run on the raw SharedMemory path (cfg.dram = None): the
+    // Reference run on the default flat Dram path (cfg.dram = None): the
     // bit-identity baseline for the flat corner and the slowdown anchor.
+    // The flat Dram's equivalence to the bare SharedMemory is pinned by
+    // hht-mem's `flat_dram_matches_shared_memory`.
     let reference = hht_system::runner::run_spmv_fabric(cfg, shape, &m, &v);
     let lats = [("flat", 0u64, 0u64), ("near", 8, 24), ("far-300ns", 110, 330)];
     let mut grid = Vec::new();
@@ -1410,8 +1406,9 @@ fn memory(cfg: &SystemConfig, n: usize, jobs: usize, metrics_out: Option<String>
         );
         let verdict = classify_with_bus(&stack, tile, Some(&s.mem));
         if *hit == 0 && *miss == 0 && *window == 0 && *budget == 0 {
-            // Flat-Dram corner: the wrapper must be invisible. Bit-identical
-            // output and counters against the unwrapped reference run.
+            // Flat corner: an explicit all-zero DramConfig must equal the
+            // default. Bit-identical output and counters against the
+            // reference run.
             assert_eq!(out.y, reference.y, "flat Dram changed the numeric result");
             assert_eq!(s.cycles, reference.stats.cycles, "flat Dram changed the cycle count");
             assert_eq!(s.mem, reference.stats.mem, "flat Dram changed shared-memory counters");
@@ -1472,7 +1469,7 @@ fn memory(cfg: &SystemConfig, n: usize, jobs: usize, metrics_out: Option<String>
             &rows
         )
     );
-    println!("flat corner verified bit-identical to the seed SharedMemory path.");
+    println!("flat corner verified bit-identical to the default flat Dram path.");
     // The bandwidth wall: tiles contend for a single grant per cycle. Zero
     // response latency isolates the budget — every slowdown here is the bus,
     // and near-saturated utilization must force the bandwidth-bound verdict.

@@ -4,8 +4,9 @@
 //! the flat byte array is shared by every tile, but the timing model has
 //! `banks` independent ports, address-interleaved at a `bank_words` granule
 //! (32 bytes by default — one L1D line, so a line fill streams from one
-//! bank). Each tile accesses memory through a [`TilePort`] view that
-//! implements [`MemoryPort`](crate::MemoryPort); grants, conflicts and
+//! bank). Each tile accesses memory through a
+//! [`FabricPort`](crate::FabricPort) view of the [`Dram`](crate::Dram)
+//! wrapping it (flat by default); grants, conflicts and
 //! arbitration events are accounted *per tile* (so a tile's `SramStats`
 //! keeps exactly the meaning it had when the tile owned a private SRAM),
 //! plus fabric-wide aggregates in [`SharedMemStats`] including how many
@@ -17,7 +18,6 @@
 //! this equivalence.
 
 use crate::sram::{Requester, Sram};
-use crate::MemoryPort;
 use hht_obs::{Event, EventBus, EventKind, Track};
 use serde::{Deserialize, Serialize};
 
@@ -99,7 +99,7 @@ struct Bank {
 
 /// Byte-addressable memory shared by N tiles over `banks` interleaved
 /// ports. Functional access is untimed (exactly like [`Sram`]); timed
-/// access goes through a per-tile [`TilePort`].
+/// access goes through a per-tile [`FabricPort`](crate::FabricPort).
 #[derive(Debug)]
 pub struct SharedMemory {
     data: Vec<u8>,
@@ -326,19 +326,9 @@ impl SharedMemory {
         now + cost
     }
 
-    /// Timed word access by `tile` (see [`MemoryPort::try_start`]). A burst
-    /// is charged wholly to the bank of its first word.
-    pub fn try_start_for(
-        &mut self,
-        tile: usize,
-        now: u64,
-        addr: u32,
-        who: Requester,
-    ) -> Option<u64> {
-        self.try_start_burst_for(tile, now, addr, who, 1)
-    }
-
-    /// Timed burst access by `tile` (see [`MemoryPort::try_start_burst`]).
+    /// Timed burst access by `tile` (see
+    /// [`MemoryPort::try_start_burst`](crate::MemoryPort::try_start_burst)).
+    /// A burst is charged wholly to the bank of its first word.
     pub fn try_start_burst_for(
         &mut self,
         tile: usize,
@@ -470,81 +460,10 @@ impl SharedMemory {
     }
 }
 
-/// One tile's view of the [`SharedMemory`]: the object the tile's core and
-/// HHT hold as their `&mut dyn MemoryPort` for the current cycle.
-pub struct TilePort<'a> {
-    mem: &'a mut SharedMemory,
-    tile: usize,
-}
-
-impl<'a> TilePort<'a> {
-    /// Borrow `mem` as tile `tile`'s port.
-    pub fn new(mem: &'a mut SharedMemory, tile: usize) -> Self {
-        TilePort { mem, tile }
-    }
-}
-
-impl MemoryPort for TilePort<'_> {
-    fn try_start(&mut self, now: u64, addr: u32, who: Requester) -> Option<u64> {
-        self.mem.try_start_for(self.tile, now, addr, who)
-    }
-
-    fn try_start_burst(&mut self, now: u64, addr: u32, who: Requester, words: u64) -> Option<u64> {
-        self.mem.try_start_burst_for(self.tile, now, addr, who, words)
-    }
-
-    fn next_event(&self, now: u64) -> Option<u64> {
-        self.mem.next_event(now)
-    }
-
-    fn next_event_at(&self, addr: u32, now: u64) -> Option<u64> {
-        self.mem.next_event_at(addr, now)
-    }
-
-    fn skip_conflicts(&mut self, now: u64, span: u64, addr: u32, who: Requester) {
-        self.mem.skip_conflicts_for(self.tile, now, span, addr, who)
-    }
-
-    fn size(&self) -> u32 {
-        self.mem.size()
-    }
-
-    fn word_cycles(&self) -> u64 {
-        self.mem.word_cycles()
-    }
-
-    fn read_u8(&self, addr: u32) -> u8 {
-        self.mem.read_u8(addr)
-    }
-
-    fn read_u16(&self, addr: u32) -> u16 {
-        self.mem.read_u16(addr)
-    }
-
-    fn read_u32(&self, addr: u32) -> u32 {
-        self.mem.read_u32(addr)
-    }
-
-    fn read_u32_checked(&self, addr: u32) -> Option<u32> {
-        self.mem.read_u32_checked(addr)
-    }
-
-    fn write_u8(&mut self, addr: u32, value: u8) {
-        self.mem.write_u8(addr, value)
-    }
-
-    fn write_u16(&mut self, addr: u32, value: u16) {
-        self.mem.write_u16(addr, value)
-    }
-
-    fn write_u32(&mut self, addr: u32, value: u32) {
-        self.mem.write_u32(addr, value)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Dram, DramConfig, FabricPort, MemoryPort};
 
     /// One bank, one tile: grant cycles, burst cost and stats match the
     /// single-ported `Sram` call for call.
@@ -570,16 +489,23 @@ mod tests {
         assert_eq!(shared.shared_stats().cross_tile_conflicts, 0);
     }
 
+    /// A flat `Dram` over a fresh banked memory: what the fabric holds by
+    /// default, reached through its one per-tile `FabricPort`.
+    fn flat(size: u32, word_cycles: u64, banks: usize, tiles: usize) -> Dram {
+        Dram::new(SharedMemory::new(size, word_cycles, banks, tiles), DramConfig::flat())
+    }
+
     #[test]
     fn different_banks_proceed_in_parallel() {
         // Granule 8 words = 32 bytes: 0x00 -> bank 0, 0x20 -> bank 1.
-        let mut m = SharedMemory::new(256, 4, 2, 2);
-        assert_eq!(m.try_start_for(0, 0, 0x00, Requester::Cpu), Some(4));
-        assert_eq!(m.try_start_for(1, 0, 0x20, Requester::Cpu), Some(4));
+        let mut d = flat(256, 4, 2, 2);
+        assert_eq!(FabricPort::new(&mut d, 0).try_start(0, 0x00, Requester::Cpu), Some(4));
+        assert_eq!(FabricPort::new(&mut d, 1).try_start(0, 0x20, Requester::Cpu), Some(4));
         // Same bank, other tile: cross-tile conflict.
-        assert_eq!(m.try_start_for(1, 1, 0x00, Requester::Hht), None);
+        assert_eq!(FabricPort::new(&mut d, 1).try_start(1, 0x00, Requester::Hht), None);
         // Same bank, same tile (its own in-flight txn): not cross-tile.
-        assert_eq!(m.try_start_for(0, 1, 0x04, Requester::Hht), None);
+        assert_eq!(FabricPort::new(&mut d, 0).try_start(1, 0x04, Requester::Hht), None);
+        let m = d.inner();
         let s = m.shared_stats();
         assert_eq!(s.accesses, 2);
         assert_eq!(s.conflicts, 2);
@@ -587,9 +513,10 @@ mod tests {
         assert_eq!(m.stats_for(0).conflicts, 1);
         assert_eq!(m.stats_for(1).conflicts, 1);
         // Bank-targeted hints.
-        assert_eq!(m.next_event_at(0x00, 1), Some(4));
-        assert_eq!(m.next_event_at(0x40, 1), Some(4)); // bank 0 again (wraps)
-        assert_eq!(m.next_event(4), None);
+        let p = FabricPort::new(&mut d, 0);
+        assert_eq!(p.next_event_at(0x00, 1), Some(4));
+        assert_eq!(p.next_event_at(0x40, 1), Some(4)); // bank 0 again (wraps)
+        assert_eq!(p.next_event(4), None);
     }
 
     #[test]
@@ -606,24 +533,25 @@ mod tests {
     #[test]
     fn skip_replay_matches_per_cycle_conflicts() {
         // Per-cycle: tile 1 retries a bank held by tile 0 for 3 cycles.
-        let mut a = SharedMemory::new(64, 8, 1, 2);
-        a.try_start_for(0, 0, 0x0, Requester::Hht);
+        let mut a = flat(64, 8, 1, 2);
+        FabricPort::new(&mut a, 0).try_start(0, 0x0, Requester::Hht);
         for c in 1..4 {
-            assert_eq!(a.try_start_for(1, c, 0x4, Requester::Cpu), None);
+            assert_eq!(FabricPort::new(&mut a, 1).try_start(c, 0x4, Requester::Cpu), None);
         }
         // Bulk replay of the same span.
-        let mut b = SharedMemory::new(64, 8, 1, 2);
-        b.try_start_for(0, 0, 0x0, Requester::Hht);
-        b.skip_conflicts_for(1, 1, 3, 0x4, Requester::Cpu);
-        assert_eq!(a.stats_for(1), b.stats_for(1));
-        assert_eq!(a.shared_stats(), b.shared_stats());
+        let mut b = flat(64, 8, 1, 2);
+        FabricPort::new(&mut b, 0).try_start(0, 0x0, Requester::Hht);
+        FabricPort::new(&mut b, 1).skip_conflicts(1, 3, 0x4, Requester::Cpu);
+        assert_eq!(a.inner().stats_for(1), b.inner().stats_for(1));
+        assert_eq!(a.inner().shared_stats(), b.inner().shared_stats());
     }
 
     #[test]
     fn conflict_frac_counts_rejections() {
-        let mut m = SharedMemory::new(64, 2, 1, 1);
-        m.try_start_for(0, 0, 0, Requester::Cpu);
-        m.try_start_for(0, 1, 0, Requester::Cpu);
-        assert_eq!(m.shared_stats().conflict_frac(), 0.5);
+        let mut d = flat(64, 2, 1, 1);
+        let mut p = FabricPort::new(&mut d, 0);
+        p.try_start(0, 0, Requester::Cpu);
+        p.try_start(1, 0, Requester::Cpu);
+        assert_eq!(d.inner().shared_stats().conflict_frac(), 0.5);
     }
 }

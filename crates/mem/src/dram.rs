@@ -22,8 +22,10 @@
 //! The flat configuration ([`DramConfig::flat`]: zero extras, unlimited
 //! window and budget) short-circuits every check and delegates directly to
 //! the inner [`SharedMemory`], so it is **bit-identical by construction**
-//! — same grants, same stats, same events. The determinism suite pins this
-//! across kernels × tiles × schedulers.
+//! — same grants, same stats, same events (pinned call for call by
+//! `flat_dram_matches_shared_memory` below). The fabric therefore always
+//! holds a `Dram`: `SystemConfig::dram = None` means the flat config, and
+//! [`FabricPort`] is the one per-tile port.
 //!
 //! Scheduler soundness of the park bounds ([`Dram::next_event_for`]):
 //!
@@ -36,10 +38,10 @@
 //!   open, in which case the hint is `None` — the fabric maps that to an
 //!   immediate retry, so no park ever spans a bandwidth refusal.
 
-use crate::banked::{SharedMemStats, SharedMemory};
+use crate::banked::SharedMemory;
 use crate::port::{MemIssue, MemRefusal, MemoryPort, RowOutcome};
-use crate::sram::{Requester, SramStats};
-use hht_obs::{Event, EventBus, EventKind, Track};
+use crate::sram::Requester;
+use hht_obs::{EventKind, Track};
 use serde::{Deserialize, Serialize};
 
 /// Timing parameters of the DRAM-class backend. All-zero (the
@@ -261,17 +263,6 @@ impl Dram {
         self.request_burst_for(tile, now, addr, who, 1)
     }
 
-    /// Legacy same-cycle protocol shape (see [`MemoryPort::try_start`]).
-    pub fn try_start_for(
-        &mut self,
-        tile: usize,
-        now: u64,
-        addr: u32,
-        who: Requester,
-    ) -> Option<u64> {
-        self.request_for(tile, now, addr, who).data_at()
-    }
-
     /// Legacy burst shape (see [`MemoryPort::try_start_burst`]).
     pub fn try_start_burst_for(
         &mut self,
@@ -340,195 +331,18 @@ impl Dram {
     }
 }
 
-/// The memory behind a fabric: either the flat banked [`SharedMemory`]
-/// (the seed model) or the DRAM-class [`Dram`] wrapped around it. One
-/// enum rather than a trait object so the fabric stays monomorphic and
-/// the per-cycle hot path has no virtual dispatch.
-#[derive(Debug)]
-pub enum FabricMemory {
-    /// Flat banked memory: every grant's response arrives at the flat
-    /// port cost, no window, no budget.
-    Shared(SharedMemory),
-    /// DRAM-class timing behind the same banked arbitration.
-    Dram(Dram),
-}
-
-impl From<SharedMemory> for FabricMemory {
-    fn from(mem: SharedMemory) -> Self {
-        FabricMemory::Shared(mem)
-    }
-}
-
-impl From<Dram> for FabricMemory {
-    fn from(dram: Dram) -> Self {
-        FabricMemory::Dram(dram)
-    }
-}
-
-impl FabricMemory {
-    /// The underlying banked memory (functional storage, flat port state,
-    /// per-tile stats and event buses) of either variant.
-    pub fn shared(&self) -> &SharedMemory {
-        match self {
-            FabricMemory::Shared(m) => m,
-            FabricMemory::Dram(d) => d.inner(),
-        }
-    }
-
-    /// Mutable access to the underlying banked memory.
-    pub fn shared_mut(&mut self) -> &mut SharedMemory {
-        match self {
-            FabricMemory::Shared(m) => m,
-            FabricMemory::Dram(d) => d.inner_mut(),
-        }
-    }
-
-    /// Consume the memory (either variant) and recover the raw byte buffer
-    /// for recycling into the next job's image build.
-    pub fn into_data(self) -> Vec<u8> {
-        match self {
-            FabricMemory::Shared(m) => m.into_data(),
-            FabricMemory::Dram(d) => d.into_inner().into_data(),
-        }
-    }
-
-    /// The DRAM wrapper, when this memory has one.
-    pub fn dram(&self) -> Option<&Dram> {
-        match self {
-            FabricMemory::Shared(_) => None,
-            FabricMemory::Dram(d) => Some(d),
-        }
-    }
-
-    /// Number of tile accounting domains.
-    pub fn tiles(&self) -> usize {
-        self.shared().tiles()
-    }
-
-    /// Number of banks.
-    pub fn banks(&self) -> usize {
-        self.shared().banks()
-    }
-
-    /// Size in bytes.
-    pub fn size(&self) -> u32 {
-        self.shared().size()
-    }
-
-    /// Cycles one word access occupies a bank.
-    pub fn word_cycles(&self) -> u64 {
-        self.shared().word_cycles()
-    }
-
-    /// One tile's port statistics.
-    pub fn stats_for(&self, tile: usize) -> SramStats {
-        self.shared().stats_for(tile)
-    }
-
-    /// Fabric-wide aggregates.
-    pub fn shared_stats(&self) -> SharedMemStats {
-        self.shared().shared_stats()
-    }
-
-    /// Install a structured-event sink for one tile.
-    pub fn set_event_bus_for(&mut self, tile: usize, bus: EventBus) {
-        self.shared_mut().set_event_bus_for(tile, bus);
-    }
-
-    /// Move one tile's collected events out of its bus.
-    pub fn take_events_for(&mut self, tile: usize) -> Vec<Event> {
-        self.shared_mut().take_events_for(tile)
-    }
-
-    /// Events evicted from one tile's bus by its ring bound.
-    pub fn events_dropped_for(&self, tile: usize) -> u64 {
-        self.shared().events_dropped_for(tile)
-    }
-
-    /// Flip one bit of the word at `addr` (fault injection).
-    pub fn corrupt_word(&mut self, addr: u32, bit: u8) -> bool {
-        self.shared_mut().corrupt_word(addr, bit)
-    }
-
-    /// Read one `f32` at `addr`.
-    pub fn read_f32(&self, addr: u32) -> f32 {
-        self.shared().read_f32(addr)
-    }
-
-    /// Read `n` consecutive `f32`s starting at `addr`.
-    pub fn read_f32s(&self, addr: u32, n: usize) -> Vec<f32> {
-        self.shared().read_f32s(addr, n)
-    }
-
-    /// Read `n` consecutive `u32`s starting at `addr`.
-    pub fn read_u32s(&self, addr: u32, n: usize) -> Vec<u32> {
-        self.shared().read_u32s(addr, n)
-    }
-
-    /// Issue a split-transaction burst request by `tile`.
-    pub fn request_burst_for(
-        &mut self,
-        tile: usize,
-        now: u64,
-        addr: u32,
-        who: Requester,
-        words: u64,
-    ) -> MemIssue {
-        match self {
-            FabricMemory::Shared(m) => match m.try_start_burst_for(tile, now, addr, who, words) {
-                Some(data_at) => MemIssue::Granted { data_at, row: RowOutcome::Flat },
-                None => MemIssue::Refused(MemRefusal::BankBusy),
-            },
-            FabricMemory::Dram(d) => d.request_burst_for(tile, now, addr, who, words),
-        }
-    }
-
-    /// Earliest cycle the memory next changes state.
-    pub fn next_event(&self, now: u64) -> Option<u64> {
-        match self {
-            FabricMemory::Shared(m) => m.next_event(now),
-            FabricMemory::Dram(d) => d.next_event(now),
-        }
-    }
-
-    /// Tile-aware park bound for a request to `addr` refused at `now`
-    /// (see [`Dram::next_event_for`]; on the flat variant this is the
-    /// bank-exact hint).
-    pub fn next_event_for(&self, tile: usize, addr: u32, now: u64) -> Option<u64> {
-        match self {
-            FabricMemory::Shared(m) => m.next_event_at(addr, now),
-            FabricMemory::Dram(d) => d.next_event_for(tile, addr, now),
-        }
-    }
-
-    /// Bulk-replay `span` skipped refusal cycles (see
-    /// [`Dram::skip_conflicts_for`]).
-    pub fn skip_conflicts_for(
-        &mut self,
-        tile: usize,
-        now: u64,
-        span: u64,
-        addr: u32,
-        who: Requester,
-    ) {
-        match self {
-            FabricMemory::Shared(m) => m.skip_conflicts_for(tile, now, span, addr, who),
-            FabricMemory::Dram(d) => d.skip_conflicts_for(tile, now, span, addr, who),
-        }
-    }
-}
-
-/// One tile's view of a [`FabricMemory`]: the `&mut dyn MemoryPort` the
-/// tile's core and HHT hold for the current cycle (successor of the
-/// Shared-only `TilePort`).
+/// One tile's view of a [`Dram`]: the `&mut dyn MemoryPort` the tile's
+/// core and HHT hold for the current cycle. Functional reads and writes go
+/// straight to the wrapped [`SharedMemory`]; timed requests are accounted
+/// to `tile`.
 pub struct FabricPort<'a> {
-    mem: &'a mut FabricMemory,
+    mem: &'a mut Dram,
     tile: usize,
 }
 
 impl<'a> FabricPort<'a> {
     /// Borrow `mem` as tile `tile`'s port.
-    pub fn new(mem: &'a mut FabricMemory, tile: usize) -> Self {
+    pub fn new(mem: &'a mut Dram, tile: usize) -> Self {
         FabricPort { mem, tile }
     }
 }
@@ -563,45 +377,46 @@ impl MemoryPort for FabricPort<'_> {
     }
 
     fn size(&self) -> u32 {
-        self.mem.size()
+        self.mem.mem.size()
     }
 
     fn word_cycles(&self) -> u64 {
-        self.mem.word_cycles()
+        self.mem.mem.word_cycles()
     }
 
     fn read_u8(&self, addr: u32) -> u8 {
-        self.mem.shared().read_u8(addr)
+        self.mem.mem.read_u8(addr)
     }
 
     fn read_u16(&self, addr: u32) -> u16 {
-        self.mem.shared().read_u16(addr)
+        self.mem.mem.read_u16(addr)
     }
 
     fn read_u32(&self, addr: u32) -> u32 {
-        self.mem.shared().read_u32(addr)
+        self.mem.mem.read_u32(addr)
     }
 
     fn read_u32_checked(&self, addr: u32) -> Option<u32> {
-        self.mem.shared().read_u32_checked(addr)
+        self.mem.mem.read_u32_checked(addr)
     }
 
     fn write_u8(&mut self, addr: u32, value: u8) {
-        self.mem.shared_mut().write_u8(addr, value)
+        self.mem.mem.write_u8(addr, value)
     }
 
     fn write_u16(&mut self, addr: u32, value: u16) {
-        self.mem.shared_mut().write_u16(addr, value)
+        self.mem.mem.write_u16(addr, value)
     }
 
     fn write_u32(&mut self, addr: u32, value: u32) {
-        self.mem.shared_mut().write_u32(addr, value)
+        self.mem.mem.write_u32(addr, value)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hht_obs::EventBus;
 
     /// The flat configuration delegates straight to the inner memory:
     /// grant cycles, hints and every stats field match call for call.
@@ -772,12 +587,13 @@ mod tests {
         assert!(events.iter().all(|e| e.track != Track::MemQueue));
     }
 
-    /// `FabricPort` over either variant exposes the `MemoryPort` surface;
-    /// over a DRAM it surfaces the real refusal kinds and row outcomes.
+    /// `FabricPort` exposes the `MemoryPort` surface: over a timed DRAM it
+    /// surfaces the real refusal kinds and row outcomes, over the flat
+    /// configuration the seed model's bank-busy refusals.
     #[test]
     fn fabric_port_surfaces_real_outcomes() {
         let cfg = DramConfig::flat().with_row_latency(0, 7).with_window(1);
-        let mut mem = FabricMemory::Dram(Dram::new(SharedMemory::new(1024, 1, 1, 1), cfg));
+        let mut mem = Dram::new(SharedMemory::new(1024, 1, 1, 1), cfg);
         {
             let mut port = FabricPort::new(&mut mem, 0);
             let p: &mut dyn MemoryPort = &mut port;
@@ -794,9 +610,9 @@ mod tests {
             p.write_u32(16, 99);
             assert_eq!(p.read_u32(16), 99);
         }
-        assert_eq!(mem.stats_for(0).hht_window_stalls, 1);
+        assert_eq!(mem.inner().stats_for(0).hht_window_stalls, 1);
 
-        let mut flat = FabricMemory::from(SharedMemory::new(256, 2, 1, 1));
+        let mut flat = Dram::new(SharedMemory::new(256, 2, 1, 1), DramConfig::flat());
         let mut port = FabricPort::new(&mut flat, 0);
         assert_eq!(
             port.request(0, 0, Requester::Cpu),

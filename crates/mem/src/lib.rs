@@ -11,11 +11,13 @@
 //!   has priority).
 //! - [`L1dCache`] — an optional set-associative cache for the paper's
 //!   "high-performance processor integration" (§3.2), used in ablations.
+//! - [`SharedMemory`] — the banked memory the N-tile fabric shares.
 //! - [`Dram`] — the DRAM-class split-transaction backend wrapped around
 //!   the banked memory: row-buffer hit/miss response latency, a per-tile
 //!   bounded in-flight window (MLP ceiling) and a grants-per-cycle
-//!   bandwidth budget. [`FabricMemory`] selects between the flat banked
-//!   model and the DRAM wrapper behind one [`FabricPort`].
+//!   bandwidth budget. The fabric always holds one; its flat configuration
+//!   delegates verbatim to [`SharedMemory`]. [`FabricPort`] is each tile's
+//!   port onto it.
 //! - [`map`] — the physical address map (RAM, HHT MMRs, HHT buffer window).
 //! - [`MmioDevice`] — the trait the HHT front-end implements to appear in
 //!   the CPU's load/store space.
@@ -28,9 +30,9 @@ pub mod mmio;
 pub mod port;
 pub mod sram;
 
-pub use banked::{SharedMemStats, SharedMemory, TilePort};
+pub use banked::{SharedMemStats, SharedMemory};
 pub use cache::L1dCache;
-pub use dram::{Dram, DramConfig, FabricMemory, FabricPort};
+pub use dram::{Dram, DramConfig, FabricPort};
 pub use mmio::{MmioDevice, MmioReadResult};
 pub use port::{MemIssue, MemRefusal, MemoryPort, RowOutcome};
 pub use sram::{Requester, Sram, SramStats};

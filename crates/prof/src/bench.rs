@@ -14,8 +14,10 @@ use serde::{Deserialize, Serialize};
 /// Schema version stamped into every report; bump on incompatible change.
 /// Schema 2 added the `fabric` scheduler-throughput section; schema 3 added
 /// the `failover` degraded-mode section; schema 4 added the
-/// `dram_slow_memory` configuration (split-transaction DRAM backend).
-pub const BENCH_SCHEMA: u32 = 4;
+/// `dram_slow_memory` configuration (split-transaction DRAM backend);
+/// schema 5 dropped the fields of the retired lock-step fast-forward
+/// scheduler.
+pub const BENCH_SCHEMA: u32 = 5;
 
 /// Headline metrics for one named configuration (e.g. `paper_default`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -37,8 +39,8 @@ pub struct BenchConfig {
 }
 
 /// Fabric scheduler throughput for one named configuration: the same
-/// simulated run timed under all three schedulers (per-cycle lock-step,
-/// lock-step with global fast-forward, and the discrete-event queue).
+/// simulated run timed under both schedulers (the per-cycle loop and the
+/// discrete-event queue).
 ///
 /// `wall_cycles` is deterministic and gated with the relative tolerance.
 /// Host throughput varies with the machine, so the speedup *ratios* —
@@ -55,18 +57,14 @@ pub struct FabricBenchConfig {
     pub banks: usize,
     /// SRAM word occupancy in cycles (the "slow memory" knob).
     pub ram_word_cycles: u64,
-    /// Simulated wall cycles — identical across all three schedulers by
+    /// Simulated wall cycles — identical across both schedulers by
     /// construction (the generator asserts it). Deterministic; gated.
     pub wall_cycles: u64,
     /// Event-queue scheduler host throughput, simulated Mcycles/second.
     pub eq_mcycles_per_sec: f64,
-    /// Lock-step (global fast-forward) host throughput, Mcycles/second.
-    pub lockstep_mcycles_per_sec: f64,
-    /// Per-cycle lock-step host throughput, Mcycles/second.
+    /// Per-cycle loop host throughput, Mcycles/second.
     pub percycle_mcycles_per_sec: f64,
-    /// Event queue vs lock-step-with-fast-forward, same machine.
-    pub host_speedup_vs_lockstep: f64,
-    /// Event queue vs per-cycle lock-step, same machine. Gated against
+    /// Event queue vs the per-cycle loop, same machine. Gated against
     /// `min_host_speedup`.
     pub host_speedup_vs_percycle: f64,
     /// Gate floor for `host_speedup_vs_percycle` (from the baseline).
@@ -296,9 +294,7 @@ mod tests {
             ram_word_cycles: 64,
             wall_cycles: wall,
             eq_mcycles_per_sec: 20.0,
-            lockstep_mcycles_per_sec: 9.0,
             percycle_mcycles_per_sec: 2.0,
-            host_speedup_vs_lockstep: 2.2,
             host_speedup_vs_percycle: vs_percycle,
             min_host_speedup: floor,
         }

@@ -351,20 +351,12 @@ impl Core {
     }
 
     /// When the core is runnable *now* but its next action is a RAM access
-    /// that must win the SRAM port (no L1D hit can serve it), return true.
-    /// The scheduler combines this with the port's free cycle: while the
-    /// port is held by an in-flight HHT burst, every stepped cycle loses
-    /// arbitration and charges exactly one `mem_port_stall_cycles`,
-    /// replayed in bulk by [`Core::skip_port_wait`].
-    #[inline]
-    pub fn pending_port_access(&self, now: u64) -> bool {
-        self.pending_port_addr(now).is_some()
-    }
-
-    /// Like [`Core::pending_port_access`], but returning the address of the
-    /// pending beat — the fabric scheduler resolves it to a *bank*-specific
-    /// free cycle on the banked shared memory (the port-wide hint would be
-    /// wrong there: another tile's bank can be busy while ours is free).
+    /// that must win a memory port (no L1D hit can serve it), the address
+    /// of the pending beat. The fabric scheduler resolves it to the
+    /// *bank*-specific free cycle on the banked shared memory: while that
+    /// bank is held, every stepped cycle loses arbitration and charges
+    /// exactly one `mem_port_stall_cycles`, replayed in bulk by
+    /// [`Core::skip_port_wait`].
     #[inline]
     pub fn pending_port_addr(&self, now: u64) -> Option<u32> {
         if self.halted || self.busy_until > now {

@@ -87,23 +87,15 @@ pub struct SystemConfig {
     /// Observability sinks (event streams, instruction trace). Disabled by
     /// default; never affects simulated cycle counts.
     pub trace: TraceConfig,
-    /// Event-driven cycle skipping: `System::run` fast-forwards over spans
-    /// where the core, the HHT and the SRAM port are all provably inert,
-    /// charging the skipped cycles to the same counters the per-cycle loop
-    /// would have recorded. Simulated cycle counts are bit-identical either
-    /// way; turning this off keeps the legacy per-cycle loop for
-    /// differential testing.
+    /// The scheduler. On (the default), the discrete-event queue parks each
+    /// tile over spans where its core, HHT and memory port are provably
+    /// inert, charging the skipped cycles to the same counters the
+    /// per-cycle loop would have recorded, so one busy tile never forces
+    /// per-cycle host work for its parked neighbours. Off, every tile is
+    /// stepped every cycle by [`crate::fabric::Fabric::step`]: the
+    /// differential oracle. Simulated cycle counts, statistics and event
+    /// streams are bit-identical either way (see `tests/determinism.rs`).
     pub cycle_skip: bool,
-    /// Discrete-event fabric scheduling: each tile advances independently
-    /// to its own next wake through a per-tile event queue instead of the
-    /// lock-step loop, so one busy tile no longer forces per-cycle host
-    /// work for every parked neighbour. Requires `cycle_skip` (the queue
-    /// *is* per-tile cycle skipping); `with_cycle_skip(false)` therefore
-    /// still selects the pure per-cycle oracle. Simulated cycle counts,
-    /// statistics and event streams are bit-identical across all three
-    /// scheduler modes (see `tests/determinism.rs`); turning this off
-    /// keeps the lock-step scheduler as the differential oracle.
-    pub event_queue: bool,
     /// Seed-driven fault injection (`seed == 0`, the default, disables it).
     /// [`crate::system::System::new`] derives the cycle-exact
     /// [`hht_fault::FaultPlan`] from this.
@@ -127,13 +119,12 @@ pub struct SystemConfig {
     /// doubles per accumulated failure (`base << (retries - 1)`). Fabric
     /// recovery only.
     pub tile_backoff: u64,
-    /// DRAM-class memory timing (`None`, the default, keeps the flat
-    /// SRAM-class [`hht_mem::SharedMemory`] model). When set, the fabric
-    /// wraps its memory in [`hht_mem::Dram`]: split-transaction responses
-    /// with row-buffer hit/miss latency, a per-tile bounded in-flight
-    /// window (the MLP ceiling) and a grants-per-cycle bandwidth budget.
-    /// `Some(DramConfig::flat())` is bit-identical to `None` (pinned by
-    /// the determinism suite).
+    /// DRAM-class memory timing for the fabric's [`hht_mem::Dram`]:
+    /// split-transaction responses with row-buffer hit/miss latency, a
+    /// per-tile bounded in-flight window (the MLP ceiling) and a
+    /// grants-per-cycle bandwidth budget. `None`, the default, means
+    /// `DramConfig::flat()`, which keeps the flat SRAM-class
+    /// [`hht_mem::SharedMemory`] timing exactly.
     pub dram: Option<DramConfig>,
 }
 
@@ -149,7 +140,6 @@ impl SystemConfig {
             clock_hz: 1.1e9,
             trace: TraceConfig::disabled(),
             cycle_skip: true,
-            event_queue: true,
             fault: FaultConfig::default(),
             recovery: false,
             tile_retries: 2,
@@ -197,18 +187,10 @@ impl SystemConfig {
         self
     }
 
-    /// Same configuration with cycle skipping on or off (off = the legacy
-    /// per-cycle loop, for differential testing).
+    /// Same configuration with the event-queue scheduler on or off (off =
+    /// the per-cycle loop, the differential oracle).
     pub fn with_cycle_skip(mut self, on: bool) -> Self {
         self.cycle_skip = on;
-        self
-    }
-
-    /// Same configuration with the discrete-event fabric scheduler on or
-    /// off (off = the lock-step scheduler, the event queue's differential
-    /// oracle).
-    pub fn with_event_queue(mut self, on: bool) -> Self {
-        self.event_queue = on;
         self
     }
 
@@ -254,8 +236,8 @@ impl SystemConfig {
     }
 
     /// Same configuration with DRAM-class memory timing (row-buffer
-    /// latency, MLP window, bandwidth budget). `DramConfig::flat()` is
-    /// bit-identical to the flat model and exists for differential tests.
+    /// latency, MLP window, bandwidth budget). `DramConfig::flat()` is the
+    /// same as leaving it unset.
     pub fn with_dram(mut self, dram: DramConfig) -> Self {
         self.dram = Some(dram);
         self

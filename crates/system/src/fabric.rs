@@ -3,9 +3,10 @@
 //! This is the scale-out of the paper's single-core MCU (§7 "the proposed
 //! architecture can be extended with multiple HHTs"): each [`Tile`] is one
 //! core plus one accelerator, all tiles share a [`SharedMemory`] whose
-//! banks arbitrate per cycle, and one [`Fabric`] run advances every tile
-//! under the same event-driven cycle-skipping scheduler the single-tile
-//! system uses.
+//! banks arbitrate per cycle (behind a [`Dram`] timing wrapper, flat by
+//! default), and one [`Fabric`] run advances every tile under one of two
+//! schedulers: the per-cycle [`Fabric::step`] loop, the oracle
+//! (`with_cycle_skip(false)`), or the discrete-event queue, the product.
 //!
 //! Design rules inherited from the single-tile machine and preserved here:
 //!
@@ -17,25 +18,23 @@
 //! - **Skipping is replay, not estimation.** A span is skipped only when
 //!   *every* live tile is provably inert over it, and the span's per-cycle
 //!   charges (stall counters, arbitration losses, conflict events) are
-//!   replayed in bulk through the same hooks the single-tile scheduler
-//!   uses. Cycle counts, statistics and event streams are bit-identical to
-//!   the per-cycle loop; with one tile and one bank they are bit-identical
-//!   to [`LegacySystem`](crate::legacy::LegacySystem) (proved in
-//!   `tests/determinism.rs`).
+//!   replayed in bulk through the same hooks the per-cycle loop charges.
+//!   Cycle counts, statistics and event streams are bit-identical to the
+//!   per-cycle loop; with one tile and one bank they are bit-identical to
+//!   the seed machine, [`LegacySystem`](crate::legacy::LegacySystem)
+//!   (proved in `tests/determinism.rs`).
 //! - **Skips are bank-exact.** Both CPU port waits
 //!   ([`hht_sim::Core::pending_port_addr`]) and engine port waits
 //!   (`Wake::NeedsPort { addr }`) carry the address they are retrying, so
 //!   the scheduler bounds each wait by the exact bank's free cycle — a
 //!   busy bank's `free_at` cannot move while no tile steps, because only
 //!   a grant (which requires the bank to be free) reprograms it.
-//! - **Parking is per-tile under the event queue.** With
-//!   [`SystemConfig::event_queue`] on (the default), a min-heap of
-//!   `(wake, tile)` entries advances each tile independently to its own
-//!   next wake instead of the lock-step outer loop, so one busy tile no
-//!   longer forces per-cycle host work for every parked neighbour. The
-//!   lock-step scheduler stays available (`with_event_queue(false)`) as
-//!   the differential oracle; both are bit-identical in everything
-//!   simulated (see `Fabric::run_event_queue` for the argument).
+//! - **Parking is per-tile.** With [`SystemConfig::cycle_skip`] on (the
+//!   default), a min-heap of `(wake, tile)` entries advances each tile
+//!   independently to its own next wake, so one busy tile never forces
+//!   per-cycle host work for its parked neighbours. Both schedulers are
+//!   bit-identical in everything simulated (see `Fabric::run_event_queue`
+//!   for the argument).
 //! - **Frozen tiles stay frozen.** A tile whose core halted is never
 //!   stepped again (its HHT included), mirroring the single-tile run loop
 //!   which exits outright — so per-tile statistics read exactly as if the
@@ -46,7 +45,7 @@ use crate::system::{FaultSummary, SystemStats};
 use hht_accel::{Hht, HhtStats, Wake};
 use hht_fault::{FaultKind, FaultPlan};
 use hht_isa::Program;
-use hht_mem::{Dram, FabricMemory, FabricPort, SharedMemStats, SharedMemory, SramStats};
+use hht_mem::{Dram, DramConfig, FabricPort, SharedMemStats, SharedMemory, SramStats};
 use hht_obs::{
     merge_events, Event, EventBus, EventKind, ObsDrops, SkipSpan, StallBreakdown, Track,
 };
@@ -142,19 +141,18 @@ impl SchedStats {
 /// scheduler mode, while simulated statistics are mode-invariant.
 ///
 /// Under the event-queue scheduler `stepped_cycles + skipped_cycles` is the
-/// tile's own active life (from cycle 0 to its halt); under the lock-step
-/// scheduler `skipped_cycles` counts the global fast-forward spans the tile
-/// lived through.
+/// tile's own active life (from cycle 0 to its halt); the per-cycle loop
+/// only steps.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TileSchedStats {
     /// Times this tile was popped from the event queue (0 under the
-    /// lock-step scheduler, which has no queue).
+    /// per-cycle loop, which has no queue).
     pub pops: u64,
     /// Cycles this tile was genuinely stepped.
     pub stepped_cycles: u64,
     /// Cycles this tile sat parked (advanced by bulk replay).
     pub skipped_cycles: u64,
-    /// Number of parked spans (fast-forward spans under lock-step).
+    /// Number of parked spans.
     pub parks: u64,
 }
 
@@ -179,7 +177,7 @@ impl TileSchedStats {
 }
 
 /// One CPU + HHT pair of the fabric. The tile owns no memory: all its
-/// traffic goes through its [`TilePort`] view of the shared banks.
+/// traffic goes through its [`FabricPort`] view of the shared banks.
 struct Tile {
     core: Core,
     hht: Hht,
@@ -434,27 +432,24 @@ impl FabricStats {
 }
 
 /// `N` tiles over one banked shared memory, advanced by either the
-/// lock-step scheduler (the differential oracle) or the discrete-event
-/// scheduler (see [`SystemConfig::event_queue`]).
+/// per-cycle loop (the differential oracle) or the discrete-event
+/// scheduler (see [`SystemConfig::cycle_skip`]).
 pub struct Fabric {
     tiles: Vec<Tile>,
-    mem: FabricMemory,
+    mem: Dram,
     arb: ArbPolicy,
     cycle: u64,
     max_cycles: u64,
+    /// Discrete-event scheduling active; off selects the per-cycle loop.
     cycle_skip: bool,
-    /// Discrete-event scheduling active (`cfg.event_queue && cfg.cycle_skip`
-    /// — the queue *is* per-tile cycle skipping, so turning skipping off
-    /// selects the pure per-cycle loop).
-    event_queue: bool,
-    /// Pending fault schedule; the next pending cycle bounds every
-    /// fast-forward so no injection point is skipped over.
+    /// Pending fault schedule; the next pending cycle bounds every park so
+    /// no injection point is skipped over.
     fault_plan: Option<FaultPlan>,
     /// Host-side scheduler accounting (stepped vs skipped cycles).
     sched: SchedStats,
     /// Host-side per-tile scheduler accounting (queue pops, parked spans).
     tile_sched: Vec<TileSchedStats>,
-    /// Fast-forward spans, recorded only when event tracing is on (the
+    /// Global skip spans, recorded only when event tracing is on (the
     /// Chrome exporter renders them as a per-tile scheduler lane). Kept
     /// off the per-tile buses so event streams stay bit-identical between
     /// scheduler modes.
@@ -465,11 +460,9 @@ pub struct Fabric {
     park_spans: Option<Vec<Vec<SkipSpan>>>,
 }
 
-/// Per-tile classification for one fast-forward attempt: what bulk-replay
-/// the skipped span owes this tile.
+/// Per-tile classification for one park: what bulk-replay the parked span
+/// owes this tile.
 enum Replay {
-    /// Core halted: the tile is frozen, nothing to replay.
-    Frozen,
     /// Core busy (or the engine merely idle): only `skip_idle` applies.
     Busy,
     /// Core parked on an empty stream window at this address.
@@ -519,13 +512,10 @@ impl Fabric {
             });
         }
         let plan = FaultPlan::from_seed(cfg.fault, mem.size());
-        // Wrap the memory per the configured timing model. A flat DRAM
-        // config is bit-identical to the bare banked memory (pinned in
-        // `tests/determinism.rs`), so differential tests toggle only this.
-        let mem = match cfg.dram {
-            Some(dc) => FabricMemory::Dram(Dram::new(mem, dc)),
-            None => FabricMemory::Shared(mem),
-        };
+        // No DRAM config means the flat one, which delegates verbatim to
+        // the banked memory (pinned by `hht-mem`'s
+        // `flat_dram_matches_shared_memory`).
+        let mem = Dram::new(mem, cfg.dram.unwrap_or_else(DramConfig::flat));
         Fabric {
             tiles,
             mem,
@@ -533,7 +523,6 @@ impl Fabric {
             cycle: 0,
             max_cycles: cfg.core.max_cycles,
             cycle_skip: cfg.cycle_skip,
-            event_queue: cfg.event_queue && cfg.cycle_skip,
             fault_plan: (!plan.is_empty()).then_some(plan),
             sched: SchedStats::default(),
             tile_sched: vec![TileSchedStats::default(); fab.tiles],
@@ -562,7 +551,7 @@ impl Fabric {
         mem: SharedMemory,
     ) -> Vec<u8> {
         let retired = std::mem::replace(self, Fabric::new(cfg, fab, programs, mem));
-        retired.mem.into_data()
+        retired.mem.into_inner().into_data()
     }
 
     /// Install an explicit fault schedule (replacing any seed-derived one).
@@ -691,7 +680,7 @@ impl Fabric {
         }
         let tile = &mut self.tiles[t];
         let applied = match kind {
-            FaultKind::SramBitFlip { addr, bit } => self.mem.corrupt_word(addr, bit),
+            FaultKind::SramBitFlip { addr, bit } => self.mem.inner_mut().corrupt_word(addr, bit),
             FaultKind::DropResponse => tile.hht.drop_response(),
             FaultKind::DelayResponse { cycles } => {
                 tile.hht.delay_responses(now, cycles);
@@ -733,7 +722,7 @@ impl Fabric {
     /// cycle. [`Fabric::stats`] stays readable after an error so the
     /// recovery policy can account the failed attempt per tile.
     pub fn run(&mut self) -> Result<FabricStats, FabricError> {
-        if self.event_queue {
+        if self.cycle_skip {
             return self.run_event_queue();
         }
         while self.tiles.iter().any(|t| !t.core.halted()) {
@@ -741,12 +730,6 @@ impl Fabric {
             self.step();
             if self.cycle >= self.max_cycles {
                 break;
-            }
-            if self.cycle_skip {
-                self.fast_forward();
-                if self.cycle >= self.max_cycles {
-                    break;
-                }
             }
         }
         self.finish()
@@ -797,9 +780,10 @@ impl Fabric {
     /// One tile's scheduling bound from cycle `now`: the earliest cycle at
     /// which the tile can next change architectural state, plus the bulk
     /// replay a parked span `[now, bound)` owes it. `None` means the core
-    /// halted (frozen forever); a bound ≤ `now + 1` means the tile must be
-    /// stepped. The per-tile classification is the single-tile scheduler's
-    /// (see [`crate::legacy::LegacySystem`]).
+    /// halted (frozen forever); a bound ≤ `now` means the tile must be
+    /// stepped this cycle. A span up to the bound is inert for the tile: its core is
+    /// busy, parked on an empty stream window, or losing arbitration for a
+    /// bank that stays busy, and its engine's next wake lies beyond it.
     ///
     /// Any park not exceeding the bound is *sound* even while other tiles
     /// keep stepping: the only cross-tile coupling is the shared banks, and
@@ -876,8 +860,8 @@ impl Fabric {
     }
 
     /// Commit the bulk-replay charges a parked span `[now, now + span)`
-    /// owes tile `t` — exactly the per-cycle charges the lock-step loop
-    /// would have recorded. Shared by both schedulers.
+    /// owes tile `t` — exactly the per-cycle charges the per-cycle loop
+    /// would have recorded.
     fn commit_park(&mut self, t: usize, now: u64, span: u64, plan: &Replay) {
         let tile = &mut self.tiles[t];
         let mut port = FabricPort::new(&mut self.mem, t);
@@ -893,7 +877,7 @@ impl Fabric {
             Replay::Port => {
                 tile.core.skip_port_wait(now, span, &mut port);
             }
-            Replay::Busy | Replay::Frozen => {}
+            Replay::Busy => {}
         }
         tile.hht.skip_idle(now, span, &mut port);
         self.tile_sched[t].skipped_cycles += span;
@@ -903,66 +887,16 @@ impl Fabric {
         }
     }
 
-    /// Advance `self.cycle` to the earliest cycle at which *any* tile can
-    /// act, replaying the skipped span's per-cycle charges on every live
-    /// tile. The fabric skips only when every tile is provably inert, so
-    /// the span is the minimum of the per-tile bounds (and of the next
-    /// pending fault-injection cycle).
-    fn fast_forward(&mut self) {
-        let now = self.cycle;
-        let mut plans: Vec<Replay> = Vec::with_capacity(self.tiles.len());
-        let mut target = u64::MAX;
-        for t in 0..self.tiles.len() {
-            match self.tile_bound(t, now) {
-                // Halted: frozen forever, no bound and nothing to replay.
-                None => plans.push(Replay::Frozen),
-                Some((bound, replay)) => {
-                    if bound <= now + 1 {
-                        return; // a tile acts now (or a 1-cycle span): step it
-                    }
-                    plans.push(replay);
-                    target = target.min(bound);
-                }
-            }
-        }
-        if target == u64::MAX {
-            // Every tile is frozen: the run is over, and a pending fault
-            // cycle must not drag the wall clock past the final halt.
-            return;
-        }
-        // Never jump past a pending fault injection that can still land
-        // (faults aimed at halted tiles are dropped, not applied, so they
-        // must not drag the clock).
-        if let Some(fault_at) = self.next_live_fault_cycle() {
-            target = target.min(fault_at);
-        }
-        if target <= now + 1 {
-            return; // nothing worth skipping
-        }
-        let span = (target - now).min(self.max_cycles.saturating_sub(now));
-        let parked: Vec<(usize, Replay)> =
-            plans.into_iter().enumerate().filter(|(_, p)| !matches!(p, Replay::Frozen)).collect();
-        for (t, plan) in parked {
-            self.commit_park(t, now, span, &plan);
-        }
-        self.cycle = now + span;
-        self.sched.skipped_cycles += span;
-        self.sched.skip_spans += 1;
-        if let Some(spans) = self.skip_spans.as_mut() {
-            spans.push(SkipSpan { start: now, end: now + span });
-        }
-    }
-
     /// Run under the discrete-event scheduler: a min-heap of
     /// `(wake, tile)` entries advances each tile independently to its own
     /// next wake, so a parked tile costs *zero* host work per simulated
-    /// cycle instead of a full step. Bit-identical to the lock-step `run`
-    /// (the differential oracle, `with_event_queue(false)`) because:
+    /// cycle instead of a full step. Bit-identical to the per-cycle loop
+    /// (the differential oracle, `with_cycle_skip(false)`) because:
     ///
     /// - every park is bounded by [`Self::tile_bound`], whose span is
     ///   provably inert for the tile, and [`Self::commit_park`] charges it
     ///   exactly what the per-cycle loop would have;
-    /// - a parked tile's lock-step steps never grant a bank (inert cycles
+    /// - a parked tile's per-cycle steps never grant a bank (inert cycles
     ///   issue no winning accesses), so the shared memory evolves exactly
     ///   as if every tile had been stepped;
     /// - all tiles due on a cycle step in arbiter order, preserving
@@ -984,7 +918,7 @@ impl Fabric {
             .collect();
         let mut due: Vec<usize> = Vec::with_capacity(n);
         // Tiles halted before ever stepping still get their `done_at`
-        // latched after the first stepped cycle, exactly as in lock-step.
+        // latched after the first stepped cycle, exactly as in `step`.
         let mut prehalted: Vec<usize> = (0..n).filter(|&t| self.tiles[t].core.halted()).collect();
         'sched: while let Some(&Reverse((wake, _))) = heap.peek() {
             // Jump the clock to the earliest wake. The cycles in between
@@ -1083,7 +1017,7 @@ impl Fabric {
                 cycles: tile.done_at.unwrap_or(self.cycle),
                 core: tile.core.stats(),
                 hht: tile.hht.stats(),
-                sram: self.mem.stats_for(t),
+                sram: self.mem.inner().stats_for(t),
                 faults: FaultSummary {
                     injected: tile.faults_injected,
                     dropped: tile.faults_dropped,
@@ -1091,17 +1025,17 @@ impl Fabric {
                 },
             })
             .collect();
-        FabricStats { cycles: self.cycle, tiles, mem: self.mem.shared_stats() }
+        FabricStats { cycles: self.cycle, tiles, mem: self.mem.inner().shared_stats() }
     }
 
     /// Read the output vector from the shared memory after a run.
     pub fn read_output(&self, y_base: u32, n: usize) -> DenseVector {
-        DenseVector::from(self.mem.read_f32s(y_base, n))
+        DenseVector::from(self.mem.inner().read_f32s(y_base, n))
     }
 
-    /// Borrow the memory (for test inspection).
-    pub fn mem(&self) -> &FabricMemory {
-        &self.mem
+    /// Borrow the banked memory (for test inspection).
+    pub fn mem(&self) -> &SharedMemory {
+        self.mem.inner()
     }
 
     /// Borrow one tile's core (for test inspection).
@@ -1129,13 +1063,12 @@ impl Fabric {
 
     /// Move the recorded per-tile parked spans out of the scheduler's sink
     /// (empty when tracing is off). `result[t]` is tile `t`'s parked spans
-    /// in chronological order; under the lock-step scheduler every live
-    /// tile records each global fast-forward span.
+    /// in chronological order.
     pub fn take_park_spans(&mut self) -> Vec<Vec<SkipSpan>> {
         self.park_spans.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
-    /// Move the recorded fast-forward spans out of the scheduler's sink
+    /// Move the recorded global skip spans out of the scheduler's sink
     /// (empty when tracing is off or the per-cycle scheduler ran).
     pub fn take_skip_spans(&mut self) -> Vec<SkipSpan> {
         self.skip_spans.as_mut().map(std::mem::take).unwrap_or_default()
@@ -1149,7 +1082,7 @@ impl Fabric {
             core_events: tile.core.events_dropped(),
             instr_trace: tile.core.trace_dropped(),
             hht_events: tile.hht.events_dropped(),
-            mem_events: self.mem.events_dropped_for(t),
+            mem_events: self.mem.inner().events_dropped_for(t),
             fault_events: tile.obs.as_ref().map_or(0, |b| b.dropped()),
         }
     }
@@ -1172,7 +1105,7 @@ impl Fabric {
         merge_events(vec![
             tile.core.take_events(),
             tile.hht.take_events(),
-            self.mem.take_events_for(t),
+            self.mem.inner_mut().take_events_for(t),
             system,
         ])
     }

@@ -1,17 +1,18 @@
-//! The pre-fabric single-tile cycle loop, kept verbatim as the
-//! differential reference for the port-based [`Fabric`](crate::fabric).
+//! The pre-fabric single-tile cycle loop, kept as the seed-machine
+//! reference for the port-based [`Fabric`](crate::fabric).
 //!
 //! [`LegacySystem`] owns one [`Core`], one [`Hht`] and one private
-//! single-ported [`Sram`] and couples them with the original lock-step
-//! loop (CPU steps first each cycle, then the HHT). It is not used by the
-//! runners or the experiment drivers — [`crate::system::System`] wraps a
-//! 1-tile fabric instead — but `tests/determinism.rs` proves the 1-tile
-//! fabric cycle-, stats- and event-identical to this machine, which pins
-//! the refactor to the seed behaviour.
+//! single-ported [`Sram`] and couples them with the original per-cycle
+//! loop (CPU steps first each cycle, then the HHT). It has no cycle
+//! skipping and is not used by the runners or the experiment drivers —
+//! [`crate::system::System`] wraps a 1-tile fabric instead — but
+//! `tests/determinism.rs` proves the 1-tile fabric, under both of its
+//! schedulers, cycle-, stats- and event-identical to this machine, which
+//! pins the fabric to the seed behaviour.
 
 use crate::config::SystemConfig;
 use crate::system::{FaultSummary, SystemStats};
-use hht_accel::{Hht, Wake};
+use hht_accel::Hht;
 use hht_fault::{FaultKind, FaultPlan};
 use hht_isa::Program;
 use hht_mem::Sram;
@@ -27,10 +28,8 @@ pub struct LegacySystem {
     sram: Sram,
     cycle: u64,
     max_cycles: u64,
-    cycle_skip: bool,
     /// Pending fault schedule (`None` once drained or when injection is
-    /// disabled). The next pending cycle bounds every fast-forward so no
-    /// injection point is skipped over.
+    /// disabled).
     fault_plan: Option<FaultPlan>,
     faults_injected: u64,
     /// The system's own event sink (fault-injection timeline).
@@ -62,7 +61,6 @@ impl LegacySystem {
             sram,
             cycle: 0,
             max_cycles: cfg.core.max_cycles,
-            cycle_skip: cfg.cycle_skip,
             fault_plan: (!plan.is_empty()).then_some(plan),
             faults_injected: 0,
             obs,
@@ -83,9 +81,7 @@ impl LegacySystem {
 
     /// Apply every fault-plan event due at or before the current cycle.
     /// Runs at the top of the run loop, so an injection at cycle `t`
-    /// perturbs state *before* cycle `t` executes — in both the per-cycle
-    /// and the cycle-skipping loop (fast-forward never jumps past the next
-    /// pending injection cycle).
+    /// perturbs state *before* cycle `t` executes.
     fn inject_due_faults(&mut self) {
         let Some(plan) = self.fault_plan.as_mut() else {
             return;
@@ -138,13 +134,7 @@ impl LegacySystem {
     /// Errors on guest faults and on watchdog expiry
     /// ([`RunError::Watchdog`]), so a deadlocked configuration fails one
     /// experiment cell instead of aborting a whole parallel sweep.
-    ///
-    /// With `cfg.cycle_skip` (the default) the loop is event-driven: after
-    /// each stepped cycle it asks every component for its next wake cycle
-    /// and fast-forwards `self.cycle` over spans where all of them are
-    /// provably inert, charging the span to the same counters the per-cycle
-    /// loop would have recorded. Cycle counts, stats and obs event streams
-    /// are bit-identical between the two modes (see `tests/determinism.rs`).
+    /// `cfg.cycle_skip` is ignored: this reference always steps every cycle.
     pub fn run(&mut self) -> Result<SystemStats, RunError> {
         while !self.core.halted() {
             self.inject_due_faults();
@@ -152,129 +142,11 @@ impl LegacySystem {
             if self.cycle >= self.max_cycles {
                 return Err(RunError::Watchdog(self.max_cycles));
             }
-            if self.cycle_skip {
-                self.fast_forward();
-                // A skipped span may land exactly on the watchdog limit (a
-                // detected deadlock jumps straight there); expire before
-                // stepping a cycle the per-cycle loop never executes.
-                if self.cycle >= self.max_cycles {
-                    return Err(RunError::Watchdog(self.max_cycles));
-                }
-            }
         }
         if let Some(e) = self.core.error() {
             return Err(e);
         }
         Ok(self.stats())
-    }
-
-    /// Advance `self.cycle` to the earliest cycle at which any component can
-    /// act. Skipped spans are exactly the cycles the per-cycle loop would
-    /// have burned ticking inert components:
-    ///
-    /// - the core returns from `step` immediately while `now < busy_until`;
-    ///   its two runnable retry states — parked on an empty stream window,
-    ///   or losing SRAM-port arbitration to an in-flight HHT burst — fail
-    ///   provably until the engine pushes (resp. the port frees), and their
-    ///   per-cycle charges are replayed in bulk by `Core::skip_hht_wait` /
-    ///   `Core::skip_port_wait`;
-    /// - the HHT charges `busy_cycles` per cycle while an engine waits on a
-    ///   memory read, plus its state's retry counters (`stall_out_full`
-    ///   while output-blocked, `port_conflicts` + an SRAM conflict while
-    ///   port-starved) — replayed in bulk by `Hht::skip_idle`;
-    /// - obs event *transitions* only ever fire on stepped cycles (a span
-    ///   with no state change emits nothing), and the per-retry-cycle SRAM
-    ///   conflict events are replayed with their original stamps, so event
-    ///   streams stay bit-identical.
-    fn fast_forward(&mut self) {
-        let now = self.cycle;
-        let Some(core_at) = self.core.next_event(now) else {
-            return; // halted: the run loop exits next check
-        };
-        // Classify the core before the (costlier) HHT hint: busy until a
-        // known cycle, runnable (nothing to skip), or runnable-but-blocked
-        // on a provably failing retry.
-        let mut window_read = None;
-        let mut port_free = None;
-        if core_at <= now {
-            if let Some(addr) = self.core.pending_hht_read(now) {
-                if !self.hht.window_read_would_stall(addr, now) {
-                    return; // the pop succeeds this cycle
-                }
-                window_read = Some(addr);
-            } else {
-                match self.sram.next_event(now) {
-                    Some(free_at) if self.core.pending_port_access(now) => {
-                        if free_at <= now + 1 {
-                            return; // a 1-cycle skip costs more than a step
-                        }
-                        port_free = Some(free_at);
-                    }
-                    _ => return, // the core acts this cycle
-                }
-            }
-        } else if core_at <= now + 1 {
-            // The core resumes next cycle, capping any span at 1 — not
-            // worth the hint computations below.
-            return;
-        }
-        let hht_wake = self.hht.next_event(now);
-        // When the engine can next change state, or `None` when only a CPU
-        // action (popping a full FIFO) — or nothing at all — can unblock it.
-        let hht_bound = match hht_wake {
-            Wake::At(t) => Some(t),
-            // Wants the port: issues the moment it frees.
-            Wake::NeedsPort { .. } => Some(self.sram.next_event(now).unwrap_or(now)),
-            Wake::OutputBlocked | Wake::Never => None,
-        };
-        let target = if let Some(free_at) = port_free {
-            // Core losing arbitration: the holder is the engine's in-flight
-            // burst, so core and engine both resume at the port's free
-            // cycle.
-            hht_bound.map_or(free_at, |t| t.min(free_at))
-        } else if let Some(addr) = window_read {
-            // Core parked on an empty window: only the engine can unpark
-            // it; every cycle until then is one failing retry on the core
-            // side and one idle cycle on the engine side. With no engine
-            // wake bound this is a true deadlock (the parked core can never
-            // pop the FIFO an output-blocked engine waits on) — jump
-            // straight to the watchdog limit, both retry counters replayed.
-            let mut t = hht_bound.unwrap_or(self.max_cycles);
-            // A delayed response (fault) can make a window with buffered
-            // data stall: the pop succeeds the moment the delay expires,
-            // possibly before any engine wake.
-            if let Some(ready) = self.hht.window_ready_at(addr, now) {
-                t = t.min(ready);
-            }
-            // The timeout protocol fires mid-wait: stop the span at the
-            // cycle whose stalled retry trips it, so the timeout path
-            // executes on a stepped cycle exactly as in the legacy loop.
-            if let Some(bound) = self.core.hht_timeout_bound(now) {
-                t = t.min(bound);
-            }
-            t
-        } else {
-            // Core busy until `core_at`; the engine may wake earlier.
-            hht_bound.map_or(core_at, |t| t.min(core_at))
-        };
-        // Never jump past a pending fault injection: the run loop applies
-        // it before stepping that cycle, identically in both modes.
-        let target = match self.fault_plan.as_ref().and_then(FaultPlan::next_cycle) {
-            Some(fault_at) => target.min(fault_at),
-            None => target,
-        };
-        if target <= now + 1 {
-            return; // nothing to skip (or a 1-cycle span: cheaper to step)
-        }
-        let span = (target - now).min(self.max_cycles.saturating_sub(now));
-        self.hht.skip_idle(now, span, &mut self.sram);
-        if let Some(addr) = window_read {
-            self.core.skip_hht_wait(now, span, addr);
-            self.hht.skip_stalled_reads(span);
-        } else if port_free.is_some() {
-            self.core.skip_port_wait(now, span, &mut self.sram);
-        }
-        self.cycle = now + span;
     }
 
     /// Statistics snapshot.

@@ -10,8 +10,15 @@
 //! - [`kernels`] — the kernel library: every baseline and HHT-assisted
 //!   SpMV / SpMSpV program, emitted as real RV32 assembly through
 //!   `hht-isa`.
-//! - [`system`] — [`system::System`]: the lock-step cycle loop (CPU steps
-//!   first each cycle, then the HHT, sharing the SRAM port).
+//! - [`fabric`] — [`fabric::Fabric`]: N CPU+HHT tiles over one banked
+//!   memory, advanced by the discrete-event queue (the product) or the
+//!   per-cycle loop (the oracle, `with_cycle_skip(false)`); both are
+//!   bit-identical in everything simulated.
+//! - [`system`] — [`system::System`]: the single-tile machine, a one-tile
+//!   fabric (CPU steps first each cycle, then the HHT, sharing the SRAM
+//!   port).
+//! - [`legacy`] — [`legacy::LegacySystem`]: the seed machine's per-cycle
+//!   loop, kept as the reference the one-tile fabric is tested against.
 //! - [`runner`] — one-call "run kernel X on problem Y" helpers that also
 //!   verify the numeric result against the `hht-sparse` golden kernels.
 //! - [`experiments`] — the figure-level drivers (speedup sweeps, wait-cycle

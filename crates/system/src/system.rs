@@ -1,20 +1,18 @@
 //! The single-tile system: a thin wrapper over a one-tile [`Fabric`].
 //!
-//! Historically this module owned the lock-step cycle loop coupling CPU,
-//! HHT and SRAM directly. That loop now lives in two places: the verbatim
-//! pre-refactor machine is preserved as
-//! [`LegacySystem`](crate::legacy::LegacySystem) (the differential-test
-//! oracle), and the live implementation is the port-based
-//! [`Fabric`](crate::fabric::Fabric) run with one tile over one bank —
-//! a configuration proved cycle-, stats- and event-identical to the legacy
-//! loop in `tests/determinism.rs`.
+//! Historically this module owned the per-cycle loop coupling CPU, HHT and
+//! SRAM directly. That loop is preserved as the seed-machine reference
+//! [`LegacySystem`](crate::legacy::LegacySystem); the live implementation
+//! is the port-based [`Fabric`](crate::fabric::Fabric) run with one tile
+//! over one bank — a configuration proved cycle-, stats- and
+//! event-identical to the seed machine in `tests/determinism.rs`.
 
 use crate::config::SystemConfig;
 use crate::fabric::{Fabric, FabricConfig};
 use hht_accel::HhtStats;
 use hht_fault::FaultPlan;
 use hht_isa::Program;
-use hht_mem::{FabricMemory, SharedMemory, Sram, SramStats};
+use hht_mem::{SharedMemory, Sram, SramStats};
 use hht_obs::Event;
 use hht_sim::{Core, CoreStats, RunError};
 use hht_sparse::DenseVector;
@@ -114,10 +112,9 @@ impl System {
     /// experiment cell instead of aborting a whole parallel sweep.
     ///
     /// With `cfg.cycle_skip` (the default) the loop is event-driven: after
-    /// each stepped cycle it asks every component for its next wake cycle
-    /// and fast-forwards over spans where all of them are provably inert,
-    /// charging the span to the same counters the per-cycle loop would
-    /// have recorded. Cycle counts, stats and obs event streams are
+    /// each stepped cycle it parks the tile over spans where it is provably
+    /// inert, charging the span to the same counters the per-cycle loop
+    /// would have recorded. Cycle counts, stats and obs event streams are
     /// bit-identical between the two modes (see `tests/determinism.rs`).
     pub fn run(&mut self) -> Result<SystemStats, RunError> {
         // A single-tile fabric's error list names exactly one fault domain
@@ -136,7 +133,7 @@ impl System {
     }
 
     /// Borrow the memory (for test inspection).
-    pub fn mem(&self) -> &FabricMemory {
+    pub fn mem(&self) -> &SharedMemory {
         self.fabric.mem()
     }
 
@@ -150,7 +147,7 @@ impl System {
         self.fabric.sched_stats()
     }
 
-    /// Move the recorded fast-forward spans out of the scheduler's sink
+    /// Move the recorded skip spans out of the scheduler's sink
     /// (empty when tracing is off or the per-cycle scheduler ran).
     pub fn take_skip_spans(&mut self) -> Vec<hht_obs::SkipSpan> {
         self.fabric.take_skip_spans()

@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Shows the lower layers of the stack: the text assembler, the SRAM image
-//! builder, the MMIO-programmed HHT and the lock-step system loop — the
+//! builder, the MMIO-programmed HHT and the single-tile `System` — the
 //! pieces the kernel library uses under the hood. The kernel computes a
 //! dot product of a gathered slice: `sum(v[idx[i]] * w[i])`, first with an
 //! explicit CPU-side gather, then by programming the HHT's SpMV engine to

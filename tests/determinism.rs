@@ -69,7 +69,7 @@ fn stats_are_internally_consistent() {
 }
 
 // ---------------------------------------------------------------------------
-// Cycle-skipping scheduler vs legacy per-cycle loop
+// Cycle-skipping scheduler vs the per-cycle loop (the scheduler's oracle)
 // ---------------------------------------------------------------------------
 
 /// Run every kernel flavour once for a given config; index selects one.
@@ -105,25 +105,25 @@ fn run_kernel(cfg: &SystemConfig, kernel: usize, n: usize, sparsity: f64, seed: 
     }
 }
 
-/// The skip-mode and legacy-mode runs of one kernel must agree bit-for-bit
+/// The skip-mode and per-cycle runs of one kernel must agree bit-for-bit
 /// on results, cycle counts, every counter and (when traced) every event.
-fn assert_skip_matches_legacy(base: SystemConfig, kernel: usize, n: usize, s: f64, seed: u64) {
+fn assert_skip_matches_per_cycle(base: SystemConfig, kernel: usize, n: usize, s: f64, seed: u64) {
     let skip = run_kernel(&base.with_cycle_skip(true), kernel, n, s, seed);
-    let legacy = run_kernel(&base.with_cycle_skip(false), kernel, n, s, seed);
+    let step = run_kernel(&base.with_cycle_skip(false), kernel, n, s, seed);
     assert_eq!(
-        skip.stats, legacy.stats,
+        skip.stats, step.stats,
         "kernel {kernel} n={n} s={s} buffers={}",
         base.hht.num_buffers
     );
-    assert_eq!(skip.y, legacy.y);
-    assert_eq!(skip.events, legacy.events);
+    assert_eq!(skip.y, step.y);
+    assert_eq!(skip.events, step.events);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The differential property behind the scheduler: `SystemStats` is
-    /// bit-identical between the cycle-skipping and legacy loops across
+    /// bit-identical between the cycle-skipping and per-cycle loops across
     /// random kernels × sparsities × buffer counts.
     #[test]
     fn cycle_skipping_is_bit_identical(
@@ -134,7 +134,7 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let cfg = SystemConfig::paper_default().with_buffers(buffers);
-        assert_skip_matches_legacy(cfg, kernel, n, sparsity_pct as f64 / 100.0, seed);
+        assert_skip_matches_per_cycle(cfg, kernel, n, sparsity_pct as f64 / 100.0, seed);
     }
 
     /// The same differential property holds under deterministic fault
@@ -155,7 +155,7 @@ proptest! {
             .with_fault(FaultConfig { seed: fault_seed, max_faults: 3, horizon: 2048 })
             .with_hht_timeout(timeout)
             .with_recovery(true);
-        assert_skip_matches_legacy(cfg, kernel, n, sparsity_pct as f64 / 100.0, seed);
+        assert_skip_matches_per_cycle(cfg, kernel, n, sparsity_pct as f64 / 100.0, seed);
     }
 }
 
@@ -168,7 +168,7 @@ fn cycle_skipping_matches_legacy_with_slow_memory_and_events() {
         let traced = SystemConfig::paper_default()
             .with_ram_word_cycles(4)
             .with_trace(TraceConfig::enabled());
-        assert_skip_matches_legacy(traced, kernel, 24, 0.5, 0xD1FF);
+        assert_skip_matches_per_cycle(traced, kernel, 24, 0.5, 0xD1FF);
     }
 }
 
@@ -182,7 +182,7 @@ fn cycle_skipping_matches_legacy_with_faults_and_events() {
             .with_fault(FaultConfig { seed: 0xFEED ^ kernel as u64, max_faults: 3, horizon: 2048 })
             .with_hht_timeout(64)
             .with_recovery(true);
-        assert_skip_matches_legacy(cfg, kernel, 24, 0.5, 0xABC);
+        assert_skip_matches_per_cycle(cfg, kernel, 24, 0.5, 0xABC);
     }
 }
 
@@ -193,7 +193,7 @@ fn cycle_skipping_matches_legacy_on_figure_sweep_cells() {
     for kernel in [1usize, 2, 3] {
         for s in [0.1, 0.9] {
             for buffers in [1usize, 2] {
-                assert_skip_matches_legacy(cfg.with_buffers(buffers), kernel, 48, s, 99);
+                assert_skip_matches_per_cycle(cfg.with_buffers(buffers), kernel, 48, s, 99);
             }
         }
     }
@@ -238,21 +238,24 @@ fn build_image(
 
 /// The one-tile port-based fabric (via the `System` wrapper) must agree
 /// with the preserved pre-refactor machine bit-for-bit: final cycle count,
-/// every counter, the result vector, and every traced event — in both the
-/// cycle-skipping and per-cycle modes.
+/// every counter, the result vector, and every traced event — under both
+/// fabric schedulers, against the per-cycle `LegacySystem`.
 fn assert_fabric_matches_legacy(base: SystemConfig, kernel: usize, n: usize, s: f64, seed: u64) {
     use hht::system::{LegacySystem, System};
+    let traced = base.with_trace(TraceConfig::enabled());
+    let (sram, program, y_base, rows) = build_image(&traced, kernel, n, s, seed);
+    let mut legacy = LegacySystem::new(&traced, program, sram);
+    let ls = legacy.run().expect("legacy run");
+    let legacy_y = legacy.read_output(y_base, rows);
+    let legacy_events = legacy.take_events();
     for skip in [true, false] {
-        let cfg = base.with_cycle_skip(skip).with_trace(TraceConfig::enabled());
-        let (sram, program, y_base, rows) = build_image(&cfg, kernel, n, s, seed);
-        let mut legacy = LegacySystem::new(&cfg, program.clone(), sram);
-        let ls = legacy.run().expect("legacy run");
+        let cfg = traced.with_cycle_skip(skip);
         let (sram, program, ..) = build_image(&cfg, kernel, n, s, seed);
         let mut sys = System::new(&cfg, program, sram);
         let fs = sys.run().expect("fabric run");
         assert_eq!(fs, ls, "kernel {kernel} n={n} s={s} skip={skip}");
-        assert_eq!(sys.read_output(y_base, rows), legacy.read_output(y_base, rows));
-        assert_eq!(sys.take_events(), legacy.take_events(), "kernel {kernel} skip={skip}");
+        assert_eq!(sys.read_output(y_base, rows), legacy_y);
+        assert_eq!(sys.take_events(), legacy_events, "kernel {kernel} skip={skip}");
     }
 }
 
@@ -262,7 +265,7 @@ proptest! {
     /// The differential property behind the port refactor: a one-tile
     /// fabric over one bank is observationally identical to the
     /// pre-refactor machine across random kernels × sparsities × buffer
-    /// counts, with and without cycle skipping.
+    /// counts, under both fabric schedulers.
     #[test]
     fn one_tile_fabric_is_bit_identical_to_legacy(
         kernel in 0usize..3,
@@ -316,7 +319,7 @@ fn multi_tile_fabric_skip_matches_per_cycle() {
 }
 
 // ---------------------------------------------------------------------------
-// Discrete-event queue vs lock-step fabric scheduler
+// Discrete-event queue vs the per-cycle lock-step loop (its oracle)
 // ---------------------------------------------------------------------------
 
 /// Run one fabric kernel flavour for a given config; index selects one.
@@ -347,10 +350,11 @@ fn run_fabric_kernel(
     }
 }
 
-/// The event-queue and lock-step runs of one fabric kernel must agree
+/// The event-queue and per-cycle runs of one fabric kernel must agree
 /// bit-for-bit: results, per-tile counters, shared-memory statistics and
-/// (when traced) every tile's event stream.
-fn assert_event_queue_matches_lockstep(
+/// (when traced) every tile's event stream. The per-cycle loop steps every
+/// tile every cycle in lock-step, so it is the single oracle here.
+fn assert_event_queue_matches_per_cycle(
     base: SystemConfig,
     kernel: usize,
     tiles: usize,
@@ -358,19 +362,19 @@ fn assert_event_queue_matches_lockstep(
     s: f64,
     seed: u64,
 ) {
-    let eq = run_fabric_kernel(&base.with_event_queue(true), kernel, tiles, n, s, seed);
-    let ls = run_fabric_kernel(&base.with_event_queue(false), kernel, tiles, n, s, seed);
-    assert_eq!(eq.stats, ls.stats, "kernel {kernel} tiles={tiles} n={n} s={s}");
-    assert_eq!(eq.y, ls.y);
-    assert_eq!(eq.tile_events, ls.tile_events, "kernel {kernel} tiles={tiles}");
+    let eq = run_fabric_kernel(&base.with_cycle_skip(true), kernel, tiles, n, s, seed);
+    let pc = run_fabric_kernel(&base.with_cycle_skip(false), kernel, tiles, n, s, seed);
+    assert_eq!(eq.stats, pc.stats, "kernel {kernel} tiles={tiles} n={n} s={s}");
+    assert_eq!(eq.y, pc.y);
+    assert_eq!(eq.tile_events, pc.tile_events, "kernel {kernel} tiles={tiles}");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The differential property behind the discrete-event scheduler: the
-    /// event queue is observationally identical to the lock-step loop
-    /// across random fabric kernels × tile counts × sparsities.
+    /// event queue is observationally identical to the per-cycle lock-step
+    /// loop across random fabric kernels × tile counts × sparsities.
     #[test]
     fn event_queue_is_bit_identical_to_lockstep(
         kernel in 0usize..3,
@@ -380,7 +384,7 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let cfg = SystemConfig::paper_default();
-        assert_event_queue_matches_lockstep(
+        assert_event_queue_matches_per_cycle(
             cfg, kernel, 1 << tiles_log, n, sparsity_pct as f64 / 100.0, seed,
         );
     }
@@ -395,7 +399,7 @@ fn event_queue_matches_lockstep_with_slow_memory_and_events() {
             let traced = SystemConfig::paper_default()
                 .with_ram_word_cycles(8)
                 .with_trace(TraceConfig::enabled());
-            assert_event_queue_matches_lockstep(traced, kernel, tiles, 24, 0.5, 0xD1FF);
+            assert_event_queue_matches_per_cycle(traced, kernel, tiles, 24, 0.5, 0xD1FF);
         }
     }
 }
@@ -417,16 +421,16 @@ fn event_queue_matches_lockstep_under_fault_injection() {
         let fab = FabricConfig::scaled(tiles);
         let (mut eq, y_base) = runner::build_spmv_fabric(&cfg, fab, &m, &v);
         let eq_res = eq.run();
-        let (mut ls, _) = runner::build_spmv_fabric(&cfg.with_event_queue(false), fab, &m, &v);
-        let ls_res = ls.run();
+        let (mut pc, _) = runner::build_spmv_fabric(&cfg.with_cycle_skip(false), fab, &m, &v);
+        let pc_res = pc.run();
         assert_eq!(
             format!("{eq_res:?}"),
-            format!("{ls_res:?}"),
+            format!("{pc_res:?}"),
             "tiles={tiles} fault_seed={fault_seed}"
         );
-        assert_eq!(eq.stats(), ls.stats(), "tiles={tiles} fault_seed={fault_seed}");
-        assert_eq!(eq.read_output(y_base, 32), ls.read_output(y_base, 32));
-        assert_eq!(eq.take_all_events(), ls.take_all_events(), "tiles={tiles}");
+        assert_eq!(eq.stats(), pc.stats(), "tiles={tiles} fault_seed={fault_seed}");
+        assert_eq!(eq.read_output(y_base, 32), pc.read_output(y_base, 32));
+        assert_eq!(eq.take_all_events(), pc.take_all_events(), "tiles={tiles}");
     }
 }
 
@@ -457,14 +461,13 @@ fn event_queue_matches_lockstep_under_recovery_failover() {
                     .collect(),
             )
         };
-        let eq =
-            runner::run_spmv_fabric_with_plan(&cfg.with_event_queue(true), fab, &m, &v, plan());
-        let ls =
-            runner::run_spmv_fabric_with_plan(&cfg.with_event_queue(false), fab, &m, &v, plan());
-        assert_eq!(eq.stats, ls.stats, "tiles={tiles}");
-        assert_eq!(eq.y, ls.y, "tiles={tiles}");
-        assert_eq!(eq.recovery, ls.recovery, "tiles={tiles}");
-        assert_eq!(eq.tile_events, ls.tile_events, "tiles={tiles}");
+        let eq = runner::run_spmv_fabric_with_plan(&cfg.with_cycle_skip(true), fab, &m, &v, plan());
+        let pc =
+            runner::run_spmv_fabric_with_plan(&cfg.with_cycle_skip(false), fab, &m, &v, plan());
+        assert_eq!(eq.stats, pc.stats, "tiles={tiles}");
+        assert_eq!(eq.y, pc.y, "tiles={tiles}");
+        assert_eq!(eq.recovery, pc.recovery, "tiles={tiles}");
+        assert_eq!(eq.tile_events, pc.tile_events, "tiles={tiles}");
         let rec = eq.recovery.expect("tile kills must trigger recovery");
         assert!(!rec.quarantined().is_empty(), "tiles={tiles}: at least one kill must land");
         assert!(rec.quarantined().len() <= kills.len());
@@ -550,62 +553,14 @@ fn event_queue_parks_are_architecturally_inert() {
 }
 
 // ---------------------------------------------------------------------------
-// Split-transaction DRAM backend vs the seed flat SharedMemory
+// Split-transaction DRAM backend under both schedulers
 // ---------------------------------------------------------------------------
-
-/// The refactor's safety net: wrapping the shared memory in a `Dram` whose
-/// every effect is disabled (`DramConfig::flat()` — zero row extras, no
-/// window, no budget) must be observationally invisible. Stats, result
-/// vector and every traced event must match the unwrapped `SharedMemory`
-/// path bit-for-bit, under both fabric schedulers.
-fn assert_flat_dram_matches_shared(
-    base: SystemConfig,
-    kernel: usize,
-    tiles: usize,
-    n: usize,
-    s: f64,
-    seed: u64,
-) {
-    use hht::mem::DramConfig;
-    for eq in [true, false] {
-        let cfg = base.with_event_queue(eq).with_trace(TraceConfig::enabled());
-        let shared = run_fabric_kernel(&cfg, kernel, tiles, n, s, seed);
-        let dram = run_fabric_kernel(&cfg.with_dram(DramConfig::flat()), kernel, tiles, n, s, seed);
-        assert_eq!(
-            dram.stats, shared.stats,
-            "kernel {kernel} tiles={tiles} n={n} s={s} event_queue={eq}"
-        );
-        assert_eq!(dram.y, shared.y, "kernel {kernel} tiles={tiles} event_queue={eq}");
-        assert_eq!(
-            dram.tile_events, shared.tile_events,
-            "kernel {kernel} tiles={tiles} event_queue={eq}"
-        );
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The differential property behind the DRAM backend: a zero-latency,
-    /// unlimited-window, unlimited-bandwidth `Dram` is bit-identical to the
-    /// seed `SharedMemory` across random fabric kernels × tile counts ×
-    /// sparsities, under both schedulers.
-    #[test]
-    fn flat_dram_is_bit_identical_to_shared_memory(
-        kernel in 0usize..3,
-        tiles_log in 0u32..3, // 1, 2, 4 tiles
-        sparsity_pct in 5u32..95,
-        n in 12usize..40,
-        seed in 0u64..1_000_000,
-    ) {
-        let cfg = SystemConfig::paper_default();
-        assert_flat_dram_matches_shared(
-            cfg, kernel, 1 << tiles_log, n, sparsity_pct as f64 / 100.0, seed,
-        );
-    }
-
     /// With real DRAM timing in force (row extras, MLP window, bandwidth
-    /// budget), the event-queue and lock-step schedulers must still agree
+    /// budget), the event-queue and per-cycle schedulers must still agree
     /// bit-for-bit: queued responses, window-full parks and budget refusals
     /// all replay to the same cycle stamps.
     #[test]
@@ -623,7 +578,7 @@ proptest! {
             .with_window(window)
             .with_bandwidth(budget);
         let cfg = SystemConfig::paper_default().with_dram(dc);
-        assert_event_queue_matches_lockstep(
+        assert_event_queue_matches_per_cycle(
             cfg, kernel, 1 << tiles_log, 24, sparsity_pct as f64 / 100.0, seed,
         );
     }
@@ -634,10 +589,10 @@ fn dram_window_parks_replay_identically() {
     // Park soundness for in-flight response queues: with slow rows and a
     // one-deep MLP window, a refused tile's wake bound is the *oldest
     // in-flight arrival* (the window only drains when responses land, not
-    // with time). All three scheduling modes — event queue, lock-step with
-    // fast-forward, per-cycle lock-step — must agree bit-for-bit on stats,
-    // result and traced events, and the scenario must actually exercise the
-    // window (stalls observed), or the test proves nothing.
+    // with time). Both scheduling modes — event queue and per-cycle — must
+    // agree bit-for-bit on stats, result and traced events, and the
+    // scenario must actually exercise the window (stalls observed), or the
+    // test proves nothing.
     use hht::mem::DramConfig;
     use hht::system::FabricConfig;
     let m = generate::random_csr(32, 32, 0.6, 0xDD1);
@@ -647,20 +602,11 @@ fn dram_window_parks_replay_identically() {
             .with_dram(DramConfig::slow_300ns().with_window(1).with_bandwidth(2))
             .with_trace(TraceConfig::enabled());
         let fab = FabricConfig::scaled(tiles);
-        let eq = runner::run_spmv_fabric(&cfg.with_event_queue(true), fab, &m, &v);
-        let skip = runner::run_spmv_fabric(&cfg.with_event_queue(false), fab, &m, &v);
-        let step = runner::run_spmv_fabric(
-            &cfg.with_event_queue(false).with_cycle_skip(false),
-            fab,
-            &m,
-            &v,
-        );
-        assert_eq!(eq.stats, skip.stats, "tiles={tiles}: event queue vs fast-forward");
-        assert_eq!(skip.stats, step.stats, "tiles={tiles}: fast-forward vs per-cycle");
-        assert_eq!(eq.y, skip.y, "tiles={tiles}");
-        assert_eq!(skip.y, step.y, "tiles={tiles}");
-        assert_eq!(eq.tile_events, skip.tile_events, "tiles={tiles}");
-        assert_eq!(skip.tile_events, step.tile_events, "tiles={tiles}");
+        let eq = runner::run_spmv_fabric(&cfg.with_cycle_skip(true), fab, &m, &v);
+        let step = runner::run_spmv_fabric(&cfg.with_cycle_skip(false), fab, &m, &v);
+        assert_eq!(eq.stats, step.stats, "tiles={tiles}: event queue vs per-cycle");
+        assert_eq!(eq.y, step.y, "tiles={tiles}");
+        assert_eq!(eq.tile_events, step.tile_events, "tiles={tiles}");
         assert!(eq.stats.mem.window_stalls > 0, "tiles={tiles}: scenario never hit the MLP window");
     }
 }
@@ -762,13 +708,13 @@ proptest! {
     fn serving_is_bit_identical_to_cold_runs(
         kernel in 0usize..3,
         tiles_log in 0u32..3, // 1, 2, 4 tiles
-        event_queue in 0u32..2,
+        cycle_skip in 0u32..2,
         sparsity_pct in 40u32..95,
         n in 12usize..40,
         seed in 0u64..1_000_000,
     ) {
         let cfg = SystemConfig::paper_default()
-            .with_event_queue(event_queue == 1)
+            .with_cycle_skip(cycle_skip == 1)
             .with_trace(TraceConfig::enabled());
         assert_serve_matches_cold(cfg, kernel, 1 << tiles_log, n, sparsity_pct as f64 / 100.0, seed);
     }

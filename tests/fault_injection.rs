@@ -22,7 +22,7 @@ fn plan(events: Vec<(u64, FaultKind)>) -> FaultPlan {
     FaultPlan::new(events.into_iter().map(|(cycle, kind)| FaultEvent::new(cycle, kind)).collect())
 }
 
-/// The PR's acceptance criterion: an injected HHT fault that defeats the
+/// The recovery guarantee: an injected HHT fault that defeats the
 /// retry protocol completes with numerically correct results via software
 /// fallback and records the recovery in the metrics snapshot.
 #[test]
@@ -193,13 +193,13 @@ fn kill_plan(kills: &[(u64, u32)]) -> FaultPlan {
 /// The tentpole acceptance test: killing one tile of an 8-tile fabric
 /// quarantines exactly that fault domain, fails its unfinished row shard
 /// over to the 7 survivors, and completes bit-exact — under both
-/// schedulers, with exact-sum stats.
+/// schedulers (event queue and the per-cycle oracle), with exact-sum stats.
 #[test]
 fn killed_tile_is_quarantined_and_its_shard_fails_over() {
     let (m, v) = problem(64);
     let fab = FabricConfig::scaled(8);
     for eq in [true, false] {
-        let cfg = robust_cfg().with_event_queue(eq);
+        let cfg = robust_cfg().with_cycle_skip(eq);
         let clean = runner::run_spmv_fabric(&cfg, fab, &m, &v);
         assert!(clean.recovery.is_none());
         let out = runner::run_spmv_fabric_with_plan(&cfg, fab, &m, &v, kill_plan(&[(100, 3)]));
@@ -328,17 +328,17 @@ proptest! {
                 kills.push((1 + splitmix(&mut state) % 400, t));
             }
         }
-        let cfg_eq = robust_cfg().with_event_queue(true);
-        let cfg_ls = robust_cfg().with_event_queue(false);
+        let cfg_eq = robust_cfg().with_cycle_skip(true);
+        let cfg_pc = robust_cfg().with_cycle_skip(false);
         let clean = runner::run_spmv_fabric(&cfg_eq, fab, &m, &v);
         let base = runner::run_spmv_baseline(&cfg_eq, &m, &v);
         let out = runner::run_spmv_fabric_with_plan(&cfg_eq, fab, &m, &v, kill_plan(&kills));
-        let out_ls = runner::run_spmv_fabric_with_plan(&cfg_ls, fab, &m, &v, kill_plan(&kills));
+        let out_pc = runner::run_spmv_fabric_with_plan(&cfg_pc, fab, &m, &v, kill_plan(&kills));
         // Scheduler invariance: identical stats, result and failover
-        // decisions under the event queue and the lock-step oracle.
-        prop_assert_eq!(&out.stats, &out_ls.stats);
-        prop_assert_eq!(&out.y, &out_ls.y);
-        prop_assert_eq!(&out.recovery, &out_ls.recovery);
+        // decisions under the event queue and the per-cycle oracle.
+        prop_assert_eq!(&out.stats, &out_pc.stats);
+        prop_assert_eq!(&out.y, &out_pc.y);
+        prop_assert_eq!(&out.recovery, &out_pc.recovery);
         // Bit-exact output on the survivors.
         prop_assert_eq!(&out.y, &clean.y);
         let merged = out.stats.merged();
