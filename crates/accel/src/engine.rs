@@ -7,6 +7,10 @@
 //! metadata (`cols`, row pointers, sparse-vector indices), compute element
 //! addresses (`V_Base + s*k`, §3.2) and push gathered values into the
 //! CPU-side FIFOs, throttled by the control unit's full/empty tracking.
+//! An operation is one word, except the [`GatherEngine`]'s column fetch
+//! on row-timed memory ([`MemoryPort::row_timed`]): there it is one burst
+//! that fills the free part of the column-index buffer, so the index
+//! stream pays one row response per burst rather than one per element.
 //!
 //! # The chunked count protocol
 //!
@@ -185,6 +189,34 @@ fn issue_read(
     }
 }
 
+/// Issue a timed read of `words` consecutive words at `addr` as one
+/// transaction — the burst counterpart of [`issue_read`]. On grant the
+/// words are captured (appended to `dst`) and the response cycle is
+/// returned; a word past the end of memory reads open-bus zero.
+/// `mem_reads` counts words, so a burst of `n` charges `n`.
+fn issue_burst(
+    sram: &mut dyn MemoryPort,
+    now: u64,
+    addr: u32,
+    words: u32,
+    dst: &mut VecDeque<u32>,
+    stats: &mut EngineStats,
+) -> Option<u64> {
+    match sram.request_burst(now, addr, Requester::Hht, words as u64) {
+        MemIssue::Granted { data_at, .. } => {
+            stats.mem_reads += words as u64;
+            dst.extend((0..words).map(|i| {
+                addr.checked_add(4 * i).and_then(|a| sram.read_u32_checked(a)).unwrap_or(0)
+            }));
+            Some(data_at)
+        }
+        MemIssue::Refused(_) => {
+            stats.port_conflicts += 1;
+            None
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // SpMV gather engine
 // ---------------------------------------------------------------------------
@@ -193,6 +225,13 @@ fn issue_read(
 /// `v[cols[k]]`, fill the CPU-side buffer. The two fetch stages of the
 /// Fig. 3 pipeline are the two `PendingKind`s; the column-indices buffer
 /// between them is `col_q` (BLEN deep, as in the paper).
+///
+/// Like every engine it has one outstanding memory operation. A column
+/// fetch is one word on flat-latency memory; on row-timed memory
+/// ([`MemoryPort::row_timed`]) it is one burst of
+/// `min(BLEN, free col_q slots, columns left)` words, so the index stream
+/// pays one row response per burst instead of one per element, ahead of
+/// the dependent `v[cols[k]]` gathers.
 #[derive(Debug)]
 pub struct GatherEngine {
     cfg: EngineConfig,
@@ -202,14 +241,19 @@ pub struct GatherEngine {
     /// column-indices buffer" of §3.1).
     col_q: VecDeque<u32>,
     col_q_cap: usize,
-    pending: Option<(Pending, PendingKind)>,
+    /// The outstanding fetch and the cycle its data lands.
+    pending: Option<(u64, PendingKind)>,
     supplied: u32,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PendingKind {
+    /// Column indices, appended to `col_q` at issue. They are visible
+    /// only from the response cycle on: while a fetch is pending, `step`,
+    /// `wake` and `replay_inert` never look at the queue.
     ColIdx,
-    VValue,
+    /// One gathered `v[cols[k]]`.
+    VValue(u32),
 }
 
 impl GatherEngine {
@@ -225,6 +269,17 @@ impl GatherEngine {
             supplied: 0,
         }
     }
+
+    /// Words the next column fetch asks for: the whole free part of the
+    /// BLEN-deep `col_q` (capped by the columns left) on row-timed memory,
+    /// one word otherwise.
+    fn col_burst_len(&self, sram: &dyn MemoryPort) -> u32 {
+        if !sram.row_timed() {
+            return 1;
+        }
+        let room = (self.col_q_cap - self.col_q.len()) as u32;
+        room.min(self.cfg.m_nnz - self.next_col)
+    }
 }
 
 impl Engine for GatherEngine {
@@ -236,16 +291,14 @@ impl Engine for GatherEngine {
         stats: &mut EngineStats,
     ) {
         // Commit a completed fetch.
-        if let Some((p, kind)) = self.pending {
-            if now < p.ready_at {
+        if let Some((ready_at, kind)) = self.pending {
+            if now < ready_at {
                 return;
             }
-            match kind {
-                PendingKind::ColIdx => self.col_q.push_back(p.value),
-                PendingKind::VValue => {
-                    out.primary.push(p.value);
-                    self.supplied += 1;
-                }
+            // Column indices entered `col_q` at issue; a value lands now.
+            if let PendingKind::VValue(value) = kind {
+                out.primary.push(value);
+                self.supplied += 1;
             }
             self.pending = None;
         }
@@ -259,7 +312,7 @@ impl Engine for GatherEngine {
                 let addr = self.cfg.v_base + self.cfg.elem_size * col;
                 if let Some(p) = issue_read(sram, now, addr, stats) {
                     self.col_q.pop_front();
-                    self.pending = Some((p, PendingKind::VValue));
+                    self.pending = Some((p.ready_at, PendingKind::VValue(p.value)));
                 }
                 return;
             }
@@ -269,9 +322,10 @@ impl Engine for GatherEngine {
         }
         if self.col_q.len() < self.col_q_cap && self.next_col < self.cfg.m_nnz {
             let addr = self.cfg.cols_base + self.cfg.elem_size * self.next_col;
-            if let Some(p) = issue_read(sram, now, addr, stats) {
-                self.next_col += 1;
-                self.pending = Some((p, PendingKind::ColIdx));
+            let words = self.col_burst_len(sram);
+            if let Some(ready_at) = issue_burst(sram, now, addr, words, &mut self.col_q, stats) {
+                self.next_col += words;
+                self.pending = Some((ready_at, PendingKind::ColIdx));
             }
         }
     }
@@ -281,9 +335,9 @@ impl Engine for GatherEngine {
     }
 
     fn wake(&self, now: u64, out: OutputLevels) -> Wake {
-        if let Some((p, _)) = self.pending {
+        if let Some((ready_at, _)) = self.pending {
             // Steps before `ready_at` return immediately after the guard.
-            return Wake::At(p.ready_at.max(now));
+            return Wake::At(ready_at.max(now));
         }
         if self.done() {
             return Wake::Never;
@@ -1119,6 +1173,229 @@ mod tests {
         assert_eq!(primary.len(), 2);
         assert!(stats.stall_out_full > 0);
         assert!(!e.done());
+    }
+
+    /// An `Sram`-backed test port that logs every granted transaction as
+    /// `(cycle, addr, words)`. With `row_timed` set it reports row timing
+    /// and delays each response by `extra` cycles, like an open-row DRAM.
+    struct LogPort {
+        sram: Sram,
+        row_timed: bool,
+        extra: u64,
+        log: Vec<(u64, u32, u64)>,
+    }
+
+    impl LogPort {
+        fn new(size: u32, word_cycles: u64, row_timed: bool, extra: u64) -> Self {
+            LogPort { sram: Sram::new(size, word_cycles), row_timed, extra, log: Vec::new() }
+        }
+    }
+
+    impl MemoryPort for LogPort {
+        fn try_start(&mut self, now: u64, addr: u32, who: Requester) -> Option<u64> {
+            self.try_start_burst(now, addr, who, 1)
+        }
+        fn try_start_burst(
+            &mut self,
+            now: u64,
+            addr: u32,
+            who: Requester,
+            words: u64,
+        ) -> Option<u64> {
+            let done = self.sram.try_start_burst(now, who, words)?;
+            self.log.push((now, addr, words));
+            Some(done + self.extra)
+        }
+        fn row_timed(&self) -> bool {
+            self.row_timed
+        }
+        fn next_event(&self, now: u64) -> Option<u64> {
+            self.sram.next_event(now)
+        }
+        fn skip_conflicts(&mut self, now: u64, span: u64, _addr: u32, who: Requester) {
+            self.sram.skip_conflicts(now, span, who)
+        }
+        fn size(&self) -> u32 {
+            self.sram.size()
+        }
+        fn word_cycles(&self) -> u64 {
+            self.sram.word_cycles()
+        }
+        fn read_u8(&self, addr: u32) -> u8 {
+            self.sram.read_u8(addr)
+        }
+        fn read_u16(&self, addr: u32) -> u16 {
+            self.sram.read_u16(addr)
+        }
+        fn read_u32(&self, addr: u32) -> u32 {
+            self.sram.read_u32(addr)
+        }
+        fn read_u32_checked(&self, addr: u32) -> Option<u32> {
+            self.sram.read_u32_checked(addr)
+        }
+        fn write_u8(&mut self, addr: u32, value: u8) {
+            self.sram.write_u8(addr, value)
+        }
+        fn write_u16(&mut self, addr: u32, value: u16) {
+            self.sram.write_u16(addr, value)
+        }
+        fn write_u32(&mut self, addr: u32, value: u32) {
+            self.sram.write_u32(addr, value)
+        }
+    }
+
+    /// A gather fixture: `n` column indices at 0x100 (a permutation-ish
+    /// walk over 16 entries) and `v[i] = i + 100` at 0x1000.
+    fn gather_fixture(port: &mut LogPort, n: u32) -> EngineConfig {
+        let cols: Vec<u32> = (0..n).map(|k| (5 * k + 3) % 16).collect();
+        port.load_words(0x100, &cols);
+        port.load_words(0x1000, &(100..116).collect::<Vec<u32>>());
+        EngineConfig { m_nnz: n, cols_base: 0x100, v_base: 0x1000, ..base_cfg() }
+    }
+
+    /// Over flat-latency memory the column stream is fetched one word per
+    /// transaction, alternating with the gathers: the seed engine's exact
+    /// request sequence.
+    #[test]
+    fn gather_engine_fetches_cols_word_by_word_on_flat_memory() {
+        let mut port = LogPort::new(8192, 2, false, 0);
+        let cfg = gather_fixture(&mut port, 3);
+        let mut e = GatherEngine::new(cfg, 8);
+        let (p, _, _, stats) = run_engine(&mut e, &mut port, 1000);
+        assert_eq!(p, vec![103, 108, 113]);
+        assert_eq!(
+            port.log,
+            vec![
+                (0, 0x100, 1),
+                (2, 0x100c, 1),
+                (4, 0x104, 1),
+                (6, 0x1020, 1),
+                (8, 0x108, 1),
+                (10, 0x1034, 1),
+            ]
+        );
+        assert_eq!(stats.mem_reads, 6);
+    }
+
+    /// Over row-timed memory each column fetch is one burst of
+    /// `min(BLEN, room, remaining)` words: a full BLEN burst, then the
+    /// tail when `m_nnz % BLEN != 0`. `mem_reads` still counts words.
+    #[test]
+    fn gather_engine_bursts_cols_on_row_timed_memory() {
+        let mut port = LogPort::new(8192, 2, true, 10);
+        let cfg = gather_fixture(&mut port, 11);
+        let mut e = GatherEngine::new(cfg, 8);
+        let (p, _, _, stats) = run_engine(&mut e, &mut port, 10_000);
+        assert_eq!(p.len(), 11);
+        let cols: Vec<(u32, u64)> = port
+            .log
+            .iter()
+            .filter(|&&(_, addr, _)| addr < 0x1000)
+            .map(|&(_, addr, words)| (addr, words))
+            .collect();
+        assert_eq!(cols, vec![(0x100, 8), (0x120, 3)]);
+        // The first burst lands at 0 + 2 + 7 + 10; its eight gathers then
+        // issue back to back, one per response.
+        assert_eq!(port.log[1], (19, 0x1000 + 4 * 3, 1));
+        assert!(port.log.iter().filter(|&&(_, addr, _)| addr >= 0x1000).all(|l| l.2 == 1));
+        assert_eq!(stats.mem_reads, 22);
+    }
+
+    /// With the output FIFO full the engine still prefetches, but only
+    /// into the free part of `col_q`: a partial burst, after which it
+    /// idles until the CPU drains.
+    #[test]
+    fn gather_engine_prefetch_burst_fills_only_free_col_slots() {
+        let mut port = LogPort::new(8192, 1, true, 5);
+        let cfg = gather_fixture(&mut port, 11);
+        let mut e = GatherEngine::new(cfg, 8);
+        let mut primary = ElemFifo::new(2);
+        let mut secondary = ElemFifo::new(1);
+        let mut counts = ElemFifo::new(1);
+        let mut stats = EngineStats::default();
+        let mut step = |e: &mut GatherEngine, port: &mut LogPort, now, primary: &mut ElemFifo| {
+            let out = Outputs { primary, secondary: &mut secondary, counts: &mut counts };
+            e.step(now, port, out, &mut stats);
+        };
+        for now in 0..200 {
+            step(&mut e, &mut port, now, &mut primary);
+        }
+        assert_eq!(primary.len(), 2);
+        let cols: Vec<(u32, u64)> =
+            port.log.iter().filter(|l| l.1 < 0x1000).map(|l| (l.1, l.2)).collect();
+        // 8 fetched, 2 gathered: 2 free slots, 3 columns left.
+        assert_eq!(cols, vec![(0x100, 8), (0x120, 2)]);
+        let mut got = Vec::new();
+        for now in 200..2000 {
+            while let Some(v) = primary.pop() {
+                got.push(v);
+            }
+            step(&mut e, &mut port, now, &mut primary);
+            if e.done() {
+                break;
+            }
+        }
+        got.extend(std::iter::from_fn(|| primary.pop()));
+        assert!(e.done());
+        assert_eq!(got.len(), 11);
+        let cols: Vec<(u32, u64)> =
+            port.log.iter().filter(|l| l.1 < 0x1000).map(|l| (l.1, l.2)).collect();
+        assert_eq!(cols, vec![(0x100, 8), (0x120, 2), (0x128, 1)]);
+        assert_eq!(stats.mem_reads, 22);
+    }
+
+    /// An empty matrix issues nothing on either kind of memory.
+    #[test]
+    fn gather_engine_with_no_nonzeros_issues_nothing() {
+        for row_timed in [false, true] {
+            let mut port = LogPort::new(8192, 2, row_timed, 10);
+            let cfg = gather_fixture(&mut port, 0);
+            let mut e = GatherEngine::new(cfg, 8);
+            assert!(e.done());
+            let (p, _, _, stats) = run_engine(&mut e, &mut port, 10);
+            assert!(p.is_empty() && port.log.is_empty());
+            assert_eq!(stats, EngineStats::default());
+        }
+    }
+
+    /// A burst running past the end of memory reads open-bus zero for
+    /// each out-of-range word, exactly as the word-by-word fetch does.
+    #[test]
+    fn gather_engine_burst_reads_open_bus_zero_past_the_end() {
+        let run = |row_timed: bool| {
+            let mut port = LogPort::new(4096, 1, row_timed, 3);
+            port.load_words(0xff8, &[2, 1]);
+            port.load_words(0x100, &[7, 8, 9]);
+            let cfg = EngineConfig { m_nnz: 4, cols_base: 0xff8, v_base: 0x100, ..base_cfg() };
+            let mut e = GatherEngine::new(cfg, 8);
+            let (p, _, _, _) = run_engine(&mut e, &mut port, 1000);
+            let cols: Vec<(u32, u64)> =
+                port.log.iter().filter(|l| l.1 >= 0xff8).map(|l| (l.1, l.2)).collect();
+            (p, cols)
+        };
+        let (flat, flat_cols) = run(false);
+        let (burst, burst_cols) = run(true);
+        assert_eq!(flat, vec![9, 8, 7, 7]);
+        assert_eq!(burst, flat);
+        assert_eq!(flat_cols.len(), 4);
+        assert_eq!(burst_cols, vec![(0xff8, 4)]);
+    }
+
+    /// Bursting changes timing, never the element stream: both kinds of
+    /// memory deliver the same values for every length around BLEN.
+    #[test]
+    fn gather_engine_streams_match_across_memories() {
+        for n in 0..=20 {
+            let stream = |row_timed: bool| {
+                let mut port = LogPort::new(8192, 2, row_timed, 7);
+                let cfg = gather_fixture(&mut port, n);
+                let mut e = GatherEngine::new(cfg, 8);
+                let (p, _, _, stats) = run_engine(&mut e, &mut port, 100_000);
+                assert_eq!(stats.mem_reads, 2 * n as u64, "n = {n}");
+                p
+            };
+            assert_eq!(stream(false), stream(true), "n = {n}");
+        }
     }
 
     /// Shared fixture: 3x4 matrix rows=[0,2,3,5], cols=[0,2 | 1 | 0,3],

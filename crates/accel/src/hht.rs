@@ -322,10 +322,13 @@ impl Hht {
     /// `busy_cycles` plus the engine's own per-cycle retry counters
     /// (`stall_out_full` while output-blocked, `port_conflicts` while
     /// port-starved — see [`Engine::replay_inert`]) without any other state
-    /// change. The one event transition a skipped span can contain is the
-    /// *onset* of an output-full stall — the per-cycle loop stamps
-    /// `StallBegin` on the first blocked cycle, so replay it here at `now`
-    /// when the interval is not already open.
+    /// change. A skipped span can contain one event transition of the
+    /// output-full stall interval, on its first live step: its *onset*
+    /// when the span is output-blocked (the per-cycle loop stamps
+    /// `StallBegin` on the first blocked cycle), or its *end* when the
+    /// engine waits on a read it issued while throttled (a metadata
+    /// prefetch) — that wait records no throttle, so the per-cycle loop
+    /// stamps `StallEnd` on its first cycle.
     pub fn skip_idle(&mut self, now: u64, span: u64, sram: &mut dyn MemoryPort) {
         if span == 0 || self.engine_done {
             return;
@@ -334,14 +337,22 @@ impl Hht {
             return;
         };
         self.stats.busy_cycles += span;
+        if matches!(self.cached_wake, Some(Wake::At(_))) {
+            // `Wake::At` contract: steps strictly before the wake cycle
+            // only tick `busy_cycles`. The first one past any injected
+            // freeze closes an open output-full interval.
+            let live = now.max(self.frozen_until);
+            if self.out_stall_open && live < now + span {
+                if let Some(bus) = self.obs.as_mut() {
+                    bus.emit(live, Track::HhtBackend, EventKind::StallEnd(StallCause::OutputFull));
+                    self.out_stall_open = false;
+                }
+            }
+            return;
+        }
         if now < self.frozen_until {
             // Injected engine stall: each frozen step only ticks
             // `busy_cycles` (mirrors the early return in [`Hht::step`]).
-            return;
-        }
-        if matches!(self.cached_wake, Some(Wake::At(_))) {
-            // `Wake::At` contract: steps strictly before the wake cycle
-            // only tick `busy_cycles` — nothing further to replay.
             return;
         }
         let out = OutputLevels {

@@ -307,12 +307,18 @@ fn bench_observatory(
     }
 }
 
+/// Interleaved (event queue, per-cycle) timing pairs behind the fabric
+/// entry's host speedup; the median pair is reported.
+const FABRIC_TIMING_PAIRS: usize = 5;
+
 /// The fabric scheduler-throughput entry: one fixed 16-tile slow-memory
 /// SpMV timed under both schedulers (per-cycle loop, event queue). The
 /// workload is pinned — independent of `--n` — so `wall_cycles` is a
 /// deterministic gate; the host speedup is a same-machine ratio gated
 /// against the absolute `min_host_speedup` floor carried in the committed
-/// baseline.
+/// baseline. One pair of runs swings the ratio with the host's load, so
+/// the schedulers are timed in [`FABRIC_TIMING_PAIRS`] interleaved pairs
+/// and the median pair's ratio (and its throughputs) is reported.
 fn fabric_throughput_entry() -> hht_prof::FabricBenchConfig {
     use hht_system::FabricConfig;
     use std::time::Instant;
@@ -327,10 +333,18 @@ fn fabric_throughput_entry() -> hht_prof::FabricBenchConfig {
         let out = hht_system::runner::run_spmv_fabric(c, fab, &m, &v);
         (out, t0.elapsed().as_secs_f64())
     };
-    let (eq, eq_secs) = run(&cfg);
-    let (pc, pc_secs) = run(&cfg.with_cycle_skip(false));
-    assert_eq!(eq.stats, pc.stats, "event queue must be bit-identical to per-cycle");
-    let wall = eq.stats.cycles;
+    let mut pairs = Vec::with_capacity(FABRIC_TIMING_PAIRS);
+    let mut wall = 0;
+    for _ in 0..FABRIC_TIMING_PAIRS {
+        let (eq, eq_secs) = run(&cfg);
+        let (pc, pc_secs) = run(&cfg.with_cycle_skip(false));
+        assert_eq!(eq.stats, pc.stats, "event queue must be bit-identical to per-cycle");
+        wall = eq.stats.cycles;
+        pairs.push((eq_secs, pc_secs));
+    }
+    let ratio = |(eq_secs, pc_secs): (f64, f64)| pc_secs / eq_secs;
+    pairs.sort_by(|&a, &b| ratio(a).total_cmp(&ratio(b)));
+    let (eq_secs, pc_secs) = pairs[pairs.len() / 2];
     let mcs = |secs: f64| wall as f64 / secs / 1e6;
     let entry = hht_prof::FabricBenchConfig {
         name: "fabric_slow_memory_16t".to_string(),
@@ -340,7 +354,7 @@ fn fabric_throughput_entry() -> hht_prof::FabricBenchConfig {
         wall_cycles: wall,
         eq_mcycles_per_sec: mcs(eq_secs),
         percycle_mcycles_per_sec: mcs(pc_secs),
-        host_speedup_vs_percycle: pc_secs / eq_secs,
+        host_speedup_vs_percycle: ratio((eq_secs, pc_secs)),
         min_host_speedup: 10.0,
     };
     println!(
@@ -348,10 +362,14 @@ fn fabric_throughput_entry() -> hht_prof::FabricBenchConfig {
         entry.name, entry.tiles, entry.banks, entry.ram_word_cycles, entry.wall_cycles
     );
     println!(
-        "  event queue {:.1} Mc/s | per-cycle {:.1} Mc/s ({:.2}x, floor {:.0}x)",
+        "  event queue {:.1} Mc/s | per-cycle {:.1} Mc/s ({:.2}x median of {} pairs, \
+         min {:.2}x, max {:.2}x, floor {:.0}x)",
         entry.eq_mcycles_per_sec,
         entry.percycle_mcycles_per_sec,
         entry.host_speedup_vs_percycle,
+        pairs.len(),
+        ratio(pairs[0]),
+        ratio(pairs[pairs.len() - 1]),
         entry.min_host_speedup,
     );
     entry
@@ -1343,6 +1361,34 @@ fn scaling(cfg: &SystemConfig, n: usize, jobs: usize, metrics_out: Option<String
     }
 }
 
+/// Cycles of the CPU-only SpMV baseline on the fabric shape `shape` —
+/// the same banks, row buffers, window and budget an HHT cell runs on, so
+/// the memory sweep's speedup compares like with like. The result is
+/// checked against the golden kernel.
+fn spmv_baseline_cycles(
+    cfg: &SystemConfig,
+    shape: hht_system::FabricConfig,
+    m: &hht_sparse::CsrMatrix,
+    v: &hht_sparse::DenseVector,
+) -> u64 {
+    use hht_sparse::SparseFormat;
+    use hht_system::{kernels, layout, Fabric};
+    // Room for the image past `ram_size`, as the runners size it.
+    let words = 2 * (m.rows() + m.nnz()) + 1 + v.len();
+    let bytes = (cfg.ram_size as usize).max((0x100 + 4 * words + 256).next_multiple_of(4096));
+    let mut sram = hht_mem::Sram::new(bytes as u32, cfg.ram_word_cycles);
+    let l = layout::layout_spmv(&mut sram, m, v);
+    let program = kernels::spmv_baseline(&l, cfg.core.vlen > 1);
+    let mem = hht_mem::SharedMemory::from_sram(sram, shape.banks, shape.tiles);
+    let mut fabric = Fabric::new(cfg, shape, vec![program], mem);
+    let stats = fabric.run().expect("baseline SpMV kernel fault");
+    let gold = hht_sparse::kernels::spmv(m, v).expect("square operands");
+    let y = fabric.read_output(l.y_base, m.rows());
+    let scale = gold.as_slice().iter().fold(1.0f32, |a, x| a.max(x.abs()));
+    assert!(y.max_abs_diff(&gold) <= 1e-3 * scale, "memory sweep baseline diverged from golden");
+    stats.cycles
+}
+
 /// The DRAM-class memory sweep: single-tile SpMV across the split-transaction
 /// backend's three axes — response latency (row hit/miss extras), MLP window
 /// (in-flight ceiling), and grants-per-cycle bandwidth budget.
@@ -1350,7 +1396,11 @@ fn scaling(cfg: &SystemConfig, n: usize, jobs: usize, metrics_out: Option<String
 /// Every cell asserts the CPI exact-sum invariant (`stack.total() == cycles`
 /// even with row extras and window stalls in the cut), and the all-zero
 /// corner is asserted bit-identical — stats and output vector — to the
-/// default run (`cfg.dram = None`, the flat `Dram`).
+/// default run (`cfg.dram = None`, the flat `Dram`). Every other
+/// zero-latency row must match that corner's HHT cycles too: a window or a
+/// budget alone never makes the memory row-timed, so the HHT does not
+/// burst there. Each cell also runs the CPU-only baseline on the same
+/// memory for its HHT-speedup column.
 fn memory(cfg: &SystemConfig, n: usize, jobs: usize, metrics_out: Option<String>) {
     use hht_mem::DramConfig;
     use hht_prof::{classify_with_bus, CpiStack};
@@ -1389,11 +1439,12 @@ fn memory(cfg: &SystemConfig, n: usize, jobs: usize, metrics_out: Option<String>
             .with_bandwidth(budget);
         let c = cfg.with_dram(dc);
         let out = hht_system::runner::run_spmv_fabric(&c, shape, &m, &v);
-        (lat, hit, miss, window, budget, out)
+        let baseline = spmv_baseline_cycles(&c, shape, &m, &v);
+        (lat, hit, miss, window, budget, out, baseline)
     });
     let mut rows = Vec::new();
     let mut records = Vec::new();
-    for (lat, hit, miss, window, budget, out) in &outs {
+    for (lat, hit, miss, window, budget, out, baseline) in &outs {
         let s = &out.stats;
         let tile = &s.tiles[0];
         let stack = CpiStack::from_stats(tile).unwrap_or_else(|e| {
@@ -1405,16 +1456,24 @@ fn memory(cfg: &SystemConfig, n: usize, jobs: usize, metrics_out: Option<String>
             "memory[{lat},w={window},b={budget}]: CPI stack must sum to total cycles"
         );
         let verdict = classify_with_bus(&stack, tile, Some(&s.mem));
-        if *hit == 0 && *miss == 0 && *window == 0 && *budget == 0 {
-            // Flat corner: an explicit all-zero DramConfig must equal the
-            // default. Bit-identical output and counters against the
-            // reference run.
-            assert_eq!(out.y, reference.y, "flat Dram changed the numeric result");
-            assert_eq!(s.cycles, reference.stats.cycles, "flat Dram changed the cycle count");
-            assert_eq!(s.mem, reference.stats.mem, "flat Dram changed shared-memory counters");
-            assert_eq!(s.tiles, reference.stats.tiles, "flat Dram changed per-tile stats");
+        if *hit == 0 && *miss == 0 {
+            // No row latency, so no HHT bursts: a window or a budget alone
+            // must leave the HHT's cycles at the flat corner's.
+            assert_eq!(
+                s.cycles, reference.stats.cycles,
+                "memory[{lat},w={window},b={budget}]: flat-latency HHT cycles moved"
+            );
+            if *window == 0 && *budget == 0 {
+                // Flat corner: an explicit all-zero DramConfig must equal
+                // the default. Bit-identical output and counters against
+                // the reference run.
+                assert_eq!(out.y, reference.y, "flat Dram changed the numeric result");
+                assert_eq!(s.mem, reference.stats.mem, "flat Dram changed shared-memory counters");
+                assert_eq!(s.tiles, reference.stats.tiles, "flat Dram changed per-tile stats");
+            }
         }
         let slowdown = s.cycles as f64 / reference.stats.cycles.max(1) as f64;
+        let speedup = *baseline as f64 / s.cycles.max(1) as f64;
         let util = verdict.bus_utilization.map_or_else(|| "-".to_string(), |u| format!("{:.3}", u));
         rows.push(vec![
             lat.to_string(),
@@ -1422,6 +1481,8 @@ fn memory(cfg: &SystemConfig, n: usize, jobs: usize, metrics_out: Option<String>
             budget.to_string(),
             s.cycles.to_string(),
             format!("{slowdown:.3}"),
+            baseline.to_string(),
+            format!("{speedup:.3}"),
             s.mem.row_hits.to_string(),
             s.mem.row_misses.to_string(),
             s.mem.window_stalls.to_string(),
@@ -1432,7 +1493,8 @@ fn memory(cfg: &SystemConfig, n: usize, jobs: usize, metrics_out: Option<String>
         records.push(format!(
             "{{\"latency\":\"{lat}\",\"row_hit_extra\":{hit},\"row_miss_extra\":{miss},\
              \"window\":{window},\"budget\":{budget},\"wall_cycles\":{},\
-             \"slowdown\":{slowdown:.6},\"row_hits\":{},\"row_misses\":{},\
+             \"slowdown\":{slowdown:.6},\"baseline_cycles\":{baseline},\
+             \"hht_speedup\":{speedup:.6},\"row_hits\":{},\"row_misses\":{},\
              \"window_stalls\":{},\"bandwidth_stalls\":{},\"bus_utilization\":{},\
              \"verdict\":\"{}\",\"cpi\":{{{}}}}}",
             s.cycles,
@@ -1459,6 +1521,8 @@ fn memory(cfg: &SystemConfig, n: usize, jobs: usize, metrics_out: Option<String>
                 "budget",
                 "wall cycles",
                 "slowdown",
+                "baseline",
+                "speedup",
                 "row hits",
                 "row misses",
                 "window stalls",
@@ -1469,7 +1533,10 @@ fn memory(cfg: &SystemConfig, n: usize, jobs: usize, metrics_out: Option<String>
             &rows
         )
     );
-    println!("flat corner verified bit-identical to the default flat Dram path.");
+    println!(
+        "flat corner verified bit-identical to the default flat Dram path; \
+         every flat-latency row matches its HHT cycles."
+    );
     // The bandwidth wall: tiles contend for a single grant per cycle. Zero
     // response latency isolates the budget — every slowdown here is the bus,
     // and near-saturated utilization must force the bandwidth-bound verdict.

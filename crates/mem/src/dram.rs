@@ -122,6 +122,12 @@ impl DramConfig {
         self
     }
 
+    /// True when either row latency is non-zero: responses then pay an
+    /// open-row round trip, which the window and budget alone never add.
+    pub fn has_row_latency(&self) -> bool {
+        self.row_hit_extra != 0 || self.row_miss_extra != 0
+    }
+
     /// True when every effect is disabled and the backend degenerates to
     /// the wrapped memory.
     pub fn is_flat(&self) -> bool {
@@ -364,6 +370,10 @@ impl MemoryPort for FabricPort<'_> {
         self.mem.request_burst_for(self.tile, now, addr, who, words)
     }
 
+    fn row_timed(&self) -> bool {
+        self.mem.cfg.has_row_latency()
+    }
+
     fn next_event(&self, now: u64) -> Option<u64> {
         self.mem.next_event(now)
     }
@@ -585,6 +595,21 @@ mod tests {
         flat.request_for(0, 0, 0x00, Requester::Cpu);
         let events = flat.inner_mut().take_events_for(0);
         assert!(events.iter().all(|e| e.track != Track::MemQueue));
+    }
+
+    /// Only row latency makes a port row-timed: a window or a budget on
+    /// flat-latency memory does not.
+    #[test]
+    fn fabric_port_is_row_timed_only_with_row_latency() {
+        let row_timed = |cfg: DramConfig| {
+            let mut mem = Dram::new(SharedMemory::new(256, 1, 1, 1), cfg);
+            FabricPort::new(&mut mem, 0).row_timed()
+        };
+        assert!(!row_timed(DramConfig::flat()));
+        assert!(!row_timed(DramConfig::flat().with_window(1).with_bandwidth(1)));
+        assert!(row_timed(DramConfig::slow_300ns()));
+        assert!(row_timed(DramConfig::flat().with_row_latency(0, 1)));
+        assert!(!MemoryPort::row_timed(&crate::Sram::new(64, 1)));
     }
 
     /// `FabricPort` exposes the `MemoryPort` surface: over a timed DRAM it

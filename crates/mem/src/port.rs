@@ -119,6 +119,15 @@ pub trait MemoryPort {
         }
     }
 
+    /// Does this memory charge open-row response latency? Requestors that
+    /// can fetch ahead (the HHT's column-index stream) batch consecutive
+    /// words into one [`MemoryPort::request_burst`] when it does, paying
+    /// one row response instead of one per word. False by default: on
+    /// flat-latency memory a burst only holds the port longer.
+    fn row_timed(&self) -> bool {
+        false
+    }
+
     /// Has the response issued with `data_at` arrived by cycle `now`? The
     /// response side of the split transaction: responses are delivered at a
     /// fixed cycle, never reordered and never retracted, so this is a pure

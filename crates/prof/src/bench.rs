@@ -64,8 +64,9 @@ pub struct FabricBenchConfig {
     pub eq_mcycles_per_sec: f64,
     /// Per-cycle loop host throughput, Mcycles/second.
     pub percycle_mcycles_per_sec: f64,
-    /// Event queue vs the per-cycle loop, same machine. Gated against
-    /// `min_host_speedup`.
+    /// Event queue vs the per-cycle loop, same machine: the median ratio
+    /// of interleaved timing pairs (the throughputs above are that pair's).
+    /// Gated against `min_host_speedup`.
     pub host_speedup_vs_percycle: f64,
     /// Gate floor for `host_speedup_vs_percycle` (from the baseline).
     pub min_host_speedup: f64,

@@ -584,6 +584,55 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// HHT column bursts on row-timed DRAM keep the scheduler differential:
+    /// a burst is one transaction whose response lands BLEN-1 port cycles
+    /// plus a row extra later, so parks, window stalls and budget refusals
+    /// around it must replay to the same cycle stamps under the event
+    /// queue and the per-cycle oracle. The matrix's nnz is never a
+    /// multiple of BLEN, so some shard ends in a short tail burst.
+    #[test]
+    fn row_timed_hht_bursts_are_bit_identical_across_schedulers(
+        row_latency in (0u64..=400, 0u64..=400),
+        limits in (0u32..=4, 0u32..=2), // (window, budget)
+        shape in (0u32..3, 0usize..3), // (log2 tiles, vlen pick)
+        size in (12usize..40, 10u32..90), // (n, sparsity %)
+        seed in 0u64..1_000_000,
+    ) {
+        use hht::mem::DramConfig;
+        use hht::sparse::SparseFormat;
+        use hht::system::FabricConfig;
+        let ((hit, miss), (window, budget)) = (row_latency, limits);
+        let ((tiles_log, vlen_pick), (n, sparsity_pct)) = (shape, size);
+        let miss = if hit == 0 && miss == 0 { 1 } else { miss };
+        let dc = DramConfig::flat()
+            .with_row_latency(hit, miss)
+            .with_window(window)
+            .with_bandwidth(budget);
+        let vlen = [1usize, 8, 16][vlen_pick];
+        let cfg = SystemConfig::paper_default()
+            .with_dram(dc)
+            .with_vlen(vlen)
+            .with_trace(TraceConfig::enabled());
+        let blen = cfg.hht.blen;
+        let sparsity = sparsity_pct as f64 / 100.0;
+        // The generator's nnz is exact for a shape, so step the size.
+        let m = (n..n + 64)
+            .map(|n| generate::random_csr(n, n, sparsity, seed))
+            .find(|m| m.nnz() % blen != 0)
+            .expect("some size gives an nnz off the BLEN grid");
+        let v = generate::random_dense_vector(m.cols(), seed ^ 0x5EED);
+        let fab = FabricConfig::scaled(1 << tiles_log);
+        let eq = runner::run_spmv_fabric(&cfg.with_cycle_skip(true), fab, &m, &v);
+        let pc = runner::run_spmv_fabric(&cfg.with_cycle_skip(false), fab, &m, &v);
+        prop_assert_eq!(eq.stats, pc.stats);
+        prop_assert_eq!(eq.y, pc.y);
+        prop_assert_eq!(eq.tile_events, pc.tile_events);
+    }
+}
+
 #[test]
 fn dram_window_parks_replay_identically() {
     // Park soundness for in-flight response queues: with slow rows and a
