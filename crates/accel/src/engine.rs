@@ -1,16 +1,17 @@
 //! Back-end (BE) engines — the HHT pipeline of §3.1/Fig. 3.
 //!
 //! Each engine is a cycle-stepped state machine with **one outstanding
-//! memory operation** (the SRAM is single-ported, so the Fig. 3 pipeline's
-//! issue stages serialize on the port anyway; the port occupancy model in
-//! [`hht_mem::Sram`] is what sets the BE's throughput). Engines fetch
-//! metadata (`cols`, row pointers, sparse-vector indices), compute element
-//! addresses (`V_Base + s*k`, §3.2) and push gathered values into the
-//! CPU-side FIFOs, throttled by the control unit's full/empty tracking.
-//! An operation is one word, except the [`GatherEngine`]'s column fetch
-//! on row-timed memory ([`MemoryPort::row_timed`]): there it is one burst
-//! that fills the free part of the column-index buffer, so the index
-//! stream pays one row response per burst rather than one per element.
+//! memory operation** of one word (the SRAM is single-ported, so the
+//! Fig. 3 pipeline's issue stages serialize on the port anyway; the port
+//! occupancy model in [`hht_mem::Sram`] is what sets the BE's throughput).
+//! Engines fetch metadata (`cols`, row pointers, sparse-vector indices),
+//! compute element addresses (`V_Base + s*k`, §3.2) and push gathered
+//! values into the CPU-side FIFOs, throttled by the control unit's
+//! full/empty tracking. The [`GatherEngine`] on row-timed memory
+//! ([`MemoryPort::row_timed`]) is the exception: its column fetch is one
+//! burst that fills the free part of the column-index buffer, and it keeps
+//! several `v[cols[k]]` gathers in flight, so neither stream waits a row
+//! response per element.
 //!
 //! # The chunked count protocol
 //!
@@ -93,18 +94,20 @@ pub enum Wake {
     /// The engine's next state-changing `step` happens at this absolute
     /// cycle; every step strictly before it only ticks `busy_cycles`.
     At(u64),
-    /// The next step issues an SRAM read the moment the port is free; while
-    /// the port is busy each stepped cycle loses arbitration and performs
-    /// exactly the per-cycle charges [`Engine::replay_inert`] replays (at
-    /// least one `port_conflicts`), changing nothing else. The scheduler
-    /// resolves this against the port's free cycle, which the engine
-    /// cannot see from `wake`. `addr` names the read's target address so a
-    /// banked memory can resolve the wake against the exact bank the
-    /// engine wants (`None` — an engine that cannot name it — makes the
-    /// scheduler treat the wake as "could issue now", disabling skipping).
+    /// The next step issues a read of `addr` the moment the port grants it;
+    /// while the port refuses, each stepped cycle before `landing` loses
+    /// arbitration and performs exactly the per-cycle charges
+    /// [`Engine::replay_inert`] replays (at least one `port_conflicts`),
+    /// changing nothing else. The scheduler resolves this against the free
+    /// cycle of the bank serving `addr`, which the engine cannot see from
+    /// `wake`, and caps it at `landing`.
     NeedsPort {
         /// Target address of the read the next step will issue.
-        addr: Option<u32>,
+        addr: u32,
+        /// Earliest cycle an in-flight response lands (and the step
+        /// changes state whatever the port does); `None` when nothing is
+        /// in flight.
+        landing: Option<u64>,
     },
     /// Inert until the CPU drains an output FIFO: every stepped cycle in
     /// this state records exactly one `stall_out_full` and changes nothing
@@ -139,17 +142,18 @@ pub trait Engine {
     }
 
     /// Charge the engine-side counters for `span` skipped cycles in the
-    /// current (provably inert) state — exactly `span` times what one
-    /// `step` would record. The default derives the charge from [`wake`]:
-    /// a port-starved state loses arbitration once per cycle, an
-    /// output-blocked state records one `stall_out_full` per cycle, and a
-    /// pending/retired state charges nothing (its steps return at the
-    /// guard). Engines whose stepped states charge more than one counter
-    /// at once must override this.
+    /// current (provably inert) state, whose [`wake`] is `wake` — exactly
+    /// `span` times what one `step` would record. The scheduler never lets
+    /// the span reach a `NeedsPort` wake's `landing`. The default derives
+    /// the charge from `wake`: a port-starved state loses arbitration once
+    /// per cycle, an output-blocked state records one `stall_out_full` per
+    /// cycle, and a waiting/retired state charges nothing (its steps return
+    /// at the guard). Engines whose stepped states charge more than one
+    /// counter at once must override this.
     ///
     /// [`wake`]: Engine::wake
-    fn replay_inert(&self, now: u64, span: u64, out: OutputLevels, stats: &mut EngineStats) {
-        match self.wake(now, out) {
+    fn replay_inert(&self, wake: Wake, span: u64, _out: OutputLevels, stats: &mut EngineStats) {
+        match wake {
             Wake::NeedsPort { .. } => stats.port_conflicts += span,
             Wake::OutputBlocked => stats.stall_out_full += span,
             Wake::At(_) | Wake::Never => {}
@@ -223,37 +227,62 @@ fn issue_burst(
 
 /// The SpMV indexed-gather engine (§3.1): walk `M_cols[.]`, gather
 /// `v[cols[k]]`, fill the CPU-side buffer. The two fetch stages of the
-/// Fig. 3 pipeline are the two `PendingKind`s; the column-indices buffer
-/// between them is `col_q` (BLEN deep, as in the paper).
+/// Fig. 3 pipeline are the column fetch and the gather; the
+/// column-indices buffer between them is `col_q` (BLEN deep, as in the
+/// paper).
 ///
-/// Like every engine it has one outstanding memory operation. A column
-/// fetch is one word on flat-latency memory; on row-timed memory
-/// ([`MemoryPort::row_timed`]) it is one burst of
-/// `min(BLEN, free col_q slots, columns left)` words, so the index stream
-/// pays one row response per burst instead of one per element, ahead of
-/// the dependent `v[cols[k]]` gathers.
+/// On flat-latency memory the engine has one outstanding memory
+/// operation, a one-word column fetch or one gather. On row-timed memory
+/// ([`MemoryPort::row_timed`]) the two streams are decoupled:
+///
+/// - a column fetch is one burst of
+///   `min(BLEN, free col_q slots, columns left)` words, so the index
+///   stream pays one row response per burst instead of one per element;
+/// - a new gather issues every cycle the engine has a visible column index
+///   and a primary slot not already reserved by an in-flight gather. The
+///   gathers wait in an in-order queue and land in issue order. Their
+///   depth is bounded by the primary buffer's free slots and the memory's
+///   per-tile window, so there is no depth knob.
+///
+/// Both shapes are one state machine: the in-flight cap is 1 on flat
+/// memory and the free slots on row-timed memory. An engine with anything
+/// in flight is waiting on memory, not throttled, so only an engine with
+/// nothing in flight records `stall_out_full`.
 #[derive(Debug)]
 pub struct GatherEngine {
     cfg: EngineConfig,
     /// Next index into the cols array to fetch.
     next_col: u32,
     /// Fetched column indices awaiting their V fetch (the "BLEN-sized
-    /// column-indices buffer" of §3.1).
+    /// column-indices buffer" of §3.1). An in-flight column fetch's words
+    /// enter at the back at issue but are visible only once it lands.
     col_q: VecDeque<u32>,
     col_q_cap: usize,
-    /// The outstanding fetch and the cycle its data lands.
-    pending: Option<(u64, PendingKind)>,
+    /// The in-flight column fetch: its landing cycle and word count.
+    col_pending: Option<(u64, usize)>,
+    /// In-flight gathers in issue order: landing cycle and value.
+    gathers: VecDeque<(u64, u32)>,
+    /// Whether the memory charges row latency; latched from the port at
+    /// every step (a fabric's memory never changes kind).
+    row_timed: bool,
     supplied: u32,
 }
 
+/// The one memory operation a [`GatherEngine`] step would issue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PendingKind {
-    /// Column indices, appended to `col_q` at issue. They are visible
-    /// only from the response cycle on: while a fetch is pending, `step`,
-    /// `wake` and `replay_inert` never look at the queue.
-    ColIdx,
-    /// One gathered `v[cols[k]]`.
-    VValue(u32),
+enum GatherIssue {
+    /// Gather `v[col]` from this address.
+    Value(u32),
+    /// Fetch column indices starting at this address.
+    Cols(u32),
+}
+
+impl GatherIssue {
+    fn addr(self) -> u32 {
+        match self {
+            GatherIssue::Value(a) | GatherIssue::Cols(a) => a,
+        }
+    }
 }
 
 impl GatherEngine {
@@ -265,7 +294,9 @@ impl GatherEngine {
             next_col: 0,
             col_q: VecDeque::with_capacity(blen),
             col_q_cap: blen,
-            pending: None,
+            col_pending: None,
+            gathers: VecDeque::with_capacity(blen),
+            row_timed: false,
             supplied: 0,
         }
     }
@@ -273,12 +304,54 @@ impl GatherEngine {
     /// Words the next column fetch asks for: the whole free part of the
     /// BLEN-deep `col_q` (capped by the columns left) on row-timed memory,
     /// one word otherwise.
-    fn col_burst_len(&self, sram: &dyn MemoryPort) -> u32 {
-        if !sram.row_timed() {
+    fn col_burst_len(&self) -> u32 {
+        if !self.row_timed {
             return 1;
         }
         let room = (self.col_q_cap - self.col_q.len()) as u32;
         room.min(self.cfg.m_nnz - self.next_col)
+    }
+
+    /// Earliest cycle an in-flight response lands: the oldest gather (the
+    /// younger ones land behind it) or the column fetch.
+    fn landing(&self) -> Option<u64> {
+        let gather = self.gathers.front().map(|&(at, _)| at);
+        gather.into_iter().chain(self.col_pending.map(|(at, _)| at)).min()
+    }
+
+    /// Nothing may issue: flat memory allows one operation in flight.
+    fn at_cap(&self) -> bool {
+        !self.row_timed && (self.col_pending.is_some() || !self.gathers.is_empty())
+    }
+
+    /// What a step issues with `primary_free` free output slots, and
+    /// whether it records the output-full throttle — the decision `step`,
+    /// `wake` and `replay_inert` share. A gather goes first when a column
+    /// index is visible and a primary slot is unreserved; otherwise a
+    /// column fetch, when no other is in flight and `col_q` has room.
+    fn next_issue(&self, primary_free: usize) -> (Option<GatherIssue>, bool) {
+        let pending_words = self.col_pending.map_or(0, |(_, w)| w);
+        let mut throttled = false;
+        if self.col_q.len() > pending_words {
+            if primary_free > self.gathers.len() {
+                let col = self.col_q[0];
+                return (
+                    Some(GatherIssue::Value(self.cfg.v_base + self.cfg.elem_size * col)),
+                    false,
+                );
+            }
+            // Output full: the control unit throttles the BE unless it is
+            // waiting on memory anyway.
+            throttled = self.gathers.is_empty() && self.col_pending.is_none();
+        }
+        if self.col_pending.is_none()
+            && self.col_q.len() < self.col_q_cap
+            && self.next_col < self.cfg.m_nnz
+        {
+            let addr = self.cfg.cols_base + self.cfg.elem_size * self.next_col;
+            return (Some(GatherIssue::Cols(addr)), throttled);
+        }
+        (None, throttled)
     }
 }
 
@@ -290,96 +363,83 @@ impl Engine for GatherEngine {
         out: Outputs<'_>,
         stats: &mut EngineStats,
     ) {
-        // Commit a completed fetch.
-        if let Some((ready_at, kind)) = self.pending {
-            if now < ready_at {
-                return;
+        self.row_timed = sram.row_timed();
+        // Land responses: gathers in issue order, column indices whole.
+        while let Some(&(at, value)) = self.gathers.front() {
+            if at > now {
+                break;
             }
-            // Column indices entered `col_q` at issue; a value lands now.
-            if let PendingKind::VValue(value) = kind {
-                out.primary.push(value);
-                self.supplied += 1;
-            }
-            self.pending = None;
+            self.gathers.pop_front();
+            out.primary.push(value);
+            self.supplied += 1;
         }
-        if self.done() {
+        if self.col_pending.is_some_and(|(at, _)| at <= now) {
+            self.col_pending = None;
+        }
+        if self.done() || self.at_cap() {
             return;
         }
-        // Prefer draining the column queue into V fetches (keeps the
-        // CPU-side buffer filling); fall back to fetching more metadata.
-        if let Some(&col) = self.col_q.front() {
-            if out.primary.free() > 0 {
-                let addr = self.cfg.v_base + self.cfg.elem_size * col;
+        let (issue, throttled) = self.next_issue(out.primary.free());
+        if throttled {
+            stats.stall_out_full += 1;
+        }
+        match issue {
+            Some(GatherIssue::Value(addr)) => {
                 if let Some(p) = issue_read(sram, now, addr, stats) {
                     self.col_q.pop_front();
-                    self.pending = Some((p.ready_at, PendingKind::VValue(p.value)));
+                    self.gathers.push_back((p.ready_at, p.value));
                 }
-                return;
             }
-            // Output full: control unit throttles the BE.
-            stats.stall_out_full += 1;
-            // Still allowed to prefetch metadata below if there is space.
-        }
-        if self.col_q.len() < self.col_q_cap && self.next_col < self.cfg.m_nnz {
-            let addr = self.cfg.cols_base + self.cfg.elem_size * self.next_col;
-            let words = self.col_burst_len(sram);
-            if let Some(ready_at) = issue_burst(sram, now, addr, words, &mut self.col_q, stats) {
-                self.next_col += words;
-                self.pending = Some((ready_at, PendingKind::ColIdx));
+            Some(GatherIssue::Cols(addr)) => {
+                let words = self.col_burst_len();
+                if let Some(at) = issue_burst(sram, now, addr, words, &mut self.col_q, stats) {
+                    self.next_col += words;
+                    self.col_pending = Some((at, words as usize));
+                }
             }
+            None => {}
         }
     }
 
     fn done(&self) -> bool {
-        self.supplied == self.cfg.m_nnz && self.pending.is_none() && self.col_q.is_empty()
+        self.supplied == self.cfg.m_nnz
+            && self.col_pending.is_none()
+            && self.gathers.is_empty()
+            && self.col_q.is_empty()
     }
 
     fn wake(&self, now: u64, out: OutputLevels) -> Wake {
-        if let Some((ready_at, _)) = self.pending {
-            // Steps before `ready_at` return immediately after the guard.
-            return Wake::At(ready_at.max(now));
-        }
         if self.done() {
             return Wake::Never;
         }
-        if self.col_q.front().is_some() && out.primary_free == 0 {
-            // Output full: only a metadata prefetch could still make
-            // progress. Without one, each stepped cycle records exactly one
-            // `stall_out_full`; with one, the step also contends for the
-            // port.
-            let can_prefetch = self.col_q.len() < self.col_q_cap && self.next_col < self.cfg.m_nnz;
-            return if can_prefetch {
-                Wake::NeedsPort {
-                    addr: Some(self.cfg.cols_base + self.cfg.elem_size * self.next_col),
-                }
-            } else {
-                Wake::OutputBlocked
-            };
+        let landing = self.landing();
+        if let Some(at) = landing {
+            if at <= now || self.at_cap() {
+                // Steps before `at` return right after landing nothing.
+                return Wake::At(at.max(now));
+            }
         }
-        // A V fetch or metadata fetch issues as soon as the port is free —
-        // the V fetch when a column index is queued, otherwise the next
-        // metadata word (mirrors the issue order in `step`).
-        let addr = match self.col_q.front() {
-            Some(&col) => self.cfg.v_base + self.cfg.elem_size * col,
-            None => self.cfg.cols_base + self.cfg.elem_size * self.next_col,
-        };
-        Wake::NeedsPort { addr: Some(addr) }
+        match self.next_issue(out.primary_free) {
+            (Some(issue), _) => Wake::NeedsPort { addr: issue.addr(), landing },
+            (None, true) => Wake::OutputBlocked,
+            // Waiting on memory with nothing to issue.
+            (None, false) => Wake::At(landing.unwrap_or(now)),
+        }
     }
 
-    fn replay_inert(&self, _now: u64, span: u64, out: OutputLevels, stats: &mut EngineStats) {
-        if self.pending.is_some() || self.done() {
+    fn replay_inert(&self, wake: Wake, span: u64, out: OutputLevels, stats: &mut EngineStats) {
+        if !matches!(wake, Wake::NeedsPort { .. } | Wake::OutputBlocked) {
             return;
         }
-        if self.col_q.front().is_some() && out.primary_free == 0 {
-            // Every stepped cycle here records the throttle; the prefetch
-            // attempt additionally loses arbitration while the port is busy.
+        // Every stepped cycle repeats the step's decision: the throttle,
+        // and a refused issue.
+        let (issue, throttled) = self.next_issue(out.primary_free);
+        if throttled {
             stats.stall_out_full += span;
-            if self.col_q.len() < self.col_q_cap && self.next_col < self.cfg.m_nnz {
-                stats.port_conflicts += span;
-            }
-            return;
         }
-        stats.port_conflicts += span;
+        if issue.is_some() {
+            stats.port_conflicts += span;
+        }
     }
 }
 
@@ -706,7 +766,8 @@ impl Engine for SpMSpVEngine {
             MergePhase::Finished => Wake::Never,
             MergePhase::NeedRowEnd => Wake::NeedsPort {
                 // Row-pointer fetch.
-                addr: Some(self.cfg.rows_base + self.cfg.elem_size * (self.r + 1)),
+                addr: self.cfg.rows_base + self.cfg.elem_size * (self.r + 1),
+                landing: None,
             },
             MergePhase::EmitChunkHeader | MergePhase::EmitRowHeader => {
                 if out.counts_free == 0 {
@@ -722,13 +783,15 @@ impl Engine for SpMSpVEngine {
                 if self.match_vval.is_some() {
                     return Wake::NeedsPort {
                         // Matrix-value fetch.
-                        addr: Some(self.cfg.vals_base + self.cfg.elem_size * self.k),
+                        addr: self.cfg.vals_base + self.cfg.elem_size * self.k,
+                        landing: None,
                     };
                 }
                 let Some(col) = self.cur_col else {
                     return Wake::NeedsPort {
                         // Column-index fetch.
-                        addr: Some(self.cfg.cols_base + self.cfg.elem_size * self.k),
+                        addr: self.cfg.cols_base + self.cfg.elem_size * self.k,
+                        landing: None,
                     };
                 };
                 let primary_blocked = out.primary_free == 0;
@@ -744,7 +807,8 @@ impl Engine for SpMSpVEngine {
                 let Some(vidx) = self.cur_vidx else {
                     return Wake::NeedsPort {
                         // Vector-index fetch.
-                        addr: Some(self.cfg.v_idx_base + self.cfg.elem_size * self.b),
+                        addr: self.cfg.v_idx_base + self.cfg.elem_size * self.b,
+                        landing: None,
                     };
                 };
                 match col.cmp(&vidx) {
@@ -755,7 +819,8 @@ impl Engine for SpMSpVEngine {
                         } else {
                             Wake::NeedsPort {
                                 // Vector-value fetch.
-                                addr: Some(self.cfg.v_vals_base + self.cfg.elem_size * self.b),
+                                addr: self.cfg.v_vals_base + self.cfg.elem_size * self.b,
+                                landing: None,
                             }
                         }
                     }
@@ -998,7 +1063,8 @@ impl Engine for SmashEngine {
             } else {
                 // V fetch for the lowest set bit (mirrors `step`).
                 Wake::NeedsPort {
-                    addr: Some(self.cfg.v_base + self.cfg.elem_size * (pos % self.cfg.num_cols)),
+                    addr: self.cfg.v_base + self.cfg.elem_size * (pos % self.cfg.num_cols),
+                    landing: None,
                 }
             };
         }
@@ -1015,14 +1081,16 @@ impl Engine for SmashEngine {
                     _ => {
                         // Level-1 summary word fetch.
                         return Wake::NeedsPort {
-                            addr: Some(self.cfg.cols_base + self.cfg.elem_size * group),
+                            addr: self.cfg.cols_base + self.cfg.elem_size * group,
+                            landing: None,
                         };
                     }
                 }
             }
             // Level-0 bitmap word fetch.
             return Wake::NeedsPort {
-                addr: Some(self.cfg.rows_base + self.cfg.elem_size * self.word),
+                addr: self.cfg.rows_base + self.cfg.elem_size * self.word,
+                landing: None,
             };
         }
         // Tail: closing the remaining rows, gated on `counts` space.
@@ -1037,6 +1105,7 @@ impl Engine for SmashEngine {
 mod tests {
     use super::*;
     use crate::mmr::Mode;
+    use crate::test_port::LogPort;
     use hht_mem::Sram;
 
     /// Drive an engine against a prepared SRAM until done (or a cycle
@@ -1175,75 +1244,6 @@ mod tests {
         assert!(!e.done());
     }
 
-    /// An `Sram`-backed test port that logs every granted transaction as
-    /// `(cycle, addr, words)`. With `row_timed` set it reports row timing
-    /// and delays each response by `extra` cycles, like an open-row DRAM.
-    struct LogPort {
-        sram: Sram,
-        row_timed: bool,
-        extra: u64,
-        log: Vec<(u64, u32, u64)>,
-    }
-
-    impl LogPort {
-        fn new(size: u32, word_cycles: u64, row_timed: bool, extra: u64) -> Self {
-            LogPort { sram: Sram::new(size, word_cycles), row_timed, extra, log: Vec::new() }
-        }
-    }
-
-    impl MemoryPort for LogPort {
-        fn try_start(&mut self, now: u64, addr: u32, who: Requester) -> Option<u64> {
-            self.try_start_burst(now, addr, who, 1)
-        }
-        fn try_start_burst(
-            &mut self,
-            now: u64,
-            addr: u32,
-            who: Requester,
-            words: u64,
-        ) -> Option<u64> {
-            let done = self.sram.try_start_burst(now, who, words)?;
-            self.log.push((now, addr, words));
-            Some(done + self.extra)
-        }
-        fn row_timed(&self) -> bool {
-            self.row_timed
-        }
-        fn next_event(&self, now: u64) -> Option<u64> {
-            self.sram.next_event(now)
-        }
-        fn skip_conflicts(&mut self, now: u64, span: u64, _addr: u32, who: Requester) {
-            self.sram.skip_conflicts(now, span, who)
-        }
-        fn size(&self) -> u32 {
-            self.sram.size()
-        }
-        fn word_cycles(&self) -> u64 {
-            self.sram.word_cycles()
-        }
-        fn read_u8(&self, addr: u32) -> u8 {
-            self.sram.read_u8(addr)
-        }
-        fn read_u16(&self, addr: u32) -> u16 {
-            self.sram.read_u16(addr)
-        }
-        fn read_u32(&self, addr: u32) -> u32 {
-            self.sram.read_u32(addr)
-        }
-        fn read_u32_checked(&self, addr: u32) -> Option<u32> {
-            self.sram.read_u32_checked(addr)
-        }
-        fn write_u8(&mut self, addr: u32, value: u8) {
-            self.sram.write_u8(addr, value)
-        }
-        fn write_u16(&mut self, addr: u32, value: u16) {
-            self.sram.write_u16(addr, value)
-        }
-        fn write_u32(&mut self, addr: u32, value: u32) {
-            self.sram.write_u32(addr, value)
-        }
-    }
-
     /// A gather fixture: `n` column indices at 0x100 (a permutation-ish
     /// walk over 16 entries) and `v[i] = i + 100` at 0x1000.
     fn gather_fixture(port: &mut LogPort, n: u32) -> EngineConfig {
@@ -1295,8 +1295,10 @@ mod tests {
             .collect();
         assert_eq!(cols, vec![(0x100, 8), (0x120, 3)]);
         // The first burst lands at 0 + 2 + 7 + 10; its eight gathers then
-        // issue back to back, one per response.
+        // issue back to back as the port frees, none waiting on another's
+        // response.
         assert_eq!(port.log[1], (19, 0x1000 + 4 * 3, 1));
+        assert_eq!(port.log[2], (21, 0x1000 + 4 * 8, 1));
         assert!(port.log.iter().filter(|&&(_, addr, _)| addr >= 0x1000).all(|l| l.2 == 1));
         assert_eq!(stats.mem_reads, 22);
     }
@@ -1396,6 +1398,94 @@ mod tests {
             };
             assert_eq!(stream(false), stream(true), "n = {n}");
         }
+    }
+
+    /// Step `e` once against `port` with the given output FIFO.
+    fn step_once(e: &mut GatherEngine, port: &mut LogPort, now: u64, primary: &mut ElemFifo) {
+        let (mut secondary, mut counts) = (ElemFifo::new(1), ElemFifo::new(1));
+        let out = Outputs { primary, secondary: &mut secondary, counts: &mut counts };
+        e.step(now, port, out, &mut EngineStats::default());
+    }
+
+    fn levels(primary: &ElemFifo) -> OutputLevels {
+        OutputLevels { primary_free: primary.free(), secondary_free: 1, counts_free: 1 }
+    }
+
+    /// On row-timed memory the engine issues a gather every cycle it has a
+    /// visible column index and an unreserved primary slot, without
+    /// waiting on earlier responses; they land in issue order even when a
+    /// later one's response arrives first. While gathers are in flight the
+    /// wake names the next issue and caps it at the oldest landing.
+    #[test]
+    fn gather_engine_keeps_gathers_in_flight_on_row_timed_memory() {
+        let mut port = LogPort::new(8192, 1, true, 20);
+        let cfg = gather_fixture(&mut port, 8);
+        // The column burst answers in 20 cycles; the first gather then
+        // answers in 40, the second in 5: it must not overtake.
+        port.extras.extend([20, 40, 5]);
+        let mut e = GatherEngine::new(cfg, 8);
+        let mut primary = ElemFifo::new(16);
+        let mut got = Vec::new();
+        for now in 0..200 {
+            step_once(&mut e, &mut port, now, &mut primary);
+            if now == 29 {
+                // Gathers issued at 28 (lands 28 + 1 + 40) and 29 (lands
+                // 35, behind it): the next one issues as soon as the port
+                // allows, capped by the oldest landing.
+                let wake = e.wake(30, levels(&primary));
+                assert_eq!(wake, Wake::NeedsPort { addr: 0x1000 + 4 * 13, landing: Some(69) });
+                assert!(primary.is_empty());
+            }
+            got.extend(std::iter::from_fn(|| primary.pop()));
+            if e.done() {
+                break;
+            }
+        }
+        assert!(e.done());
+        // The burst of 8 lands at 0 + 8 + 20; the gathers issue at 28..=35.
+        let gathers = port.granted_from(0x1000);
+        let cycles: Vec<u64> = gathers.iter().map(|g| g.0).collect();
+        assert_eq!(cycles, (28..36).collect::<Vec<u64>>());
+        assert!(gathers.iter().all(|g| g.2 == 1));
+        // Column order: v[(5k + 3) % 16] = 100 + (5k + 3) % 16.
+        let expect: Vec<u32> = (0..8).map(|k| 100 + (5 * k + 3) % 16).collect();
+        assert_eq!(got, expect);
+    }
+
+    /// In-flight gathers never exceed the free primary slots, and an
+    /// engine with gathers in flight is waiting on memory, not throttled:
+    /// it records `stall_out_full` only once nothing is in flight. (The
+    /// front end's `dropped_response_frees_a_slot_for_an_in_flight_gather`
+    /// frees a slot again.)
+    #[test]
+    fn gather_engine_in_flight_gathers_fit_the_free_primary_slots() {
+        let mut port = LogPort::new(8192, 1, true, 30);
+        let cfg = gather_fixture(&mut port, 8);
+        let mut e = GatherEngine::new(cfg, 8);
+        let mut primary = ElemFifo::new(3);
+        let mut secondary = ElemFifo::new(1);
+        let mut counts = ElemFifo::new(1);
+        let mut stats = EngineStats::default();
+        let mut step = |e: &mut GatherEngine, port: &mut LogPort, now, primary: &mut ElemFifo| {
+            let before = stats.stall_out_full;
+            let out = Outputs { primary, secondary: &mut secondary, counts: &mut counts };
+            e.step(now, port, out, &mut stats);
+            (stats.stall_out_full > before, stats.stall_out_full)
+        };
+        let in_flight = |port: &LogPort, primary: &ElemFifo| {
+            port.granted_from(0x1000).len() as u64 - primary.total_pushed()
+        };
+        for now in 0..300 {
+            let (throttled, _) = step(&mut e, &mut port, now, &mut primary);
+            let flying = in_flight(&port, &primary);
+            assert!(flying as usize <= 3 - primary.len(), "cycle {now}: {flying} in flight");
+            assert!(!throttled || flying == 0, "cycle {now}: throttled with gathers in flight");
+        }
+        assert_eq!(primary.len(), 3);
+        assert_eq!(port.granted_from(0x1000).len(), 3);
+        let (_, stalls) = step(&mut e, &mut port, 300, &mut primary);
+        assert!(stalls > 0);
+        assert_eq!(e.wake(301, levels(&primary)), Wake::OutputBlocked);
     }
 
     /// Shared fixture: 3x4 matrix rows=[0,2,3,5], cols=[0,2 | 1 | 0,3],

@@ -324,11 +324,11 @@ impl Hht {
     /// port-starved — see [`Engine::replay_inert`]) without any other state
     /// change. A skipped span can contain one event transition of the
     /// output-full stall interval, on its first live step: its *onset*
-    /// when the span is output-blocked (the per-cycle loop stamps
-    /// `StallBegin` on the first blocked cycle), or its *end* when the
-    /// engine waits on a read it issued while throttled (a metadata
-    /// prefetch) — that wait records no throttle, so the per-cycle loop
-    /// stamps `StallEnd` on its first cycle.
+    /// when the span records the throttle (the per-cycle loop stamps
+    /// `StallBegin` on the first throttled cycle), or its *end* when it
+    /// does not (for instance the engine waits on a read it issued while
+    /// throttled, a metadata prefetch: that wait records no throttle, so
+    /// the per-cycle loop stamps `StallEnd` on its first live cycle).
     pub fn skip_idle(&mut self, now: u64, span: u64, sram: &mut dyn MemoryPort) {
         if span == 0 || self.engine_done {
             return;
@@ -337,50 +337,40 @@ impl Hht {
             return;
         };
         self.stats.busy_cycles += span;
-        if matches!(self.cached_wake, Some(Wake::At(_))) {
-            // `Wake::At` contract: steps strictly before the wake cycle
-            // only tick `busy_cycles`. The first one past any injected
-            // freeze closes an open output-full interval.
-            let live = now.max(self.frozen_until);
-            if self.out_stall_open && live < now + span {
-                if let Some(bus) = self.obs.as_mut() {
-                    bus.emit(live, Track::HhtBackend, EventKind::StallEnd(StallCause::OutputFull));
-                    self.out_stall_open = false;
-                }
-            }
+        // Injected engine stall: each frozen step only ticks `busy_cycles`
+        // (mirrors the early return in [`Hht::step`]). A `Wake::At` span
+        // may run past the thaw; its live steps only tick `busy_cycles`
+        // too. Any other span ends at the thaw.
+        let live = now.max(self.frozen_until);
+        if live >= now + span {
             return;
         }
-        if now < self.frozen_until {
-            // Injected engine stall: each frozen step only ticks
-            // `busy_cycles` (mirrors the early return in [`Hht::step`]).
-            return;
-        }
+        let out_full_before = self.stats.engine.stall_out_full;
         let out = OutputLevels {
             primary_free: self.primary.free(),
             secondary_free: self.secondary.free(),
             counts_free: self.counts.free(),
         };
-        let out_full_before = self.stats.engine.stall_out_full;
-        let conflicts_before = self.stats.engine.port_conflicts;
-        engine.replay_inert(now, span, out, &mut self.stats.engine);
-        // Each replayed arbitration loss is one failing `try_start` the
-        // per-cycle loop would have issued — mirror it on the port side,
-        // against the address the engine was actually retrying (so a banked
-        // memory attributes the losses to the exact bank the per-cycle loop
-        // would have rejected on).
-        let lost = self.stats.engine.port_conflicts - conflicts_before;
-        if lost > 0 {
-            let wake = self.cached_wake.unwrap_or_else(|| engine.wake(now, out));
-            let addr = match wake {
-                Wake::NeedsPort { addr } => addr.unwrap_or(0),
-                _ => 0,
-            };
-            sram.skip_conflicts(now, lost, addr, Requester::Hht);
+        let wake = self.cached_wake.unwrap_or_else(|| engine.wake(now, out));
+        if !matches!(wake, Wake::At(_)) {
+            let conflicts_before = self.stats.engine.port_conflicts;
+            engine.replay_inert(wake, span, out, &mut self.stats.engine);
+            // Each replayed arbitration loss is one failing request the
+            // per-cycle loop would have issued — mirror it on the port
+            // side, against the address the engine was actually retrying
+            // (so a banked memory attributes the losses to the exact bank
+            // the per-cycle loop would have rejected on).
+            let lost = self.stats.engine.port_conflicts - conflicts_before;
+            if let (true, Wake::NeedsPort { addr, .. }) = (lost > 0, wake) {
+                sram.skip_conflicts(now, lost, addr, Requester::Hht);
+            }
         }
-        if self.stats.engine.stall_out_full > out_full_before && !self.out_stall_open {
+        let throttled = self.stats.engine.stall_out_full > out_full_before;
+        if throttled != self.out_stall_open {
             if let Some(bus) = self.obs.as_mut() {
-                bus.emit(now, Track::HhtBackend, EventKind::StallBegin(StallCause::OutputFull));
-                self.out_stall_open = true;
+                let kind = if throttled { EventKind::StallBegin } else { EventKind::StallEnd };
+                bus.emit(live, Track::HhtBackend, kind(StallCause::OutputFull));
+                self.out_stall_open = throttled;
             }
         }
     }
@@ -730,6 +720,29 @@ mod tests {
         // The second element is now at the head; the first never arrives.
         assert_eq!(hht.mmio_read(map::HHT_BUF_BASE, 51), MmioReadResult::Data(6.0f32.to_bits()));
         assert_eq!(hht.mmio_read(map::HHT_BUF_BASE, 52), MmioReadResult::Stall);
+    }
+
+    /// On row-timed memory a dropped response frees a primary slot: the
+    /// memoized wake is refreshed, the next step issues exactly one
+    /// gather, and the engine then waits on it rather than throttling.
+    #[test]
+    fn dropped_response_frees_a_slot_for_an_in_flight_gather() {
+        let mut port = crate::test_port::LogPort::new(4096, 1, true, 10);
+        port.load_words(0x100, &[0, 1, 2, 3]);
+        port.load_words(0x200, &[5, 6, 7, 8]);
+        let mut hht = Hht::new(HhtParams { num_buffers: 1, blen: 2 });
+        program_spmv(&mut hht, 0x100, 0x200, 4);
+        for now in 0..100 {
+            hht.step(now, &mut port);
+        }
+        assert_eq!(hht.next_event(100), Wake::OutputBlocked);
+        let gathers = |port: &crate::test_port::LogPort| port.granted_from(0x200).len();
+        assert_eq!(gathers(&port), 2);
+        assert!(hht.drop_response());
+        assert!(matches!(hht.next_event(100), Wake::NeedsPort { landing: None, .. }));
+        hht.step(100, &mut port);
+        assert_eq!(gathers(&port), 3);
+        assert_eq!(hht.next_event(101), Wake::At(100 + 1 + 10));
     }
 
     #[test]

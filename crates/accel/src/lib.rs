@@ -27,6 +27,8 @@ pub mod fifo;
 pub mod hht;
 pub mod mmr;
 pub mod programmable;
+#[cfg(test)]
+mod test_port;
 
 pub use engine::Wake;
 pub use fifo::ElemFifo;

@@ -142,12 +142,21 @@ struct MemOp {
     dest: Dest,
     /// Extra cycles added after every beat (gather address generation).
     extra_per_beat: u64,
+    /// Issue every beat as one burst transaction (a unit-stride vector
+    /// load of RAM over row-timed memory without an L1D).
+    burst: bool,
 }
 
 /// The simulated core. Stepped once per cycle by the system harness; the
 /// core keeps an internal `busy_until` so multi-cycle instructions occupy
 /// the pipe, exactly one instruction in flight (in-order, no overlap —
 /// Table 1's simple 3-stage machine).
+///
+/// A memory instruction issues one transaction per element, except a
+/// unit-stride `vle32` of RAM on a core without an L1D over row-timed
+/// memory ([`MemoryPort::row_timed`]): it is one `request_burst` of VL
+/// words, charged to the first word's bank and row, so a vector load pays
+/// one row response instead of VL.
 pub struct Core {
     cfg: CoreConfig,
     program: Program,
@@ -577,7 +586,15 @@ impl Core {
                     }
                     return;
                 }
-                match sram.request(now, beat.addr, who) {
+                // A burst op issues all its beats as one transaction: a
+                // refusal retries it whole, and on grant every word is
+                // read and becomes visible at the response cycle.
+                let issue = if op.burst {
+                    sram.request_burst(now, beat.addr, who, op.beats.len() as u64)
+                } else {
+                    sram.request(now, beat.addr, who)
+                };
+                match issue {
                     MemIssue::Refused(_) => {
                         self.stats.mem_port_stall_cycles += 1;
                         self.stats.stalls.record(StallCause::ArbitrationLoss);
@@ -590,9 +607,15 @@ impl Core {
                         return;
                     }
                     MemIssue::Granted { data_at: done, .. } => {
-                        op.collected.push(read_sized(sram, beat));
-                        op.next += 1;
-                        self.stats.mem_beats += 1;
+                        if op.burst {
+                            op.collected.extend(op.beats.iter().map(|&b| read_sized(sram, b)));
+                            op.next = op.beats.len();
+                            self.stats.mem_beats += op.beats.len() as u64;
+                        } else {
+                            op.collected.push(read_sized(sram, beat));
+                            op.next += 1;
+                            self.stats.mem_beats += 1;
+                        }
                         self.busy_until = done + op.extra_per_beat;
                         Self::obs_unstall(&mut self.obs, &mut self.open_stall, now);
                         Self::attribute_busy(
@@ -814,8 +837,14 @@ impl Core {
             self.stats.loads += 1;
         }
         let n = beats.len();
-        self.mem_op =
-            Some(MemOp { beats, next: 0, collected: Vec::with_capacity(n), dest, extra_per_beat });
+        self.mem_op = Some(MemOp {
+            beats,
+            next: 0,
+            collected: Vec::with_capacity(n),
+            dest,
+            extra_per_beat,
+            burst: false,
+        });
         self.set_busy(now, issue_cycles);
     }
 
@@ -986,6 +1015,14 @@ impl Core {
                 let base = self.read_x(rs1);
                 let addrs = (0..self.vl).map(|i| base.wrapping_add(4 * i as u32)).collect();
                 self.start_mem_op(now, sram, addrs, None, Dest::V(vd), cfg.vector_issue_cycles, 0);
+                // Over row-timed memory an all-RAM load without an L1D pays
+                // one row response for its VL words, charged to the first
+                // word's bank and row.
+                if sram.row_timed() && self.l1d.is_none() {
+                    if let Some(op) = self.mem_op.as_mut() {
+                        op.burst = op.beats.iter().all(|b| matches!(b.access, BeatAccess::RamRead));
+                    }
+                }
             }
             Vse32 { vs3, rs1 } => {
                 let base = self.read_x(rs1);
@@ -1533,5 +1570,158 @@ mod tests {
         let cfg = CoreConfig::paper_default().with_vlen(1);
         let (core, _) = run_cfg("li a0, 8\nvsetvli t0, a0, e32, m1\nebreak", &mut sram, cfg);
         assert_eq!(core.read_x(Reg::t(0)), 1);
+    }
+
+    /// An `Sram`-backed port that logs every request as
+    /// `(cycle, addr, words, burst)`, optionally claims row timing (adding
+    /// `extra` response cycles), and refuses every request before
+    /// `refuse_until`.
+    struct LogPort {
+        sram: Sram,
+        row_timed: bool,
+        extra: u64,
+        refuse_until: u64,
+        log: Vec<(u64, u32, u64, bool)>,
+    }
+
+    impl LogPort {
+        fn new(row_timed: bool, extra: u64, refuse_until: u64) -> Self {
+            let sram = Sram::new(4096, 2);
+            LogPort { sram, row_timed, extra, refuse_until, log: Vec::new() }
+        }
+
+        fn issue(
+            &mut self,
+            now: u64,
+            addr: u32,
+            who: Requester,
+            words: u64,
+            burst: bool,
+        ) -> MemIssue {
+            if now < self.refuse_until {
+                return MemIssue::Refused(hht_mem::MemRefusal::BankBusy);
+            }
+            self.log.push((now, addr, words, burst));
+            let done = self.sram.try_start_burst(now, who, words).expect("port is free");
+            MemIssue::Granted { data_at: done + self.extra, row: hht_mem::RowOutcome::Miss }
+        }
+    }
+
+    impl MemoryPort for LogPort {
+        fn try_start(&mut self, now: u64, addr: u32, who: Requester) -> Option<u64> {
+            self.request(now, addr, who).data_at()
+        }
+        fn try_start_burst(
+            &mut self,
+            now: u64,
+            addr: u32,
+            who: Requester,
+            words: u64,
+        ) -> Option<u64> {
+            self.request_burst(now, addr, who, words).data_at()
+        }
+        fn request(&mut self, now: u64, addr: u32, who: Requester) -> MemIssue {
+            self.issue(now, addr, who, 1, false)
+        }
+        fn request_burst(&mut self, now: u64, addr: u32, who: Requester, words: u64) -> MemIssue {
+            self.issue(now, addr, who, words, true)
+        }
+        fn row_timed(&self) -> bool {
+            self.row_timed
+        }
+        fn next_event(&self, now: u64) -> Option<u64> {
+            self.sram.next_event(now)
+        }
+        fn skip_conflicts(&mut self, now: u64, span: u64, _addr: u32, who: Requester) {
+            self.sram.skip_conflicts(now, span, who)
+        }
+        fn size(&self) -> u32 {
+            self.sram.size()
+        }
+        fn word_cycles(&self) -> u64 {
+            self.sram.word_cycles()
+        }
+        fn read_u8(&self, addr: u32) -> u8 {
+            self.sram.read_u8(addr)
+        }
+        fn read_u16(&self, addr: u32) -> u16 {
+            self.sram.read_u16(addr)
+        }
+        fn read_u32(&self, addr: u32) -> u32 {
+            self.sram.read_u32(addr)
+        }
+        fn read_u32_checked(&self, addr: u32) -> Option<u32> {
+            self.sram.read_u32_checked(addr)
+        }
+        fn write_u8(&mut self, addr: u32, value: u8) {
+            self.sram.write_u8(addr, value)
+        }
+        fn write_u16(&mut self, addr: u32, value: u16) {
+            self.sram.write_u16(addr, value)
+        }
+        fn write_u32(&mut self, addr: u32, value: u32) {
+            self.sram.write_u32(addr, value)
+        }
+    }
+
+    const VLE_PRE: &str = "li a0, 8\nvsetvli t0, a0, e32, m1\nli a1, 0x100\n";
+
+    /// A unit-stride `vle32` is one burst of VL words on row-timed memory
+    /// (visible at the response cycle) and VL word requests on flat
+    /// memory; both load the same register.
+    #[test]
+    fn vle32_is_one_burst_only_on_row_timed_memory() {
+        let run_vle = |row_timed: bool| {
+            let mut port = LogPort::new(row_timed, 30, 0);
+            port.load_words(0x100, &(10..18).collect::<Vec<u32>>());
+            let (core, cycles) = run(&format!("{VLE_PRE}vle32.v v1, (a1)\nebreak"), &mut port);
+            assert_eq!(core.read_v(VReg::new(1)), (10..18).collect::<Vec<u32>>().as_slice());
+            (port.log, core.stats(), cycles)
+        };
+        let (burst, stats, burst_cycles) = run_vle(true);
+        assert_eq!(burst.len(), 1);
+        let (at, addr, words, is_burst) = burst[0];
+        assert_eq!((addr, words, is_burst), (0x100, 8, true));
+        assert_eq!(stats.mem_beats, 8);
+        assert_eq!(stats.loads, 1);
+        // The response lands one row latency after the 8-word transfer.
+        assert_eq!(burst_cycles, at + (2 + 7 + 30) + 1);
+        let (words, _, flat_cycles) = run_vle(false);
+        let expect: Vec<(u32, u64, bool)> = (0..8).map(|i| (0x100 + 4 * i, 1, false)).collect();
+        let got: Vec<(u32, u64, bool)> = words.iter().map(|&(_, a, w, b)| (a, w, b)).collect();
+        assert_eq!(got, expect);
+        assert!(flat_cycles > burst_cycles);
+    }
+
+    /// A refused burst retries whole on the next cycle, charging one
+    /// arbitration loss per refused cycle.
+    #[test]
+    fn refused_vle32_burst_retries_whole() {
+        let mut port = LogPort::new(true, 0, 40);
+        let (core, _) = run(&format!("{VLE_PRE}vle32.v v1, (a1)\nebreak"), &mut port);
+        assert_eq!(port.log.len(), 1);
+        let (at, addr, words, burst) = port.log[0];
+        assert_eq!((at, addr, words, burst), (40, 0x100, 8, true));
+        let first_try = at - core.stats().mem_port_stall_cycles;
+        assert!(first_try > 0 && first_try < 40);
+        assert_eq!(core.stats().stalls.arbitration_loss, core.stats().mem_port_stall_cycles);
+    }
+
+    /// Indexed gathers and stores stay word by word on row-timed memory.
+    #[test]
+    fn vluxei32_and_vse32_stay_word_by_word_on_row_timed_memory() {
+        let mut port = LogPort::new(true, 5, 0);
+        port.load_words(0x200, &[0, 4, 8, 12, 16, 20, 24, 28]);
+        let src = format!(
+            "{VLE_PRE}li a2, 0x200\nvle32.v v1, (a2)\nvluxei32.v v2, (a1), v1\n\
+             li a3, 0x300\nvse32.v v2, (a3)\nebreak"
+        );
+        let _ = run(&src, &mut port);
+        let bursts: Vec<_> = port.log.iter().filter(|l| l.3).collect();
+        assert_eq!(bursts.len(), 1, "only the unit-stride load bursts");
+        let gathers = port.log.iter().filter(|l| (0x100..0x120).contains(&l.1)).count();
+        let stores = port.log.iter().filter(|l| (0x300..0x320).contains(&l.1)).count();
+        assert_eq!((gathers, stores), (8, 8));
+        assert!(port.log.iter().filter(|l| l.1 < 0x200 || l.1 >= 0x300).all(|l| l.2 == 1));
     }
 }

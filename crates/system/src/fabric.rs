@@ -25,12 +25,14 @@
 //!   (proved in `tests/determinism.rs`).
 //! - **Skips are bank-exact.** Both CPU port waits
 //!   ([`hht_sim::Core::pending_port_addr`]) and engine port waits
-//!   (`Wake::NeedsPort { addr }`) carry the address they are retrying, so
-//!   the scheduler bounds each wait by the exact bank's free cycle — a
+//!   (`Wake::NeedsPort { addr, .. }`) carry the address they are retrying,
+//!   so the scheduler bounds each wait by the exact bank's free cycle — a
 //!   busy bank's `free_at` cannot move while no tile steps, because only
-//!   a grant (which requires the bank to be free) reprograms it.
+//!   a grant (which requires the bank to be free) reprograms it. An
+//!   engine with responses in flight also names its earliest `landing`,
+//!   which caps the wait.
 //! - **Parking is per-tile.** With [`SystemConfig::cycle_skip`] on (the
-//!   default), a min-heap of `(wake, tile)` entries advances each tile
+//!   default), a queue of `(wake, tile)` entries advances each tile
 //!   independently to its own next wake, so one busy tile never forces
 //!   per-cycle host work for its parked neighbours. Both schedulers are
 //!   bit-identical in everything simulated (see `Fabric::run_event_queue`
@@ -820,17 +822,15 @@ impl Fabric {
         }
         let hht_bound = match tile.hht.next_event(now) {
             Wake::At(at) => Some(at),
-            Wake::NeedsPort { addr } => {
+            Wake::NeedsPort { addr, landing } => {
                 // Bank-exact resolution: the engine issues the moment
                 // the bank serving its named address frees (a busy
-                // bank's `free_at` cannot move while the bank is busy). A
-                // free bank — or an engine that cannot name its target
-                // — means the engine could issue on the very next
-                // stepped cycle, so the bound is `now` (no park).
-                match addr.map(|a| self.mem.next_event_for(t, a, now)) {
-                    Some(Some(free_at)) => Some(free_at),
-                    _ => Some(now),
-                }
+                // bank's `free_at` cannot move while the bank is busy);
+                // a free bank means it could issue on the very next
+                // stepped cycle, so the bound is `now` (no park). An
+                // in-flight response landing first ends the wait sooner.
+                let free_at = self.mem.next_event_for(t, addr, now).unwrap_or(now);
+                Some(landing.map_or(free_at, |at| at.min(free_at)))
             }
             Wake::OutputBlocked | Wake::Never => None,
         };
@@ -909,18 +909,25 @@ impl Fabric {
     ///   scheduler-invariant) or the watchdog limit.
     fn run_event_queue(&mut self) -> Result<FabricStats, FabricError> {
         let n = self.tiles.len();
-        // One entry per live tile, always: a tile leaves the heap only by
-        // halting. Ties pop lowest-tile-first, but the order never matters
-        // — the due set is collected fully, then stepped in arbiter order.
-        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = (0..n)
-            .filter(|&t| !self.tiles[t].core.halted())
-            .map(|t| Reverse((self.cycle, t)))
-            .collect();
+        // One entry per live tile, always: a tile leaves the queue only by
+        // halting. Tiles due on the next cycle wait in `ready`, parked ones
+        // in the heap. Ties pop lowest-tile-first, but the order never
+        // matters — the due set is collected fully, then stepped in
+        // arbiter order.
+        let mut ready: Vec<usize> = (0..n).filter(|&t| !self.tiles[t].core.halted()).collect();
+        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::with_capacity(n);
         let mut due: Vec<usize> = Vec::with_capacity(n);
         // Tiles halted before ever stepping still get their `done_at`
         // latched after the first stepped cycle, exactly as in `step`.
         let mut prehalted: Vec<usize> = (0..n).filter(|&t| self.tiles[t].core.halted()).collect();
-        'sched: while let Some(&Reverse((wake, _))) = heap.peek() {
+        loop {
+            let wake = if !ready.is_empty() {
+                self.cycle
+            } else if let Some(&Reverse((wake, _))) = heap.peek() {
+                wake
+            } else {
+                break;
+            };
             // Jump the clock to the earliest wake. The cycles in between
             // were already paid for when each park's replay committed.
             if wake > self.cycle {
@@ -931,17 +938,20 @@ impl Fabric {
                 }
                 self.cycle = wake;
                 if self.cycle >= self.max_cycles {
-                    break 'sched;
+                    break;
                 }
             }
             self.inject_due_faults();
             due.clear();
+            due.append(&mut ready);
             while let Some(&Reverse((w, t))) = heap.peek() {
                 if w > self.cycle {
                     break;
                 }
                 heap.pop();
                 due.push(t);
+            }
+            for &t in &due {
                 self.tile_sched[t].pops += 1;
             }
             // Step the due set: CPUs first, then HHTs, both in arbiter
@@ -975,7 +985,7 @@ impl Fabric {
                 }
             }
             if self.cycle >= self.max_cycles {
-                break 'sched;
+                break;
             }
             // Re-plan every stepped tile from the new cycle: park it to
             // its bound (committing the span's charges eagerly) or
@@ -998,7 +1008,7 @@ impl Fabric {
                     self.commit_park(t, now, target - now, &plan);
                     heap.push(Reverse((target, t)));
                 } else {
-                    heap.push(Reverse((now, t)));
+                    ready.push(t);
                 }
             }
         }
@@ -1168,6 +1178,51 @@ mod tests {
         let bad = assemble("li a0, 0x50000000\nlw a1, 0(a0)\nebreak").unwrap();
         let mut fabric = Fabric::new(&cfg, fab, vec![ok, bad], mem_for(&cfg, fab));
         assert!(fabric.run().is_err());
+    }
+
+    /// Run SpMV under the per-cycle loop and count the cycles on which some
+    /// tile's engine waits for the port with gathers in flight, split by
+    /// what holds it: a busy bank that frees only after the oldest landing
+    /// (so the landing caps the wait), or a full in-flight window.
+    fn in_flight_port_waits(cfg: &SystemConfig, fab: FabricConfig) -> (u64, u64) {
+        let m = hht_sparse::generate::random_csr(64, 64, 0.7, 7);
+        let v = hht_sparse::generate::random_dense_vector(64, 8);
+        let cfg = cfg.with_cycle_skip(false);
+        let (mut fabric, _) = crate::runner::build_spmv_fabric(&cfg, fab, &m, &v);
+        let window = cfg.dram.map_or(0, |d| d.max_inflight_per_tile) as usize;
+        let (mut landing_first, mut window_full) = (0, 0);
+        while fabric.tiles.iter().any(|t| !t.core.halted()) {
+            let now = fabric.cycle;
+            for t in 0..fabric.tiles.len() {
+                if let Wake::NeedsPort { addr, landing: Some(at) } =
+                    fabric.tiles[t].hht.next_event(now)
+                {
+                    if window > 0 && fabric.mem.in_flight(t, now) >= window {
+                        window_full += 1;
+                    } else if fabric.mem.next_event_for(t, addr, now).is_some_and(|f| f > at) {
+                        landing_first += 1;
+                    }
+                }
+            }
+            fabric.step();
+        }
+        (landing_first, window_full)
+    }
+
+    /// The two in-flight port waits the scheduler must cap at the oldest
+    /// landing both occur in the runs
+    /// `tests/determinism.rs::in_flight_gather_waits_are_bit_identical_across_schedulers`
+    /// pins (same matrix, same configurations).
+    #[test]
+    fn row_timed_spmv_waits_on_the_port_with_gathers_in_flight() {
+        let short_rows = DramConfig::flat().with_row_latency(1, 3).with_row_words(16);
+        let cfg = SystemConfig::paper_default().with_dram(short_rows).with_vlen(16);
+        let fab = FabricConfig { tiles: 4, banks: 2, arb: ArbPolicy::RoundRobin };
+        let (landing_first, _) = in_flight_port_waits(&cfg, fab);
+        assert!(landing_first > 0, "no landing came before a busy bank freed");
+        let cfg = SystemConfig::paper_default().with_dram(DramConfig::slow_300ns());
+        let (_, window_full) = in_flight_port_waits(&cfg, FabricConfig::scaled(2));
+        assert!(window_full > 0, "the window never filled with gathers in flight");
     }
 
     #[test]

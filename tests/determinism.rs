@@ -409,28 +409,36 @@ fn event_queue_matches_lockstep_under_fault_injection() {
     // Timing faults (delays, engine stalls) move wake times and memory
     // faults may corrupt the result, so drive the fabric directly (no
     // golden verify): both schedulers must produce the same outcome —
-    // same stats, same output words, same traced fault timeline.
+    // same stats, same output words, same traced fault timeline. On the
+    // 300 ns DRAM corner the faults land among in-flight gathers; its
+    // runs are longer and its window waits slower, so the fault horizon
+    // and the HHT timeout scale with them.
+    use hht::mem::DramConfig;
     use hht::system::FabricConfig;
     let m = generate::random_csr(32, 32, 0.5, 0xFA8);
     let v = generate::random_dense_vector(32, 0xFA9);
-    for (tiles, fault_seed) in [(2usize, 11u64), (4, 23), (8, 37), (4, 59)] {
-        let cfg = SystemConfig::paper_default()
-            .with_trace(TraceConfig::enabled())
-            .with_hht_timeout(64)
-            .with_fault(FaultConfig { seed: fault_seed, max_faults: 3, horizon: 4096 });
-        let fab = FabricConfig::scaled(tiles);
-        let (mut eq, y_base) = runner::build_spmv_fabric(&cfg, fab, &m, &v);
-        let eq_res = eq.run();
-        let (mut pc, _) = runner::build_spmv_fabric(&cfg.with_cycle_skip(false), fab, &m, &v);
-        let pc_res = pc.run();
-        assert_eq!(
-            format!("{eq_res:?}"),
-            format!("{pc_res:?}"),
-            "tiles={tiles} fault_seed={fault_seed}"
-        );
-        assert_eq!(eq.stats(), pc.stats(), "tiles={tiles} fault_seed={fault_seed}");
-        assert_eq!(eq.read_output(y_base, 32), pc.read_output(y_base, 32));
-        assert_eq!(eq.take_all_events(), pc.take_all_events(), "tiles={tiles}");
+    let memories = [(None, 64, 4096), (Some(DramConfig::slow_300ns()), 1024, 20_000)];
+    for (dram, timeout, horizon) in memories {
+        let mut injected = 0;
+        for (tiles, fault_seed) in [(2usize, 11u64), (4, 23), (8, 37), (4, 59)] {
+            let mut cfg = SystemConfig::paper_default()
+                .with_trace(TraceConfig::enabled())
+                .with_hht_timeout(timeout)
+                .with_fault(FaultConfig { seed: fault_seed, max_faults: 3, horizon });
+            cfg.dram = dram;
+            let fab = FabricConfig::scaled(tiles);
+            let (mut eq, y_base) = runner::build_spmv_fabric(&cfg, fab, &m, &v);
+            let eq_res = eq.run();
+            let (mut pc, _) = runner::build_spmv_fabric(&cfg.with_cycle_skip(false), fab, &m, &v);
+            let pc_res = pc.run();
+            let case = format!("dram={dram:?} tiles={tiles} fault_seed={fault_seed}");
+            assert_eq!(format!("{eq_res:?}"), format!("{pc_res:?}"), "{case}");
+            assert_eq!(eq.stats(), pc.stats(), "{case}");
+            assert_eq!(eq.read_output(y_base, 32), pc.read_output(y_base, 32), "{case}");
+            assert_eq!(eq.take_all_events(), pc.take_all_events(), "{case}");
+            injected += eq.stats().merged().faults.injected;
+        }
+        assert!(injected > 0, "dram={dram:?}: no fault landed");
     }
 }
 
@@ -584,15 +592,66 @@ proptest! {
     }
 }
 
+/// Run fabric SpMV under the event queue and the per-cycle oracle and
+/// require identical stats, `y` and traced events.
+fn assert_spmv_schedulers_agree(
+    cfg: SystemConfig,
+    fab: hht::system::FabricConfig,
+    m: &hht::sparse::CsrMatrix,
+    v: &hht::sparse::DenseVector,
+) {
+    let cfg = cfg.with_trace(TraceConfig::enabled());
+    let eq = runner::run_spmv_fabric(&cfg.with_cycle_skip(true), fab, m, v);
+    let pc = runner::run_spmv_fabric(&cfg.with_cycle_skip(false), fab, m, v);
+    assert_eq!(eq.stats, pc.stats);
+    assert_eq!(eq.y, pc.y);
+    assert_eq!(eq.tile_events, pc.tile_events);
+}
+
+/// The row-timed configurations in which an engine waits on the port with
+/// gathers in flight, and the wait must end at the oldest landing:
+/// short rows and two banks under 16-word core bursts (a landing comes
+/// before the busy bank frees), and the 300 ns corner (the per-tile
+/// window fills while gathers are in flight). `hht-system`'s
+/// `row_timed_spmv_waits_on_the_port_with_gathers_in_flight` checks that
+/// both waits occur.
+fn in_flight_wait_configs() -> [(SystemConfig, hht::system::FabricConfig); 2] {
+    use hht::mem::DramConfig;
+    use hht::system::{ArbPolicy, FabricConfig};
+    let short_rows = DramConfig::flat().with_row_latency(1, 3).with_row_words(16);
+    [
+        (
+            SystemConfig::paper_default().with_dram(short_rows).with_vlen(16),
+            FabricConfig { tiles: 4, banks: 2, arb: ArbPolicy::RoundRobin },
+        ),
+        (
+            SystemConfig::paper_default().with_dram(DramConfig::slow_300ns()),
+            FabricConfig::scaled(2),
+        ),
+    ]
+}
+
+#[test]
+fn in_flight_gather_waits_are_bit_identical_across_schedulers() {
+    let m = generate::random_csr(64, 64, 0.7, 7);
+    let v = generate::random_dense_vector(64, 8);
+    for (cfg, fab) in in_flight_wait_configs() {
+        assert_spmv_schedulers_agree(cfg, fab, &m, &v);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// HHT column bursts on row-timed DRAM keep the scheduler differential:
-    /// a burst is one transaction whose response lands BLEN-1 port cycles
-    /// plus a row extra later, so parks, window stalls and budget refusals
-    /// around it must replay to the same cycle stamps under the event
-    /// queue and the per-cycle oracle. The matrix's nnz is never a
-    /// multiple of BLEN, so some shard ends in a short tail burst.
+    /// HHT column bursts and in-flight gathers on row-timed DRAM keep the
+    /// scheduler differential: a burst is one transaction whose response
+    /// lands BLEN-1 port cycles plus a row extra later, and gathers land
+    /// in issue order while the next ones wait for the port, so parks,
+    /// window stalls and budget refusals around them must replay to the
+    /// same cycle stamps under the event queue and the per-cycle oracle.
+    /// The matrix's nnz is never a multiple of BLEN, so some shard ends in
+    /// a short tail burst. Each case also runs the two in-flight port
+    /// waits of `in_flight_wait_configs`.
     #[test]
     fn row_timed_hht_bursts_are_bit_identical_across_schedulers(
         row_latency in (0u64..=400, 0u64..=400),
@@ -612,10 +671,7 @@ proptest! {
             .with_window(window)
             .with_bandwidth(budget);
         let vlen = [1usize, 8, 16][vlen_pick];
-        let cfg = SystemConfig::paper_default()
-            .with_dram(dc)
-            .with_vlen(vlen)
-            .with_trace(TraceConfig::enabled());
+        let cfg = SystemConfig::paper_default().with_dram(dc).with_vlen(vlen);
         let blen = cfg.hht.blen;
         let sparsity = sparsity_pct as f64 / 100.0;
         // The generator's nnz is exact for a shape, so step the size.
@@ -624,12 +680,10 @@ proptest! {
             .find(|m| m.nnz() % blen != 0)
             .expect("some size gives an nnz off the BLEN grid");
         let v = generate::random_dense_vector(m.cols(), seed ^ 0x5EED);
-        let fab = FabricConfig::scaled(1 << tiles_log);
-        let eq = runner::run_spmv_fabric(&cfg.with_cycle_skip(true), fab, &m, &v);
-        let pc = runner::run_spmv_fabric(&cfg.with_cycle_skip(false), fab, &m, &v);
-        prop_assert_eq!(eq.stats, pc.stats);
-        prop_assert_eq!(eq.y, pc.y);
-        prop_assert_eq!(eq.tile_events, pc.tile_events);
+        assert_spmv_schedulers_agree(cfg, FabricConfig::scaled(1 << tiles_log), &m, &v);
+        for (cfg, fab) in in_flight_wait_configs() {
+            assert_spmv_schedulers_agree(cfg, fab, &m, &v);
+        }
     }
 }
 
