@@ -2,9 +2,9 @@
 //!
 //! [`SharedMemory`] generalizes the single-ported [`Sram`](crate::Sram):
 //! the flat byte array is shared by every tile, but the timing model has
-//! `banks` independent ports, address-interleaved at a `bank_words` granule
-//! (32 bytes by default — one L1D line, so a line fill streams from one
-//! bank). Each tile accesses memory through a
+//! `banks` independent ports (a power of two), address-interleaved at a
+//! fixed [`BANK_WORDS`] granule (32 bytes — one L1D line, so a line fill
+//! streams from one bank). Each tile accesses memory through a
 //! [`FabricPort`](crate::FabricPort) view of the [`Dram`](crate::Dram)
 //! wrapping it (flat by default); grants, conflicts and
 //! arbitration events are accounted *per tile* (so a tile's `SramStats`
@@ -104,19 +104,23 @@ struct Bank {
 pub struct SharedMemory {
     data: Vec<u8>,
     word_cycles: u64,
-    bank_words: u32,
     banks: Vec<Bank>,
     tile_stats: Vec<SramStats>,
     obs: Vec<Option<Box<EventBus>>>,
     stats: SharedMemStats,
 }
 
-/// Default interleave granule: 8 words = 32 bytes, one L1D line.
-pub const DEFAULT_BANK_WORDS: u32 = 8;
+/// Interleave granule: 8 words = 32 bytes, one L1D line.
+pub const BANK_WORDS: u32 = 8;
+
+/// Byte-address shift selecting the granule: `log2(4 * BANK_WORDS)`.
+const BANK_SHIFT: u32 = (4 * BANK_WORDS).trailing_zeros();
 
 impl SharedMemory {
     /// Create a shared memory of `size` bytes with `word_cycles` per word,
-    /// `banks` interleaved ports and `tiles` accounting domains.
+    /// `banks` interleaved ports and `tiles` accounting domains. `banks`
+    /// must be a power of two, so the bank of an address is a shift and a
+    /// mask.
     pub fn new(size: u32, word_cycles: u64, banks: usize, tiles: usize) -> Self {
         Self::from_parts(vec![0; size as usize], word_cycles, banks, tiles)
     }
@@ -138,24 +142,16 @@ impl SharedMemory {
     fn from_parts(data: Vec<u8>, word_cycles: u64, banks: usize, tiles: usize) -> Self {
         assert!(word_cycles >= 1, "an access takes at least one cycle");
         assert!(banks >= 1, "at least one bank");
+        assert!(banks.is_power_of_two(), "bank count must be a power of two, got {banks}");
         assert!(tiles >= 1, "at least one tile");
         SharedMemory {
             data,
             word_cycles,
-            bank_words: DEFAULT_BANK_WORDS,
             banks: vec![Bank { free_at: 0, holder: 0 }; banks],
             tile_stats: vec![SramStats::default(); tiles],
             obs: (0..tiles).map(|_| None).collect(),
             stats: SharedMemStats { banks: banks as u64, ..SharedMemStats::default() },
         }
-    }
-
-    /// Override the interleave granule (in words). Rarely needed; the
-    /// default is one L1D line so line fills stay within a bank.
-    pub fn with_bank_words(mut self, bank_words: u32) -> Self {
-        assert!(bank_words >= 1, "granule of at least one word");
-        self.bank_words = bank_words;
-        self
     }
 
     /// Install a structured-event sink for one tile's arbitration events.
@@ -207,8 +203,11 @@ impl SharedMemory {
         self.stats
     }
 
+    /// Bank serving `addr`: granule index modulo the (power-of-two) bank
+    /// count.
+    #[inline]
     pub(crate) fn bank_of(&self, addr: u32) -> usize {
-        ((addr >> 2) / self.bank_words) as usize % self.banks.len()
+        (addr >> BANK_SHIFT) as usize & (self.banks.len() - 1)
     }
 
     /// Cycle the bank frees (≤ `now` means idle). Hook for the DRAM wrapper,
@@ -544,6 +543,25 @@ mod tests {
         FabricPort::new(&mut b, 1).skip_conflicts(1, 3, 0x4, Requester::Cpu);
         assert_eq!(a.inner().stats_for(1), b.inner().stats_for(1));
         assert_eq!(a.inner().shared_stats(), b.inner().shared_stats());
+    }
+
+    #[test]
+    fn bank_of_is_the_granule_index_modulo_banks() {
+        let addrs =
+            (0..4096u32).step_by(4).chain((0..64).map(|i| 0x9E37_79B8u32.wrapping_mul(i) & !3));
+        for banks in [1usize, 2, 4, 8] {
+            let m = SharedMemory::new(64, 1, banks, 1);
+            for addr in addrs.clone() {
+                let by_division = ((addr >> 2) / BANK_WORDS) as usize % banks;
+                assert_eq!(m.bank_of(addr), by_division, "banks={banks} addr={addr:#x}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bank count must be a power of two, got 3")]
+    fn three_banks_are_rejected() {
+        SharedMemory::new(64, 1, 3, 1);
     }
 
     #[test]

@@ -157,6 +157,10 @@ struct MemOp {
 /// memory ([`MemoryPort::row_timed`]): it is one `request_burst` of VL
 /// words, charged to the first word's bank and row, so a vector load pays
 /// one row response instead of VL.
+///
+/// Memory ops allocate nothing per instruction: addresses and store values
+/// are staged in core-owned scratch buffers, and a finished op hands its
+/// beat and load-data buffers back to the core for the next one.
 pub struct Core {
     cfg: CoreConfig,
     program: Program,
@@ -182,6 +186,13 @@ pub struct Core {
     hht_stall_run: u64,
     /// Retries taken since the last successful HHT window beat.
     hht_retries_used: u32,
+    /// Beat and load-data buffers of the last finished memory op, reused
+    /// by the next one.
+    spare_beats: Vec<Beat>,
+    spare_collected: Vec<u32>,
+    /// Vector-op address and store-value staging.
+    addr_scratch: Vec<u32>,
+    val_scratch: Vec<u32>,
 }
 
 impl fmt::Debug for Core {
@@ -219,6 +230,10 @@ impl Core {
             l1d: cfg.l1d.map(|g| L1dCache::new(g.size_bytes, g.assoc, g.line_bytes)),
             hht_stall_run: 0,
             hht_retries_used: 0,
+            spare_beats: Vec::with_capacity(cfg.vlen),
+            spare_collected: Vec::with_capacity(cfg.vlen),
+            addr_scratch: Vec::with_capacity(cfg.vlen),
+            val_scratch: Vec::with_capacity(cfg.vlen),
         }
     }
 
@@ -756,13 +771,11 @@ impl Core {
         match op.dest {
             Dest::X(r) => self.write_x(r, op.collected[0]),
             Dest::F(r) => self.f[r.index()] = op.collected[0],
-            Dest::V(r) => {
-                for (i, w) in op.collected.iter().enumerate() {
-                    self.v[r.index()][i] = *w;
-                }
-            }
+            Dest::V(r) => self.v[r.index()][..op.collected.len()].copy_from_slice(&op.collected),
             Dest::None => {}
         }
+        self.spare_beats = op.beats;
+        self.spare_collected = op.collected;
     }
 
     /// Classify an address; `None` for unmapped or misaligned.
@@ -785,8 +798,8 @@ impl Core {
         &mut self,
         now: u64,
         sram: &dyn MemoryPort,
-        addrs: Vec<u32>,
-        write_values: Option<Vec<u32>>,
+        addrs: &[u32],
+        write_values: Option<&[u32]>,
         dest: Dest,
         issue_cycles: u64,
         extra_per_beat: u64,
@@ -809,42 +822,38 @@ impl Core {
         &mut self,
         now: u64,
         sram: &dyn MemoryPort,
-        addrs: Vec<u32>,
-        write_values: Option<Vec<u32>>,
+        addrs: &[u32],
+        write_values: Option<&[u32]>,
         dest: Dest,
         issue_cycles: u64,
         extra_per_beat: u64,
         width: MemWidth,
         signed: bool,
     ) {
-        let mut beats = Vec::with_capacity(addrs.len());
-        for (i, addr) in addrs.iter().enumerate() {
-            let Some(is_ram) = self.classify(sram, *addr, width) else {
-                self.fault(RunError::MemFault(*addr));
+        let mut beats = std::mem::take(&mut self.spare_beats);
+        beats.clear();
+        for (i, &addr) in addrs.iter().enumerate() {
+            let Some(is_ram) = self.classify(sram, addr, width) else {
+                self.spare_beats = beats;
+                self.fault(RunError::MemFault(addr));
                 return;
             };
-            let access = match (&write_values, is_ram) {
+            let access = match (write_values, is_ram) {
                 (None, true) => BeatAccess::RamRead,
                 (None, false) => BeatAccess::DevRead,
                 (Some(vs), true) => BeatAccess::RamWrite(vs[i]),
                 (Some(vs), false) => BeatAccess::DevWrite(vs[i]),
             };
-            beats.push(Beat { addr: *addr, access, width, signed });
+            beats.push(Beat { addr, access, width, signed });
         }
         if write_values.is_some() {
             self.stats.stores += 1;
         } else {
             self.stats.loads += 1;
         }
-        let n = beats.len();
-        self.mem_op = Some(MemOp {
-            beats,
-            next: 0,
-            collected: Vec::with_capacity(n),
-            dest,
-            extra_per_beat,
-            burst: false,
-        });
+        let mut collected = std::mem::take(&mut self.spare_collected);
+        collected.clear();
+        self.mem_op = Some(MemOp { beats, next: 0, collected, dest, extra_per_beat, burst: false });
         self.set_busy(now, issue_cycles);
     }
 
@@ -902,21 +911,21 @@ impl Core {
             }
             Lw { rd, rs1, offset } => {
                 let addr = self.read_x(rs1).wrapping_add(offset as u32);
-                self.start_mem_op(now, sram, vec![addr], None, Dest::X(rd), 0, 0);
+                self.start_mem_op(now, sram, &[addr], None, Dest::X(rd), 0, 0);
             }
             Sw { rs1, rs2, offset } => {
                 let addr = self.read_x(rs1).wrapping_add(offset as u32);
                 let v = self.read_x(rs2);
-                self.start_mem_op(now, sram, vec![addr], Some(vec![v]), Dest::None, 0, 0);
+                self.start_mem_op(now, sram, &[addr], Some(&[v]), Dest::None, 0, 0);
             }
             Flw { rd, rs1, offset } => {
                 let addr = self.read_x(rs1).wrapping_add(offset as u32);
-                self.start_mem_op(now, sram, vec![addr], None, Dest::F(rd), 0, 0);
+                self.start_mem_op(now, sram, &[addr], None, Dest::F(rd), 0, 0);
             }
             Fsw { rs1, rs2, offset } => {
                 let addr = self.read_x(rs1).wrapping_add(offset as u32);
                 let v = self.f[rs2.index()];
-                self.start_mem_op(now, sram, vec![addr], Some(vec![v]), Dest::None, 0, 0);
+                self.start_mem_op(now, sram, &[addr], Some(&[v]), Dest::None, 0, 0);
             }
             OpImm { op, rd, rs1, imm } => {
                 let v = alu(op, self.read_x(rs1), imm as u32);
@@ -949,17 +958,7 @@ impl Core {
             }
             LoadNarrow { rd, rs1, offset, width, signed } => {
                 let addr = self.read_x(rs1).wrapping_add(offset as u32);
-                self.start_mem_op_sized(
-                    now,
-                    sram,
-                    vec![addr],
-                    None,
-                    Dest::X(rd),
-                    0,
-                    0,
-                    width,
-                    signed,
-                );
+                self.start_mem_op_sized(now, sram, &[addr], None, Dest::X(rd), 0, 0, width, signed);
             }
             StoreNarrow { rs1, rs2, offset, width } => {
                 let addr = self.read_x(rs1).wrapping_add(offset as u32);
@@ -967,8 +966,8 @@ impl Core {
                 self.start_mem_op_sized(
                     now,
                     sram,
-                    vec![addr],
-                    Some(vec![v]),
+                    &[addr],
+                    Some(&[v]),
                     Dest::None,
                     0,
                     0,
@@ -1013,8 +1012,11 @@ impl Core {
             }
             Vle32 { vd, rs1 } => {
                 let base = self.read_x(rs1);
-                let addrs = (0..self.vl).map(|i| base.wrapping_add(4 * i as u32)).collect();
-                self.start_mem_op(now, sram, addrs, None, Dest::V(vd), cfg.vector_issue_cycles, 0);
+                let mut addrs = std::mem::take(&mut self.addr_scratch);
+                addrs.clear();
+                addrs.extend((0..self.vl).map(|i| base.wrapping_add(4 * i as u32)));
+                self.start_mem_op(now, sram, &addrs, None, Dest::V(vd), cfg.vector_issue_cycles, 0);
+                self.addr_scratch = addrs;
                 // Over row-timed memory an all-RAM load without an L1D pays
                 // one row response for its VL words, charged to the first
                 // word's bank and row.
@@ -1026,32 +1028,41 @@ impl Core {
             }
             Vse32 { vs3, rs1 } => {
                 let base = self.read_x(rs1);
-                let addrs: Vec<u32> =
-                    (0..self.vl).map(|i| base.wrapping_add(4 * i as u32)).collect();
-                let vals = self.v[vs3.index()][..self.vl].to_vec();
+                let mut addrs = std::mem::take(&mut self.addr_scratch);
+                let mut vals = std::mem::take(&mut self.val_scratch);
+                addrs.clear();
+                addrs.extend((0..self.vl).map(|i| base.wrapping_add(4 * i as u32)));
+                vals.clear();
+                vals.extend_from_slice(&self.v[vs3.index()][..self.vl]);
                 self.start_mem_op(
                     now,
                     sram,
-                    addrs,
-                    Some(vals),
+                    &addrs,
+                    Some(&vals),
                     Dest::None,
                     cfg.vector_issue_cycles,
                     0,
                 );
+                self.addr_scratch = addrs;
+                self.val_scratch = vals;
             }
             Vluxei32 { vd, rs1, vs2 } => {
                 let base = self.read_x(rs1);
-                let addrs =
-                    (0..self.vl).map(|i| base.wrapping_add(self.v[vs2.index()][i])).collect();
+                let mut addrs = std::mem::take(&mut self.addr_scratch);
+                addrs.clear();
+                addrs.extend(
+                    self.v[vs2.index()][..self.vl].iter().map(|&off| base.wrapping_add(off)),
+                );
                 self.start_mem_op(
                     now,
                     sram,
-                    addrs,
+                    &addrs,
                     None,
                     Dest::V(vd),
                     cfg.vector_issue_cycles + cfg.gather_issue_cycles,
                     cfg.gather_addr_cycles,
                 );
+                self.addr_scratch = addrs;
             }
             VfmaccVV { vd, vs1, vs2 } => {
                 for i in 0..self.vl {

@@ -906,7 +906,12 @@ impl Fabric {
     ///   target is capped by `next_live_fault_cycle`; events aimed at
     ///   halted tiles are dropped at injection in both schedulers, so the
     ///   cumulative take-due set — and therefore every drop decision — is
-    ///   scheduler-invariant) or the watchdog limit.
+    ///   scheduler-invariant) or the watchdog limit;
+    /// - a *solo run* ([`Self::run_solo`]) only drops bookkeeping that is
+    ///   provably a no-op while one tile is due: it stops at the heap's
+    ///   earliest wake, the next pending fault event and the watchdog
+    ///   limit, and steps and re-plans through the same
+    ///   [`Self::step_tiles`] and [`Self::replan_tile`] as the general loop.
     fn run_event_queue(&mut self) -> Result<FabricStats, FabricError> {
         let n = self.tiles.len();
         // One entry per live tile, always: a tile leaves the queue only by
@@ -928,15 +933,9 @@ impl Fabric {
             } else {
                 break;
             };
-            // Jump the clock to the earliest wake. The cycles in between
-            // were already paid for when each park's replay committed.
+            // Jump the clock to the earliest wake.
             if wake > self.cycle {
-                self.sched.skipped_cycles += wake - self.cycle;
-                self.sched.skip_spans += 1;
-                if let Some(spans) = self.skip_spans.as_mut() {
-                    spans.push(SkipSpan { start: self.cycle, end: wake });
-                }
-                self.cycle = wake;
+                self.skip_to(wake);
                 if self.cycle >= self.max_cycles {
                     break;
                 }
@@ -951,34 +950,9 @@ impl Fabric {
                 heap.pop();
                 due.push(t);
             }
-            for &t in &due {
-                self.tile_sched[t].pops += 1;
-            }
-            // Step the due set: CPUs first, then HHTs, both in arbiter
-            // order — call order *is* bank priority, exactly as in `step`.
-            let now = self.cycle;
             let start = self.arb_start();
             due.sort_unstable_by_key(|&t| (t + n - start) % n);
-            for &t in &due {
-                let tile = &mut self.tiles[t];
-                let mut port = FabricPort::new(&mut self.mem, t);
-                tile.core.step(now, &mut port, &mut tile.hht);
-            }
-            for &t in &due {
-                let tile = &mut self.tiles[t];
-                let mut port = FabricPort::new(&mut self.mem, t);
-                tile.hht.step(now, &mut port);
-            }
-            self.cycle = now + 1;
-            self.sched.stepped_cycles += 1;
-            // Only stepped tiles can newly halt; parked tiles are inert.
-            for &t in &due {
-                self.tile_sched[t].stepped_cycles += 1;
-                let tile = &mut self.tiles[t];
-                if tile.done_at.is_none() && tile.core.halted() {
-                    tile.done_at = Some(self.cycle);
-                }
-            }
+            self.step_tiles(&due);
             if !prehalted.is_empty() {
                 for t in prehalted.drain(..) {
                     self.tiles[t].done_at = Some(self.cycle);
@@ -987,32 +961,129 @@ impl Fabric {
             if self.cycle >= self.max_cycles {
                 break;
             }
-            // Re-plan every stepped tile from the new cycle: park it to
-            // its bound (committing the span's charges eagerly) or
-            // re-enqueue it for the next cycle. Halted tiles leave the
-            // queue for good.
-            let now = self.cycle;
+            // Re-plan every stepped tile from the new cycle.
             let fault_at = self.next_live_fault_cycle();
             for &t in &due {
-                if self.tiles[t].core.halted() {
-                    continue;
-                }
-                let Some((bound, plan)) = self.tile_bound(t, now) else {
-                    continue;
-                };
-                let mut target = bound.min(self.max_cycles);
-                if let Some(f) = fault_at {
-                    target = target.min(f);
-                }
-                if target > now {
-                    self.commit_park(t, now, target - now, &plan);
-                    heap.push(Reverse((target, t)));
-                } else {
+                if self.replan_tile(t, fault_at, &mut heap) {
                     ready.push(t);
+                }
+            }
+            // Exactly one tile due, the rest parked or halted: step it alone.
+            if let [t] = ready[..] {
+                if !self.run_solo(t, fault_at, &mut heap) {
+                    ready.clear();
+                }
+                if self.cycle >= self.max_cycles {
+                    break;
                 }
             }
         }
         self.finish()
+    }
+
+    /// Step the due set one cycle: CPUs first, then HHTs, both in the
+    /// given (arbiter) order — call order *is* bank priority, exactly as in
+    /// `step`. Then advance the clock and latch completions.
+    fn step_tiles(&mut self, due: &[usize]) {
+        let now = self.cycle;
+        for &t in due {
+            self.tile_sched[t].pops += 1;
+            let tile = &mut self.tiles[t];
+            let mut port = FabricPort::new(&mut self.mem, t);
+            tile.core.step(now, &mut port, &mut tile.hht);
+        }
+        for &t in due {
+            let tile = &mut self.tiles[t];
+            let mut port = FabricPort::new(&mut self.mem, t);
+            tile.hht.step(now, &mut port);
+        }
+        self.cycle = now + 1;
+        self.sched.stepped_cycles += 1;
+        // Only stepped tiles can newly halt; parked tiles are inert.
+        for &t in due {
+            self.tile_sched[t].stepped_cycles += 1;
+            let tile = &mut self.tiles[t];
+            if tile.done_at.is_none() && tile.core.halted() {
+                tile.done_at = Some(self.cycle);
+            }
+        }
+    }
+
+    /// Re-plan stepped tile `t` from the current cycle: park it to its
+    /// bound, capped by the watchdog limit and the next live fault
+    /// (`fault_at`), committing the span's charges eagerly; or report it
+    /// due next cycle (`true`). A halted tile leaves the queue for good.
+    fn replan_tile(
+        &mut self,
+        t: usize,
+        fault_at: Option<u64>,
+        heap: &mut BinaryHeap<Reverse<(u64, usize)>>,
+    ) -> bool {
+        let now = self.cycle;
+        let Some((bound, plan)) = self.tile_bound(t, now) else {
+            return false;
+        };
+        let target = fault_at.map_or(bound, |f| bound.min(f)).min(self.max_cycles);
+        if target > now {
+            self.commit_park(t, now, target - now, &plan);
+            heap.push(Reverse((target, t)));
+            false
+        } else {
+            true
+        }
+    }
+
+    /// Solo run: tile `t` is the only one due, so step it directly each
+    /// cycle, re-planning it after every step, until the horizon — the
+    /// heap's earliest wake, the next *pending* fault event (live or dead,
+    /// so [`Self::inject_due_faults`] still runs at exactly that cycle) or
+    /// the watchdog limit — hands it back still due (`true`), or until it
+    /// halts or parks to or past the horizon (`false`). Before the horizon
+    /// the general loop would find no other due tile, no fault to take and
+    /// nothing to sort, so this is that loop minus its no-op bookkeeping;
+    /// a park that wakes before the horizon is the same clock jump the
+    /// general loop would make, so it is taken here. `fault_at` stays
+    /// valid throughout: no event is taken and no other tile can halt
+    /// before the horizon.
+    fn run_solo(
+        &mut self,
+        t: usize,
+        fault_at: Option<u64>,
+        heap: &mut BinaryHeap<Reverse<(u64, usize)>>,
+    ) -> bool {
+        let mut horizon = self.max_cycles;
+        if let Some(&Reverse((wake, _))) = heap.peek() {
+            horizon = horizon.min(wake);
+        }
+        if let Some(at) = self.fault_plan.as_ref().and_then(FaultPlan::next_cycle) {
+            horizon = horizon.min(at);
+        }
+        while self.cycle < horizon {
+            self.step_tiles(&[t]);
+            if !self.replan_tile(t, fault_at, heap) {
+                // `t` halted or parked; every other entry wakes at or
+                // after the horizon, so a head entry for `t` is its park.
+                match heap.peek() {
+                    Some(&Reverse((wake, u))) if u == t && wake < horizon => {
+                        heap.pop();
+                        self.skip_to(wake);
+                    }
+                    _ => return false,
+                }
+            }
+        }
+        true
+    }
+
+    /// Jump the clock to `wake`. The cycles in between were already paid
+    /// for when each park's replay committed.
+    fn skip_to(&mut self, wake: u64) {
+        self.sched.skipped_cycles += wake - self.cycle;
+        self.sched.skip_spans += 1;
+        if let Some(spans) = self.skip_spans.as_mut() {
+            spans.push(SkipSpan { start: self.cycle, end: wake });
+        }
+        self.cycle = wake;
     }
 
     /// Statistics snapshot: per-tile [`SystemStats`] plus the shared-memory

@@ -714,6 +714,99 @@ fn dram_window_parks_replay_identically() {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Solo runs: one tile due, the rest parked or halted
+// ---------------------------------------------------------------------------
+
+/// Straight-line ALU instructions ending every staggered program: the core
+/// never parks inside them, so a solo run steps straight through.
+const SOLO_TAIL: u64 = 200;
+
+/// Build a fabric whose tile `t` runs a read-modify-write loop of
+/// `iters[t]` words over its own region, then [`SOLO_TAIL`] single-cycle
+/// adds, on `banks` banks.
+fn staggered_fabric(cfg: &SystemConfig, iters: &[u32], banks: usize) -> hht::system::Fabric {
+    use hht::isa::asm::assemble;
+    use hht::mem::{SharedMemory, Sram};
+    use hht::system::{ArbPolicy, Fabric, FabricConfig};
+    let fab = FabricConfig { tiles: iters.len(), banks, arb: ArbPolicy::RoundRobin };
+    let programs = iters
+        .iter()
+        .enumerate()
+        .map(|(t, n)| {
+            let base = 0x1000 * (t as u32 + 1);
+            let tail = "addi a2, a2, 1\n".repeat(SOLO_TAIL as usize);
+            let src = format!(
+                "li t0, {n}\nli a0, {base}\nloop:\nlw a1, 0(a0)\naddi a1, a1, 1\nsw a1, 0(a0)\n\
+                 addi a0, a0, 4\naddi t0, t0, -1\nbnez t0, loop\n{tail}ebreak\n"
+            );
+            assemble(&src).expect("staggered loop assembles")
+        })
+        .collect();
+    let mem =
+        SharedMemory::from_sram(Sram::new(cfg.ram_size, cfg.ram_word_cycles), banks, fab.tiles);
+    Fabric::new(cfg, fab, programs, mem)
+}
+
+/// Tiles of staggered lengths halt one by one, so the longest finishes in
+/// a solo run (one tile due, every other halted). The event queue must
+/// match the per-cycle oracle bit for bit — result, per-tile stats, traced
+/// events — and keep its per-tile accounting whole: every stepped cycle is
+/// one pop, and stepped plus parked cycles span the tile's life. With the
+/// watchdog set inside the last tile's straight-line tail, where its solo
+/// run never parks, the run must stop at exactly the limit in both
+/// schedulers.
+#[test]
+fn staggered_halts_end_in_a_solo_run_identical_to_per_cycle() {
+    let iters = [20u32, 60, 140, 400];
+    let traced =
+        SystemConfig::paper_default().with_ram_word_cycles(3).with_trace(TraceConfig::enabled());
+    let full = staggered_fabric(&traced.with_cycle_skip(false), &iters, 2)
+        .run()
+        .expect("per-cycle run completes");
+    assert!(full.tiles[2].cycles + SOLO_TAIL < full.cycles, "the last tile must run alone");
+    for max_cycles in [None, Some(full.cycles - SOLO_TAIL / 2)] {
+        let mut cfg = traced;
+        if let Some(m) = max_cycles {
+            cfg.core.max_cycles = m;
+        }
+        let mut eq = staggered_fabric(&cfg.with_cycle_skip(true), &iters, 2);
+        let mut pc = staggered_fabric(&cfg.with_cycle_skip(false), &iters, 2);
+        let (eq_res, pc_res) = (eq.run(), pc.run());
+        assert_eq!(format!("{eq_res:?}"), format!("{pc_res:?}"), "max_cycles={max_cycles:?}");
+        assert_eq!(eq_res.is_err(), max_cycles.is_some(), "the watchdog must cut the last tile");
+        assert_eq!(eq.stats(), pc.stats(), "max_cycles={max_cycles:?}");
+        assert_eq!(eq.cycle(), pc.cycle(), "max_cycles={max_cycles:?}");
+        for t in 0..iters.len() {
+            let base = 0x1000 * (t as u32 + 1);
+            assert_eq!(eq.mem().read_u32s(base, 8), pc.mem().read_u32s(base, 8), "tile {t}");
+        }
+        assert_eq!(eq.take_all_events(), pc.take_all_events(), "max_cycles={max_cycles:?}");
+        let stats = eq.stats();
+        for (t, s) in eq.tile_sched_stats().iter().enumerate() {
+            assert_eq!(s.pops, s.stepped_cycles, "tile {t}: one pop per stepped cycle");
+            assert_eq!(
+                s.stepped_cycles + s.skipped_cycles,
+                stats.tiles[t].cycles,
+                "tile {t}: stepped + parked cycles must span the tile's life"
+            );
+        }
+    }
+}
+
+/// On 16 tiles over 300 ns DRAM most tiles are parked on memory at any
+/// moment, so a tile often runs solo until a parked neighbour's wake
+/// comes due: the solo run must hand back at exactly that wake.
+#[test]
+fn parked_wakes_interrupt_solo_runs_on_sixteen_dram_tiles() {
+    use hht::mem::DramConfig;
+    use hht::system::FabricConfig;
+    let m = generate::random_csr(96, 96, 0.9, 0x5010);
+    let v = generate::random_dense_vector(96, 0x5011);
+    let cfg = SystemConfig::paper_default().with_dram(DramConfig::slow_300ns());
+    assert_spmv_schedulers_agree(cfg, FabricConfig::scaled(16), &m, &v);
+}
+
 #[test]
 fn watchdog_expiry_is_a_recoverable_error() {
     use hht::isa::asm::assemble;

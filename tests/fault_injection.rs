@@ -176,6 +176,33 @@ fn seeded_fault_runs_are_deterministic() {
     assert_ne!(plan_a.events(), plan_b.events());
 }
 
+/// A one-tile run is almost all solo run (the lone tile stepped alone
+/// between parks), so plan events come due while it steps. Each must land
+/// at its exact cycle: the event queue matches the per-cycle oracle in
+/// result, stats, recovery and the traced fault timeline.
+#[test]
+fn plan_events_land_on_time_during_solo_runs() {
+    let (m, v) = problem(32);
+    let cfg = robust_cfg().with_trace(TraceConfig::enabled());
+    let plans: [&[(u64, FaultKind)]; 3] = [
+        &[(300, FaultKind::EngineStall { cycles: 40 })],
+        &[(401, FaultKind::DropResponse)],
+        &[(800, FaultKind::EngineStall { cycles: 300 }), (1500, FaultKind::DropResponse)],
+    ];
+    for events in plans {
+        let run = |skip: bool| {
+            let cfg = cfg.with_cycle_skip(skip);
+            runner::run_spmv_hht_with_plan(&cfg, &m, &v, plan(events.to_vec()))
+        };
+        let (eq, pc) = (run(true), run(false));
+        assert_eq!(eq.stats, pc.stats, "{events:?}");
+        assert_eq!(eq.y, pc.y, "{events:?}");
+        assert_eq!(format!("{:?}", eq.recovery), format!("{:?}", pc.recovery), "{events:?}");
+        assert_eq!(eq.events, pc.events, "{events:?}");
+        assert_eq!(eq.stats.faults.injected, events.len() as u64, "{events:?}");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Per-tile fault domains: quarantine, shard failover, chaos campaigns.
 // ---------------------------------------------------------------------
