@@ -1248,8 +1248,8 @@ mod tests {
     /// walk over 16 entries) and `v[i] = i + 100` at 0x1000.
     fn gather_fixture(port: &mut LogPort, n: u32) -> EngineConfig {
         let cols: Vec<u32> = (0..n).map(|k| (5 * k + 3) % 16).collect();
-        port.load_words(0x100, &cols);
-        port.load_words(0x1000, &(100..116).collect::<Vec<u32>>());
+        port.store_mut().load_words(0x100, &cols);
+        port.store_mut().load_words(0x1000, &(100..116).collect::<Vec<u32>>());
         EngineConfig { m_nnz: n, cols_base: 0x100, v_base: 0x1000, ..base_cfg() }
     }
 
@@ -1366,8 +1366,8 @@ mod tests {
     fn gather_engine_burst_reads_open_bus_zero_past_the_end() {
         let run = |row_timed: bool| {
             let mut port = LogPort::new(4096, 1, row_timed, 3);
-            port.load_words(0xff8, &[2, 1]);
-            port.load_words(0x100, &[7, 8, 9]);
+            port.store_mut().load_words(0xff8, &[2, 1]);
+            port.store_mut().load_words(0x100, &[7, 8, 9]);
             let cfg = EngineConfig { m_nnz: 4, cols_base: 0xff8, v_base: 0x100, ..base_cfg() };
             let mut e = GatherEngine::new(cfg, 8);
             let (p, _, _, _) = run_engine(&mut e, &mut port, 1000);
@@ -1491,11 +1491,11 @@ mod tests {
     /// Shared fixture: 3x4 matrix rows=[0,2,3,5], cols=[0,2 | 1 | 0,3],
     /// vals=[1,2,3,4,5]; sparse x: idx=[0,2,3], vals=[10,20,30].
     fn spmspv_fixture(sram: &mut dyn MemoryPort) -> EngineConfig {
-        sram.load_words(0x100, &[0, 2, 3, 5]); // rows
-        sram.load_words(0x200, &[0, 2, 1, 0, 3]); // cols
-        sram.load_f32s(0x300, &[1.0, 2.0, 3.0, 4.0, 5.0]); // vals
-        sram.load_words(0x400, &[0, 2, 3]); // v idx
-        sram.load_f32s(0x500, &[10.0, 20.0, 30.0]); // v vals
+        sram.store_mut().load_words(0x100, &[0, 2, 3, 5]); // rows
+        sram.store_mut().load_words(0x200, &[0, 2, 1, 0, 3]); // cols
+        sram.store_mut().load_f32s(0x300, &[1.0, 2.0, 3.0, 4.0, 5.0]); // vals
+        sram.store_mut().load_words(0x400, &[0, 2, 3]); // v idx
+        sram.store_mut().load_f32s(0x500, &[10.0, 20.0, 30.0]); // v vals
         EngineConfig {
             num_rows: 3,
             rows_base: 0x100,

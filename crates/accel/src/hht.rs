@@ -728,8 +728,8 @@ mod tests {
     #[test]
     fn dropped_response_frees_a_slot_for_an_in_flight_gather() {
         let mut port = crate::test_port::LogPort::new(4096, 1, true, 10);
-        port.load_words(0x100, &[0, 1, 2, 3]);
-        port.load_words(0x200, &[5, 6, 7, 8]);
+        port.store_mut().load_words(0x100, &[0, 1, 2, 3]);
+        port.store_mut().load_words(0x200, &[5, 6, 7, 8]);
         let mut hht = Hht::new(HhtParams { num_buffers: 1, blen: 2 });
         program_spmv(&mut hht, 0x100, 0x200, 4);
         for now in 0..100 {

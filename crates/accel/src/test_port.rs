@@ -1,6 +1,6 @@
 //! A logging memory port for the engine and front-end unit tests.
 
-use hht_mem::{MemoryPort, Requester, Sram};
+use hht_mem::{ByteStore, MemoryPort, Requester, Sram};
 use std::collections::VecDeque;
 
 /// An `Sram`-backed test port that logs every granted transaction as
@@ -51,31 +51,13 @@ impl MemoryPort for LogPort {
     fn skip_conflicts(&mut self, now: u64, span: u64, _addr: u32, who: Requester) {
         self.sram.skip_conflicts(now, span, who)
     }
-    fn size(&self) -> u32 {
-        self.sram.size()
-    }
     fn word_cycles(&self) -> u64 {
         self.sram.word_cycles()
     }
-    fn read_u8(&self, addr: u32) -> u8 {
-        self.sram.read_u8(addr)
+    fn store(&self) -> &ByteStore {
+        &self.sram
     }
-    fn read_u16(&self, addr: u32) -> u16 {
-        self.sram.read_u16(addr)
-    }
-    fn read_u32(&self, addr: u32) -> u32 {
-        self.sram.read_u32(addr)
-    }
-    fn read_u32_checked(&self, addr: u32) -> Option<u32> {
-        self.sram.read_u32_checked(addr)
-    }
-    fn write_u8(&mut self, addr: u32, value: u8) {
-        self.sram.write_u8(addr, value)
-    }
-    fn write_u16(&mut self, addr: u32, value: u16) {
-        self.sram.write_u16(addr, value)
-    }
-    fn write_u32(&mut self, addr: u32, value: u32) {
-        self.sram.write_u32(addr, value)
+    fn store_mut(&mut self) -> &mut ByteStore {
+        &mut self.sram
     }
 }

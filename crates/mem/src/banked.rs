@@ -18,10 +18,10 @@
 //! this equivalence.
 
 use crate::sram::{Requester, Sram};
+use crate::{ByteStore, SramStats};
 use hht_obs::{Event, EventBus, EventKind, Track};
 use serde::{Deserialize, Serialize};
-
-use crate::SramStats;
+use std::ops::{Deref, DerefMut};
 
 /// Fabric-wide counters for the banked shared memory.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -98,11 +98,12 @@ struct Bank {
 }
 
 /// Byte-addressable memory shared by N tiles over `banks` interleaved
-/// ports. Functional access is untimed (exactly like [`Sram`]); timed
-/// access goes through a per-tile [`FabricPort`](crate::FabricPort).
+/// ports. Functional access is untimed (the [`ByteStore`] it dereferences
+/// to, exactly like [`Sram`]); timed access goes through a per-tile
+/// [`FabricPort`](crate::FabricPort).
 #[derive(Debug)]
 pub struct SharedMemory {
-    data: Vec<u8>,
+    mem: ByteStore,
     word_cycles: u64,
     banks: Vec<Bank>,
     tile_stats: Vec<SramStats>,
@@ -122,30 +123,30 @@ impl SharedMemory {
     /// must be a power of two, so the bank of an address is a shift and a
     /// mask.
     pub fn new(size: u32, word_cycles: u64, banks: usize, tiles: usize) -> Self {
-        Self::from_parts(vec![0; size as usize], word_cycles, banks, tiles)
+        Self::from_parts(ByteStore::new(size), word_cycles, banks, tiles)
     }
 
     /// Re-house an already-built [`Sram`] image (problem data loaded by the
     /// layout code) behind `banks` ports shared by `tiles` tiles.
     pub fn from_sram(sram: Sram, banks: usize, tiles: usize) -> Self {
         let word_cycles = sram.word_cycles();
-        Self::from_parts(sram.into_data(), word_cycles, banks, tiles)
+        Self::from_parts(sram.into_store(), word_cycles, banks, tiles)
     }
 
-    /// Consume the memory and recover its raw byte buffer, discarding port
-    /// state. The warm fabric pool recycles the multi-megabyte allocation
-    /// of a retired fabric into the next job's image build.
-    pub fn into_data(self) -> Vec<u8> {
-        self.data
+    /// Consume the memory and recover its storage, discarding port state.
+    /// The warm fabric pool recycles a retired fabric's backing buffer into
+    /// the next job's image build.
+    pub fn into_store(self) -> ByteStore {
+        self.mem
     }
 
-    fn from_parts(data: Vec<u8>, word_cycles: u64, banks: usize, tiles: usize) -> Self {
+    fn from_parts(mem: ByteStore, word_cycles: u64, banks: usize, tiles: usize) -> Self {
         assert!(word_cycles >= 1, "an access takes at least one cycle");
         assert!(banks >= 1, "at least one bank");
         assert!(banks.is_power_of_two(), "bank count must be a power of two, got {banks}");
         assert!(tiles >= 1, "at least one tile");
         SharedMemory {
-            data,
+            mem,
             word_cycles,
             banks: vec![Bank { free_at: 0, holder: 0 }; banks],
             tile_stats: vec![SramStats::default(); tiles],
@@ -180,11 +181,6 @@ impl SharedMemory {
     /// Number of tile accounting domains.
     pub fn tiles(&self) -> usize {
         self.tile_stats.len()
-    }
-
-    /// Size in bytes.
-    pub fn size(&self) -> u32 {
-        self.data.len() as u32
     }
 
     /// Cycles one word access occupies a bank.
@@ -386,76 +382,22 @@ impl SharedMemory {
             }
         }
     }
+}
 
-    // ---- functional storage (mirrors `Sram`) ----
+/// Functional (untimed) access is the byte store's, exactly as for [`Sram`].
+impl Deref for SharedMemory {
+    type Target = ByteStore;
 
-    /// Read one byte.
-    pub fn read_u8(&self, addr: u32) -> u8 {
-        self.data[addr as usize]
+    #[inline]
+    fn deref(&self) -> &ByteStore {
+        &self.mem
     }
+}
 
-    /// Write one byte.
-    pub fn write_u8(&mut self, addr: u32, value: u8) {
-        self.data[addr as usize] = value;
-    }
-
-    /// Read a little-endian 16-bit halfword.
-    pub fn read_u16(&self, addr: u32) -> u16 {
-        let a = addr as usize;
-        u16::from_le_bytes(self.data[a..a + 2].try_into().expect("in-range read"))
-    }
-
-    /// Write a little-endian 16-bit halfword.
-    pub fn write_u16(&mut self, addr: u32, value: u16) {
-        let a = addr as usize;
-        self.data[a..a + 2].copy_from_slice(&value.to_le_bytes());
-    }
-
-    /// Read a little-endian 32-bit word (panics out of range).
-    pub fn read_u32(&self, addr: u32) -> u32 {
-        let a = addr as usize;
-        u32::from_le_bytes(self.data[a..a + 4].try_into().expect("in-range read"))
-    }
-
-    /// Read a little-endian 32-bit word, or `None` out of range.
-    pub fn read_u32_checked(&self, addr: u32) -> Option<u32> {
-        let a = addr as usize;
-        let end = a.checked_add(4)?;
-        let bytes = self.data.get(a..end)?;
-        Some(u32::from_le_bytes(bytes.try_into().expect("4-byte slice")))
-    }
-
-    /// Write a little-endian 32-bit word.
-    pub fn write_u32(&mut self, addr: u32, value: u32) {
-        let a = addr as usize;
-        self.data[a..a + 4].copy_from_slice(&value.to_le_bytes());
-    }
-
-    /// Flip bit `bit % 32` of the word at `addr` (fault injection); `false`
-    /// without touching memory when out of range.
-    pub fn corrupt_word(&mut self, addr: u32, bit: u8) -> bool {
-        match self.read_u32_checked(addr) {
-            Some(w) => {
-                self.write_u32(addr, w ^ (1 << (bit % 32)));
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Read an `f32`.
-    pub fn read_f32(&self, addr: u32) -> f32 {
-        f32::from_bits(self.read_u32(addr))
-    }
-
-    /// Read `n` consecutive `f32`s starting at `addr`.
-    pub fn read_f32s(&self, addr: u32, n: usize) -> Vec<f32> {
-        (0..n).map(|i| self.read_f32(addr + 4 * i as u32)).collect()
-    }
-
-    /// Read `n` consecutive `u32`s starting at `addr`.
-    pub fn read_u32s(&self, addr: u32, n: usize) -> Vec<u32> {
-        (0..n).map(|i| self.read_u32(addr + 4 * i as u32)).collect()
+impl DerefMut for SharedMemory {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut ByteStore {
+        &mut self.mem
     }
 }
 

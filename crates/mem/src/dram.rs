@@ -41,6 +41,7 @@
 use crate::banked::SharedMemory;
 use crate::port::{MemIssue, MemRefusal, MemoryPort, RowOutcome};
 use crate::sram::Requester;
+use crate::ByteStore;
 use hht_obs::{EventKind, Track};
 use serde::{Deserialize, Serialize};
 
@@ -386,40 +387,18 @@ impl MemoryPort for FabricPort<'_> {
         self.mem.skip_conflicts_for(self.tile, now, span, addr, who)
     }
 
-    fn size(&self) -> u32 {
-        self.mem.mem.size()
-    }
-
     fn word_cycles(&self) -> u64 {
         self.mem.mem.word_cycles()
     }
 
-    fn read_u8(&self, addr: u32) -> u8 {
-        self.mem.mem.read_u8(addr)
+    #[inline]
+    fn store(&self) -> &ByteStore {
+        &self.mem.mem
     }
 
-    fn read_u16(&self, addr: u32) -> u16 {
-        self.mem.mem.read_u16(addr)
-    }
-
-    fn read_u32(&self, addr: u32) -> u32 {
-        self.mem.mem.read_u32(addr)
-    }
-
-    fn read_u32_checked(&self, addr: u32) -> Option<u32> {
-        self.mem.mem.read_u32_checked(addr)
-    }
-
-    fn write_u8(&mut self, addr: u32, value: u8) {
-        self.mem.mem.write_u8(addr, value)
-    }
-
-    fn write_u16(&mut self, addr: u32, value: u16) {
-        self.mem.mem.write_u16(addr, value)
-    }
-
-    fn write_u32(&mut self, addr: u32, value: u32) {
-        self.mem.mem.write_u32(addr, value)
+    #[inline]
+    fn store_mut(&mut self) -> &mut ByteStore {
+        &mut self.mem.mem
     }
 }
 

@@ -5,6 +5,8 @@
 //! (§3.2: "In the MCU integration, the BE issues requests to the on-chip
 //! RAM via an on-chip interconnect"). This crate models:
 //!
+//! - [`ByteStore`] — the functional storage behind both RAM models: a
+//!   fixed logical size whose host backing covers only the bytes written.
 //! - [`Sram`] — the RAM: functional byte/word storage plus a single-ported
 //!   timing model (`try_start` arbitration; whoever calls first in a cycle
 //!   wins the port, and the system steps the CPU before the HHT so the CPU
@@ -29,6 +31,7 @@ pub mod map;
 pub mod mmio;
 pub mod port;
 pub mod sram;
+pub mod store;
 
 pub use banked::{SharedMemStats, SharedMemory};
 pub use cache::L1dCache;
@@ -36,3 +39,4 @@ pub use dram::{Dram, DramConfig, FabricPort};
 pub use mmio::{MmioDevice, MmioReadResult};
 pub use port::{MemIssue, MemRefusal, MemoryPort, RowOutcome};
 pub use sram::{Requester, Sram, SramStats};
+pub use store::ByteStore;

@@ -13,9 +13,12 @@
 //!   models port arbitration — a request while the port (bank) is busy is
 //!   rejected and the caller retries next cycle;
 //! - *functional* access (`read_u32`, `write_u32`, …) is untimed and used
-//!   by agents that already won the port for the current transaction.
+//!   by agents that already won the port for the current transaction; it
+//!   is the [`ByteStore`]'s behind the port, so implementors provide only
+//!   [`MemoryPort::store`].
 
 use crate::sram::Requester;
+use crate::ByteStore;
 
 /// Why a split-transaction request was refused this cycle (see
 /// [`MemoryPort::request`]). The caller retries next cycle in every case;
@@ -156,70 +159,59 @@ pub trait MemoryPort {
     /// per-cycle loop. The single-ported SRAM ignores `addr`.
     fn skip_conflicts(&mut self, now: u64, span: u64, addr: u32, who: Requester);
 
-    // ---- functional storage ----
-
-    /// Size in bytes.
-    fn size(&self) -> u32;
-
     /// Cycles one word access occupies the port.
     fn word_cycles(&self) -> u64;
 
+    // ---- functional storage ----
+
+    /// The byte storage behind the port; every functional access below is
+    /// the store's.
+    fn store(&self) -> &ByteStore;
+
+    /// Mutable access to [`MemoryPort::store`].
+    fn store_mut(&mut self) -> &mut ByteStore;
+
+    /// Logical size in bytes.
+    fn size(&self) -> u32 {
+        self.store().size()
+    }
+
     /// Read one byte.
-    fn read_u8(&self, addr: u32) -> u8;
+    fn read_u8(&self, addr: u32) -> u8 {
+        self.store().read_u8(addr)
+    }
 
     /// Read a little-endian 16-bit halfword.
-    fn read_u16(&self, addr: u32) -> u16;
+    fn read_u16(&self, addr: u32) -> u16 {
+        self.store().read_u16(addr)
+    }
 
     /// Read a little-endian 32-bit word (panics out of range — a simulator
     /// wiring bug, not a guest condition).
-    fn read_u32(&self, addr: u32) -> u32;
+    fn read_u32(&self, addr: u32) -> u32 {
+        self.store().read_u32(addr)
+    }
 
     /// Read a little-endian 32-bit word, or `None` when any byte falls
-    /// outside the array (guest-programmed agents read open-bus instead of
+    /// outside the memory (guest-programmed agents read open-bus instead of
     /// crashing the simulator).
-    fn read_u32_checked(&self, addr: u32) -> Option<u32>;
+    fn read_u32_checked(&self, addr: u32) -> Option<u32> {
+        self.store().read_u32_checked(addr)
+    }
 
     /// Write one byte.
-    fn write_u8(&mut self, addr: u32, value: u8);
+    fn write_u8(&mut self, addr: u32, value: u8) {
+        self.store_mut().write_u8(addr, value)
+    }
 
     /// Write a little-endian 16-bit halfword.
-    fn write_u16(&mut self, addr: u32, value: u16);
+    fn write_u16(&mut self, addr: u32, value: u16) {
+        self.store_mut().write_u16(addr, value)
+    }
 
     /// Write a little-endian 32-bit word.
-    fn write_u32(&mut self, addr: u32, value: u32);
-
-    /// Read an `f32` (bit pattern of the word at `addr`).
-    fn read_f32(&self, addr: u32) -> f32 {
-        f32::from_bits(self.read_u32(addr))
-    }
-
-    /// Write an `f32`.
-    fn write_f32(&mut self, addr: u32, value: f32) {
-        self.write_u32(addr, value.to_bits());
-    }
-
-    /// Copy a `u32` slice into memory starting at `addr`.
-    fn load_words(&mut self, addr: u32, words: &[u32]) {
-        for (i, w) in words.iter().enumerate() {
-            self.write_u32(addr + 4 * i as u32, *w);
-        }
-    }
-
-    /// Copy an `f32` slice into memory starting at `addr`.
-    fn load_f32s(&mut self, addr: u32, values: &[f32]) {
-        for (i, v) in values.iter().enumerate() {
-            self.write_f32(addr + 4 * i as u32, *v);
-        }
-    }
-
-    /// Read `n` consecutive `f32`s starting at `addr`.
-    fn read_f32s(&self, addr: u32, n: usize) -> Vec<f32> {
-        (0..n).map(|i| self.read_f32(addr + 4 * i as u32)).collect()
-    }
-
-    /// Read `n` consecutive `u32`s starting at `addr`.
-    fn read_u32s(&self, addr: u32, n: usize) -> Vec<u32> {
-        (0..n).map(|i| self.read_u32(addr + 4 * i as u32)).collect()
+    fn write_u32(&mut self, addr: u32, value: u32) {
+        self.store_mut().write_u32(addr, value)
     }
 }
 
@@ -247,40 +239,18 @@ impl MemoryPort for crate::Sram {
         crate::Sram::skip_conflicts(self, now, span, who)
     }
 
-    fn size(&self) -> u32 {
-        crate::Sram::size(self)
-    }
-
     fn word_cycles(&self) -> u64 {
         crate::Sram::word_cycles(self)
     }
 
-    fn read_u8(&self, addr: u32) -> u8 {
-        crate::Sram::read_u8(self, addr)
+    #[inline]
+    fn store(&self) -> &ByteStore {
+        self
     }
 
-    fn read_u16(&self, addr: u32) -> u16 {
-        crate::Sram::read_u16(self, addr)
-    }
-
-    fn read_u32(&self, addr: u32) -> u32 {
-        crate::Sram::read_u32(self, addr)
-    }
-
-    fn read_u32_checked(&self, addr: u32) -> Option<u32> {
-        crate::Sram::read_u32_checked(self, addr)
-    }
-
-    fn write_u8(&mut self, addr: u32, value: u8) {
-        crate::Sram::write_u8(self, addr, value)
-    }
-
-    fn write_u16(&mut self, addr: u32, value: u16) {
-        crate::Sram::write_u16(self, addr, value)
-    }
-
-    fn write_u32(&mut self, addr: u32, value: u32) {
-        crate::Sram::write_u32(self, addr, value)
+    #[inline]
+    fn store_mut(&mut self) -> &mut ByteStore {
+        self
     }
 }
 
@@ -305,8 +275,8 @@ mod tests {
         assert_eq!(port.read_u16(8), 0xEF01);
         assert_eq!(port.read_u8(11), 0xAB);
         assert_eq!(port.read_u32_checked(64), None);
-        port.write_f32(12, 2.5);
-        assert_eq!(port.read_f32(12), 2.5);
+        port.store_mut().write_f32(12, 2.5);
+        assert_eq!(port.store().read_f32(12), 2.5);
         assert_eq!(port.size(), 64);
         assert_eq!(port.word_cycles(), 2);
         port.skip_conflicts(2, 3, 0, Requester::Hht);

@@ -1,7 +1,9 @@
 //! The on-chip SRAM: functional storage plus a single-port timing model.
 
+use crate::ByteStore;
 use hht_obs::{Event, EventBus, EventKind, Track};
 use serde::{Deserialize, Serialize};
+use std::ops::{Deref, DerefMut};
 
 /// Access counters for the SRAM port.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -58,13 +60,14 @@ impl Requester {
 ///
 /// *Functional* reads/writes (`read_u32`, `write_u32`, …) are untimed —
 /// they are used to build memory images and by agents that have already
-/// been granted the port. *Timed* access goes through [`Sram::try_start`]:
+/// been granted the port — and come from the [`ByteStore`] the SRAM
+/// dereferences to. *Timed* access goes through [`Sram::try_start`]:
 /// each word access occupies the port for `word_cycles` cycles, and a
 /// request made while the port is busy is rejected (the caller retries next
 /// cycle, which is how contention between CPU and HHT arises).
 #[derive(Debug, Clone)]
 pub struct Sram {
-    data: Vec<u8>,
+    mem: ByteStore,
     word_cycles: u64,
     free_at: u64,
     stats: SramStats,
@@ -72,16 +75,10 @@ pub struct Sram {
 }
 
 impl Sram {
-    /// Create an SRAM of `size` bytes with `word_cycles` per word access.
+    /// Create an all-zero SRAM of `size` bytes with `word_cycles` per word
+    /// access (host backing grows as it is written; see [`ByteStore`]).
     pub fn new(size: u32, word_cycles: u64) -> Self {
-        assert!(word_cycles >= 1, "an access takes at least one cycle");
-        Sram {
-            data: vec![0; size as usize],
-            word_cycles,
-            free_at: 0,
-            stats: SramStats::default(),
-            obs: None,
-        }
+        Self::from_store(ByteStore::new(size), word_cycles)
     }
 
     /// Install a structured-event sink for arbitration grants/conflicts.
@@ -103,25 +100,19 @@ impl Sram {
         self.obs.as_ref().map_or(0, |b| b.dropped())
     }
 
-    /// Size in bytes.
-    pub fn size(&self) -> u32 {
-        self.data.len() as u32
+    /// Consume the SRAM and hand its storage to another memory model (the
+    /// banked shared memory re-houses images built here).
+    pub fn into_store(self) -> ByteStore {
+        self.mem
     }
 
-    /// Consume the SRAM and hand its byte array to another memory model
-    /// (the banked shared memory re-houses images built here).
-    pub fn into_data(self) -> Vec<u8> {
-        self.data
-    }
-
-    /// House an existing byte array (e.g. a recycled buffer from a retired
+    /// House existing storage (e.g. a recycled buffer from a retired
     /// fabric, or a cached problem image) as a fresh SRAM. The port state
     /// is pristine — identical to [`Sram::new`] over the same bytes — so a
     /// warm-pool rebuild is bit-identical to a cold one by construction.
-    pub fn from_data(data: Vec<u8>, word_cycles: u64) -> Self {
+    pub fn from_store(mem: ByteStore, word_cycles: u64) -> Self {
         assert!(word_cycles >= 1, "an access takes at least one cycle");
-        assert!(u32::try_from(data.len()).is_ok(), "SRAM is 32-bit addressed");
-        Sram { data, word_cycles, free_at: 0, stats: SramStats::default(), obs: None }
+        Sram { mem, word_cycles, free_at: 0, stats: SramStats::default(), obs: None }
     }
 
     /// Cycles one word access occupies the port.
@@ -218,101 +209,22 @@ impl Sram {
             }
         }
     }
+}
 
-    // ---- functional storage ----
+/// Functional (untimed) access is the byte store's; the SRAM adds the port.
+impl Deref for Sram {
+    type Target = ByteStore;
 
-    /// Read one byte.
-    pub fn read_u8(&self, addr: u32) -> u8 {
-        self.data[addr as usize]
+    #[inline]
+    fn deref(&self) -> &ByteStore {
+        &self.mem
     }
+}
 
-    /// Write one byte.
-    pub fn write_u8(&mut self, addr: u32, value: u8) {
-        self.data[addr as usize] = value;
-    }
-
-    /// Read a little-endian 16-bit halfword.
-    pub fn read_u16(&self, addr: u32) -> u16 {
-        let a = addr as usize;
-        u16::from_le_bytes(self.data[a..a + 2].try_into().expect("in-range SRAM read"))
-    }
-
-    /// Write a little-endian 16-bit halfword.
-    pub fn write_u16(&mut self, addr: u32, value: u16) {
-        let a = addr as usize;
-        self.data[a..a + 2].copy_from_slice(&value.to_le_bytes());
-    }
-
-    /// Read a little-endian 32-bit word. Panics on out-of-range addresses
-    /// (a simulator wiring bug, not a guest-program condition).
-    pub fn read_u32(&self, addr: u32) -> u32 {
-        let a = addr as usize;
-        u32::from_le_bytes(self.data[a..a + 4].try_into().expect("in-range SRAM read"))
-    }
-
-    /// Read a little-endian 32-bit word, or `None` when any byte of the
-    /// word falls outside the array. Guest-programmable agents (the HHT
-    /// engines, whose base addresses come from software-written MMRs) use
-    /// this so bad programming reads open-bus instead of crashing the
-    /// simulator.
-    pub fn read_u32_checked(&self, addr: u32) -> Option<u32> {
-        let a = addr as usize;
-        let end = a.checked_add(4)?;
-        let bytes = self.data.get(a..end)?;
-        Some(u32::from_le_bytes(bytes.try_into().expect("4-byte slice")))
-    }
-
-    /// Flip bit `bit % 32` of the word at `addr` (fault injection: an SRAM
-    /// soft error). Returns `false` without touching memory when the word
-    /// is out of range.
-    pub fn corrupt_word(&mut self, addr: u32, bit: u8) -> bool {
-        match self.read_u32_checked(addr) {
-            Some(w) => {
-                self.write_u32(addr, w ^ (1 << (bit % 32)));
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Write a little-endian 32-bit word.
-    pub fn write_u32(&mut self, addr: u32, value: u32) {
-        let a = addr as usize;
-        self.data[a..a + 4].copy_from_slice(&value.to_le_bytes());
-    }
-
-    /// Read an `f32` (bit pattern of the word at `addr`).
-    pub fn read_f32(&self, addr: u32) -> f32 {
-        f32::from_bits(self.read_u32(addr))
-    }
-
-    /// Write an `f32`.
-    pub fn write_f32(&mut self, addr: u32, value: f32) {
-        self.write_u32(addr, value.to_bits());
-    }
-
-    /// Copy a `u32` slice into memory starting at `addr`.
-    pub fn load_words(&mut self, addr: u32, words: &[u32]) {
-        for (i, w) in words.iter().enumerate() {
-            self.write_u32(addr + 4 * i as u32, *w);
-        }
-    }
-
-    /// Copy an `f32` slice into memory starting at `addr`.
-    pub fn load_f32s(&mut self, addr: u32, values: &[f32]) {
-        for (i, v) in values.iter().enumerate() {
-            self.write_f32(addr + 4 * i as u32, *v);
-        }
-    }
-
-    /// Read `n` consecutive `f32`s starting at `addr`.
-    pub fn read_f32s(&self, addr: u32, n: usize) -> Vec<f32> {
-        (0..n).map(|i| self.read_f32(addr + 4 * i as u32)).collect()
-    }
-
-    /// Read `n` consecutive `u32`s starting at `addr`.
-    pub fn read_u32s(&self, addr: u32, n: usize) -> Vec<u32> {
-        (0..n).map(|i| self.read_u32(addr + 4 * i as u32)).collect()
+impl DerefMut for Sram {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut ByteStore {
+        &mut self.mem
     }
 }
 

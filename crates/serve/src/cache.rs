@@ -106,6 +106,11 @@ impl<K: std::hash::Hash + Eq + Copy, V> FifoCache<K, V> {
         }
     }
 
+    /// The held values, in no particular order.
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.map.values()
+    }
+
     /// Entries currently held.
     pub fn len(&self) -> usize {
         self.map.len()

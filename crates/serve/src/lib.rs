@@ -22,7 +22,8 @@
 //!   bit-identical to re-running it, at near-zero host cost.
 //! - **Warm fabric pool** ([`pool`]) — a [`FabricPool`] implements the
 //!   runner's `FabricProvider` hook: retired fabrics donate their
-//!   multi-megabyte memory buffers to the next job's image build
+//!   memory backing buffers (sized to the job's image footprint, not to
+//!   the simulated RAM) to the next job's image build
 //!   ([`hht_system::fabric::Fabric::reset_for`]), so steady-state service
 //!   stops allocating.
 //! - **Tenant-fair admission** ([`service`]) — requests queue per tenant

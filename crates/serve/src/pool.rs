@@ -1,13 +1,15 @@
 //! The warm fabric pool: a `FabricProvider` that recycles retired
 //! fabrics' memory buffers across jobs.
 //!
-//! A fabric's dominant allocation is its shared-memory byte array (the
-//! problem image, typically megabytes). [`FabricPool::acquire`] resets a
-//! spare fabric in place via [`Fabric::reset_for`] — bit-identical to
-//! fresh construction, pinned by the determinism suite — and banks the
-//! retired buffer; [`FabricPool::image_buffer`] hands banked buffers back
-//! to the next image build. In steady state a serving loop therefore
-//! stops allocating image-sized memory entirely.
+//! A fabric's dominant allocation is its shared memory's host backing:
+//! the problem image's footprint (a few KB for a 64-row job, about 200 KB
+//! for a 512-row one at 90% sparsity), not the simulated RAM's logical
+//! size. [`FabricPool::acquire`] resets a spare fabric in place via
+//! [`Fabric::reset_for`] — bit-identical to fresh construction, pinned by
+//! the determinism suite — and banks the retired buffer;
+//! [`FabricPool::image_buffer`] hands banked buffers back to the next
+//! image build. In steady state a serving loop therefore stops allocating
+//! image-sized memory entirely.
 
 use hht_isa::Program;
 use hht_mem::SharedMemory;

@@ -481,3 +481,39 @@ pub fn naive_run_stream(
         })
         .collect()
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hht_sparse::generate;
+
+    /// Plans hold the image footprint, not the simulated RAM: 24 distinct
+    /// 64-row jobs on 4 tiles keep at most two 4 KiB pages of image each
+    /// in the plan tier, while each plan stands for a full 1 MB RAM.
+    #[test]
+    fn plan_tier_holds_footprint_sized_images() {
+        let cfg = SystemConfig::paper_default();
+        let scfg = ServiceConfig { batching: false, replay: false, ..ServiceConfig::default() };
+        let mut svc = Service::new(cfg, FabricConfig::scaled(4), scfg);
+        let requests: Vec<Request> = (0..24u64)
+            .map(|seed| {
+                let m = Arc::new(generate::random_csr(64, 64, 0.9, seed));
+                Request::spmv(
+                    seed as usize % 4,
+                    m,
+                    Arc::new(generate::random_dense_vector(64, !seed)),
+                )
+            })
+            .collect();
+        for resp in svc.run_stream(&requests) {
+            assert_eq!(resp.served, Served::Cold);
+        }
+        assert_eq!(svc.plans.len(), 24);
+        let mut image_bytes = 0;
+        for entry in svc.plans.values() {
+            assert_eq!(entry.plan.size, cfg.ram_size);
+            image_bytes += entry.plan.image.len();
+        }
+        assert!(image_bytes <= 24 * 2 * 4096, "plan tier holds {image_bytes} image bytes");
+    }
+}

@@ -1216,7 +1216,7 @@ mod tests {
     use super::*;
     use hht_isa::asm::assemble;
     use hht_mem::mmio::NullDevice;
-    use hht_mem::Sram;
+    use hht_mem::{ByteStore, Sram};
 
     /// Run a program on a fresh core; returns (core, cycles).
     fn run(src: &str, sram: &mut dyn MemoryPort) -> (Core, u64) {
@@ -1646,32 +1646,14 @@ mod tests {
         fn skip_conflicts(&mut self, now: u64, span: u64, _addr: u32, who: Requester) {
             self.sram.skip_conflicts(now, span, who)
         }
-        fn size(&self) -> u32 {
-            self.sram.size()
-        }
         fn word_cycles(&self) -> u64 {
             self.sram.word_cycles()
         }
-        fn read_u8(&self, addr: u32) -> u8 {
-            self.sram.read_u8(addr)
+        fn store(&self) -> &ByteStore {
+            &self.sram
         }
-        fn read_u16(&self, addr: u32) -> u16 {
-            self.sram.read_u16(addr)
-        }
-        fn read_u32(&self, addr: u32) -> u32 {
-            self.sram.read_u32(addr)
-        }
-        fn read_u32_checked(&self, addr: u32) -> Option<u32> {
-            self.sram.read_u32_checked(addr)
-        }
-        fn write_u8(&mut self, addr: u32, value: u8) {
-            self.sram.write_u8(addr, value)
-        }
-        fn write_u16(&mut self, addr: u32, value: u16) {
-            self.sram.write_u16(addr, value)
-        }
-        fn write_u32(&mut self, addr: u32, value: u32) {
-            self.sram.write_u32(addr, value)
+        fn store_mut(&mut self) -> &mut ByteStore {
+            &mut self.sram
         }
     }
 
@@ -1684,7 +1666,7 @@ mod tests {
     fn vle32_is_one_burst_only_on_row_timed_memory() {
         let run_vle = |row_timed: bool| {
             let mut port = LogPort::new(row_timed, 30, 0);
-            port.load_words(0x100, &(10..18).collect::<Vec<u32>>());
+            port.store_mut().load_words(0x100, &(10..18).collect::<Vec<u32>>());
             let (core, cycles) = run(&format!("{VLE_PRE}vle32.v v1, (a1)\nebreak"), &mut port);
             assert_eq!(core.read_v(VReg::new(1)), (10..18).collect::<Vec<u32>>().as_slice());
             (port.log, core.stats(), cycles)
@@ -1722,7 +1704,7 @@ mod tests {
     #[test]
     fn vluxei32_and_vse32_stay_word_by_word_on_row_timed_memory() {
         let mut port = LogPort::new(true, 5, 0);
-        port.load_words(0x200, &[0, 4, 8, 12, 16, 20, 24, 28]);
+        port.store_mut().load_words(0x200, &[0, 4, 8, 12, 16, 20, 24, 28]);
         let src = format!(
             "{VLE_PRE}li a2, 0x200\nvle32.v v1, (a2)\nvluxei32.v v2, (a1), v1\n\
              li a3, 0x300\nvse32.v v2, (a3)\nebreak"

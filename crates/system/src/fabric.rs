@@ -541,9 +541,9 @@ impl Fabric {
     /// constructed — so a reused fabric is **bit-identical to a cold one
     /// by construction**; no per-field reset code can drift out of sync
     /// with what `new` initializes. What the warm pool actually amortizes
-    /// is the multi-megabyte memory allocation handed back here (the
-    /// serving layer builds the next image into it), plus everything the
-    /// layout cache skips upstream. The determinism suite pins the
+    /// is the memory's footprint-sized backing buffer handed back here
+    /// (the serving layer builds the next image into it), plus everything
+    /// the layout cache skips upstream. The determinism suite pins the
     /// bit-identity end to end anyway.
     pub fn reset_for(
         &mut self,
@@ -553,7 +553,7 @@ impl Fabric {
         mem: SharedMemory,
     ) -> Vec<u8> {
         let retired = std::mem::replace(self, Fabric::new(cfg, fab, programs, mem));
-        retired.mem.into_inner().into_data()
+        retired.mem.into_inner().into_store().into_vec()
     }
 
     /// Install an explicit fault schedule (replacing any seed-derived one).

@@ -61,15 +61,17 @@ impl<'a> ImageBuilder<'a> {
 
     fn reserve(&mut self, words: usize) -> u32 {
         let addr = self.cursor;
-        let bytes = 4 * words as u32;
+        // In u64: a request past the 32-bit address space must be rejected
+        // here, not wrap to a small reservation.
+        let bytes = 4 * words as u64;
+        let end = addr as u64 + bytes;
         assert!(
-            addr + bytes <= self.sram.size(),
-            "problem does not fit in SRAM ({} bytes needed past {addr:#x})",
-            bytes
+            end <= self.sram.size() as u64,
+            "problem does not fit in SRAM ({bytes} bytes needed past {addr:#x})"
         );
-        self.cursor += bytes;
-        // Keep arrays 32-byte separated to mimic alignment padding.
-        self.cursor = (self.cursor + 31) & !31;
+        // Keep arrays 32-byte separated to mimic alignment padding (an end
+        // at the very top of the address space leaves no room for more).
+        self.cursor = u32::try_from(end.next_multiple_of(32)).unwrap_or(u32::MAX);
         addr
     }
 
@@ -356,6 +358,15 @@ mod tests {
         let m = generate::random_csr(64, 64, 0.1, 1);
         let v = generate::random_dense_vector(64, 2);
         let _ = layout_spmv(&mut sram, &m, &v);
+    }
+
+    /// 4 GiB of output words: the byte count must not wrap to a small
+    /// reservation that passes the fit check.
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn reservations_past_the_address_space_are_rejected() {
+        let mut sram = Sram::new(1 << 20, 1);
+        ImageBuilder::new(&mut sram, 0x100).place_output(1 << 30);
     }
 
     #[test]

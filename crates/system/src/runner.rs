@@ -22,7 +22,7 @@ use crate::kernels;
 use crate::layout;
 use crate::system::{System, SystemStats};
 use hht_fault::FaultPlan;
-use hht_mem::{SharedMemStats, SharedMemory, Sram};
+use hht_mem::{ByteStore, SharedMemStats, SharedMemory, Sram};
 use hht_sim::RunError;
 use hht_sparse::{
     kernels as golden, CscMatrix, CsrMatrix, DenseMatrix, DenseVector, SmashMatrix, SparseFormat,
@@ -176,25 +176,34 @@ fn software_fallback(
     out
 }
 
-/// Build the SRAM, growing it beyond the configured (Table-1) 1 MB when
-/// the problem image does not fit. The paper runs 512x512 matrices at 10 %
-/// sparsity, whose CSR image alone is ~1.9 MB — their spike memory model
-/// must have been sized up the same way (documented in EXPERIMENTS.md).
+/// Build the SRAM for an image of `words` words, growing it beyond the
+/// configured (Table-1) 1 MB when the image does not fit. The paper runs
+/// 512x512 matrices at 10 % sparsity, whose CSR image alone is ~1.9 MB —
+/// their spike memory model must have been sized up the same way
+/// (documented in EXPERIMENTS.md).
 fn sram_for(cfg: &SystemConfig, words: usize) -> Sram {
-    // base offset + arrays + per-array alignment padding slack
-    let needed = 0x100u64 + 4 * words as u64 + 32 * 8;
-    let size = (cfg.ram_size as u64).max(needed.next_multiple_of(4096)) as u32;
-    Sram::new(size, cfg.ram_word_cycles)
+    sram_for_in(cfg, words, Vec::new())
 }
 
-/// [`sram_for`] into a recycled buffer: same size policy, same (all-zero)
+/// [`sram_for`] into a recycled buffer: same sizes, same (all-zero)
 /// contents, so a warm-pool image build is byte-identical to a cold one.
-fn sram_for_in(cfg: &SystemConfig, words: usize, mut buf: Vec<u8>) -> Sram {
-    let needed = 0x100u64 + 4 * words as u64 + 32 * 8;
-    let size = (cfg.ram_size as u64).max(needed.next_multiple_of(4096)) as u32;
+fn sram_for_in(cfg: &SystemConfig, words: usize, buf: Vec<u8>) -> Sram {
+    // base offset + arrays + per-array alignment padding slack
+    sram_with_footprint(cfg, 0x100 + 4 * words as u64 + 32 * 8, buf)
+}
+
+/// An all-zero SRAM for an image of `needed` bytes: its logical size is
+/// `max(cfg.ram_size, needed)` rounded up to a 4 KiB page, but only the
+/// footprint is backed on the host (in `buf`, cleared first so no stale
+/// byte of a longer recycled buffer survives).
+pub(crate) fn sram_with_footprint(cfg: &SystemConfig, needed: u64, mut buf: Vec<u8>) -> Sram {
+    let footprint = needed.next_multiple_of(4096);
+    let size = u32::try_from(footprint.max(cfg.ram_size as u64)).unwrap_or_else(|_| {
+        panic!("problem does not fit in SRAM ({needed} bytes past a 32-bit address space)")
+    });
     buf.clear();
-    buf.resize(size as usize, 0);
-    Sram::from_data(buf, cfg.ram_word_cycles)
+    buf.resize(footprint as usize, 0);
+    Sram::from_store(ByteStore::from_vec(buf, size), cfg.ram_word_cycles)
 }
 
 fn spmv_words(m: &CsrMatrix, v: &DenseVector) -> usize {
@@ -490,7 +499,8 @@ impl FabricRecovery {
 /// buffers. The default implementation is the cold path: fresh allocations
 /// and [`Fabric::new`] every attempt, which is exactly the seed behaviour.
 /// The serving layer (`hht-serve`) substitutes a warm pool that recycles a
-/// retired fabric's multi-megabyte memory buffer into the next image build
+/// retired fabric's memory backing buffer (the previous job's image
+/// footprint) into the next image build
 /// — the determinism suite pins that both paths are bit-identical.
 pub trait FabricProvider {
     /// A byte buffer for the next image build. May hold stale bytes of any
@@ -533,8 +543,12 @@ impl FabricProvider for ColdStart {}
 /// address on every attempt, exactly as on the cold path.
 #[derive(Debug, Clone)]
 pub struct FabricPlan {
-    /// The pristine image bytes (full SRAM size, shard area still zero).
+    /// The pristine image bytes: the host-backed footprint, shard area
+    /// still zero. The logical RAM beyond it is all zero.
     pub image: Vec<u8>,
+    /// Logical RAM size the image was built for (at least `image.len()`),
+    /// so a rebuild has the same `size()` as the cold path.
+    pub size: u32,
     /// Layout of the full problem inside `image`.
     pub layout: layout::ProblemLayout,
     /// Attempt-0 row-range assignment for the planned tile count.
@@ -920,7 +934,22 @@ pub fn plan_spmv_fabric(
     let mut sram = sram_for(cfg, spmv_words(m, v) + shard_words(m, fab.tiles));
     let layout = layout::layout_spmv(&mut sram, m, v);
     let (shards, _) = assign_shards(m, &[(0, m.rows())], fab.tiles);
-    FabricPlan { image: sram.into_data(), layout, shards }
+    plan_from(sram, layout, shards)
+}
+
+fn plan_from(sram: Sram, layout: layout::ProblemLayout, shards: Vec<(usize, usize)>) -> FabricPlan {
+    let size = sram.size();
+    FabricPlan { image: sram.into_store().into_vec(), size, layout, shards }
+}
+
+impl FabricPlan {
+    /// Rebuild the pristine image into `buf` (a recycled buffer of any
+    /// length and contents) by one `memcpy`.
+    fn sram_in(&self, cfg: &SystemConfig, mut buf: Vec<u8>) -> Sram {
+        buf.clear();
+        buf.extend_from_slice(&self.image);
+        Sram::from_store(ByteStore::from_vec(buf, self.size), cfg.ram_word_cycles)
+    }
 }
 
 /// Run fabric SpMV from a precomputed [`FabricPlan`] through a
@@ -944,11 +973,7 @@ pub fn run_spmv_fabric_planned(
         fab,
         "spmv_fabric",
         &gold,
-        &|mut buf| {
-            buf.clear();
-            buf.extend_from_slice(&plan.image);
-            (Sram::from_data(buf, cfg.ram_word_cycles), plan.layout)
-        },
+        &|buf| (plan.sram_in(cfg, buf), plan.layout),
         m,
         &|sl| kernels::spmv_hht(sl, vectorized),
         None,
@@ -997,7 +1022,7 @@ pub fn plan_spmspv_fabric(
     let mut sram = sram_for(cfg, spmspv_words(m, x) + shard_words(m, fab.tiles));
     let layout = layout::layout_spmspv(&mut sram, m, x);
     let (shards, _) = assign_shards(m, &[(0, m.rows())], fab.tiles);
-    FabricPlan { image: sram.into_data(), layout, shards }
+    plan_from(sram, layout, shards)
 }
 
 /// Run fabric SpMSpV (either variant) from a precomputed [`FabricPlan`]
@@ -1019,11 +1044,7 @@ pub fn run_spmspv_fabric_planned(
         fab,
         if variant2 { "spmspv_fabric_v2" } else { "spmspv_fabric_v1" },
         &gold,
-        &|mut buf| {
-            buf.clear();
-            buf.extend_from_slice(&plan.image);
-            (Sram::from_data(buf, cfg.ram_word_cycles), plan.layout)
-        },
+        &|buf| (plan.sram_in(cfg, buf), plan.layout),
         m,
         emit,
         None,
@@ -1137,6 +1158,14 @@ mod tests {
         let v1 = run_spmspv_fabric_v1(&cfg, FabricConfig::scaled(2), &m, &x);
         let v2 = run_spmspv_fabric_v2(&cfg, FabricConfig::scaled(2), &m, &x);
         assert!(v1.y.max_abs_diff(&v2.y) < 1e-3);
+    }
+
+    /// An image past the 32-bit address space is rejected, not truncated
+    /// to a small RAM.
+    #[test]
+    #[should_panic(expected = "does not fit")]
+    fn images_past_the_address_space_are_rejected() {
+        sram_for(&SystemConfig::paper_default(), 1 << 31);
     }
 
     #[test]

@@ -18,14 +18,14 @@
 use crate::config::SystemConfig;
 use crate::kernels::emit_hht_setup_regs;
 use crate::layout::ImageBuilder;
-use crate::runner::RunOutput;
+use crate::runner::{sram_with_footprint, RunOutput};
 use crate::system::System;
 use hht_accel::hht::window;
 use hht_accel::mmr::reg;
 use hht_accel::Mode;
 use hht_isa::builder::KernelBuilder;
 use hht_isa::{FReg, Program, Reg, VReg};
-use hht_mem::{map, Sram};
+use hht_mem::map;
 use hht_sparse::{kernels as golden, CsrMatrix, DenseVector, SparseFormat};
 
 /// Word offsets inside one 8-word tile descriptor.
@@ -193,8 +193,8 @@ pub fn run_spmv_tiled(cfg: &SystemConfig, m: &CsrMatrix, v: &DenseVector, tile: 
     // plus the descriptor table; over-provision generously.
     let blocks = m.rows().div_ceil(tile) * m.cols().div_ceil(tile);
     let words = 2 * m.nnz() + blocks * (tile + 1 + 8) + v.len() + m.rows() + 64;
-    let needed = (0x100 + 4 * words as u64 + 32 * (blocks as u64 + 8)).next_multiple_of(4096);
-    let mut sram = Sram::new((cfg.ram_size as u64).max(needed) as u32, cfg.ram_word_cycles);
+    let needed = 0x100 + 4 * words as u64 + 32 * (blocks as u64 + 8);
+    let mut sram = sram_with_footprint(cfg, needed, Vec::new());
     let mut builder = ImageBuilder::new(&mut sram, 0x100);
     let v_base = builder.place_f32s(v.as_slice());
     let y_base = builder.place_output(m.rows());

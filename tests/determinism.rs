@@ -935,3 +935,122 @@ proptest! {
         assert_serve_matches_cold(cfg, kernel, 1 << tiles_log, n, sparsity_pct as f64 / 100.0, seed);
     }
 }
+
+/// A [`runner::FabricProvider`] that forwards to `inner` and records, for
+/// every memory it is handed, its logical size, its host backing and a
+/// digest of its contents over the whole logical size.
+struct Recording<P> {
+    inner: P,
+    memories: Vec<(u32, usize, u64)>,
+}
+
+impl<P: runner::FabricProvider> runner::FabricProvider for Recording<P> {
+    fn image_buffer(&mut self) -> Vec<u8> {
+        self.inner.image_buffer()
+    }
+
+    fn acquire(
+        &mut self,
+        cfg: &SystemConfig,
+        fab: hht::system::FabricConfig,
+        programs: Vec<hht::isa::Program>,
+        mem: hht::mem::SharedMemory,
+    ) -> hht::system::fabric::Fabric {
+        let digest = mem
+            .read_u32s(0, mem.size() as usize / 4)
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, &w| (h ^ w as u64).wrapping_mul(0x100_0000_01b3));
+        self.memories.push((mem.size(), mem.backed_len(), digest));
+        self.inner.acquire(cfg, fab, programs, mem)
+    }
+
+    fn release(&mut self, fabric: hht::system::fabric::Fabric) {
+        self.inner.release(fabric)
+    }
+}
+
+/// Plans hold only the image footprint, and rebuilding a memory from one —
+/// cold, or into a warm pool's recycled buffer left by a larger job — gives
+/// the cold path's logical size, the same contents over all of it, and a
+/// run bit-identical to the one-shot runner. The RAM is shrunk to 64 KiB
+/// so the 64-row job keeps the configured size and the 512-row job grows
+/// it.
+#[test]
+fn planned_runs_rebuild_footprint_images_bit_identically() {
+    use hht::serve::FabricPool;
+    use hht::sparse::SparseFormat;
+    use hht::system::FabricConfig;
+    let mut cfg = SystemConfig::paper_default().with_trace(TraceConfig::enabled());
+    cfg.ram_size = 1 << 16;
+    let fab = FabricConfig::scaled(4);
+    let problem = |n: usize| {
+        let seed = 0xF00D ^ n as u64;
+        let m = generate::random_csr(n, n, 0.9, seed);
+        (
+            m,
+            generate::random_dense_vector(n, seed ^ 1),
+            generate::random_sparse_vector(n, 0.5, seed ^ 2),
+        )
+    };
+    let (m, v, x) = problem(64);
+    let (bm, bv, bx) = problem(512);
+    for kernel in 0..3 {
+        let plan_of = |m, v, x| match kernel {
+            0 => runner::plan_spmv_fabric(&cfg, fab, m, v),
+            _ => runner::plan_spmspv_fabric(&cfg, fab, m, x),
+        };
+        let run = |m, v, x, plan, provider: &mut dyn runner::FabricProvider| match kernel {
+            0 => runner::run_spmv_fabric_planned(&cfg, fab, m, v, plan, provider),
+            k => runner::run_spmspv_fabric_planned(&cfg, fab, m, x, k == 2, plan, provider),
+        };
+        let want = match kernel {
+            0 => runner::run_spmv_fabric(&cfg, fab, &m, &v),
+            1 => runner::run_spmspv_fabric_v1(&cfg, fab, &m, &x),
+            _ => runner::run_spmspv_fabric_v2(&cfg, fab, &m, &x),
+        };
+        let plan = plan_of(&m, &v, &x);
+        let big = plan_of(&bm, &bv, &bx);
+
+        // The sizing formula: image base, the arrays, each tile's rebased
+        // row-pointer copy, alignment slack.
+        let operand = if kernel == 0 { v.len() } else { 2 * x.nnz() };
+        let words = (m.rows() + 1) + 2 * m.nnz() + operand + m.rows() + 4 * (m.rows() + 9);
+        let footprint = (0x100 + 4 * words + 32 * 8).next_multiple_of(4096usize);
+        assert!(plan.image.len() <= footprint, "kernel {kernel}: {} bytes", plan.image.len());
+        assert_eq!(
+            plan.size, cfg.ram_size,
+            "kernel {kernel}: a small job keeps the configured RAM"
+        );
+        assert!(big.size as usize == big.image.len() && big.size > cfg.ram_size, "kernel {kernel}");
+
+        let mut cold = Recording { inner: runner::ColdStart, memories: Vec::new() };
+        let cold_run = run(&m, &v, &x, &plan, &mut cold);
+        // Two 512-row jobs through the pool: the second resets the first's
+        // fabric and banks its buffer, which the 64-row image build reuses.
+        let mut pool = Recording { inner: FabricPool::new(2), memories: Vec::new() };
+        for _ in 0..2 {
+            run(&bm, &bv, &bx, &big, &mut pool);
+        }
+        let pooled = run(&m, &v, &x, &plan, &mut pool);
+        assert_eq!(
+            pool.inner.buffer_reuses, 1,
+            "kernel {kernel}: the recycled buffer was not used"
+        );
+        assert_eq!(pool.memories[0].0, big.size, "kernel {kernel}");
+
+        assert_eq!(cold.memories.len(), 1, "kernel {kernel}: a clean run is one attempt");
+        let rebuilt = cold.memories[0];
+        assert_eq!(rebuilt.0, plan.size, "kernel {kernel}: logical size");
+        assert_eq!(rebuilt.1, plan.image.len(), "kernel {kernel}: backing");
+        assert_eq!(pool.memories.last(), Some(&rebuilt), "kernel {kernel}: pooled memory");
+        for (what, got) in [("cold", &cold_run), ("pooled", &pooled)] {
+            let ctx = format!("kernel {kernel} {what}");
+            assert_eq!(got.y.as_slice(), want.y.as_slice(), "{ctx}: y");
+            assert_eq!(got.stats, want.stats, "{ctx}: stats");
+            assert_eq!(got.tile_events, want.tile_events, "{ctx}: events");
+            assert_eq!(got.sched, want.sched, "{ctx}: sched");
+            assert_eq!(got.tile_sched, want.tile_sched, "{ctx}: tile sched");
+            assert_eq!(got.recovery, want.recovery, "{ctx}: recovery");
+        }
+    }
+}

@@ -203,6 +203,51 @@ fn plan_events_land_on_time_during_solo_runs() {
     }
 }
 
+/// SRAM soft errors land anywhere in the logical RAM, not only in the
+/// host-backed image footprint. Flips past the footprint (its first byte,
+/// a word a few pages further, the last word of the RAM) read back from
+/// otherwise-zero memory, a flip inside the image changes `y`, every flip
+/// is counted, and the event queue stays bit-identical to the per-cycle
+/// oracle in `y`, stats and events — on 1 and 4 tiles.
+#[test]
+fn bit_flips_past_the_image_footprint_are_applied_and_counted() {
+    let (m, v) = problem(32);
+    let cfg = SystemConfig::paper_default().with_trace(TraceConfig::enabled());
+    for tiles in [1, 4] {
+        let fab = FabricConfig::scaled(tiles);
+        let image = runner::plan_spmv_fabric(&cfg, fab, &m, &v);
+        let footprint = image.image.len() as u32;
+        assert!(footprint < image.size, "the image must leave part of the RAM unbacked");
+        let past = [footprint, footprint + 3 * 4096 + 12, image.size - 4];
+        let mut events: Vec<(u64, FaultKind)> = past
+            .iter()
+            .zip(5u8..)
+            .map(|(&addr, bit)| (1, FaultKind::SramBitFlip { addr, bit }))
+            .collect();
+        events.push((2, FaultKind::SramBitFlip { addr: image.layout.vals_base, bit: 30 }));
+        let run = |skip: bool, faults: bool| {
+            let (mut f, y_base) =
+                runner::build_spmv_fabric(&cfg.with_cycle_skip(skip), fab, &m, &v);
+            if faults {
+                f.set_fault_plan(plan(events.clone()));
+            }
+            let res = format!("{:?}", f.run());
+            let flipped: Vec<u32> =
+                past.iter().map(|&a| f.read_output(a, 1).as_slice()[0].to_bits()).collect();
+            (res, f.stats(), f.read_output(y_base, 32), f.take_all_events(), flipped)
+        };
+        let (eq, pc, clean) = (run(true, true), run(false, true), run(true, false));
+        assert_eq!(eq.0, pc.0, "tiles={tiles}: run result");
+        assert_eq!(eq.1, pc.1, "tiles={tiles}: stats");
+        assert_eq!(eq.2, pc.2, "tiles={tiles}: y");
+        assert_eq!(eq.3, pc.3, "tiles={tiles}: events");
+        assert_eq!(eq.1.merged().faults.injected, events.len() as u64, "tiles={tiles}");
+        assert_eq!(eq.4, vec![1 << 5, 1 << 6, 1 << 7], "tiles={tiles}: flips past the footprint");
+        assert_eq!(clean.4, vec![0; 3], "tiles={tiles}");
+        assert_ne!(eq.2, clean.2, "tiles={tiles}: the flip inside the image must reach y");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Per-tile fault domains: quarantine, shard failover, chaos campaigns.
 // ---------------------------------------------------------------------
