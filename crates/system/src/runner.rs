@@ -182,28 +182,19 @@ fn software_fallback(
 /// their spike memory model must have been sized up the same way
 /// (documented in EXPERIMENTS.md).
 fn sram_for(cfg: &SystemConfig, words: usize) -> Sram {
-    sram_for_in(cfg, words, Vec::new())
-}
-
-/// [`sram_for`] into a recycled buffer: same sizes, same (all-zero)
-/// contents, so a warm-pool image build is byte-identical to a cold one.
-fn sram_for_in(cfg: &SystemConfig, words: usize, buf: Vec<u8>) -> Sram {
     // base offset + arrays + per-array alignment padding slack
-    sram_with_footprint(cfg, 0x100 + 4 * words as u64 + 32 * 8, buf)
+    sram_with_footprint(cfg, 0x100 + 4 * words as u64 + 32 * 8)
 }
 
 /// An all-zero SRAM for an image of `needed` bytes: its logical size is
 /// `max(cfg.ram_size, needed)` rounded up to a 4 KiB page, but only the
-/// footprint is backed on the host (in `buf`, cleared first so no stale
-/// byte of a longer recycled buffer survives).
-pub(crate) fn sram_with_footprint(cfg: &SystemConfig, needed: u64, mut buf: Vec<u8>) -> Sram {
+/// footprint is backed on the host.
+pub(crate) fn sram_with_footprint(cfg: &SystemConfig, needed: u64) -> Sram {
     let footprint = needed.next_multiple_of(4096);
     let size = u32::try_from(footprint.max(cfg.ram_size as u64)).unwrap_or_else(|_| {
         panic!("problem does not fit in SRAM ({needed} bytes past a 32-bit address space)")
     });
-    buf.clear();
-    buf.resize(footprint as usize, 0);
-    Sram::from_store(ByteStore::from_vec(buf, size), cfg.ram_word_cycles)
+    Sram::from_store(ByteStore::from_vec(vec![0; footprint as usize], size), cfg.ram_word_cycles)
 }
 
 fn spmv_words(m: &CsrMatrix, v: &DenseVector) -> usize {
@@ -532,10 +523,12 @@ impl FabricProvider for ColdStart {}
 
 /// A reusable precomputed fabric job: the pristine (pre-shard-copy)
 /// problem image, its layout, and the attempt-0 nnz-balanced shard
-/// assignment. This is what the serving layer's content-addressed cache
-/// stores per `(matrix, operand, kernel, tile count)` key: a cache hit
-/// skips SRAM sizing, layout, and shard balancing, and rebuilds the image
-/// by a single `memcpy` into a recycled buffer.
+/// assignment. Every fabric run starts from one: a one-shot runner
+/// ([`run_spmv_fabric`], [`run_spmspv_fabric_v1`]) builds a fresh plan and
+/// drives it on a [`ColdStart`]. The serving layer's content-addressed
+/// cache stores plans per `(matrix, operand, kernel, tile count)` key: a
+/// cache hit skips SRAM sizing, layout, and shard balancing, and rebuilds
+/// the image by a single `memcpy` into a recycled buffer.
 ///
 /// Bit-identity of cached replays holds because the image is captured
 /// *before* [`layout::shard_layouts`] runs: the per-attempt shard
@@ -605,9 +598,10 @@ fn assign_shards(
     (assigned, pending.len())
 }
 
-/// Shared driver for the fabric runners: build the full image plus
-/// per-shard row-pointer copies, run one HHT kernel per tile over the
-/// banked memory, and verify the assembled result against golden.
+/// Shared driver for the fabric runners: rebuild the full image from
+/// `plan` plus per-shard row-pointer copies, run one HHT kernel per tile
+/// over the banked memory, and verify the assembled result against golden.
+/// Attempt 0 uses the plan's precomputed shards and carries `faults`.
 ///
 /// Without `cfg.recovery` a tile fault or divergence panics (the seed
 /// behaviour). With it, each tile is its own fault domain: a failed tile is
@@ -631,11 +625,10 @@ fn run_fabric(
     fab: FabricConfig,
     what: &str,
     golden: &DenseVector,
-    build_image: &dyn Fn(Vec<u8>) -> (Sram, layout::ProblemLayout),
+    plan: &FabricPlan,
     m: &CsrMatrix,
     emit: &dyn Fn(&layout::ProblemLayout) -> hht_isa::Program,
-    plan: Option<FaultPlan>,
-    shards_hint: Option<&[(usize, usize)]>,
+    faults: Option<FaultPlan>,
     provider: &mut dyn FabricProvider,
     baseline: &dyn Fn(&SystemConfig) -> RunOutput,
 ) -> FabricRunOutput {
@@ -655,7 +648,7 @@ fn run_fabric(
     let mut dropped = hht_obs::ObsDrops::default();
     let mut tile_events: Vec<Vec<hht_obs::Event>> = vec![Vec::new(); n0];
     let mut skip_spans: Vec<hht_obs::SkipSpan> = Vec::new();
-    let mut plan = plan;
+    let mut faults = faults;
     let mut fallback_reason: Option<String> = None;
     let mut fallback_cycles = 0u64;
     // Retry-storm backstop: enough for every tile to burn its full retry
@@ -673,18 +666,18 @@ fn run_fabric(
             fallback_reason = Some("retry budget exhausted".into());
             break;
         }
-        // The attempt-0 full-width assignment may come precomputed from a
-        // cached plan; `assign_shards` over the initial single pending
-        // range is deterministic, so the hint is the same split it would
-        // produce (the determinism suite pins this end to end).
-        let (assigned, taken) = match shards_hint {
-            Some(h) if attempt == 0 && survivors.len() == n0 => (h.to_vec(), pending.len()),
-            _ => assign_shards(m, &pending, survivors.len()),
+        // The attempt-0 full-width assignment is the plan's: it is
+        // `assign_shards` over the initial single pending range.
+        let (assigned, taken) = if attempt == 0 {
+            (plan.shards.clone(), pending.len())
+        } else {
+            assign_shards(m, &pending, survivors.len())
         };
         // Fresh image per attempt: failover restarts shards from clean
         // state (a fault may have corrupted shared arrays), and the bump
         // allocator re-places the rebased row-pointer copies.
-        let (mut sram, full) = build_image(provider.image_buffer());
+        let mut sram = plan.sram_in(cfg, provider.image_buffer());
+        let full = plan.layout;
         let layouts = layout::shard_layouts(&mut sram, &full, m, &assigned);
         let programs = layouts.iter().map(emit).collect();
         let fab_a = FabricConfig { tiles: survivors.len(), banks: fab.banks, arb: fab.arb };
@@ -698,7 +691,7 @@ fn run_fabric(
         }
         let mut fabric = provider.acquire(&attempt_cfg, fab_a, programs, mem);
         if attempt == 0 {
-            if let Some(p) = plan.take() {
+            if let Some(p) = faults.take() {
                 fabric.set_fault_plan(p);
             }
         }
@@ -862,24 +855,24 @@ pub fn build_spmv_fabric(
     m: &CsrMatrix,
     v: &DenseVector,
 ) -> (Fabric, u32) {
-    let mut sram = sram_for(cfg, spmv_words(m, v) + shard_words(m, fab.tiles));
-    let full = layout::layout_spmv(&mut sram, m, v);
-    let shards = layout::row_shards(m, fab.tiles);
-    let layouts = layout::shard_layouts(&mut sram, &full, m, &shards);
+    let plan = plan_spmv_fabric(cfg, fab, m, v);
+    let mut sram = plan.sram_in(cfg, Vec::new());
+    let layouts = layout::shard_layouts(&mut sram, &plan.layout, m, &plan.shards);
     let vectorized = cfg.core.vlen > 1;
     let programs = layouts.iter().map(|sl| kernels::spmv_hht(sl, vectorized)).collect();
     let mem = SharedMemory::from_sram(sram, fab.banks, fab.tiles);
-    (Fabric::new(cfg, fab, programs, mem), full.y_base)
+    (Fabric::new(cfg, fab, programs, mem), plan.layout.y_base)
 }
 
-/// Run HHT-assisted SpMV sharded row-block-wise across an N-tile fabric.
+/// Run HHT-assisted SpMV sharded row-block-wise across an N-tile fabric:
+/// [`plan_spmv_fabric`] then [`run_spmv_fabric_planned`] on a cold start.
 pub fn run_spmv_fabric(
     cfg: &SystemConfig,
     fab: FabricConfig,
     m: &CsrMatrix,
     v: &DenseVector,
 ) -> FabricRunOutput {
-    run_spmv_fabric_inner(cfg, fab, m, v, None)
+    spmv_fabric(cfg, fab, m, v, &plan_spmv_fabric(cfg, fab, m, v), None, &mut ColdStart)
 }
 
 /// Run HHT-assisted fabric SpMV with an explicit fault schedule (replacing
@@ -892,35 +885,7 @@ pub fn run_spmv_fabric_with_plan(
     v: &DenseVector,
     plan: FaultPlan,
 ) -> FabricRunOutput {
-    run_spmv_fabric_inner(cfg, fab, m, v, Some(plan))
-}
-
-fn run_spmv_fabric_inner(
-    cfg: &SystemConfig,
-    fab: FabricConfig,
-    m: &CsrMatrix,
-    v: &DenseVector,
-    plan: Option<FaultPlan>,
-) -> FabricRunOutput {
-    let gold = golden::spmv(m, v).expect("shapes validated by layout");
-    let vectorized = cfg.core.vlen > 1;
-    run_fabric(
-        cfg,
-        fab,
-        "spmv_fabric",
-        &gold,
-        &|buf| {
-            let mut sram = sram_for_in(cfg, spmv_words(m, v) + shard_words(m, fab.tiles), buf);
-            let l = layout::layout_spmv(&mut sram, m, v);
-            (sram, l)
-        },
-        m,
-        &|sl| kernels::spmv_hht(sl, vectorized),
-        plan,
-        None,
-        &mut ColdStart,
-        &|cfg| run_spmv_baseline(cfg, m, v),
-    )
+    spmv_fabric(cfg, fab, m, v, &plan_spmv_fabric(cfg, fab, m, v), Some(plan), &mut ColdStart)
 }
 
 /// Precompute the reusable SpMV fabric job for `fab.tiles` tiles: image,
@@ -953,17 +918,28 @@ impl FabricPlan {
 }
 
 /// Run fabric SpMV from a precomputed [`FabricPlan`] through a
-/// [`FabricProvider`]. With `&mut ColdStart` and a fresh plan this is
-/// bit-identical to [`run_spmv_fabric`]; the serving layer passes its warm
-/// pool and cached plans instead. The image is rebuilt from the plan by
-/// `memcpy` each attempt, so failover re-sharding behaves exactly as on
-/// the cold path.
+/// [`FabricProvider`]. [`run_spmv_fabric`] is this with a fresh plan and
+/// `&mut ColdStart`; the serving layer passes its warm pool and cached
+/// plans instead. The image is rebuilt from the plan by `memcpy` each
+/// attempt, so failover re-sharding starts from the pristine image.
 pub fn run_spmv_fabric_planned(
     cfg: &SystemConfig,
     fab: FabricConfig,
     m: &CsrMatrix,
     v: &DenseVector,
     plan: &FabricPlan,
+    provider: &mut dyn FabricProvider,
+) -> FabricRunOutput {
+    spmv_fabric(cfg, fab, m, v, plan, None, provider)
+}
+
+fn spmv_fabric(
+    cfg: &SystemConfig,
+    fab: FabricConfig,
+    m: &CsrMatrix,
+    v: &DenseVector,
+    plan: &FabricPlan,
+    faults: Option<FaultPlan>,
     provider: &mut dyn FabricProvider,
 ) -> FabricRunOutput {
     let gold = golden::spmv(m, v).expect("shapes validated by layout");
@@ -973,42 +949,38 @@ pub fn run_spmv_fabric_planned(
         fab,
         "spmv_fabric",
         &gold,
-        &|buf| (plan.sram_in(cfg, buf), plan.layout),
+        plan,
         m,
         &|sl| kernels::spmv_hht(sl, vectorized),
-        None,
-        Some(&plan.shards),
+        faults,
         provider,
         &|cfg| run_spmv_baseline(cfg, m, v),
     )
 }
 
 /// Run HHT-assisted SpMSpV (variant 1: sparse gather against dense-indexed
-/// windows) sharded across an N-tile fabric.
+/// windows) sharded across an N-tile fabric: [`plan_spmspv_fabric`] then
+/// [`run_spmspv_fabric_planned`] on a cold start.
 pub fn run_spmspv_fabric_v1(
     cfg: &SystemConfig,
     fab: FabricConfig,
     m: &CsrMatrix,
     x: &SparseVector,
 ) -> FabricRunOutput {
-    let gold = golden::spmspv(m, x).expect("shapes validated");
-    run_fabric(
-        cfg,
-        fab,
-        "spmspv_fabric_v1",
-        &gold,
-        &|buf| {
-            let mut sram = sram_for_in(cfg, spmspv_words(m, x) + shard_words(m, fab.tiles), buf);
-            let l = layout::layout_spmspv(&mut sram, m, x);
-            (sram, l)
-        },
-        m,
-        &kernels::spmspv_hht_v1,
-        None,
-        None,
-        &mut ColdStart,
-        &|cfg| run_spmspv_baseline(cfg, m, x),
-    )
+    let plan = plan_spmspv_fabric(cfg, fab, m, x);
+    run_spmspv_fabric_planned(cfg, fab, m, x, false, &plan, &mut ColdStart)
+}
+
+/// Run HHT-assisted SpMSpV (variant 2: intersection in the HHT) sharded
+/// across an N-tile fabric (see [`run_spmspv_fabric_v1`]).
+pub fn run_spmspv_fabric_v2(
+    cfg: &SystemConfig,
+    fab: FabricConfig,
+    m: &CsrMatrix,
+    x: &SparseVector,
+) -> FabricRunOutput {
+    let plan = plan_spmspv_fabric(cfg, fab, m, x);
+    run_spmspv_fabric_planned(cfg, fab, m, x, true, &plan, &mut ColdStart)
 }
 
 /// Precompute the reusable SpMSpV fabric job (shared by both kernel
@@ -1044,40 +1016,11 @@ pub fn run_spmspv_fabric_planned(
         fab,
         if variant2 { "spmspv_fabric_v2" } else { "spmspv_fabric_v1" },
         &gold,
-        &|buf| (plan.sram_in(cfg, buf), plan.layout),
+        plan,
         m,
         emit,
         None,
-        Some(&plan.shards),
         provider,
-        &|cfg| run_spmspv_baseline(cfg, m, x),
-    )
-}
-
-/// Run HHT-assisted SpMSpV (variant 2: intersection in the HHT) sharded
-/// across an N-tile fabric.
-pub fn run_spmspv_fabric_v2(
-    cfg: &SystemConfig,
-    fab: FabricConfig,
-    m: &CsrMatrix,
-    x: &SparseVector,
-) -> FabricRunOutput {
-    let gold = golden::spmspv(m, x).expect("shapes validated");
-    run_fabric(
-        cfg,
-        fab,
-        "spmspv_fabric_v2",
-        &gold,
-        &|buf| {
-            let mut sram = sram_for_in(cfg, spmspv_words(m, x) + shard_words(m, fab.tiles), buf);
-            let l = layout::layout_spmspv(&mut sram, m, x);
-            (sram, l)
-        },
-        m,
-        &kernels::spmspv_hht_v2,
-        None,
-        None,
-        &mut ColdStart,
         &|cfg| run_spmspv_baseline(cfg, m, x),
     )
 }

@@ -194,7 +194,7 @@ pub fn run_spmv_tiled(cfg: &SystemConfig, m: &CsrMatrix, v: &DenseVector, tile: 
     let blocks = m.rows().div_ceil(tile) * m.cols().div_ceil(tile);
     let words = 2 * m.nnz() + blocks * (tile + 1 + 8) + v.len() + m.rows() + 64;
     let needed = 0x100 + 4 * words as u64 + 32 * (blocks as u64 + 8);
-    let mut sram = sram_with_footprint(cfg, needed, Vec::new());
+    let mut sram = sram_with_footprint(cfg, needed);
     let mut builder = ImageBuilder::new(&mut sram, 0x100);
     let v_base = builder.place_f32s(v.as_slice());
     let y_base = builder.place_output(m.rows());
