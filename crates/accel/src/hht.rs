@@ -184,6 +184,15 @@ impl Hht {
             && self.counts.is_empty()
     }
 
+    /// Is an engine loaded and not yet retired? False exactly when
+    /// [`Hht::next_event`] answers [`Wake::Never`], without touching its
+    /// memoized wake; [`Hht::step`] and [`Hht::skip_idle`] are then no-ops,
+    /// so until the next device access the tile evolves as its core alone.
+    #[inline]
+    pub fn engine_live(&self) -> bool {
+        self.engine.is_some() && !self.engine_done
+    }
+
     /// Step the back-end one cycle (called by the system *after* the CPU's
     /// step so the CPU wins SRAM-port arbitration).
     pub fn step(&mut self, now: u64, sram: &mut dyn MemoryPort) {

@@ -9,7 +9,9 @@ use hht_mem::sram::Requester;
 use hht_mem::L1dCache;
 use hht_mem::MemIssue;
 use hht_mem::MemoryPort;
-use hht_obs::{Event, EventBus, EventKind, RingBuffer, StallBreakdown, StallCause, Track};
+use hht_obs::{
+    Event, EventBus, EventKind, RingBuffer, SkipSpan, StallBreakdown, StallCause, Track,
+};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -132,6 +134,24 @@ pub struct TraceEntry {
     pub pc: u32,
     /// The decoded instruction.
     pub instr: Instr,
+}
+
+/// What one [`Core::run_alone`] call did, for the scheduler's books.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AloneRun {
+    /// Cycle the loop stopped at.
+    pub end: u64,
+    /// Cycles stepped.
+    pub stepped: u64,
+    /// Busy spans jumped over.
+    pub parks: u64,
+    /// Cycles those spans cover.
+    pub parked: u64,
+    /// The last stepped cycle still needs the scheduler's re-plan: the
+    /// step halted the core or was refused, or it left a busy span that
+    /// reaches the horizon, a device beat or a beat on a busy bank next.
+    /// Otherwise the core is due at `end`: the horizon, or a device beat.
+    pub replan: bool,
 }
 
 #[derive(Debug)]
@@ -410,6 +430,64 @@ impl Core {
         self.stats.stalls.record_many(StallCause::ArbitrationLoss, span);
         sram.skip_conflicts(now, span, addr, who);
         Self::obs_stall(&mut self.obs, &mut self.open_stall, now, StallCause::ArbitrationLoss);
+    }
+
+    /// Run the core alone from `now`, where it is due, until `horizon`:
+    /// the caller guarantees that nothing but this core acts on its port
+    /// or device before then. Instructions run back to back and the
+    /// core's own busy spans are jumped over (each one pushed to `spans`
+    /// when given), so the core evolves exactly as [`Core::step`] called
+    /// every cycle would evolve it, with each jumped span being what a
+    /// scheduler would park. The loop never steps a device beat, and it
+    /// stops after a refused step and wherever the next beat waits on a
+    /// busy bank: those cycles belong to the caller's general scheduler,
+    /// which steps the device in the same cycle and bounds the port wait.
+    pub fn run_alone(
+        &mut self,
+        mut now: u64,
+        horizon: u64,
+        port: &mut dyn MemoryPort,
+        dev: &mut dyn MmioDevice,
+        mut spans: Option<&mut Vec<SkipSpan>>,
+    ) -> AloneRun {
+        let mut run = AloneRun::default();
+        while now < horizon && !self.next_beat_is_device() {
+            self.step(now, port, dev);
+            now += 1;
+            run.stepped += 1;
+            // A step that neither halts nor is refused leaves the core busy
+            // until at least the next cycle; a busy span that reaches the
+            // horizon is the caller's to park.
+            if self.halted || self.busy_until < now || self.busy_until >= horizon {
+                run.replan = true;
+                break;
+            }
+            if self.busy_until > now {
+                if let Some(spans) = spans.as_deref_mut() {
+                    spans.push(SkipSpan { start: now, end: self.busy_until });
+                }
+                run.parks += 1;
+                run.parked += self.busy_until - now;
+                now = self.busy_until;
+            } else if self.next_beat_is_device()
+                || self.pending_port_addr(now).is_some_and(|a| port.next_event_at(a, now).is_some())
+            {
+                // Due now, but on a device beat or a busy bank.
+                run.replan = true;
+                break;
+            }
+        }
+        run.end = now;
+        run
+    }
+
+    /// Is the pending memory op's next beat a device (MMIO) access?
+    #[inline]
+    fn next_beat_is_device(&self) -> bool {
+        self.mem_op
+            .as_ref()
+            .and_then(|op| op.beats.get(op.next))
+            .is_some_and(|b| matches!(b.access, BeatAccess::DevRead | BeatAccess::DevWrite(_)))
     }
 
     /// Current program counter.

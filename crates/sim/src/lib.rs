@@ -24,5 +24,5 @@ pub mod config;
 pub mod core;
 pub mod profile;
 
-pub use crate::core::{Core, CoreStats, RunError, TraceEntry};
+pub use crate::core::{AloneRun, Core, CoreStats, RunError, TraceEntry};
 pub use config::CoreConfig;

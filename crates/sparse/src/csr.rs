@@ -86,14 +86,51 @@ impl CsrMatrix {
         Ok(CsrMatrix { rows, cols, row_ptr, col_idx, values })
     }
 
-    /// Build from `(row, col, value)` triplets. A row, column or non-zero
-    /// count past the `u32` index range is an error.
+    /// Build from `(row, col, value)` triplets in any order. Errors, in
+    /// order of precedence: the first out-of-bounds triplet in input order,
+    /// the first duplicate coordinate in row-major order, then a row,
+    /// column or non-zero count past the `u32` index range.
+    ///
+    /// Built directly: one counting pass buckets the entries by row, then
+    /// each row's columns are sorted on their own.
     pub fn from_triplets(
         rows: usize,
         cols: usize,
         triplets: &[(usize, usize, f32)],
     ) -> Result<Self> {
-        Self::try_from_coo(&CooMatrix::from_triplets(rows, cols, triplets)?)
+        for &(row, col, _) in triplets {
+            if row >= rows || col >= cols {
+                return Err(SparseError::IndexOutOfBounds { row, col, rows, cols });
+            }
+        }
+        let limit = u32::MAX as usize;
+        if rows > limit || cols > limit || triplets.len() > limit {
+            // Past the index range: the COO path still reports a duplicate
+            // before the range error.
+            return Self::try_from_coo(&CooMatrix::from_triplets(rows, cols, triplets)?);
+        }
+        let mut row_ptr = vec![0u32; rows + 1];
+        for &(r, _, _) in triplets {
+            row_ptr[r + 1] += 1;
+        }
+        for r in 0..rows {
+            row_ptr[r + 1] += row_ptr[r];
+        }
+        let mut next = row_ptr[..rows].to_vec();
+        let mut entries = vec![(0u32, 0f32); triplets.len()];
+        for &(r, c, v) in triplets {
+            entries[next[r] as usize] = (c as u32, v);
+            next[r] += 1;
+        }
+        for (r, span) in row_ptr.windows(2).enumerate() {
+            let row = &mut entries[span[0] as usize..span[1] as usize];
+            row.sort_unstable_by_key(|&(c, _)| c);
+            if let Some(w) = row.windows(2).find(|w| w[0].0 == w[1].0) {
+                return Err(SparseError::DuplicateEntry { row: r, col: w[0].0 as usize });
+            }
+        }
+        let (col_idx, values) = entries.into_iter().unzip();
+        Ok(CsrMatrix { rows, cols, row_ptr, col_idx, values })
     }
 
     /// [`from_coo`](CsrMatrix::from_coo) for a COO matrix whose shape is
@@ -290,5 +327,47 @@ mod tests {
         assert_eq!(m.row_ptr(), &[0, 0, 0, 0, 1]);
         assert_eq!(m.row_nnz(0), 0);
         assert_eq!(m.row_nnz(3), 1);
+    }
+
+    #[test]
+    fn a_duplicate_outranks_the_range_error() {
+        let wide = u32::MAX as usize + 1;
+        let e = CsrMatrix::from_triplets(1, wide, &[(0, 3, 1.0), (0, 3, 2.0)]).unwrap_err();
+        assert_eq!(e, SparseError::DuplicateEntry { row: 0, col: 3 });
+    }
+
+    mod direct_build {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// The direct build equals a COO sort then `from_coo` on valid
+            /// input and returns the same error on out-of-bounds or
+            /// duplicate input. `wrap` folds coordinates into the shape
+            /// (in bounds, duplicates common); `dedup` keeps each
+            /// coordinate's first triplet only.
+            #[test]
+            fn direct_build_matches_the_coo_path(
+                rows in 1usize..7,
+                cols in 1usize..7,
+                raw in proptest::collection::vec((0usize..8, 0usize..8, -4i32..5), 0..24),
+                wrap in any::<bool>(),
+                dedup in any::<bool>(),
+            ) {
+                let mut triplets: Vec<(usize, usize, f32)> = Vec::new();
+                for &(r, c, v) in &raw {
+                    let (r, c) = if wrap { (r % rows, c % cols) } else { (r, c) };
+                    if !(dedup && triplets.iter().any(|t| (t.0, t.1) == (r, c))) {
+                        triplets.push((r, c, v as f32));
+                    }
+                }
+                let direct = CsrMatrix::from_triplets(rows, cols, &triplets);
+                let via_coo = CooMatrix::from_triplets(rows, cols, &triplets)
+                    .map(|coo| CsrMatrix::from_coo(&coo));
+                prop_assert_eq!(direct, via_coo);
+            }
+        }
     }
 }

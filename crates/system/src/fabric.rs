@@ -460,6 +460,8 @@ pub struct Fabric {
     /// park-soundness property test replays each span against a per-cycle
     /// oracle). Also kept off the per-tile buses.
     park_spans: Option<Vec<Vec<SkipSpan>>>,
+    /// The per-cycle loop's liveness snapshot, kept to reuse its buffer.
+    live: Vec<bool>,
 }
 
 /// Per-tile classification for one park: what bulk-replay the parked span
@@ -530,6 +532,7 @@ impl Fabric {
             tile_sched: vec![TileSchedStats::default(); fab.tiles],
             skip_spans: cfg.trace.events.then(Vec::new),
             park_spans: cfg.trace.events.then(|| vec![Vec::new(); fab.tiles]),
+            live: Vec::with_capacity(fab.tiles),
         }
     }
 
@@ -590,7 +593,9 @@ impl Fabric {
         // still gets its HHT stepped this cycle (exactly the single-tile
         // loop, where `step` runs the HHT after the core halts and the
         // `while` only exits afterwards).
-        let active: Vec<bool> = self.tiles.iter().map(|t| !t.core.halted()).collect();
+        let mut active = std::mem::take(&mut self.live);
+        active.clear();
+        active.extend(self.tiles.iter().map(|t| !t.core.halted()));
         for i in 0..n {
             let t = (start + i) % n;
             if !active[t] {
@@ -616,6 +621,7 @@ impl Fabric {
                 self.tile_sched[t].stepped_cycles += 1;
             }
         }
+        self.live = active;
         for tile in &mut self.tiles {
             if tile.done_at.is_none() && tile.core.halted() {
                 tile.done_at = Some(self.cycle);
@@ -1045,6 +1051,10 @@ impl Fabric {
     /// general loop would make, so it is taken here. `fault_at` stays
     /// valid throughout: no event is taken and no other tile can halt
     /// before the horizon.
+    ///
+    /// While the tile's HHT has no live engine, the core runs alone
+    /// ([`Self::run_core_alone`]); the steps and re-plans below take over
+    /// only for what that loop hands back.
     fn run_solo(
         &mut self,
         t: usize,
@@ -1059,7 +1069,13 @@ impl Fabric {
             horizon = horizon.min(at);
         }
         while self.cycle < horizon {
-            self.step_tiles(&[t]);
+            let stepped = !self.tiles[t].hht.engine_live() && self.run_core_alone(t, horizon);
+            if !stepped {
+                if self.cycle >= horizon {
+                    break;
+                }
+                self.step_tiles(&[t]);
+            }
             if !self.replan_tile(t, fault_at, heap) {
                 // `t` halted or parked; every other entry wakes at or
                 // after the horizon, so a head entry for `t` is its park.
@@ -1073,6 +1089,42 @@ impl Fabric {
             }
         }
         true
+    }
+
+    /// Solo core run: tile `t` is due and alone before `horizon`, and its
+    /// HHT has no live engine, so its engine step and idle replay are
+    /// no-ops and the tile evolves as its core alone.
+    /// [`Core::run_alone`] runs it straight through; this books what the
+    /// solo run's [`Self::step_tiles`], [`Self::commit_park`] and
+    /// [`Self::skip_to`] would have: every stepped cycle is one pop, and
+    /// every jumped busy span one park and one skip span. The loop ends
+    /// before any device beat (a store that starts an engine, a window
+    /// read): that cycle goes through [`Self::step_tiles`], which steps
+    /// the HHT in the same cycle. Returns `true` when its last stepped
+    /// cycle still needs [`Self::replan_tile`]; otherwise the tile is due
+    /// now.
+    fn run_core_alone(&mut self, t: usize, horizon: u64) -> bool {
+        let tile = &mut self.tiles[t];
+        let mut port = FabricPort::new(&mut self.mem, t);
+        let parks = self.park_spans.as_mut().map(|p| &mut p[t]);
+        let first = parks.as_ref().map_or(0, |p| p.len());
+        let run = tile.core.run_alone(self.cycle, horizon, &mut port, &mut tile.hht, parks);
+        if tile.done_at.is_none() && tile.core.halted() {
+            tile.done_at = Some(run.end);
+        }
+        let ts = &mut self.tile_sched[t];
+        ts.pops += run.stepped;
+        ts.stepped_cycles += run.stepped;
+        ts.parks += run.parks;
+        ts.skipped_cycles += run.parked;
+        self.sched.stepped_cycles += run.stepped;
+        self.sched.skipped_cycles += run.parked;
+        self.sched.skip_spans += run.parks;
+        if let (Some(spans), Some(parks)) = (self.skip_spans.as_mut(), self.park_spans.as_ref()) {
+            spans.extend_from_slice(&parks[t][first..]);
+        }
+        self.cycle = run.end;
+        run.replan
     }
 
     /// Jump the clock to `wake`. The cycles in between were already paid

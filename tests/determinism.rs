@@ -4,6 +4,7 @@
 //! also has).
 
 use hht::fault::FaultConfig;
+use hht::obs::SkipSpan;
 use hht::sparse::generate;
 use hht::system::config::{SystemConfig, TraceConfig};
 use hht::system::{experiments, runner, RunOutput};
@@ -1053,4 +1054,286 @@ fn planned_runs_rebuild_footprint_images_bit_identically() {
             assert_eq!(got.recovery, want.recovery, "{ctx}: recovery");
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Core-alone runs: a solo tile whose HHT has no live engine
+// ---------------------------------------------------------------------------
+
+/// The software kernels. None starts an engine, so under the event queue
+/// each one-tile run is the core-alone loop from start to halt.
+const BASELINES: [&str; 5] =
+    ["spmv_scalar", "spmv_vector", "spmspv_merge", "spmspv_csc", "dense_matvec"];
+
+/// A one-tile fabric loaded with software baseline `name` on an `n`-square
+/// problem at 80% sparsity, plus the problem's layout.
+fn baseline_fabric(
+    cfg: &SystemConfig,
+    name: &str,
+    n: usize,
+    seed: u64,
+) -> (hht::system::Fabric, hht::system::layout::ProblemLayout) {
+    use hht::mem::{SharedMemory, Sram};
+    use hht::sparse::{CscMatrix, SparseFormat};
+    use hht::system::{kernels, layout, Fabric, FabricConfig};
+    let m = generate::random_csr(n, n, 0.8, seed);
+    let v = generate::random_dense_vector(n, seed ^ 1);
+    let x = generate::random_sparse_vector(n, 0.8, seed ^ 2);
+    let mut sram = Sram::new(cfg.ram_size, cfg.ram_word_cycles);
+    let (l, program) = match name {
+        "spmv_scalar" | "spmv_vector" => {
+            let l = layout::layout_spmv(&mut sram, &m, &v);
+            (l, kernels::spmv_baseline(&l, name == "spmv_vector"))
+        }
+        "spmspv_merge" => {
+            let l = layout::layout_spmspv(&mut sram, &m, &x);
+            (l, kernels::spmspv_baseline(&l))
+        }
+        "spmspv_csc" => {
+            let csc = CscMatrix::from_triplets(n, n, &m.triplets()).expect("valid triplets");
+            let l = kernels::layout_spmspv_csc(&mut sram, &csc, &x);
+            (l, kernels::spmspv_csc_baseline(&l))
+        }
+        _ => {
+            let l = layout::layout_dense(&mut sram, &m.to_dense(), &v);
+            (l, kernels::dense_matvec(&l))
+        }
+    };
+    let mem = SharedMemory::from_sram(sram, 1, 1);
+    (Fabric::new(cfg, FabricConfig::single(), vec![program], mem), l)
+}
+
+/// Run baseline `name` under both schedulers, with `plan` installed on
+/// each, and require bit-identical outcomes: the run verdict, the stop
+/// cycle, every statistic, the output words and (when traced) every
+/// event. Then check the event queue's books: every stepped cycle is one
+/// pop, stepped plus parked cycles span the run, and on one tile every
+/// park is one clock skip. Returns the event-queue fabric.
+fn assert_core_alone_matches_per_cycle(
+    cfg: &SystemConfig,
+    name: &str,
+    n: usize,
+    seed: u64,
+    plan: Option<&hht::fault::FaultPlan>,
+) -> hht::system::Fabric {
+    let (mut eq, l) = baseline_fabric(&cfg.with_cycle_skip(true), name, n, seed);
+    let (mut pc, _) = baseline_fabric(&cfg.with_cycle_skip(false), name, n, seed);
+    if let Some(p) = plan {
+        eq.set_fault_plan(p.clone());
+        pc.set_fault_plan(p.clone());
+    }
+    let (eq_res, pc_res) = (eq.run(), pc.run());
+    let ctx = format!("{name} n={n} max_cycles={}", cfg.core.max_cycles);
+    assert_eq!(format!("{eq_res:?}"), format!("{pc_res:?}"), "{ctx}: verdict");
+    assert_eq!(eq.cycle(), pc.cycle(), "{ctx}: stop cycle");
+    assert_eq!(eq.stats(), pc.stats(), "{ctx}: stats");
+    assert_eq!(eq.read_output(l.y_base, n), pc.read_output(l.y_base, n), "{ctx}: y");
+    assert_eq!(eq.take_all_events(), pc.take_all_events(), "{ctx}: events");
+    let s = eq.sched_stats();
+    let ts = eq.tile_sched_stats()[0];
+    assert_eq!(ts.pops, ts.stepped_cycles, "{ctx}: one pop per stepped cycle");
+    assert_eq!(ts.stepped_cycles, s.stepped_cycles, "{ctx}: stepped cycles");
+    assert_eq!((ts.parks, ts.skipped_cycles), (s.skip_spans, s.skipped_cycles), "{ctx}: parks");
+    assert_eq!(s.stepped_cycles + s.skipped_cycles, eq.cycle(), "{ctx}: the books span the run");
+    eq
+}
+
+/// Every park of a one-tile baseline run is architecturally inert:
+/// stepping the same image under the per-cycle oracle, the tile's
+/// discrete counters are the same at each span's end as at its start.
+fn assert_parks_inert(cfg: &SystemConfig, name: &str, n: usize, seed: u64, parks: &[SkipSpan]) {
+    use std::collections::BTreeMap;
+    let sig = |f: &hht::system::Fabric| {
+        let c = f.stats().tiles[0].core;
+        [c.instructions, c.loads, c.stores, c.vector_instrs, c.mem_beats, c.l1d_hits, c.l1d_misses]
+    };
+    let (mut oracle, _) = baseline_fabric(&cfg.with_cycle_skip(false), name, n, seed);
+    let mut at = BTreeMap::new();
+    let end = parks.last().map_or(0, |s| s.end);
+    while oracle.cycle() <= end {
+        at.insert(oracle.cycle(), sig(&oracle));
+        oracle.step();
+    }
+    for s in parks {
+        assert_eq!(
+            at[&s.start], at[&s.end],
+            "{name}: architectural event inside [{}, {})",
+            s.start, s.end
+        );
+    }
+}
+
+/// Each software baseline — scalar and vector SpMV, the SpMSpV merge, the
+/// CSC scatter and the dense matvec — on flat memory, 300 ns DRAM and an
+/// L1D over slow SRAM, traced and untraced, runs bit-identically to the
+/// per-cycle oracle in the core-alone loop. Tracing does not move the
+/// scheduler's books; when traced, the clock skips exactly where the
+/// tile parks, and every park is inert in the oracle.
+#[test]
+fn core_alone_baselines_match_the_per_cycle_oracle() {
+    use hht::mem::DramConfig;
+    use hht::sim::config::CacheGeometry;
+    let (n, seed) = (24, 0xA10E);
+    let flat = SystemConfig::paper_default();
+    let memories = [
+        ("flat", flat),
+        ("slow_300ns", flat.with_dram(DramConfig::slow_300ns())),
+        ("l1d", flat.with_ram_word_cycles(4).with_l1d(CacheGeometry::embedded_4k())),
+    ];
+    for name in BASELINES {
+        for (mem, base) in memories {
+            let mut books = Vec::new();
+            for traced in [false, true] {
+                let cfg = if traced { base.with_trace(TraceConfig::enabled()) } else { base };
+                let mut eq = assert_core_alone_matches_per_cycle(&cfg, name, n, seed, None);
+                books.push((eq.sched_stats(), eq.tile_sched_stats().to_vec()));
+                if traced {
+                    let skips = eq.take_skip_spans();
+                    let parks = eq.take_park_spans();
+                    assert!(!skips.is_empty(), "{name} on {mem}: the run never parked");
+                    assert_eq!(skips, parks[0], "{name} on {mem}: skips and parks differ");
+                    assert_parks_inert(&cfg, name, n, seed, &skips);
+                }
+            }
+            assert_eq!(books[0], books[1], "{name} on {mem}: tracing moved the books");
+        }
+    }
+}
+
+/// A hand-written program runs the core alone (a load loop), starts an
+/// HHT SpMV gather by MMR stores, pops every gathered element, then runs
+/// alone again once the engine has retired. The store that writes
+/// `START` is a device beat, which the core-alone loop never steps: the
+/// event queue steps it together with the HHT in the same cycle, exactly
+/// as the per-cycle oracle does, so cycles, stats and events agree.
+#[test]
+fn an_engine_started_mid_run_steps_in_its_start_cycle() {
+    use hht::accel::hht::window;
+    use hht::accel::mmr::reg;
+    use hht::accel::Mode;
+    use hht::isa::asm::assemble;
+    use hht::mem::{map, SharedMemory, Sram};
+    use hht::sparse::SparseFormat;
+    use hht::system::{layout, Fabric, FabricConfig};
+    let n = 24;
+    let m = generate::random_csr(n, n, 0.7, 0x57A7);
+    let v = generate::random_dense_vector(n, 0x57A8);
+    let build = |cfg: &SystemConfig| {
+        let mut sram = Sram::new(cfg.ram_size, cfg.ram_word_cycles);
+        let l = layout::layout_spmv(&mut sram, &m, &v);
+        let mut src = format!(
+            "li t0, {nnz}\nli a0, {vals}\nwarm:\nflw ft0, 0(a0)\nfadd.s fa1, fa1, ft0\n\
+             addi a0, a0, 4\naddi t0, t0, -1\nbnez t0, warm\nli t6, {mmr}\n",
+            nnz = l.m_nnz,
+            vals = l.vals_base,
+            mmr = map::HHT_MMR_BASE,
+        );
+        for (off, value) in [
+            (reg::M_NUM_ROWS, l.num_rows),
+            (reg::M_ROWS_BASE, l.rows_base),
+            (reg::M_COLS_BASE, l.cols_base),
+            (reg::M_VALS_BASE, l.vals_base),
+            (reg::V_BASE, l.v_base),
+            (reg::M_NNZ, l.m_nnz),
+            (reg::ELEMENT_SIZES, (l.num_cols << 16) | 4),
+            (reg::MODE, Mode::SpMV as u32),
+            (reg::START, 1),
+        ] {
+            src.push_str(&format!("li t5, {value}\nsw t5, {off}(t6)\n"));
+        }
+        src.push_str(&format!(
+            "li a6, {buf}\nli t0, {nnz}\npop:\nflw ft1, 0(a6)\nfadd.s fa2, fa2, ft1\n\
+             addi t0, t0, -1\nbnez t0, pop\nli a1, {y}\nfsw fa1, 0(a1)\nfsw fa2, 4(a1)\n\
+             li t0, 50\ntail:\naddi t0, t0, -1\nbnez t0, tail\nebreak\n",
+            buf = map::HHT_BUF_BASE + window::PRIMARY,
+            nnz = l.m_nnz,
+            y = l.y_base,
+        ));
+        let program = assemble(&src).expect("hand-written program assembles");
+        let mem = SharedMemory::from_sram(sram, 1, 1);
+        (Fabric::new(cfg, FabricConfig::single(), vec![program], mem), l.y_base)
+    };
+    let values_sum = m.values().iter().fold(0.0f32, |s, &x| s + x);
+    let gathered_sum = m.col_indices().iter().fold(0.0f32, |s, &c| s + v.as_slice()[c as usize]);
+    for traced in [false, true] {
+        let mut cfg = SystemConfig::paper_default();
+        if traced {
+            cfg = cfg.with_trace(TraceConfig::enabled());
+        }
+        let (mut eq, y_base) = build(&cfg.with_cycle_skip(true));
+        let (mut pc, _) = build(&cfg.with_cycle_skip(false));
+        let eq_stats = eq.run().expect("event-queue run");
+        let pc_stats = pc.run().expect("per-cycle run");
+        assert_eq!(eq_stats, pc_stats, "traced={traced}");
+        assert_eq!(eq_stats.tiles[0].hht.elements_delivered, m.nnz() as u64);
+        let y = eq.read_output(y_base, 2);
+        assert_eq!(y.as_slice(), &[values_sum, gathered_sum], "traced={traced}");
+        assert_eq!(y, pc.read_output(y_base, 2));
+        assert_eq!(eq.take_all_events(), pc.take_all_events(), "traced={traced}");
+    }
+}
+
+/// Faults and the watchdog inside a baseline run each bound the
+/// core-alone loop's horizon, so it hands back at exactly that cycle. An
+/// SRAM bit flip in the matrix values mid-run, and a tile-targeted drop
+/// that finds no engine (live, so it bounds parks, yet applies nothing),
+/// land on the same cycles under both schedulers; a watchdog set inside
+/// the run stops both at exactly its limit.
+#[test]
+fn faults_and_the_watchdog_inside_a_core_alone_run_match_per_cycle() {
+    use hht::fault::{FaultEvent, FaultKind, FaultPlan};
+    let (n, seed) = (24, 0xF17);
+    let traced = SystemConfig::paper_default().with_trace(TraceConfig::enabled());
+    for name in BASELINES {
+        let (mut probe, l) = baseline_fabric(&traced.with_cycle_skip(false), name, n, seed);
+        let clean = probe.run().expect("clean baseline run");
+        let full = clean.cycles;
+        let last_value = l.vals_base + 4 * (l.m_nnz - 1);
+        let plan = FaultPlan::new(vec![
+            FaultEvent::new(full / 3, FaultKind::SramBitFlip { addr: last_value, bit: 30 }),
+            FaultEvent::new(full / 2, FaultKind::DropResponse),
+        ]);
+        let mut eq = assert_core_alone_matches_per_cycle(&traced, name, n, seed, Some(&plan));
+        let faults = eq.stats().tiles[0].faults;
+        assert_eq!((faults.injected, faults.dropped), (1, 0), "{name}: the flip alone applies");
+        let flipped = eq.mem().read_u32s(last_value, 1)[0];
+        assert_eq!(flipped, probe.mem().read_u32s(last_value, 1)[0] ^ (1 << 30), "{name}: flip");
+        assert!(eq.take_skip_spans().iter().all(|s| s.end <= full / 3 || s.start >= full / 3));
+        for limit in [full / 2, full / 2 + 1, full - 3] {
+            let mut cfg = traced;
+            cfg.core.max_cycles = limit;
+            let eq = assert_core_alone_matches_per_cycle(&cfg, name, n, seed, None);
+            assert_eq!(eq.cycle(), limit, "{name}: the watchdog stops the run at its limit");
+        }
+    }
+}
+
+/// The scheduler's books for one small fixed matrix per baseline kernel,
+/// pinned to the values the per-cycle re-plan produced before the
+/// core-alone loop existed: `(stepped, skipped, skip spans)` then the
+/// tile's `(pops, stepped, skipped, parks)`.
+#[test]
+fn core_alone_books_match_the_stepped_solo_run() {
+    let pinned = [
+        ("spmv_scalar", [3304, 475, 475], [3304, 3304, 475, 475]),
+        ("spmv_vector", [1665, 670, 416], [1665, 1665, 670, 416]),
+        ("spmspv_merge", [5278, 618, 618], [5278, 5278, 618, 618]),
+        ("spmspv_csc", [615, 65, 65], [615, 615, 65, 65]),
+        ("dense_matvec", [3820, 673, 353], [3820, 3820, 673, 353]),
+    ];
+    let got: Vec<_> = BASELINES
+        .iter()
+        .map(|&name| {
+            let (mut eq, _) = baseline_fabric(&SystemConfig::paper_default(), name, 32, 0xB00C);
+            eq.run().expect("baseline run");
+            let s = eq.sched_stats();
+            let t = eq.tile_sched_stats()[0];
+            (
+                name,
+                [s.stepped_cycles, s.skipped_cycles, s.skip_spans],
+                [t.pops, t.stepped_cycles, t.skipped_cycles, t.parks],
+            )
+        })
+        .collect();
+    assert_eq!(got, pinned);
 }
