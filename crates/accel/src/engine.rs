@@ -2,8 +2,9 @@
 //!
 //! Each engine is a cycle-stepped state machine with **one outstanding
 //! memory operation** of one word (the SRAM is single-ported, so the
-//! Fig. 3 pipeline's issue stages serialize on the port anyway; the port
-//! occupancy model in [`hht_mem::Sram`] is what sets the BE's throughput).
+//! Fig. 3 pipeline's issue stages serialize on the port anyway; the bank
+//! occupancy model in [`hht_mem::SharedMemory`] is what sets the BE's
+//! throughput).
 //! Engines fetch metadata (`cols`, row pointers, sparse-vector indices),
 //! compute element addresses (`V_Base + s*k`, §3.2) and push gathered
 //! values into the CPU-side FIFOs, throttled by the control unit's
@@ -1105,8 +1106,7 @@ impl Engine for SmashEngine {
 mod tests {
     use super::*;
     use crate::mmr::Mode;
-    use crate::test_port::LogPort;
-    use hht_mem::Sram;
+    use crate::test_port::{port, ram, LogPort};
 
     /// Drive an engine against a prepared SRAM until done (or a cycle
     /// budget runs out), draining outputs every cycle.
@@ -1173,13 +1173,13 @@ mod tests {
 
     #[test]
     fn gather_engine_supplies_v_cols_k() {
-        let mut sram = Sram::new(4096, 2);
+        let mut sram = ram(4096, 2);
         // cols at 0x100: [2, 0, 3]; v at 0x200: [10., 11., 12., 13.]
-        sram.load_words(0x100, &[2, 0, 3]);
-        sram.load_f32s(0x200, &[10.0, 11.0, 12.0, 13.0]);
+        sram.inner_mut().load_words(0x100, &[2, 0, 3]);
+        sram.inner_mut().load_f32s(0x200, &[10.0, 11.0, 12.0, 13.0]);
         let cfg = EngineConfig { m_nnz: 3, cols_base: 0x100, v_base: 0x200, ..base_cfg() };
         let mut e = GatherEngine::new(cfg, 8);
-        let (p, _, _, stats) = run_engine(&mut e, &mut sram, 1000);
+        let (p, _, _, stats) = run_engine(&mut e, &mut port(&mut sram), 1000);
         let vals: Vec<f32> = p.iter().map(|b| f32::from_bits(*b)).collect();
         assert_eq!(vals, vec![12.0, 10.0, 13.0]);
         // 3 col reads + 3 v reads.
@@ -1188,11 +1188,11 @@ mod tests {
 
     #[test]
     fn gather_engine_throughput_is_two_accesses_per_element() {
-        let mut sram = Sram::new(65536, 2);
+        let mut sram = ram(65536, 2);
         let n = 64u32;
         let cols: Vec<u32> = (0..n).collect();
-        sram.load_words(0x100, &cols);
-        sram.load_f32s(0x1000, &vec![1.0; n as usize]);
+        sram.inner_mut().load_words(0x100, &cols);
+        sram.inner_mut().load_f32s(0x1000, &vec![1.0; n as usize]);
         let cfg = EngineConfig { m_nnz: n, cols_base: 0x100, v_base: 0x1000, ..base_cfg() };
         let mut e = GatherEngine::new(cfg, 8);
         let mut primary = ElemFifo::new(1024);
@@ -1203,7 +1203,7 @@ mod tests {
         for now in 0..100_000u64 {
             e.step(
                 now,
-                &mut sram,
+                &mut port(&mut sram),
                 Outputs { primary: &mut primary, secondary: &mut secondary, counts: &mut counts },
                 &mut stats,
             );
@@ -1220,9 +1220,9 @@ mod tests {
 
     #[test]
     fn gather_engine_throttles_on_full_output() {
-        let mut sram = Sram::new(4096, 1);
-        sram.load_words(0x100, &[0, 1, 2, 3]);
-        sram.load_f32s(0x200, &[1.0, 2.0, 3.0, 4.0]);
+        let mut sram = ram(4096, 1);
+        sram.inner_mut().load_words(0x100, &[0, 1, 2, 3]);
+        sram.inner_mut().load_f32s(0x200, &[1.0, 2.0, 3.0, 4.0]);
         let cfg = EngineConfig { m_nnz: 4, cols_base: 0x100, v_base: 0x200, ..base_cfg() };
         let mut e = GatherEngine::new(cfg, 8);
         let mut primary = ElemFifo::new(2); // tiny output
@@ -1232,7 +1232,7 @@ mod tests {
         for now in 0..50 {
             e.step(
                 now,
-                &mut sram,
+                &mut port(&mut sram),
                 Outputs { primary: &mut primary, secondary: &mut secondary, counts: &mut counts },
                 &mut stats,
             );
@@ -1511,10 +1511,10 @@ mod tests {
 
     #[test]
     fn spmspv_aligned_emits_matched_pairs_and_headers() {
-        let mut sram = Sram::new(4096, 1);
-        let cfg = spmspv_fixture(&mut sram);
+        let mut sram = ram(4096, 1);
+        let cfg = spmspv_fixture(&mut port(&mut sram));
         let mut e = SpMSpVEngine::new(cfg, SpMSpVVariant::Aligned, 8);
-        let (p, s, c, _) = run_engine(&mut e, &mut sram, 10_000);
+        let (p, s, c, _) = run_engine(&mut e, &mut port(&mut sram), 10_000);
         // Row 0: cols {0,2} vs idx {0,2,3} -> matches (1,10),(2,20).
         // Row 1: col {1} -> none. Row 2: cols {0,3} -> (4,10),(5,30).
         let pv: Vec<f32> = p.iter().map(|b| f32::from_bits(*b)).collect();
@@ -1528,14 +1528,14 @@ mod tests {
     fn spmspv_aligned_chunks_long_rows() {
         // One row with 20 matrix nnz all matching the vector -> with
         // blen=8 the header stream must be 8,8,4(last).
-        let mut sram = Sram::new(65536, 1);
+        let mut sram = ram(65536, 1);
         let n = 20u32;
         let idx: Vec<u32> = (0..n).collect();
-        sram.load_words(0x100, &[0, n]); // rows
-        sram.load_words(0x200, &idx); // cols 0..20
-        sram.load_f32s(0x300, &vec![1.0; n as usize]); // vals
-        sram.load_words(0x400, &idx); // v idx 0..20
-        sram.load_f32s(0x500, &vec![2.0; n as usize]); // v vals
+        sram.inner_mut().load_words(0x100, &[0, n]); // rows
+        sram.inner_mut().load_words(0x200, &idx); // cols 0..20
+        sram.inner_mut().load_f32s(0x300, &vec![1.0; n as usize]); // vals
+        sram.inner_mut().load_words(0x400, &idx); // v idx 0..20
+        sram.inner_mut().load_f32s(0x500, &vec![2.0; n as usize]); // v vals
         let cfg = EngineConfig {
             num_rows: 1,
             rows_base: 0x100,
@@ -1548,7 +1548,7 @@ mod tests {
             ..base_cfg()
         };
         let mut e = SpMSpVEngine::new(cfg, SpMSpVVariant::Aligned, 8);
-        let (p, s, c, _) = run_engine(&mut e, &mut sram, 100_000);
+        let (p, s, c, _) = run_engine(&mut e, &mut port(&mut sram), 100_000);
         assert_eq!(p.len(), 20);
         assert_eq!(s.len(), 20);
         assert_eq!(c, vec![chunk_header(8, false), chunk_header(8, false), chunk_header(4, true)]);
@@ -1556,10 +1556,10 @@ mod tests {
 
     #[test]
     fn spmspv_value_or_zero_emits_one_value_per_nnz() {
-        let mut sram = Sram::new(4096, 1);
-        let cfg = spmspv_fixture(&mut sram);
+        let mut sram = ram(4096, 1);
+        let cfg = spmspv_fixture(&mut port(&mut sram));
         let mut e = SpMSpVEngine::new(cfg, SpMSpVVariant::ValueOrZero, 8);
-        let (p, s, c, _) = run_engine(&mut e, &mut sram, 10_000);
+        let (p, s, c, _) = run_engine(&mut e, &mut port(&mut sram), 10_000);
         let pv: Vec<f32> = p.iter().map(|b| f32::from_bits(*b)).collect();
         // Per matrix nnz in CSR order: x[0]=10, x[2]=20, x[1]=0, x[0]=10, x[3]=30.
         assert_eq!(pv, vec![10.0, 20.0, 0.0, 10.0, 30.0]);
@@ -1569,15 +1569,15 @@ mod tests {
 
     #[test]
     fn spmspv_with_empty_vector() {
-        let mut sram = Sram::new(4096, 1);
-        let mut cfg = spmspv_fixture(&mut sram);
+        let mut sram = ram(4096, 1);
+        let mut cfg = spmspv_fixture(&mut port(&mut sram));
         cfg.v_nnz = 0;
         let mut e = SpMSpVEngine::new(cfg, SpMSpVVariant::ValueOrZero, 8);
-        let (p, _, _, _) = run_engine(&mut e, &mut sram, 10_000);
+        let (p, _, _, _) = run_engine(&mut e, &mut port(&mut sram), 10_000);
         assert_eq!(p.len(), 5);
         assert!(p.iter().all(|b| f32::from_bits(*b) == 0.0));
         let mut e = SpMSpVEngine::new(cfg, SpMSpVVariant::Aligned, 8);
-        let (p, s, c, _) = run_engine(&mut e, &mut sram, 10_000);
+        let (p, s, c, _) = run_engine(&mut e, &mut port(&mut sram), 10_000);
         assert!(p.is_empty());
         assert!(s.is_empty());
         assert_eq!(c, vec![chunk_header(0, true); 3]);
@@ -1592,10 +1592,10 @@ mod tests {
 
     #[test]
     fn smash_engine_gathers_and_counts() {
-        let mut sram = Sram::new(4096, 1);
+        let mut sram = ram(4096, 1);
         // 3x3 matrix, bits at flat positions 0,2,5,6 (Fig. 1): bitmap 0x65.
-        sram.load_words(0x100, &[0x65]); // level-0
-        sram.load_f32s(0x200, &[10.0, 11.0, 12.0]); // dense v
+        sram.inner_mut().load_words(0x100, &[0x65]); // level-0
+        sram.inner_mut().load_f32s(0x200, &[10.0, 11.0, 12.0]); // dense v
         let cfg = EngineConfig {
             num_rows: 3,
             num_cols: 3,
@@ -1607,7 +1607,7 @@ mod tests {
             ..base_cfg()
         };
         let mut e = SmashEngine::new(cfg, 8);
-        let (p, _, c, _) = run_engine(&mut e, &mut sram, 10_000);
+        let (p, _, c, _) = run_engine(&mut e, &mut port(&mut sram), 10_000);
         let pv: Vec<f32> = p.iter().map(|b| f32::from_bits(*b)).collect();
         // nnz at (0,0),(0,2),(1,2),(2,0) -> v[0],v[2],v[2],v[0]
         assert_eq!(pv, vec![10.0, 12.0, 12.0, 10.0]);
@@ -1617,13 +1617,13 @@ mod tests {
     #[test]
     fn smash_engine_chunks_long_rows() {
         // 1x40 matrix, 20 nnz in row 0 -> headers 8,8,4(last).
-        let mut sram = Sram::new(65536, 1);
+        let mut sram = ram(65536, 1);
         let mut l0 = vec![0u32; 2];
         for i in 0..20 {
             l0[i / 32] |= 1 << (i % 32);
         }
-        sram.load_words(0x100, &l0);
-        sram.load_f32s(0x200, &[3.0; 40]);
+        sram.inner_mut().load_words(0x100, &l0);
+        sram.inner_mut().load_f32s(0x200, &[3.0; 40]);
         let cfg = EngineConfig {
             num_rows: 1,
             num_cols: 40,
@@ -1635,7 +1635,7 @@ mod tests {
             ..base_cfg()
         };
         let mut e = SmashEngine::new(cfg, 8);
-        let (p, _, c, _) = run_engine(&mut e, &mut sram, 100_000);
+        let (p, _, c, _) = run_engine(&mut e, &mut port(&mut sram), 100_000);
         assert_eq!(p.len(), 20);
         assert_eq!(c, vec![chunk_header(8, false), chunk_header(8, false), chunk_header(4, true)]);
     }
@@ -1644,14 +1644,14 @@ mod tests {
     fn smash_engine_skips_via_level1() {
         // 64x64: only bit 0 set. Level-0 has 128 words; level-1 is 4 words
         // with only bit 0 of word 0 set.
-        let mut sram = Sram::new(65536, 1);
+        let mut sram = ram(65536, 1);
         let mut l0 = vec![0u32; 128];
         l0[0] = 1;
         let mut l1 = vec![0u32; 4];
         l1[0] = 1;
-        sram.load_words(0x1000, &l0);
-        sram.load_words(0x2000, &l1);
-        sram.load_f32s(0x3000, &vec![7.0; 64]);
+        sram.inner_mut().load_words(0x1000, &l0);
+        sram.inner_mut().load_words(0x2000, &l1);
+        sram.inner_mut().load_f32s(0x3000, &vec![7.0; 64]);
         let cfg = EngineConfig {
             num_rows: 64,
             num_cols: 64,
@@ -1663,7 +1663,7 @@ mod tests {
             ..base_cfg()
         };
         let mut e = SmashEngine::new(cfg, 8);
-        let (p, _, c, stats) = run_engine(&mut e, &mut sram, 100_000);
+        let (p, _, c, stats) = run_engine(&mut e, &mut port(&mut sram), 100_000);
         assert_eq!(p.len(), 1);
         assert_eq!(c.len(), 64);
         assert_eq!(c[0], chunk_header(1, true));

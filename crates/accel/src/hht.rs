@@ -15,8 +15,7 @@ use crate::fifo::ElemFifo;
 use crate::mmr::{reg, Mode, RegisterFile};
 use hht_mem::map;
 use hht_mem::mmio::{MmioDevice, MmioReadResult};
-use hht_mem::sram::Requester;
-use hht_mem::MemoryPort;
+use hht_mem::{MemoryPort, Requester};
 use hht_obs::{Event, EventBus, EventKind, StallCause, Track};
 use serde::{Deserialize, Serialize};
 
@@ -583,7 +582,7 @@ impl MmioDevice for Hht {
 mod tests {
     use super::*;
     use crate::mmr::reg;
-    use hht_mem::Sram;
+    use crate::test_port::{port, ram};
 
     fn program_spmv(hht: &mut Hht, cols_base: u32, v_base: u32, nnz: u32) {
         let b = map::HHT_MMR_BASE;
@@ -597,14 +596,14 @@ mod tests {
 
     #[test]
     fn end_to_end_spmv_gather() {
-        let mut sram = Sram::new(4096, 2);
-        sram.load_words(0x100, &[1, 0, 2]);
-        sram.load_f32s(0x200, &[5.0, 6.0, 7.0]);
+        let mut sram = ram(4096, 2);
+        sram.inner_mut().load_words(0x100, &[1, 0, 2]);
+        sram.inner_mut().load_f32s(0x200, &[5.0, 6.0, 7.0]);
         let mut hht = Hht::new(HhtParams::default());
         program_spmv(&mut hht, 0x100, 0x200, 3);
         let mut got = Vec::new();
         for now in 0..200 {
-            hht.step(now, &mut sram);
+            hht.step(now, &mut port(&mut sram));
             if let MmioReadResult::Data(v) = hht.mmio_read(map::HHT_BUF_BASE, now) {
                 got.push(f32::from_bits(v));
             }
@@ -644,10 +643,10 @@ mod tests {
 
     #[test]
     fn zero_nnz_operation_is_immediately_done() {
-        let mut sram = Sram::new(256, 1);
+        let mut sram = ram(256, 1);
         let mut hht = Hht::new(HhtParams::default());
         program_spmv(&mut hht, 0x0, 0x0, 0);
-        hht.step(0, &mut sram);
+        hht.step(0, &mut port(&mut sram));
         assert!(hht.done());
     }
 
@@ -680,13 +679,13 @@ mod tests {
 
     #[test]
     fn delayed_responses_stall_windows_until_expiry() {
-        let mut sram = Sram::new(4096, 1);
-        sram.load_words(0x100, &[0]);
-        sram.load_f32s(0x200, &[5.0]);
+        let mut sram = ram(4096, 1);
+        sram.inner_mut().load_words(0x100, &[0]);
+        sram.inner_mut().load_f32s(0x200, &[5.0]);
         let mut hht = Hht::new(HhtParams::default());
         program_spmv(&mut hht, 0x100, 0x200, 1);
         for now in 0..50 {
-            hht.step(now, &mut sram);
+            hht.step(now, &mut port(&mut sram));
         }
         hht.delay_responses(50, 10);
         assert!(hht.window_read_would_stall(map::HHT_BUF_BASE, 50));
@@ -697,13 +696,13 @@ mod tests {
 
     #[test]
     fn corrupt_buffer_detects_parity_and_latches_error() {
-        let mut sram = Sram::new(4096, 1);
-        sram.load_words(0x100, &[0]);
-        sram.load_f32s(0x200, &[5.0]);
+        let mut sram = ram(4096, 1);
+        sram.inner_mut().load_words(0x100, &[0]);
+        sram.inner_mut().load_f32s(0x200, &[5.0]);
         let mut hht = Hht::new(HhtParams::default());
         program_spmv(&mut hht, 0x100, 0x200, 1);
         for now in 0..50 {
-            hht.step(now, &mut sram);
+            hht.step(now, &mut port(&mut sram));
         }
         assert!(hht.corrupt_buffer(50, 3));
         assert_eq!(hht.stats().parity_errors, 1);
@@ -717,13 +716,13 @@ mod tests {
 
     #[test]
     fn dropped_response_loses_one_element() {
-        let mut sram = Sram::new(4096, 1);
-        sram.load_words(0x100, &[0, 1]);
-        sram.load_f32s(0x200, &[5.0, 6.0]);
+        let mut sram = ram(4096, 1);
+        sram.inner_mut().load_words(0x100, &[0, 1]);
+        sram.inner_mut().load_f32s(0x200, &[5.0, 6.0]);
         let mut hht = Hht::new(HhtParams::default());
         program_spmv(&mut hht, 0x100, 0x200, 2);
         for now in 0..50 {
-            hht.step(now, &mut sram);
+            hht.step(now, &mut port(&mut sram));
         }
         assert!(hht.drop_response());
         // The second element is now at the head; the first never arrives.
@@ -756,15 +755,15 @@ mod tests {
 
     #[test]
     fn frozen_engine_holds_state_but_accrues_busy() {
-        let mut sram = Sram::new(4096, 1);
-        sram.load_words(0x100, &[0]);
-        sram.load_f32s(0x200, &[5.0]);
+        let mut sram = ram(4096, 1);
+        sram.inner_mut().load_words(0x100, &[0]);
+        sram.inner_mut().load_f32s(0x200, &[5.0]);
         let mut hht = Hht::new(HhtParams::default());
         program_spmv(&mut hht, 0x100, 0x200, 1);
         hht.freeze_engine(0, 20);
         let busy0 = hht.stats().busy_cycles;
         for now in 0..20 {
-            hht.step(now, &mut sram);
+            hht.step(now, &mut port(&mut sram));
             // No element can be produced while frozen.
             assert!(hht.window_read_would_stall(map::HHT_BUF_BASE, now));
         }
@@ -772,7 +771,7 @@ mod tests {
         assert_eq!(hht.stats().engine.mem_reads, 0);
         // Thawed: the gather proceeds normally.
         for now in 20..80 {
-            hht.step(now, &mut sram);
+            hht.step(now, &mut port(&mut sram));
         }
         assert_eq!(hht.mmio_read(map::HHT_BUF_BASE, 80), MmioReadResult::Data(5.0f32.to_bits()));
     }

@@ -166,7 +166,7 @@ mod tests {
     use super::*;
     use crate::fifo::ElemFifo;
     use crate::mmr::Mode;
-    use hht_mem::Sram;
+    use crate::test_port::{port, ram};
 
     fn cfg(cols_base: u32, v_base: u32, m_nnz: u32) -> EngineConfig {
         EngineConfig {
@@ -215,11 +215,11 @@ mod tests {
 
     #[test]
     fn gathers_like_the_asic_engine() {
-        let mut sram = Sram::new(4096, 1);
-        sram.load_words(0x100, &[2, 0, 3, 1]);
-        sram.load_f32s(0x200, &[10.0, 11.0, 12.0, 13.0]);
+        let mut sram = ram(4096, 1);
+        sram.inner_mut().load_words(0x100, &[2, 0, 3, 1]);
+        sram.inner_mut().load_f32s(0x200, &[10.0, 11.0, 12.0, 13.0]);
         let mut e = ProgrammableEngine::new(cfg(0x100, 0x200, 4));
-        let (got, stats) = run(&mut e, &mut sram, 10_000);
+        let (got, stats) = run(&mut e, &mut port(&mut sram), 10_000);
         let vals: Vec<f32> = got.iter().map(|b| f32::from_bits(*b)).collect();
         assert_eq!(vals, vec![12.0, 10.0, 13.0, 11.0]);
         // Two loads per element, as in the FSM engine.
@@ -232,9 +232,9 @@ mod tests {
         // fetch/execute on top of the two loads.
         let n = 32u32;
         let mk_sram = || {
-            let mut s = Sram::new(65536, 1);
-            s.load_words(0x100, &(0..n).collect::<Vec<_>>());
-            s.load_f32s(0x1000, &vec![1.0; n as usize]);
+            let mut s = ram(65536, 1);
+            s.inner_mut().load_words(0x100, &(0..n).collect::<Vec<_>>());
+            s.inner_mut().load_f32s(0x1000, &vec![1.0; n as usize]);
             s
         };
         let mut sram = mk_sram();
@@ -248,7 +248,7 @@ mod tests {
             while !prog.done() {
                 prog.step(
                     now,
-                    &mut sram,
+                    &mut port(&mut sram),
                     Outputs {
                         primary: &mut primary,
                         secondary: &mut secondary,
@@ -272,7 +272,7 @@ mod tests {
                 crate::engine::Engine::step(
                     &mut fsm,
                     now,
-                    &mut sram,
+                    &mut port(&mut sram),
                     Outputs {
                         primary: &mut primary,
                         secondary: &mut secondary,
@@ -289,9 +289,9 @@ mod tests {
 
     #[test]
     fn throttles_on_full_fifo() {
-        let mut sram = Sram::new(4096, 1);
-        sram.load_words(0x100, &[0, 1, 2, 3]);
-        sram.load_f32s(0x200, &[1.0, 2.0, 3.0, 4.0]);
+        let mut sram = ram(4096, 1);
+        sram.inner_mut().load_words(0x100, &[0, 1, 2, 3]);
+        sram.inner_mut().load_f32s(0x200, &[1.0, 2.0, 3.0, 4.0]);
         let mut e = ProgrammableEngine::new(cfg(0x100, 0x200, 4));
         let mut primary = ElemFifo::new(2);
         let mut secondary = ElemFifo::new(1);
@@ -300,7 +300,7 @@ mod tests {
         for now in 0..200 {
             e.step(
                 now,
-                &mut sram,
+                &mut port(&mut sram),
                 Outputs { primary: &mut primary, secondary: &mut secondary, counts: &mut counts },
                 &mut stats,
             );
@@ -312,9 +312,9 @@ mod tests {
 
     #[test]
     fn zero_nnz_halts_immediately() {
-        let mut sram = Sram::new(256, 1);
+        let mut sram = ram(256, 1);
         let mut e = ProgrammableEngine::new(cfg(0x10, 0x20, 0));
-        let (got, _) = run(&mut e, &mut sram, 100);
+        let (got, _) = run(&mut e, &mut port(&mut sram), 100);
         assert!(got.is_empty());
     }
 }

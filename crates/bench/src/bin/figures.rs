@@ -1372,14 +1372,14 @@ fn spmv_baseline_cycles(
     v: &hht_sparse::DenseVector,
 ) -> u64 {
     use hht_sparse::SparseFormat;
-    use hht_system::{kernels, layout, Fabric};
-    // Room for the image past `ram_size`, as the runners size it.
+    use hht_system::{kernels, layout, runner, Fabric};
+    // The SpMV image (row pointers, columns, values, `v`, `y`) past the
+    // 0x100 base plus alignment slack, sized by the runners' rule.
     let words = 2 * (m.rows() + m.nnz()) + 1 + v.len();
-    let bytes = (cfg.ram_size as usize).max((0x100 + 4 * words + 256).next_multiple_of(4096));
-    let mut sram = hht_mem::Sram::new(bytes as u32, cfg.ram_word_cycles);
-    let l = layout::layout_spmv(&mut sram, m, v);
+    let mut image = runner::image_with_footprint(cfg, 0x100 + 4 * words as u64 + 256);
+    let l = layout::layout_spmv(&mut image, m, v);
     let program = kernels::spmv_baseline(&l, cfg.core.vlen > 1);
-    let mem = hht_mem::SharedMemory::from_sram(sram, shape.banks, shape.tiles);
+    let mem = hht_mem::SharedMemory::new(image, cfg.ram_word_cycles, shape.banks, shape.tiles);
     let mut fabric = Fabric::new(cfg, shape, vec![program], mem);
     let stats = fabric.run().expect("baseline SpMV kernel fault");
     let gold = hht_sparse::kernels::spmv(m, v).expect("square operands");

@@ -32,7 +32,7 @@
 //! sound because of three invariants, each enforced in exactly one place:
 //!
 //! 1. **Deref only between a successful deque pop and the matching
-//!    `pending` decrement** ([`Batch::work`]). An empty pop touches only
+//!    `pending` decrement** (`Batch::work`). An empty pop touches only
 //!    the heap-owned `Batch` state, never the erased pointer.
 //! 2. **The caller returns only after `pending == 0`** ([`WorkerPool::run`]
 //!    waits on the batch's condvar). Indices are enqueued once, before

@@ -1,27 +1,58 @@
-//! The banked shared memory behind the N-tile fabric.
+//! The banked shared memory: the one timed memory of the simulator.
 //!
-//! [`SharedMemory`] generalizes the single-ported [`Sram`](crate::Sram):
-//! the flat byte array is shared by every tile, but the timing model has
-//! `banks` independent ports (a power of two), address-interleaved at a
-//! fixed [`BANK_WORDS`] granule (32 bytes — one L1D line, so a line fill
-//! streams from one bank). Each tile accesses memory through a
+//! [`SharedMemory`] houses a [`ByteStore`] behind `banks` independent
+//! ports (a power of two), address-interleaved at a fixed [`BANK_WORDS`]
+//! granule (32 bytes — one L1D line, so a line fill streams from one
+//! bank). Each word access occupies its bank for `word_cycles` cycles; a
+//! burst pays the full latency for its first word and streams each further
+//! word in one cycle; a request to a busy bank is refused and the caller
+//! retries next cycle, which is how contention between CPU and HHT (and
+//! between tiles) arises. Each tile accesses memory through a
 //! [`FabricPort`](crate::FabricPort) view of the [`Dram`](crate::Dram)
-//! wrapping it (flat by default); grants, conflicts and
-//! arbitration events are accounted *per tile* (so a tile's `SramStats`
-//! keeps exactly the meaning it had when the tile owned a private SRAM),
-//! plus fabric-wide aggregates in [`SharedMemStats`] including how many
-//! rejections lost to a bank held by a *different* tile.
+//! wrapping it (flat by default); grants, conflicts and arbitration events
+//! are accounted *per tile* in [`SramStats`], plus fabric-wide aggregates
+//! in [`SharedMemStats`] including how many rejections lost to a bank held
+//! by a *different* tile.
 //!
-//! With one bank and one tile the timing model degenerates to `Sram`
-//! exactly: same grant cycles, same burst cost, same per-requester stats,
-//! same arbitration events. The fabric's 1-tile differential tests lean on
-//! this equivalence.
+//! With one bank and one tile this is the paper's single shared RAM port
+//! (Table 1): the one-tile `System` runs over exactly that shape.
 
-use crate::sram::{Requester, Sram};
-use crate::{ByteStore, SramStats};
+use crate::port::{MemIssue, MemRefusal, Requester, RowOutcome};
+use crate::ByteStore;
 use hht_obs::{Event, EventBus, EventKind, Track};
 use serde::{Deserialize, Serialize};
 use std::ops::{Deref, DerefMut};
+
+/// Access counters for one tile's memory port (serialized as the `sram`
+/// block of every run's statistics).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SramStats {
+    /// Word accesses granted to the CPU port.
+    pub cpu_accesses: u64,
+    /// Word accesses granted to the HHT port.
+    pub hht_accesses: u64,
+    /// Attempts rejected because the port was busy (contention).
+    pub conflicts: u64,
+    /// The subset of `conflicts` whose loser was the CPU — one per stalled
+    /// CPU cycle, so this equals the core's `mem_port_stall_cycles`.
+    pub cpu_conflicts: u64,
+    /// The subset of `cpu_conflicts` where the port/bank was held by a
+    /// *different* tile (always zero on a one-tile memory).
+    pub cpu_cross_tile_conflicts: u64,
+    /// Extra response-latency cycles (beyond the flat port occupancy)
+    /// charged to CPU-granted transactions that hit the open row. Zero on
+    /// flat-latency memory; the DRAM backend fills it in.
+    pub cpu_row_hit_extra: u64,
+    /// Extra response-latency cycles charged to CPU-granted transactions
+    /// that opened a new row (precharge + activate).
+    pub cpu_row_miss_extra: u64,
+    /// The subset of `cpu_conflicts` refused because the tile's bounded
+    /// in-flight window was full (the MLP ceiling), not because a bank was
+    /// busy.
+    pub cpu_window_stalls: u64,
+    /// Window-full refusal cycles whose loser was the HHT.
+    pub hht_window_stalls: u64,
+}
 
 /// Fabric-wide counters for the banked shared memory.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -99,7 +130,7 @@ struct Bank {
 
 /// Byte-addressable memory shared by N tiles over `banks` interleaved
 /// ports. Functional access is untimed (the [`ByteStore`] it dereferences
-/// to, exactly like [`Sram`]); timed access goes through a per-tile
+/// to); timed access goes through a per-tile
 /// [`FabricPort`](crate::FabricPort).
 #[derive(Debug)]
 pub struct SharedMemory {
@@ -118,29 +149,13 @@ pub const BANK_WORDS: u32 = 8;
 const BANK_SHIFT: u32 = (4 * BANK_WORDS).trailing_zeros();
 
 impl SharedMemory {
-    /// Create a shared memory of `size` bytes with `word_cycles` per word,
-    /// `banks` interleaved ports and `tiles` accounting domains. `banks`
-    /// must be a power of two, so the bank of an address is a shift and a
-    /// mask.
-    pub fn new(size: u32, word_cycles: u64, banks: usize, tiles: usize) -> Self {
-        Self::from_parts(ByteStore::new(size), word_cycles, banks, tiles)
-    }
-
-    /// Re-house an already-built [`Sram`] image (problem data loaded by the
-    /// layout code) behind `banks` ports shared by `tiles` tiles.
-    pub fn from_sram(sram: Sram, banks: usize, tiles: usize) -> Self {
-        let word_cycles = sram.word_cycles();
-        Self::from_parts(sram.into_store(), word_cycles, banks, tiles)
-    }
-
-    /// Consume the memory and recover its storage, discarding port state.
-    /// The warm fabric pool recycles a retired fabric's backing buffer into
-    /// the next job's image build.
-    pub fn into_store(self) -> ByteStore {
-        self.mem
-    }
-
-    fn from_parts(mem: ByteStore, word_cycles: u64, banks: usize, tiles: usize) -> Self {
+    /// House `mem` (an image built by the layout code, or a recycled
+    /// buffer) behind `banks` interleaved ports with `word_cycles` per word
+    /// access, shared by `tiles` accounting domains. `banks` must be a
+    /// power of two, so the bank of an address is a shift and a mask. The
+    /// port state is pristine, so a warm-pool rebuild is bit-identical to a
+    /// cold one by construction.
+    pub fn new(mem: ByteStore, word_cycles: u64, banks: usize, tiles: usize) -> Self {
         assert!(word_cycles >= 1, "an access takes at least one cycle");
         assert!(banks >= 1, "at least one bank");
         assert!(banks.is_power_of_two(), "bank count must be a power of two, got {banks}");
@@ -153,6 +168,13 @@ impl SharedMemory {
             obs: (0..tiles).map(|_| None).collect(),
             stats: SharedMemStats { banks: banks as u64, ..SharedMemStats::default() },
         }
+    }
+
+    /// Consume the memory and recover its storage, discarding port state.
+    /// The warm fabric pool recycles a retired fabric's backing buffer into
+    /// the next job's image build.
+    pub fn into_store(self) -> ByteStore {
+        self.mem
     }
 
     /// Install a structured-event sink for one tile's arbitration events.
@@ -188,8 +210,7 @@ impl SharedMemory {
         self.word_cycles
     }
 
-    /// One tile's port statistics (same meaning as [`Sram::stats`] had for
-    /// the tile's private SRAM).
+    /// One tile's port statistics.
     pub fn stats_for(&self, tile: usize) -> SramStats {
         self.tile_stats[tile]
     }
@@ -321,28 +342,24 @@ impl SharedMemory {
         now + cost
     }
 
-    /// Timed burst access by `tile` (see
-    /// [`MemoryPort::try_start_burst`](crate::MemoryPort::try_start_burst)).
-    /// A burst is charged wholly to the bank of its first word.
-    pub fn try_start_burst_for(
+    /// Flat-latency burst request by `tile`: granted when the bank of
+    /// `addr` is free (a burst is charged wholly to the bank of its first
+    /// word), refused as [`MemRefusal::BankBusy`] otherwise.
+    pub fn request_burst_for(
         &mut self,
         tile: usize,
         now: u64,
         addr: u32,
         who: Requester,
         words: u64,
-    ) -> Option<u64> {
+    ) -> MemIssue {
         let bank = self.bank_of(addr);
         if self.banks[bank].free_at > now {
             self.reject(tile, now, bank, who);
-            return None;
+            return MemIssue::Refused(MemRefusal::BankBusy);
         }
-        Some(self.grant(tile, now, bank, who, words))
-    }
-
-    /// Earliest cycle at which any busy bank frees, `None` when all idle.
-    pub fn next_event(&self, now: u64) -> Option<u64> {
-        self.banks.iter().map(|b| b.free_at).filter(|&t| t > now).min()
+        let data_at = self.grant(tile, now, bank, who, words);
+        MemIssue::Granted { data_at, row: RowOutcome::Flat }
     }
 
     /// When the bank serving `addr` frees, `None` when it is already free.
@@ -384,7 +401,7 @@ impl SharedMemory {
     }
 }
 
-/// Functional (untimed) access is the byte store's, exactly as for [`Sram`].
+/// Functional (untimed) access is the byte store's.
 impl Deref for SharedMemory {
     type Target = ByteStore;
 
@@ -404,48 +421,78 @@ impl DerefMut for SharedMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::port::done;
     use crate::{Dram, DramConfig, FabricPort, MemoryPort};
-
-    /// One bank, one tile: grant cycles, burst cost and stats match the
-    /// single-ported `Sram` call for call.
-    #[test]
-    fn single_bank_matches_sram() {
-        let mut sram = Sram::new(256, 2);
-        let mut shared = SharedMemory::new(256, 2, 1, 1);
-        let script: &[(u64, u32, Requester, u64)] = &[
-            (0, 0x00, Requester::Cpu, 1),
-            (1, 0x40, Requester::Hht, 1),
-            (2, 0x40, Requester::Hht, 1),
-            (4, 0x80, Requester::Cpu, 8),
-            (7, 0x10, Requester::Hht, 1),
-            (12, 0x10, Requester::Hht, 1),
-        ];
-        for &(now, addr, who, words) in script {
-            let a = sram.try_start_burst(now, who, words);
-            let b = shared.try_start_burst_for(0, now, addr, who, words);
-            assert_eq!(a, b, "diverged at cycle {now}");
-            assert_eq!(sram.next_event(now), shared.next_event(now));
-        }
-        assert_eq!(sram.stats(), shared.stats_for(0));
-        assert_eq!(shared.shared_stats().cross_tile_conflicts, 0);
-    }
 
     /// A flat `Dram` over a fresh banked memory: what the fabric holds by
     /// default, reached through its one per-tile `FabricPort`.
     fn flat(size: u32, word_cycles: u64, banks: usize, tiles: usize) -> Dram {
-        Dram::new(SharedMemory::new(size, word_cycles, banks, tiles), DramConfig::flat())
+        Dram::new(
+            SharedMemory::new(ByteStore::new(size), word_cycles, banks, tiles),
+            DramConfig::flat(),
+        )
+    }
+
+    #[test]
+    fn port_occupancy() {
+        let mut m = flat(64, 2, 1, 1);
+        let mut p = FabricPort::new(&mut m, 0);
+        // First access at cycle 0 completes at 2.
+        assert_eq!(done(p.request(0, 0, Requester::Cpu)), Some(2));
+        // Port busy at cycle 1.
+        assert_eq!(done(p.request(1, 0, Requester::Hht)), None);
+        // Free again at cycle 2.
+        assert_eq!(done(p.request(2, 0, Requester::Hht)), Some(4));
+        let s = m.inner().stats_for(0);
+        assert_eq!(s.cpu_accesses, 1);
+        assert_eq!(s.hht_accesses, 1);
+        assert_eq!(s.conflicts, 1);
+    }
+
+    #[test]
+    fn call_order_is_priority() {
+        let mut m = flat(64, 1, 1, 1);
+        let mut p = FabricPort::new(&mut m, 0);
+        // Same cycle: CPU asks first and wins; HHT is rejected.
+        assert!(done(p.request(5, 0, Requester::Cpu)).is_some());
+        assert!(done(p.request(5, 0, Requester::Hht)).is_none());
+    }
+
+    #[test]
+    fn single_cycle_word_access() {
+        let mut m = flat(64, 1, 1, 1);
+        let mut p = FabricPort::new(&mut m, 0);
+        assert_eq!(done(p.request(0, 0, Requester::Cpu)), Some(1));
+        assert_eq!(done(p.request(1, 0, Requester::Cpu)), Some(2));
+    }
+
+    #[test]
+    fn burst_pipelines_after_first_word() {
+        let mut m = flat(64, 2, 1, 1);
+        let mut p = FabricPort::new(&mut m, 0);
+        // 2 (first word) + 7 (streamed) = 9 cycles for an 8-word line.
+        assert_eq!(done(p.request_burst(0, 0, Requester::Cpu, 8)), Some(9));
+        assert_eq!(done(p.request(5, 0, Requester::Hht)), None);
+        assert_eq!(done(p.request(9, 0, Requester::Hht)), Some(11));
+        assert_eq!(m.inner().stats_for(0).cpu_accesses, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one cycle")]
+    fn zero_latency_rejected() {
+        SharedMemory::new(ByteStore::new(8), 0, 1, 1);
     }
 
     #[test]
     fn different_banks_proceed_in_parallel() {
         // Granule 8 words = 32 bytes: 0x00 -> bank 0, 0x20 -> bank 1.
         let mut d = flat(256, 4, 2, 2);
-        assert_eq!(FabricPort::new(&mut d, 0).try_start(0, 0x00, Requester::Cpu), Some(4));
-        assert_eq!(FabricPort::new(&mut d, 1).try_start(0, 0x20, Requester::Cpu), Some(4));
+        assert_eq!(done(FabricPort::new(&mut d, 0).request(0, 0x00, Requester::Cpu)), Some(4));
+        assert_eq!(done(FabricPort::new(&mut d, 1).request(0, 0x20, Requester::Cpu)), Some(4));
         // Same bank, other tile: cross-tile conflict.
-        assert_eq!(FabricPort::new(&mut d, 1).try_start(1, 0x00, Requester::Hht), None);
+        assert_eq!(done(FabricPort::new(&mut d, 1).request(1, 0x00, Requester::Hht)), None);
         // Same bank, same tile (its own in-flight txn): not cross-tile.
-        assert_eq!(FabricPort::new(&mut d, 0).try_start(1, 0x04, Requester::Hht), None);
+        assert_eq!(done(FabricPort::new(&mut d, 0).request(1, 0x04, Requester::Hht)), None);
         let m = d.inner();
         let s = m.shared_stats();
         assert_eq!(s.accesses, 2);
@@ -457,14 +504,15 @@ mod tests {
         let p = FabricPort::new(&mut d, 0);
         assert_eq!(p.next_event_at(0x00, 1), Some(4));
         assert_eq!(p.next_event_at(0x40, 1), Some(4)); // bank 0 again (wraps)
-        assert_eq!(p.next_event(4), None);
+        assert_eq!(p.next_event_at(0x00, 4), None);
+        assert_eq!(p.next_event_at(0x20, 4), None);
     }
 
     #[test]
-    fn from_sram_preserves_the_image() {
-        let mut sram = Sram::new(64, 1);
-        sram.load_words(0, &[1, 2, 3, 4]);
-        let m = SharedMemory::from_sram(sram, 2, 2);
+    fn new_preserves_the_image() {
+        let mut image = ByteStore::new(64);
+        image.load_words(0, &[1, 2, 3, 4]);
+        let m = SharedMemory::new(image, 1, 2, 2);
         assert_eq!(m.read_u32s(0, 4), vec![1, 2, 3, 4]);
         assert_eq!(m.word_cycles(), 1);
         assert_eq!(m.banks(), 2);
@@ -475,16 +523,44 @@ mod tests {
     fn skip_replay_matches_per_cycle_conflicts() {
         // Per-cycle: tile 1 retries a bank held by tile 0 for 3 cycles.
         let mut a = flat(64, 8, 1, 2);
-        FabricPort::new(&mut a, 0).try_start(0, 0x0, Requester::Hht);
+        FabricPort::new(&mut a, 0).request(0, 0x0, Requester::Hht);
         for c in 1..4 {
-            assert_eq!(FabricPort::new(&mut a, 1).try_start(c, 0x4, Requester::Cpu), None);
+            assert_eq!(done(FabricPort::new(&mut a, 1).request(c, 0x4, Requester::Cpu)), None);
         }
         // Bulk replay of the same span.
         let mut b = flat(64, 8, 1, 2);
-        FabricPort::new(&mut b, 0).try_start(0, 0x0, Requester::Hht);
+        FabricPort::new(&mut b, 0).request(0, 0x0, Requester::Hht);
         FabricPort::new(&mut b, 1).skip_conflicts(1, 3, 0x4, Requester::Cpu);
         assert_eq!(a.inner().stats_for(1), b.inner().stats_for(1));
         assert_eq!(a.inner().shared_stats(), b.inner().shared_stats());
+    }
+
+    /// With one bank there is one arbitration domain, so a bulk replay
+    /// equals the per-cycle retries whatever addresses those retries used.
+    #[test]
+    fn one_bank_skip_replay_is_addr_independent() {
+        // Per-cycle oracle: retries against three *different* addresses.
+        let mut a = flat(64, 8, 1, 1);
+        FabricPort::new(&mut a, 0).request(0, 0, Requester::Hht);
+        for (c, addr) in [(1u64, 0x00u32), (2, 0x14), (3, 0x3c)] {
+            let mut port = FabricPort::new(&mut a, 0);
+            let p: &mut dyn MemoryPort = &mut port;
+            assert_eq!(done(p.request(c, addr, Requester::Cpu)), None);
+        }
+        // Bulk replay of the same span via the trait, at yet another addr.
+        let mut b = flat(64, 8, 1, 1);
+        FabricPort::new(&mut b, 0).request(0, 0, Requester::Hht);
+        {
+            let mut port = FabricPort::new(&mut b, 0);
+            let p: &mut dyn MemoryPort = &mut port;
+            p.skip_conflicts(1, 3, 0x28, Requester::Cpu);
+        }
+        assert_eq!(a.inner().stats_for(0), b.inner().stats_for(0));
+        assert_eq!(a.inner().shared_stats(), b.inner().shared_stats());
+        assert_eq!(
+            FabricPort::new(&mut a, 0).next_event_at(0, 4),
+            FabricPort::new(&mut b, 0).next_event_at(0, 4)
+        );
     }
 
     #[test]
@@ -492,7 +568,7 @@ mod tests {
         let addrs =
             (0..4096u32).step_by(4).chain((0..64).map(|i| 0x9E37_79B8u32.wrapping_mul(i) & !3));
         for banks in [1usize, 2, 4, 8] {
-            let m = SharedMemory::new(64, 1, banks, 1);
+            let m = SharedMemory::new(ByteStore::new(64), 1, banks, 1);
             for addr in addrs.clone() {
                 let by_division = ((addr >> 2) / BANK_WORDS) as usize % banks;
                 assert_eq!(m.bank_of(addr), by_division, "banks={banks} addr={addr:#x}");
@@ -503,15 +579,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "bank count must be a power of two, got 3")]
     fn three_banks_are_rejected() {
-        SharedMemory::new(64, 1, 3, 1);
+        SharedMemory::new(ByteStore::new(64), 1, 3, 1);
     }
 
     #[test]
     fn conflict_frac_counts_rejections() {
         let mut d = flat(64, 2, 1, 1);
         let mut p = FabricPort::new(&mut d, 0);
-        p.try_start(0, 0, Requester::Cpu);
-        p.try_start(1, 0, Requester::Cpu);
+        p.request(0, 0, Requester::Cpu);
+        p.request(1, 0, Requester::Cpu);
         assert_eq!(d.inner().shared_stats().conflict_frac(), 0.5);
     }
 }

@@ -39,8 +39,7 @@
 //!   immediate retry, so no park ever spans a bandwidth refusal.
 
 use crate::banked::SharedMemory;
-use crate::port::{MemIssue, MemRefusal, MemoryPort, RowOutcome};
-use crate::sram::Requester;
+use crate::port::{MemIssue, MemRefusal, MemoryPort, Requester, RowOutcome};
 use crate::ByteStore;
 use hht_obs::{EventKind, Track};
 use serde::{Deserialize, Serialize};
@@ -222,10 +221,7 @@ impl Dram {
         words: u64,
     ) -> MemIssue {
         if self.cfg.is_flat() {
-            return match self.mem.try_start_burst_for(tile, now, addr, who, words) {
-                Some(data_at) => MemIssue::Granted { data_at, row: RowOutcome::Flat },
-                None => MemIssue::Refused(MemRefusal::BankBusy),
-            };
+            return self.mem.request_burst_for(tile, now, addr, who, words);
         }
         // Retire delivered responses, then test the MLP window first: a
         // tile at its ceiling may not even arbitrate for a bank.
@@ -268,28 +264,6 @@ impl Dram {
     /// Issue a split-transaction word request by `tile`.
     pub fn request_for(&mut self, tile: usize, now: u64, addr: u32, who: Requester) -> MemIssue {
         self.request_burst_for(tile, now, addr, who, 1)
-    }
-
-    /// Legacy burst shape (see [`MemoryPort::try_start_burst`]).
-    pub fn try_start_burst_for(
-        &mut self,
-        tile: usize,
-        now: u64,
-        addr: u32,
-        who: Requester,
-        words: u64,
-    ) -> Option<u64> {
-        self.request_burst_for(tile, now, addr, who, words).data_at()
-    }
-
-    /// Earliest cycle the memory next changes state: any busy bank freeing
-    /// or any outstanding response arriving.
-    pub fn next_event(&self, now: u64) -> Option<u64> {
-        let responses = self.inflight.iter().flatten().copied().filter(|&d| d > now).min();
-        match (self.mem.next_event(now), responses) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
     }
 
     /// Tile-aware park bound for a request to `addr` refused at `now`:
@@ -355,18 +329,6 @@ impl<'a> FabricPort<'a> {
 }
 
 impl MemoryPort for FabricPort<'_> {
-    fn try_start(&mut self, now: u64, addr: u32, who: Requester) -> Option<u64> {
-        self.mem.request_burst_for(self.tile, now, addr, who, 1).data_at()
-    }
-
-    fn try_start_burst(&mut self, now: u64, addr: u32, who: Requester, words: u64) -> Option<u64> {
-        self.mem.request_burst_for(self.tile, now, addr, who, words).data_at()
-    }
-
-    fn request(&mut self, now: u64, addr: u32, who: Requester) -> MemIssue {
-        self.mem.request_burst_for(self.tile, now, addr, who, 1)
-    }
-
     fn request_burst(&mut self, now: u64, addr: u32, who: Requester, words: u64) -> MemIssue {
         self.mem.request_burst_for(self.tile, now, addr, who, words)
     }
@@ -375,20 +337,12 @@ impl MemoryPort for FabricPort<'_> {
         self.mem.cfg.has_row_latency()
     }
 
-    fn next_event(&self, now: u64) -> Option<u64> {
-        self.mem.next_event(now)
-    }
-
     fn next_event_at(&self, addr: u32, now: u64) -> Option<u64> {
         self.mem.next_event_for(self.tile, addr, now)
     }
 
     fn skip_conflicts(&mut self, now: u64, span: u64, addr: u32, who: Requester) {
         self.mem.skip_conflicts_for(self.tile, now, span, addr, who)
-    }
-
-    fn word_cycles(&self) -> u64 {
-        self.mem.mem.word_cycles()
     }
 
     #[inline]
@@ -405,14 +359,16 @@ impl MemoryPort for FabricPort<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::port::done;
     use hht_obs::EventBus;
 
     /// The flat configuration delegates straight to the inner memory:
     /// grant cycles, hints and every stats field match call for call.
     #[test]
     fn flat_dram_matches_shared_memory() {
-        let mut shared = SharedMemory::new(256, 2, 2, 2);
-        let mut dram = Dram::new(SharedMemory::new(256, 2, 2, 2), DramConfig::flat());
+        let mut shared = SharedMemory::new(ByteStore::new(256), 2, 2, 2);
+        let mut dram =
+            Dram::new(SharedMemory::new(ByteStore::new(256), 2, 2, 2), DramConfig::flat());
         let script: &[(usize, u64, u32, Requester, u64)] = &[
             (0, 0, 0x00, Requester::Cpu, 1),
             (1, 0, 0x20, Requester::Hht, 1),
@@ -422,10 +378,9 @@ mod tests {
             (1, 10, 0x84, Requester::Hht, 1),
         ];
         for &(tile, now, addr, who, words) in script {
-            let a = shared.try_start_burst_for(tile, now, addr, who, words);
-            let b = dram.try_start_burst_for(tile, now, addr, who, words);
+            let a = shared.request_burst_for(tile, now, addr, who, words);
+            let b = dram.request_burst_for(tile, now, addr, who, words);
             assert_eq!(a, b, "diverged at cycle {now}");
-            assert_eq!(shared.next_event(now), dram.next_event(now));
             assert_eq!(shared.next_event_at(addr, now), dram.next_event_for(tile, addr, now));
         }
         assert_eq!(shared.stats_for(0), dram.inner().stats_for(0));
@@ -441,7 +396,7 @@ mod tests {
     #[test]
     fn row_hit_and_miss_response_latency() {
         let cfg = DramConfig::flat().with_row_latency(2, 10).with_row_words(16);
-        let mut d = Dram::new(SharedMemory::new(1024, 1, 1, 1), cfg);
+        let mut d = Dram::new(SharedMemory::new(ByteStore::new(1024), 1, 1, 1), cfg);
         // Cold: row miss. Flat cost 1, +10 response.
         assert_eq!(
             d.request_for(0, 0, 0x00, Requester::Cpu),
@@ -472,8 +427,8 @@ mod tests {
     #[test]
     fn window_caps_in_flight_transactions() {
         let cfg = DramConfig::flat().with_row_latency(0, 20).with_window(1);
-        let mut d = Dram::new(SharedMemory::new(1024, 1, 1, 1), cfg);
-        assert_eq!(d.request_for(0, 0, 0x00, Requester::Cpu).data_at(), Some(21));
+        let mut d = Dram::new(SharedMemory::new(ByteStore::new(1024), 1, 1, 1), cfg);
+        assert_eq!(done(d.request_for(0, 0, 0x00, Requester::Cpu)), Some(21));
         assert_eq!(d.in_flight(0, 1), 1);
         // Bank is free at cycle 1, but the window is full until cycle 21.
         assert_eq!(
@@ -498,16 +453,16 @@ mod tests {
     #[test]
     fn bandwidth_budget_limits_grants_per_cycle() {
         let cfg = DramConfig::flat().with_bandwidth(1);
-        let mut d = Dram::new(SharedMemory::new(1024, 1, 2, 2), cfg);
+        let mut d = Dram::new(SharedMemory::new(ByteStore::new(1024), 1, 2, 2), cfg);
         // Two different banks, same cycle: second grant exceeds the budget.
-        assert!(d.request_for(0, 5, 0x00, Requester::Cpu).data_at().is_some());
+        assert!(done(d.request_for(0, 5, 0x00, Requester::Cpu)).is_some());
         assert_eq!(
             d.request_for(1, 5, 0x20, Requester::Cpu),
             MemIssue::Refused(MemRefusal::BandwidthExhausted)
         );
         assert_eq!(d.next_event_for(1, 0x20, 5), None);
         // Budget refreshes next cycle.
-        assert!(d.request_for(1, 6, 0x20, Requester::Cpu).data_at().is_some());
+        assert!(done(d.request_for(1, 6, 0x20, Requester::Cpu)).is_some());
         let shared = d.inner().shared_stats();
         assert_eq!(shared.bandwidth_stalls, 1);
         assert_eq!(shared.grant_budget, 1);
@@ -520,8 +475,8 @@ mod tests {
     #[test]
     fn burst_is_one_transaction() {
         let cfg = DramConfig::flat().with_window(1).with_bandwidth(1);
-        let mut d = Dram::new(SharedMemory::new(1024, 2, 1, 1), cfg);
-        assert_eq!(d.request_burst_for(0, 0, 0x00, Requester::Cpu, 8).data_at(), Some(9));
+        let mut d = Dram::new(SharedMemory::new(ByteStore::new(1024), 2, 1, 1), cfg);
+        assert_eq!(done(d.request_burst_for(0, 0, 0x00, Requester::Cpu, 8)), Some(9));
         assert_eq!(d.in_flight(0, 0), 1);
         assert_eq!(d.inner().stats_for(0).cpu_accesses, 8);
     }
@@ -532,7 +487,7 @@ mod tests {
     fn window_skip_replay_matches_per_cycle_refusals() {
         let cfg = DramConfig::flat().with_row_latency(0, 30).with_window(1);
         // Per-cycle oracle: retry every cycle against the full window.
-        let mut a = Dram::new(SharedMemory::new(1024, 1, 1, 1), cfg);
+        let mut a = Dram::new(SharedMemory::new(ByteStore::new(1024), 1, 1, 1), cfg);
         a.request_for(0, 0, 0x00, Requester::Cpu);
         for c in 1..6 {
             assert_eq!(
@@ -541,7 +496,7 @@ mod tests {
             );
         }
         // Bulk replay of the same span.
-        let mut b = Dram::new(SharedMemory::new(1024, 1, 1, 1), cfg);
+        let mut b = Dram::new(SharedMemory::new(ByteStore::new(1024), 1, 1, 1), cfg);
         b.request_for(0, 0, 0x00, Requester::Cpu);
         b.skip_conflicts_for(0, 1, 5, 0x40, Requester::Cpu);
         assert_eq!(a.inner().stats_for(0), b.inner().stats_for(0));
@@ -553,7 +508,7 @@ mod tests {
     #[test]
     fn dram_emits_mem_queue_events() {
         let cfg = DramConfig::flat().with_row_latency(1, 5);
-        let mut d = Dram::new(SharedMemory::new(1024, 1, 1, 1), cfg);
+        let mut d = Dram::new(SharedMemory::new(ByteStore::new(1024), 1, 1, 1), cfg);
         d.inner_mut().set_event_bus_for(0, EventBus::new(64));
         d.request_for(0, 0, 0x00, Requester::Cpu); // miss: RowOpen + level
         d.request_for(0, 1, 0x04, Requester::Cpu); // hit: level only
@@ -569,7 +524,8 @@ mod tests {
         assert_eq!(row_opens, 1);
         assert_eq!(levels, 2);
 
-        let mut flat = Dram::new(SharedMemory::new(1024, 1, 1, 1), DramConfig::flat());
+        let mut flat =
+            Dram::new(SharedMemory::new(ByteStore::new(1024), 1, 1, 1), DramConfig::flat());
         flat.inner_mut().set_event_bus_for(0, EventBus::new(64));
         flat.request_for(0, 0, 0x00, Requester::Cpu);
         let events = flat.inner_mut().take_events_for(0);
@@ -581,23 +537,24 @@ mod tests {
     #[test]
     fn fabric_port_is_row_timed_only_with_row_latency() {
         let row_timed = |cfg: DramConfig| {
-            let mut mem = Dram::new(SharedMemory::new(256, 1, 1, 1), cfg);
+            let mut mem = Dram::new(SharedMemory::new(ByteStore::new(256), 1, 1, 1), cfg);
             FabricPort::new(&mut mem, 0).row_timed()
         };
         assert!(!row_timed(DramConfig::flat()));
         assert!(!row_timed(DramConfig::flat().with_window(1).with_bandwidth(1)));
         assert!(row_timed(DramConfig::slow_300ns()));
         assert!(row_timed(DramConfig::flat().with_row_latency(0, 1)));
-        assert!(!MemoryPort::row_timed(&crate::Sram::new(64, 1)));
     }
 
     /// `FabricPort` exposes the `MemoryPort` surface: over a timed DRAM it
-    /// surfaces the real refusal kinds and row outcomes, over the flat
-    /// configuration the seed model's bank-busy refusals.
+    /// surfaces the real refusal kinds and row outcomes; over the flat
+    /// one-bank configuration (the paper's single shared port) flat grants,
+    /// bank-busy refusals, burst grants, bulk replay and the functional
+    /// accessors of the byte store behind it.
     #[test]
     fn fabric_port_surfaces_real_outcomes() {
         let cfg = DramConfig::flat().with_row_latency(0, 7).with_window(1);
-        let mut mem = Dram::new(SharedMemory::new(1024, 1, 1, 1), cfg);
+        let mut mem = Dram::new(SharedMemory::new(ByteStore::new(1024), 1, 1, 1), cfg);
         {
             let mut port = FabricPort::new(&mut mem, 0);
             let p: &mut dyn MemoryPort = &mut port;
@@ -610,18 +567,35 @@ mod tests {
                 MemIssue::Refused(MemRefusal::WindowFull)
             );
             assert_eq!(p.next_event_at(0x04, 1), Some(8));
-            assert!(p.response_ready(8, 8));
             p.write_u32(16, 99);
             assert_eq!(p.read_u32(16), 99);
         }
         assert_eq!(mem.inner().stats_for(0).hht_window_stalls, 1);
 
-        let mut flat = Dram::new(SharedMemory::new(256, 2, 1, 1), DramConfig::flat());
-        let mut port = FabricPort::new(&mut flat, 0);
-        assert_eq!(
-            port.request(0, 0, Requester::Cpu),
-            MemIssue::Granted { data_at: 2, row: RowOutcome::Flat }
-        );
-        assert_eq!(port.request(1, 0, Requester::Hht), MemIssue::Refused(MemRefusal::BankBusy));
+        let mut flat =
+            Dram::new(SharedMemory::new(ByteStore::new(64), 2, 1, 1), DramConfig::flat());
+        {
+            let mut port = FabricPort::new(&mut flat, 0);
+            let p: &mut dyn MemoryPort = &mut port;
+            assert_eq!(
+                p.request(0, 0, Requester::Cpu),
+                MemIssue::Granted { data_at: 2, row: RowOutcome::Flat }
+            );
+            assert_eq!(p.request(1, 4, Requester::Hht), MemIssue::Refused(MemRefusal::BankBusy));
+            assert_eq!(p.next_event_at(0x20, 1), Some(2));
+            assert_eq!(done(p.request_burst(2, 0, Requester::Cpu, 8)), Some(11));
+            p.write_u32(8, 0xABCD_EF01);
+            assert_eq!(p.read_u32(8), 0xABCD_EF01);
+            assert_eq!(p.read_u16(8), 0xEF01);
+            assert_eq!(p.read_u8(11), 0xAB);
+            assert_eq!(p.read_u32_checked(64), None);
+            p.store_mut().write_f32(12, 2.5);
+            assert_eq!(p.store().read_f32(12), 2.5);
+            assert_eq!(p.size(), 64);
+            p.skip_conflicts(11, 3, 0, Requester::Hht);
+        }
+        let s = flat.inner().stats_for(0);
+        assert_eq!(s.cpu_accesses, 9);
+        assert_eq!(s.conflicts, 4);
     }
 }

@@ -1,5 +1,6 @@
-//! The functional byte storage behind [`Sram`](crate::Sram) and
-//! [`SharedMemory`](crate::SharedMemory).
+//! The functional byte storage behind
+//! [`SharedMemory`](crate::SharedMemory), and the type problem images are
+//! built in.
 //!
 //! A memory has a *logical size* — what the guest, the address map and the
 //! fault model see — and a *host backing* that covers only the prefix
@@ -186,5 +187,65 @@ impl ByteStore {
     /// Read `n` consecutive `u32`s starting at `addr`.
     pub fn read_u32s(&self, addr: u32, n: usize) -> Vec<u32> {
         (0..n).map(|i| self.read_u32(addr + 4 * i as u32)).collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn functional_read_write() {
+        let mut m = ByteStore::new(64);
+        m.write_u32(0, 0xdeadbeef);
+        assert_eq!(m.read_u32(0), 0xdeadbeef);
+        m.write_f32(4, 1.5);
+        assert_eq!(m.read_f32(4), 1.5);
+        m.load_words(8, &[1, 2, 3]);
+        assert_eq!(m.read_u32s(8, 3), vec![1, 2, 3]);
+        m.load_f32s(20, &[0.5, -0.5]);
+        assert_eq!(m.read_f32s(20, 2), vec![0.5, -0.5]);
+    }
+
+    #[test]
+    fn sub_word_access() {
+        let mut m = ByteStore::new(64);
+        m.write_u32(0, 0x11223344);
+        assert_eq!(m.read_u8(0), 0x44);
+        assert_eq!(m.read_u8(3), 0x11);
+        assert_eq!(m.read_u16(0), 0x3344);
+        assert_eq!(m.read_u16(2), 0x1122);
+        m.write_u8(1, 0xAA);
+        assert_eq!(m.read_u32(0), 0x1122AA44);
+        m.write_u16(2, 0xBEEF);
+        assert_eq!(m.read_u32(0), 0xBEEFAA44);
+    }
+
+    #[test]
+    #[should_panic]
+    fn out_of_range_read_panics() {
+        let m = ByteStore::new(8);
+        m.read_u32(8);
+    }
+
+    #[test]
+    fn checked_read_is_total() {
+        let mut m = ByteStore::new(8);
+        m.write_u32(4, 7);
+        assert_eq!(m.read_u32_checked(4), Some(7));
+        assert_eq!(m.read_u32_checked(5), None); // straddles the end
+        assert_eq!(m.read_u32_checked(8), None);
+        assert_eq!(m.read_u32_checked(u32::MAX), None); // end overflows
+    }
+
+    #[test]
+    fn corrupt_word_flips_one_bit() {
+        let mut m = ByteStore::new(8);
+        m.write_u32(0, 0xF0);
+        assert!(m.corrupt_word(0, 4));
+        assert_eq!(m.read_u32(0), 0xE0);
+        assert!(m.corrupt_word(0, 36)); // bit index wraps mod 32
+        assert_eq!(m.read_u32(0), 0xF0);
+        assert!(!m.corrupt_word(8, 0)); // out of range: no-op
     }
 }

@@ -1,11 +1,11 @@
 //! A memory backed only over the bytes written is indistinguishable from
-//! one backed in full: random functional access sequences against both —
-//! through `Sram` and through `SharedMemory` — give the same results, the
-//! same panics and the same final contents over the whole logical size,
-//! and out-of-range accesses still panic, read `None` or flip nothing.
+//! one backed in full: random functional access sequences against both,
+//! through `SharedMemory`, give the same results, the same panics and the
+//! same final contents over the whole logical size, and out-of-range
+//! accesses still panic, read `None` or flip nothing.
 
 use hht_mem::store::GROW_STEP;
-use hht_mem::{ByteStore, SharedMemory, Sram};
+use hht_mem::{ByteStore, SharedMemory};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -142,18 +142,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn footprint_backed_sram_matches_full_backing((size, init, ops) in case()) {
-        let (lazy, full) = backings(size, init);
-        let mut lazy = Sram::from_store(lazy, 1);
-        let mut full = Sram::from_store(full, 1);
-        differential(size, init, &ops, &mut lazy, &mut full)?;
-    }
-
-    #[test]
     fn footprint_backed_shared_memory_matches_full_backing((size, init, ops) in case()) {
         let (lazy, full) = backings(size, init);
-        let mut lazy = SharedMemory::from_sram(Sram::from_store(lazy, 1), 2, 2);
-        let mut full = SharedMemory::from_sram(Sram::from_store(full, 1), 2, 2);
+        let mut lazy = SharedMemory::new(lazy, 1, 2, 2);
+        let mut full = SharedMemory::new(full, 1, 2, 2);
         differential(size, init, &ops, &mut lazy, &mut full)?;
     }
 }

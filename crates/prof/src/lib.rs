@@ -8,7 +8,7 @@
 //!   exactly one bucket of a fixed hierarchy (issue / vector / memory-wait
 //!   / HHT-wait / fault-recovery), with an exact-sum invariant against the
 //!   run's total cycles, per tile and merged across a fabric.
-//! - [`classify`] — a bottleneck classifier over the stack
+//! - [`classify`](mod@classify) — a bottleneck classifier over the stack
 //!   (compute-bound / latency-bound / bandwidth-bound) plus the
 //!   "cycles hidden by the HHT" estimate.
 //! - [`host`] — host-side self-profiling: phase timers (layout / run /
@@ -18,7 +18,7 @@
 //!   [`FabricRecovery`](hht_system::runner::FabricRecovery) record with
 //!   the per-tile CPI stacks into per-tile verdicts (health, failovers,
 //!   recovery cycles).
-//! - [`bench`] — the canonical `BENCH_core.json` report and the tolerance
+//! - [`bench`](mod@bench) — the canonical `BENCH_core.json` report and the tolerance
 //!   comparator the CI regression gate runs.
 //!
 //! Everything here is *derived* from counters after the run: nothing in

@@ -3,7 +3,7 @@
 //!
 //! The runner's [`FabricRecovery`] records *what the policy decided*
 //! (health transitions, attempts, failovers); the per-tile
-//! [`CpiStack`](crate::cpi::CpiStack) records *what the decisions cost*
+//! [`CpiStack`] records *what the decisions cost*
 //! (every failed-attempt and backoff cycle lands in the `fault_recovery`
 //! bucket). This module joins the two into one report: for each fault
 //! domain, its final health, how many attempts it sank, and how many of

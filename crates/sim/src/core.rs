@@ -5,10 +5,8 @@ use hht_isa::instr::{MemWidth, MulDivOp};
 use hht_isa::{AluOp, BranchOp, FReg, Instr, Program, Reg, VReg};
 use hht_mem::map;
 use hht_mem::mmio::{MmioDevice, MmioReadResult};
-use hht_mem::sram::Requester;
 use hht_mem::L1dCache;
-use hht_mem::MemIssue;
-use hht_mem::MemoryPort;
+use hht_mem::{MemIssue, MemoryPort, Requester};
 use hht_obs::{
     Event, EventBus, EventKind, RingBuffer, SkipSpan, StallBreakdown, StallCause, Track,
 };
@@ -1294,7 +1292,18 @@ mod tests {
     use super::*;
     use hht_isa::asm::assemble;
     use hht_mem::mmio::NullDevice;
-    use hht_mem::{ByteStore, Sram};
+    use hht_mem::{ByteStore, Dram, DramConfig, FabricPort, SharedMemory};
+
+    /// A one-bank, one-tile flat memory of `size` bytes: the paper's single
+    /// shared RAM port, reached through [`port`].
+    fn ram(size: u32, word_cycles: u64) -> Dram {
+        Dram::new(SharedMemory::new(ByteStore::new(size), word_cycles, 1, 1), DramConfig::flat())
+    }
+
+    /// The one tile's port onto a memory built by [`ram`].
+    fn port(mem: &mut Dram) -> FabricPort<'_> {
+        FabricPort::new(mem, 0)
+    }
 
     /// Run a program on a fresh core; returns (core, cycles).
     fn run(src: &str, sram: &mut dyn MemoryPort) -> (Core, u64) {
@@ -1316,8 +1325,8 @@ mod tests {
 
     #[test]
     fn arithmetic_and_halt() {
-        let mut sram = Sram::new(1024, 2);
-        let (core, _) = run("li a0, 40\naddi a0, a0, 2\nebreak", &mut sram);
+        let mut sram = ram(1024, 2);
+        let (core, _) = run("li a0, 40\naddi a0, a0, 2\nebreak", &mut port(&mut sram));
         assert_eq!(core.read_x(Reg::a(0)), 42);
         assert!(core.error().is_none());
         assert_eq!(core.stats().instructions, 3);
@@ -1325,131 +1334,135 @@ mod tests {
 
     #[test]
     fn x0_is_hardwired_zero() {
-        let mut sram = Sram::new(1024, 2);
-        let (core, _) = run("addi zero, zero, 5\nadd a0, zero, zero\nebreak", &mut sram);
+        let mut sram = ram(1024, 2);
+        let (core, _) = run("addi zero, zero, 5\nadd a0, zero, zero\nebreak", &mut port(&mut sram));
         assert_eq!(core.read_x(Reg::ZERO), 0);
         assert_eq!(core.read_x(Reg::a(0)), 0);
     }
 
     #[test]
     fn loop_counts_down() {
-        let mut sram = Sram::new(1024, 2);
+        let mut sram = ram(1024, 2);
         let (core, _) = run(
             "li t0, 5\nli a0, 0\nloop:\naddi a0, a0, 2\naddi t0, t0, -1\nbnez t0, loop\nebreak",
-            &mut sram,
+            &mut port(&mut sram),
         );
         assert_eq!(core.read_x(Reg::a(0)), 10);
     }
 
     #[test]
     fn loads_and_stores() {
-        let mut sram = Sram::new(1024, 2);
-        sram.write_u32(0x100, 7);
-        let (core, _) =
-            run("li a0, 0x100\nlw a1, 0(a0)\naddi a1, a1, 1\nsw a1, 4(a0)\nebreak", &mut sram);
+        let mut sram = ram(1024, 2);
+        sram.inner_mut().write_u32(0x100, 7);
+        let (core, _) = run(
+            "li a0, 0x100\nlw a1, 0(a0)\naddi a1, a1, 1\nsw a1, 4(a0)\nebreak",
+            &mut port(&mut sram),
+        );
         assert_eq!(core.read_x(Reg::a(1)), 8);
-        assert_eq!(sram.read_u32(0x104), 8);
+        assert_eq!(sram.inner().read_u32(0x104), 8);
     }
 
     #[test]
     fn float_ops() {
-        let mut sram = Sram::new(1024, 2);
-        sram.write_f32(0x100, 1.5);
-        sram.write_f32(0x104, 2.0);
+        let mut sram = ram(1024, 2);
+        sram.inner_mut().write_f32(0x100, 1.5);
+        sram.inner_mut().write_f32(0x104, 2.0);
         let (core, _) = run(
             "li a0, 0x100\nflw fa0, 0(a0)\nflw fa1, 4(a0)\nfmul.s fa2, fa0, fa1\n\
              fmadd.s fa3, fa0, fa1, fa2\nfsw fa3, 8(a0)\nebreak",
-            &mut sram,
+            &mut port(&mut sram),
         );
         assert_eq!(core.read_f(FReg::a(2)), 3.0);
-        assert_eq!(sram.read_f32(0x108), 6.0);
+        assert_eq!(sram.inner().read_f32(0x108), 6.0);
     }
 
     #[test]
     fn vector_load_compute_store() {
-        let mut sram = Sram::new(1024, 2);
-        sram.load_f32s(0x100, &[1., 2., 3., 4., 5., 6., 7., 8.]);
-        sram.load_f32s(0x200, &[10., 20., 30., 40., 50., 60., 70., 80.]);
+        let mut sram = ram(1024, 2);
+        sram.inner_mut().load_f32s(0x100, &[1., 2., 3., 4., 5., 6., 7., 8.]);
+        sram.inner_mut().load_f32s(0x200, &[10., 20., 30., 40., 50., 60., 70., 80.]);
         let (core, _) = run(
             "li a0, 8\nvsetvli t0, a0, e32, m1\nli a1, 0x100\nli a2, 0x200\nli a3, 0x300\n\
              vle32.v v1, (a1)\nvle32.v v2, (a2)\nvmv.v.i v3, 0\nvfmacc.vv v3, v1, v2\n\
              vse32.v v3, (a3)\nebreak",
-            &mut sram,
+            &mut port(&mut sram),
         );
         assert_eq!(core.read_x(Reg::t(0)), 8);
-        let out = sram.read_f32s(0x300, 8);
+        let out = sram.inner().read_f32s(0x300, 8);
         assert_eq!(out, vec![10., 40., 90., 160., 250., 360., 490., 640.]);
     }
 
     #[test]
     fn vsetvli_clamps_to_vlmax() {
-        let mut sram = Sram::new(1024, 2);
-        let (core, _) = run("li a0, 100\nvsetvli t0, a0, e32, m1\nebreak", &mut sram);
+        let mut sram = ram(1024, 2);
+        let (core, _) = run("li a0, 100\nvsetvli t0, a0, e32, m1\nebreak", &mut port(&mut sram));
         assert_eq!(core.read_x(Reg::t(0)), 8);
-        let (core, _) = run("li a0, 3\nvsetvli t0, a0, e32, m1\nebreak", &mut sram);
+        let (core, _) = run("li a0, 3\nvsetvli t0, a0, e32, m1\nebreak", &mut port(&mut sram));
         assert_eq!(core.read_x(Reg::t(0)), 3);
     }
 
     #[test]
     fn gather_load() {
-        let mut sram = Sram::new(4096, 2);
-        sram.load_f32s(0x100, &[100., 101., 102., 103., 104., 105., 106., 107.]);
+        let mut sram = ram(4096, 2);
+        sram.inner_mut().load_f32s(0x100, &[100., 101., 102., 103., 104., 105., 106., 107.]);
         // Byte-offset indices: gather elements 3, 0, 7, 1, 2, 4, 6, 5.
-        sram.load_words(0x200, &[12, 0, 28, 4, 8, 16, 24, 20]);
+        sram.inner_mut().load_words(0x200, &[12, 0, 28, 4, 8, 16, 24, 20]);
         let (core, _) = run(
             "li a0, 8\nvsetvli t0, a0, e32, m1\nli a1, 0x200\nvle32.v v1, (a1)\n\
              li a2, 0x100\nvluxei32.v v2, (a2), v1\nli a3, 0x300\nvse32.v v2, (a3)\nebreak",
-            &mut sram,
+            &mut port(&mut sram),
         );
         assert!(core.error().is_none());
-        let out = sram.read_f32s(0x300, 8);
+        let out = sram.inner().read_f32s(0x300, 8);
         assert_eq!(out, vec![103., 100., 107., 101., 102., 104., 106., 105.]);
     }
 
     #[test]
     fn reduction_sums() {
-        let mut sram = Sram::new(1024, 2);
-        sram.load_f32s(0x100, &[1., 2., 3., 4., 5., 6., 7., 8.]);
+        let mut sram = ram(1024, 2);
+        sram.inner_mut().load_f32s(0x100, &[1., 2., 3., 4., 5., 6., 7., 8.]);
         let (core, _) = run(
             "li a0, 8\nvsetvli t0, a0, e32, m1\nli a1, 0x100\nvle32.v v1, (a1)\n\
              vmv.v.i v0, 0\nvfredosum.vs v2, v1, v0\nvfmv.f.s fa0, v2\nebreak",
-            &mut sram,
+            &mut port(&mut sram),
         );
         assert_eq!(core.read_f(FReg::a(0)), 36.0);
     }
 
     #[test]
     fn fault_on_unmapped_address() {
-        let mut sram = Sram::new(1024, 2);
-        let (core, _) = run("li a0, 0x7000\nslli a0, a0, 12\nlw a1, 0(a0)\nebreak", &mut sram);
+        let mut sram = ram(1024, 2);
+        let (core, _) =
+            run("li a0, 0x7000\nslli a0, a0, 12\nlw a1, 0(a0)\nebreak", &mut port(&mut sram));
         assert!(matches!(core.error(), Some(RunError::MemFault(_))));
         assert!(core.halted());
     }
 
     #[test]
     fn fault_on_misaligned_address() {
-        let mut sram = Sram::new(1024, 2);
-        let (core, _) = run("li a0, 0x102\nlw a1, 0(a0)\nebreak", &mut sram);
+        let mut sram = ram(1024, 2);
+        let (core, _) = run("li a0, 0x102\nlw a1, 0(a0)\nebreak", &mut port(&mut sram));
         assert!(matches!(core.error(), Some(RunError::MemFault(0x102))));
     }
 
     #[test]
     fn fault_on_pc_escape() {
-        let mut sram = Sram::new(1024, 2);
+        let mut sram = ram(1024, 2);
         // No ebreak: runs off the end.
         let p = assemble("nop").unwrap();
         let mut core = Core::new(CoreConfig::paper_default(), p);
         let mut dev = NullDevice;
         for now in 0..10 {
-            core.step(now, &mut sram, &mut dev);
+            core.step(now, &mut port(&mut sram), &mut dev);
         }
         assert!(matches!(core.error(), Some(RunError::InvalidPc(4))));
     }
 
     #[test]
     fn rdcycle_and_instret() {
-        let mut sram = Sram::new(1024, 2);
-        let (core, cycles) = run("nop\nnop\nrdcycle t0\ncsrrs t1, 0xc02, zero\nebreak", &mut sram);
+        let mut sram = ram(1024, 2);
+        let (core, cycles) =
+            run("nop\nnop\nrdcycle t0\ncsrrs t1, 0xc02, zero\nebreak", &mut port(&mut sram));
         let t0 = core.read_x(Reg::t(0));
         assert!(t0 >= 2 && (t0 as u64) < cycles);
         // instret counts issued instructions, including the csrrs itself
@@ -1459,46 +1472,49 @@ mod tests {
 
     #[test]
     fn timing_simple_ops_are_one_cycle() {
-        let mut sram = Sram::new(1024, 2);
+        let mut sram = ram(1024, 2);
         // 10 single-cycle adds + ebreak.
         let body = "addi a0, a0, 1\n".repeat(10) + "ebreak";
-        let (_, cycles) = run(&body, &mut sram);
+        let (_, cycles) = run(&body, &mut port(&mut sram));
         // one cycle each plus the halting step.
         assert!((10..=12).contains(&cycles), "cycles = {cycles}");
     }
 
     #[test]
     fn timing_vector_arith_is_four_cycles() {
-        let mut sram = Sram::new(1024, 2);
+        let mut sram = ram(1024, 2);
         let warm = "li a0, 8\nvsetvli t0, a0, e32, m1\n";
-        let (_, base) = run(&format!("{warm}ebreak"), &mut sram);
-        let (_, one) = run(&format!("{warm}vfadd.vv v1, v2, v3\nebreak"), &mut sram);
-        let (_, two) =
-            run(&format!("{warm}vfadd.vv v1, v2, v3\nvfadd.vv v4, v5, v6\nebreak"), &mut sram);
+        let (_, base) = run(&format!("{warm}ebreak"), &mut port(&mut sram));
+        let (_, one) = run(&format!("{warm}vfadd.vv v1, v2, v3\nebreak"), &mut port(&mut sram));
+        let (_, two) = run(
+            &format!("{warm}vfadd.vv v1, v2, v3\nvfadd.vv v4, v5, v6\nebreak"),
+            &mut port(&mut sram),
+        );
         assert_eq!(one - base, 4);
         assert_eq!(two - one, 4); // not pipelined: strictly serialized
     }
 
     #[test]
     fn timing_loads_stall_the_pipe() {
-        let mut sram2 = Sram::new(1024, 2);
-        let mut sram4 = Sram::new(1024, 4);
+        let mut sram2 = ram(1024, 2);
+        let mut sram4 = ram(1024, 4);
         let src = "li a0, 0x100\nlw a1, 0(a0)\nlw a2, 4(a0)\nebreak";
-        let (_, fast) = run(src, &mut sram2);
-        let (_, slow) = run(src, &mut sram4);
+        let (_, fast) = run(src, &mut port(&mut sram2));
+        let (_, slow) = run(src, &mut port(&mut sram4));
         assert_eq!(slow - fast, 4); // 2 loads x 2 extra cycles each
     }
 
     #[test]
     fn timing_gather_pays_per_element_addressing() {
-        let mut sram = Sram::new(4096, 2);
-        sram.load_words(0x200, &[0, 4, 8, 12, 16, 20, 24, 28]);
+        let mut sram = ram(4096, 2);
+        sram.inner_mut().load_words(0x200, &[0, 4, 8, 12, 16, 20, 24, 28]);
         let pre =
             "li a0, 8\nvsetvli t0, a0, e32, m1\nli a1, 0x200\nvle32.v v1, (a1)\nli a2, 0x100\n";
-        let (_, unit) = run(&format!("{pre}vle32.v v2, (a2)\nebreak"), &mut sram);
-        let mut sram_b = Sram::new(4096, 2);
-        sram_b.load_words(0x200, &[0, 4, 8, 12, 16, 20, 24, 28]);
-        let (_, gather) = run(&format!("{pre}vluxei32.v v2, (a2), v1\nebreak"), &mut sram_b);
+        let (_, unit) = run(&format!("{pre}vle32.v v2, (a2)\nebreak"), &mut port(&mut sram));
+        let mut sram_b = ram(4096, 2);
+        sram_b.inner_mut().load_words(0x200, &[0, 4, 8, 12, 16, 20, 24, 28]);
+        let (_, gather) =
+            run(&format!("{pre}vluxei32.v v2, (a2), v1\nebreak"), &mut port(&mut sram_b));
         // gather adds gather_addr_cycles per element plus the fixed
         // gather_issue_cycles setup.
         let cfg = CoreConfig::paper_default();
@@ -1507,12 +1523,12 @@ mod tests {
 
     #[test]
     fn vector_width_respects_vl() {
-        let mut sram = Sram::new(1024, 2);
-        sram.load_f32s(0x100, &[1., 2., 3., 4., 5., 6., 7., 8.]);
+        let mut sram = ram(1024, 2);
+        sram.inner_mut().load_f32s(0x100, &[1., 2., 3., 4., 5., 6., 7., 8.]);
         let (core, _) = run(
             "li a0, 4\nvsetvli t0, a0, e32, m1\nli a1, 0x100\nvle32.v v1, (a1)\n\
              vfadd.vv v2, v1, v1\nebreak",
-            &mut sram,
+            &mut port(&mut sram),
         );
         let v2 = core.read_v(VReg::new(2));
         assert_eq!(f32::from_bits(v2[0]), 2.0);
@@ -1523,11 +1539,11 @@ mod tests {
 
     #[test]
     fn rv32m_semantics() {
-        let mut sram = Sram::new(1024, 2);
+        let mut sram = ram(1024, 2);
         let (core, _) = run(
             "li a0, -7\nli a1, 2\ndiv a2, a0, a1\nrem a3, a0, a1\n\
              divu a4, a0, a1\nmulh a5, a0, a0\nebreak",
-            &mut sram,
+            &mut port(&mut sram),
         );
         assert_eq!(core.read_x(Reg::a(2)) as i32, -3);
         assert_eq!(core.read_x(Reg::a(3)) as i32, -1);
@@ -1537,11 +1553,11 @@ mod tests {
 
     #[test]
     fn rv32m_division_corner_cases() {
-        let mut sram = Sram::new(1024, 2);
+        let mut sram = ram(1024, 2);
         let (core, _) = run(
             "li a0, 5\nli a1, 0\ndiv a2, a0, a1\nrem a3, a0, a1\n\
              li a4, 0x80000000\nli a5, -1\ndiv a6, a4, a5\nrem a7, a4, a5\nebreak",
-            &mut sram,
+            &mut port(&mut sram),
         );
         assert_eq!(core.read_x(Reg::a(2)), u32::MAX); // div by zero
         assert_eq!(core.read_x(Reg::a(3)), 5); // rem by zero
@@ -1551,42 +1567,42 @@ mod tests {
 
     #[test]
     fn sub_word_loads_and_stores() {
-        let mut sram = Sram::new(1024, 2);
-        sram.write_u32(0x100, 0x8081_7F01);
+        let mut sram = ram(1024, 2);
+        sram.inner_mut().write_u32(0x100, 0x8081_7F01);
         let (core, _) = run(
             "li a0, 0x100\nlb a1, 3(a0)\nlbu a2, 3(a0)\nlh a3, 2(a0)\nlhu a4, 2(a0)\n\
              lb a5, 0(a0)\nli t0, 0xAB\nsb t0, 4(a0)\nli t1, 0xBEEF\nsh t1, 6(a0)\nebreak",
-            &mut sram,
+            &mut port(&mut sram),
         );
         assert_eq!(core.read_x(Reg::a(1)) as i32, -128); // 0x80 sign-extended
         assert_eq!(core.read_x(Reg::a(2)), 0x80);
         assert_eq!(core.read_x(Reg::a(3)) as i32, 0x8081u16 as i16 as i32);
         assert_eq!(core.read_x(Reg::a(4)), 0x8081);
         assert_eq!(core.read_x(Reg::a(5)), 0x01);
-        assert_eq!(sram.read_u8(0x104), 0xAB);
-        assert_eq!(sram.read_u16(0x106), 0xBEEF);
+        assert_eq!(sram.inner().read_u8(0x104), 0xAB);
+        assert_eq!(sram.inner().read_u16(0x106), 0xBEEF);
     }
 
     #[test]
     fn sub_word_alignment_rules() {
-        let mut sram = Sram::new(1024, 2);
+        let mut sram = ram(1024, 2);
         // Bytes may be anywhere; halves must be 2-aligned.
-        let (core, _) = run("li a0, 0x101\nlbu a1, 0(a0)\nebreak", &mut sram);
+        let (core, _) = run("li a0, 0x101\nlbu a1, 0(a0)\nebreak", &mut port(&mut sram));
         assert!(core.error().is_none());
-        let (core, _) = run("li a0, 0x101\nlh a1, 0(a0)\nebreak", &mut sram);
+        let (core, _) = run("li a0, 0x101\nlh a1, 0(a0)\nebreak", &mut port(&mut sram));
         assert!(matches!(core.error(), Some(RunError::MemFault(0x101))));
     }
 
     #[test]
     fn trace_records_issued_instructions() {
-        let mut sram = Sram::new(1024, 2);
+        let mut sram = ram(1024, 2);
         let p = assemble("li a0, 2\nloop:\naddi a0, a0, -1\nbnez a0, loop\nebreak").unwrap();
         let mut core = Core::new(CoreConfig::paper_default(), p);
         core.enable_trace();
         let mut dev = NullDevice;
         let mut now = 0;
         while !core.halted() {
-            core.step(now, &mut sram, &mut dev);
+            core.step(now, &mut port(&mut sram), &mut dev);
             now += 1;
         }
         let t = core.trace();
@@ -1601,8 +1617,8 @@ mod tests {
 
     #[test]
     fn trace_is_empty_when_disabled() {
-        let mut sram = Sram::new(1024, 2);
-        let (core, _) = run("nop\nebreak", &mut sram);
+        let mut sram = ram(1024, 2);
+        let (core, _) = run("nop\nebreak", &mut port(&mut sram));
         assert!(core.trace().is_empty());
     }
 
@@ -1611,13 +1627,13 @@ mod tests {
         use crate::config::CacheGeometry;
         let src = "li a0, 0x100\nlw a1, 0(a0)\nlw a2, 0(a0)\nlw a3, 4(a0)\nebreak";
         // Without a cache: each load pays the SRAM latency.
-        let mut sram = Sram::new(1024, 4);
-        let (core_nc, plain) = run(src, &mut sram);
+        let mut sram = ram(1024, 4);
+        let (core_nc, plain) = run(src, &mut port(&mut sram));
         assert_eq!(core_nc.stats().l1d_hits, 0);
         // With a cache: the second and third loads hit the filled line.
-        let mut sram = Sram::new(1024, 4);
+        let mut sram = ram(1024, 4);
         let cfg = CoreConfig::paper_default().with_l1d(CacheGeometry::embedded_4k());
-        let (core, cached) = run_cfg(src, &mut sram, cfg);
+        let (core, cached) = run_cfg(src, &mut port(&mut sram), cfg);
         assert_eq!(core.stats().l1d_misses, 1);
         assert_eq!(core.stats().l1d_hits, 2);
         // One 8-word line fill (32c) + 2 hits beats 3x4c only for longer
@@ -1630,11 +1646,11 @@ mod tests {
     fn l1d_write_through_keeps_memory_current() {
         use crate::config::CacheGeometry;
         let src = "li a0, 0x100\nlw a1, 0(a0)\nli a2, 7\nsw a2, 0(a0)\nlw a3, 0(a0)\nebreak";
-        let mut sram = Sram::new(1024, 2);
+        let mut sram = ram(1024, 2);
         let cfg = CoreConfig::paper_default().with_l1d(CacheGeometry::embedded_4k());
-        let (core, _) = run_cfg(src, &mut sram, cfg);
+        let (core, _) = run_cfg(src, &mut port(&mut sram), cfg);
         assert_eq!(core.read_x(Reg::a(3)), 7);
-        assert_eq!(sram.read_u32(0x100), 7);
+        assert_eq!(sram.inner().read_u32(0x100), 7);
     }
 
     #[test]
@@ -1646,27 +1662,28 @@ mod tests {
             src += &format!("lw a1, {}(a0)\n", 4 * i);
         }
         src += "ebreak";
-        let mut sram = Sram::new(1024, 2);
+        let mut sram = ram(1024, 2);
         let cfg = CoreConfig::paper_default().with_l1d(CacheGeometry::embedded_4k());
-        let (core, _) = run_cfg(&src, &mut sram, cfg);
+        let (core, _) = run_cfg(&src, &mut port(&mut sram), cfg);
         assert_eq!(core.stats().l1d_misses, 4);
         assert_eq!(core.stats().l1d_hits, 28);
     }
 
     #[test]
     fn narrow_core_config() {
-        let mut sram = Sram::new(1024, 2);
+        let mut sram = ram(1024, 2);
         let cfg = CoreConfig::paper_default().with_vlen(1);
-        let (core, _) = run_cfg("li a0, 8\nvsetvli t0, a0, e32, m1\nebreak", &mut sram, cfg);
+        let (core, _) =
+            run_cfg("li a0, 8\nvsetvli t0, a0, e32, m1\nebreak", &mut port(&mut sram), cfg);
         assert_eq!(core.read_x(Reg::t(0)), 1);
     }
 
-    /// An `Sram`-backed port that logs every request as
+    /// A port over [`ram`] that logs every request as
     /// `(cycle, addr, words, burst)`, optionally claims row timing (adding
     /// `extra` response cycles), and refuses every request before
     /// `refuse_until`.
     struct LogPort {
-        sram: Sram,
+        mem: Dram,
         row_timed: bool,
         extra: u64,
         refuse_until: u64,
@@ -1675,8 +1692,8 @@ mod tests {
 
     impl LogPort {
         fn new(row_timed: bool, extra: u64, refuse_until: u64) -> Self {
-            let sram = Sram::new(4096, 2);
-            LogPort { sram, row_timed, extra, refuse_until, log: Vec::new() }
+            let mem = ram(4096, 2);
+            LogPort { mem, row_timed, extra, refuse_until, log: Vec::new() }
         }
 
         fn issue(
@@ -1691,24 +1708,16 @@ mod tests {
                 return MemIssue::Refused(hht_mem::MemRefusal::BankBusy);
             }
             self.log.push((now, addr, words, burst));
-            let done = self.sram.try_start_burst(now, who, words).expect("port is free");
-            MemIssue::Granted { data_at: done + self.extra, row: hht_mem::RowOutcome::Miss }
+            let MemIssue::Granted { data_at, .. } =
+                port(&mut self.mem).request_burst(now, addr, who, words)
+            else {
+                panic!("port is free");
+            };
+            MemIssue::Granted { data_at: data_at + self.extra, row: hht_mem::RowOutcome::Miss }
         }
     }
 
     impl MemoryPort for LogPort {
-        fn try_start(&mut self, now: u64, addr: u32, who: Requester) -> Option<u64> {
-            self.request(now, addr, who).data_at()
-        }
-        fn try_start_burst(
-            &mut self,
-            now: u64,
-            addr: u32,
-            who: Requester,
-            words: u64,
-        ) -> Option<u64> {
-            self.request_burst(now, addr, who, words).data_at()
-        }
         fn request(&mut self, now: u64, addr: u32, who: Requester) -> MemIssue {
             self.issue(now, addr, who, 1, false)
         }
@@ -1718,20 +1727,17 @@ mod tests {
         fn row_timed(&self) -> bool {
             self.row_timed
         }
-        fn next_event(&self, now: u64) -> Option<u64> {
-            self.sram.next_event(now)
+        fn next_event_at(&self, addr: u32, now: u64) -> Option<u64> {
+            self.mem.next_event_for(0, addr, now)
         }
-        fn skip_conflicts(&mut self, now: u64, span: u64, _addr: u32, who: Requester) {
-            self.sram.skip_conflicts(now, span, who)
-        }
-        fn word_cycles(&self) -> u64 {
-            self.sram.word_cycles()
+        fn skip_conflicts(&mut self, now: u64, span: u64, addr: u32, who: Requester) {
+            port(&mut self.mem).skip_conflicts(now, span, addr, who)
         }
         fn store(&self) -> &ByteStore {
-            &self.sram
+            self.mem.inner()
         }
         fn store_mut(&mut self) -> &mut ByteStore {
-            &mut self.sram
+            self.mem.inner_mut()
         }
     }
 

@@ -14,8 +14,9 @@
 //! - the vector unit is **not pipelined** — a vector instruction occupies
 //!   the unit until done; vector arithmetic takes 4 cycles;
 //! - VL = 8 elements, SEW = 32-bit;
-//! - memory beats go through the shared SRAM port ([`hht_mem::Sram`]), so
-//!   CPU and HHT contend exactly as in the modeled MCU;
+//! - memory beats go through the shared SRAM port (a [`hht_mem::MemoryPort`]
+//!   onto the banked [`hht_mem::SharedMemory`]), so CPU and HHT contend
+//!   exactly as in the modeled MCU;
 //! - loads/stores landing in the HHT windows are routed to the
 //!   [`hht_mem::MmioDevice`], and a `Stall` answer freezes the pipe — the
 //!   CPU-waiting-for-HHT cycles of Figs. 6/7.

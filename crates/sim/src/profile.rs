@@ -162,17 +162,18 @@ mod tests {
     use crate::{Core, CoreConfig};
     use hht_isa::asm::assemble;
     use hht_mem::mmio::NullDevice;
-    use hht_mem::Sram;
+    use hht_mem::{ByteStore, Dram, DramConfig, FabricPort, SharedMemory};
 
     fn mix_of(src: &str) -> InstructionMix {
-        let mut sram = Sram::new(4096, 1);
-        sram.load_words(0x200, &[0, 4, 8, 12, 16, 20, 24, 28]);
+        let store = ByteStore::new(4096);
+        let mut sram = Dram::new(SharedMemory::new(store, 1, 1, 1), DramConfig::flat());
+        sram.inner_mut().load_words(0x200, &[0, 4, 8, 12, 16, 20, 24, 28]);
         let mut core = Core::new(CoreConfig::paper_default(), assemble(src).unwrap());
         core.enable_trace();
         let mut dev = NullDevice;
         let mut now = 0;
         while !core.halted() {
-            core.step(now, &mut sram, &mut dev);
+            core.step(now, &mut FabricPort::new(&mut sram, 0), &mut dev);
             now += 1;
             assert!(now < 100_000);
         }

@@ -217,7 +217,7 @@ pub fn dnn_suite_jobs(cfg: &SystemConfig, jobs: usize) -> Vec<DnnResult> {
 /// Baseline-choice ablation for SpMSpV (explains the Fig. 5 magnitude
 /// sensitivity documented in EXPERIMENTS.md): the row-merge baseline the
 /// evaluation uses vs the work-efficient CSC column-scatter baseline of
-/// related work [43], against both HHT variants.
+/// related work \[43\], against both HHT variants.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BaselineAblationPoint {
     /// Shared matrix/vector sparsity.
@@ -258,7 +258,7 @@ pub fn baseline_ablation_jobs(
     })
 }
 
-/// Dense-expansion crossover point (§6's discussion of [40]/[23]): cycles
+/// Dense-expansion crossover point (§6's discussion of \[40\]/\[23\]): cycles
 /// for the dense (expanded) kernel vs sparse baseline vs sparse+HHT on the
 /// same logical matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

@@ -1,7 +1,7 @@
 //! The N-tile HHT fabric: `N` CPU+HHT tiles over one banked shared memory.
 //!
 //! This is the scale-out of the paper's single-core MCU (§7 "the proposed
-//! architecture can be extended with multiple HHTs"): each [`Tile`] is one
+//! architecture can be extended with multiple HHTs"): each tile is one
 //! core plus one accelerator, all tiles share a [`SharedMemory`] whose
 //! banks arbitrate per cycle (behind a [`Dram`] timing wrapper, flat by
 //! default), and one [`Fabric`] run advances every tile under one of two
@@ -20,9 +20,8 @@
 //!   charges (stall counters, arbitration losses, conflict events) are
 //!   replayed in bulk through the same hooks the per-cycle loop charges.
 //!   Cycle counts, statistics and event streams are bit-identical to the
-//!   per-cycle loop; with one tile and one bank they are bit-identical to
-//!   the seed machine, [`LegacySystem`](crate::legacy::LegacySystem)
-//!   (proved in `tests/determinism.rs`).
+//!   per-cycle loop; with one tile and one bank they reproduce the outputs
+//!   recorded from the seed machine (`tests/determinism.rs`).
 //! - **Skips are bank-exact.** Both CPU port waits
 //!   ([`hht_sim::Core::pending_port_addr`]) and engine port waits
 //!   (`Wake::NeedsPort { addr, .. }`) carry the address they are retrying,
@@ -82,8 +81,8 @@ pub struct FabricConfig {
 }
 
 impl FabricConfig {
-    /// One tile over one bank — the configuration whose observable
-    /// behaviour is bit-identical to the legacy single-tile system.
+    /// One tile over one bank: the paper's single-core MCU, whose outputs
+    /// are pinned to those recorded from the seed machine.
     pub fn single() -> Self {
         FabricConfig { tiles: 1, banks: 1, arb: ArbPolicy::FixedPriority }
     }
@@ -1255,10 +1254,11 @@ impl Fabric {
 mod tests {
     use super::*;
     use hht_isa::asm::assemble;
-    use hht_mem::Sram;
+    use hht_mem::ByteStore;
 
     fn mem_for(cfg: &SystemConfig, fab: FabricConfig) -> SharedMemory {
-        SharedMemory::from_sram(Sram::new(cfg.ram_size, cfg.ram_word_cycles), fab.banks, fab.tiles)
+        let image = ByteStore::new(cfg.ram_size);
+        SharedMemory::new(image, cfg.ram_word_cycles, fab.banks, fab.tiles)
     }
 
     #[test]

@@ -18,15 +18,15 @@
 use crate::layout::{ImageBuilder, ProblemLayout};
 use hht_isa::builder::KernelBuilder;
 use hht_isa::{FReg, Program, Reg};
-use hht_mem::Sram;
+use hht_mem::ByteStore;
 use hht_sparse::{CscMatrix, SparseFormat, SparseVector};
 
 /// Lay out a CSC SpMSpV problem. Field reuse in [`ProblemLayout`]:
 /// `rows_base` = CSC column pointers, `cols_base` = CSC row indices,
 /// `vals_base` = CSC values.
-pub fn layout_spmspv_csc(sram: &mut Sram, m: &CscMatrix, x: &SparseVector) -> ProblemLayout {
+pub fn layout_spmspv_csc(image: &mut ByteStore, m: &CscMatrix, x: &SparseVector) -> ProblemLayout {
     assert_eq!(m.cols(), x.len(), "matrix/vector width mismatch");
-    let mut b = ImageBuilder::new(sram, 0x100);
+    let mut b = ImageBuilder::new(image, 0x100);
     let col_ptr_base = b.place_words(m.col_ptr());
     let row_idx_base = b.place_words(m.row_indices());
     let vals_base = b.place_f32s(m.values());

@@ -253,8 +253,8 @@ fn spmv_hht_scalar(l: &ProblemLayout, mode: Mode) -> Program {
 
 /// Dense matrix-vector product: no metadata at all, `rows x cols` fused
 /// multiply-accumulates over unit-stride streams. This is the "expand
-/// sparse data into dense by inserting zeroes" comparator of §6 ([40],
-/// [23]): at low sparsity it beats the sparse code because every load is
+/// sparse data into dense by inserting zeroes" comparator of §6 (\[40\],
+/// \[23\]): at low sparsity it beats the sparse code because every load is
 /// sequential and there is no index work.
 pub fn dense_matvec(l: &ProblemLayout) -> Program {
     let mut b = KernelBuilder::new(0);

@@ -1,11 +1,11 @@
-//! SRAM image construction for a problem instance.
+//! RAM image construction for a problem instance.
 //!
 //! Software (the host side of the reproduction) lays out the CSR arrays,
 //! the vector(s) and the output array in the simulated 1 MB SRAM; the
 //! resulting [`ProblemLayout`] carries the base addresses the kernels and
 //! the HHT MMR programming need.
 
-use hht_mem::Sram;
+use hht_mem::ByteStore;
 use hht_sparse::{CsrMatrix, DenseMatrix, DenseVector, SmashMatrix, SparseFormat, SparseVector};
 
 /// Base addresses of every array placed in SRAM for one problem.
@@ -40,18 +40,18 @@ pub struct ProblemLayout {
     pub x_nnz: u32,
 }
 
-/// Incremental SRAM image builder with word-aligned bump allocation.
+/// Incremental RAM image builder with word-aligned bump allocation.
 #[derive(Debug)]
 pub struct ImageBuilder<'a> {
-    sram: &'a mut Sram,
+    image: &'a mut ByteStore,
     cursor: u32,
 }
 
 impl<'a> ImageBuilder<'a> {
     /// Start allocating at `base` (must be word-aligned).
-    pub fn new(sram: &'a mut Sram, base: u32) -> Self {
+    pub fn new(image: &'a mut ByteStore, base: u32) -> Self {
         assert_eq!(base % 4, 0, "image base must be word aligned");
-        ImageBuilder { sram, cursor: base }
+        ImageBuilder { image, cursor: base }
     }
 
     /// Next free address.
@@ -66,7 +66,7 @@ impl<'a> ImageBuilder<'a> {
         let bytes = 4 * words as u64;
         let end = addr as u64 + bytes;
         assert!(
-            end <= self.sram.size() as u64,
+            end <= self.image.size() as u64,
             "problem does not fit in SRAM ({bytes} bytes needed past {addr:#x})"
         );
         // Keep arrays 32-byte separated to mimic alignment padding (an end
@@ -78,14 +78,14 @@ impl<'a> ImageBuilder<'a> {
     /// Place a `u32` array, returning its base address.
     pub fn place_words(&mut self, words: &[u32]) -> u32 {
         let addr = self.reserve(words.len().max(1));
-        self.sram.load_words(addr, words);
+        self.image.load_words(addr, words);
         addr
     }
 
     /// Place an `f32` array, returning its base address.
     pub fn place_f32s(&mut self, values: &[f32]) -> u32 {
         let addr = self.reserve(values.len().max(1));
-        self.sram.load_f32s(addr, values);
+        self.image.load_f32s(addr, values);
         addr
     }
 
@@ -96,9 +96,9 @@ impl<'a> ImageBuilder<'a> {
 }
 
 /// Lay out a CSR SpMV problem (`y = M * v`, dense `v`).
-pub fn layout_spmv(sram: &mut Sram, m: &CsrMatrix, v: &DenseVector) -> ProblemLayout {
+pub fn layout_spmv(image: &mut ByteStore, m: &CsrMatrix, v: &DenseVector) -> ProblemLayout {
     assert_eq!(m.cols(), v.len(), "matrix/vector width mismatch");
-    let mut b = ImageBuilder::new(sram, 0x100);
+    let mut b = ImageBuilder::new(image, 0x100);
     let rows_base = b.place_words(m.row_ptr());
     let cols_base = b.place_words(m.col_indices());
     let vals_base = b.place_f32s(m.values());
@@ -122,9 +122,9 @@ pub fn layout_spmv(sram: &mut Sram, m: &CsrMatrix, v: &DenseVector) -> ProblemLa
 }
 
 /// Lay out a CSR SpMSpV problem (`y = M * x`, sparse `x`).
-pub fn layout_spmspv(sram: &mut Sram, m: &CsrMatrix, x: &SparseVector) -> ProblemLayout {
+pub fn layout_spmspv(image: &mut ByteStore, m: &CsrMatrix, x: &SparseVector) -> ProblemLayout {
     assert_eq!(m.cols(), x.len(), "matrix/vector width mismatch");
-    let mut b = ImageBuilder::new(sram, 0x100);
+    let mut b = ImageBuilder::new(image, 0x100);
     let rows_base = b.place_words(m.row_ptr());
     let cols_base = b.place_words(m.col_indices());
     let vals_base = b.place_f32s(m.values());
@@ -151,9 +151,9 @@ pub fn layout_spmspv(sram: &mut Sram, m: &CsrMatrix, x: &SparseVector) -> Proble
 /// Lay out a *dense* matrix-vector problem (`vals_base` holds the
 /// row-major dense matrix) — the expansion baseline of the §6 discussion
 /// ("at lower sparsities, such expansion can improve performance").
-pub fn layout_dense(sram: &mut Sram, m: &DenseMatrix, v: &DenseVector) -> ProblemLayout {
+pub fn layout_dense(image: &mut ByteStore, m: &DenseMatrix, v: &DenseVector) -> ProblemLayout {
     assert_eq!(m.cols(), v.len(), "matrix/vector width mismatch");
-    let mut b = ImageBuilder::new(sram, 0x100);
+    let mut b = ImageBuilder::new(image, 0x100);
     let vals_base = b.place_f32s(m.as_slice());
     let v_base = b.place_f32s(v.as_slice());
     let y_base = b.place_output(m.rows());
@@ -176,9 +176,9 @@ pub fn layout_dense(sram: &mut Sram, m: &DenseMatrix, v: &DenseVector) -> Proble
 
 /// Lay out a SMASH SpMV problem: hierarchical bitmaps + packed values +
 /// dense vector.
-pub fn layout_smash_spmv(sram: &mut Sram, m: &SmashMatrix, v: &DenseVector) -> ProblemLayout {
+pub fn layout_smash_spmv(image: &mut ByteStore, m: &SmashMatrix, v: &DenseVector) -> ProblemLayout {
     assert_eq!(m.cols(), v.len(), "matrix/vector width mismatch");
-    let mut b = ImageBuilder::new(sram, 0x100);
+    let mut b = ImageBuilder::new(image, 0x100);
     let smash_l0_base = b.place_words(m.level(0));
     let smash_l1_base = if m.num_levels() > 1 { b.place_words(m.level(1)) } else { 0 };
     let vals_base = b.place_f32s(m.values());
@@ -257,7 +257,7 @@ pub fn row_shards_range(m: &CsrMatrix, row0: usize, row1: usize, n: usize) -> Ve
 /// non-zero), input vector and output array (shifted to the shard's first
 /// row) — row-disjoint shards write disjoint `y` words.
 pub fn shard_layouts(
-    sram: &mut Sram,
+    image: &mut ByteStore,
     l: &ProblemLayout,
     m: &CsrMatrix,
     shards: &[(usize, usize)],
@@ -267,7 +267,7 @@ pub fn shard_layouts(
     // ends 32-byte aligned, so the first free byte is the aligned end of
     // the output array.
     let start = (l.y_base + 4 * l.num_rows + 31) & !31;
-    let mut b = ImageBuilder::new(sram, start);
+    let mut b = ImageBuilder::new(image, start);
     shards
         .iter()
         .map(|&(r0, r1)| {
@@ -294,25 +294,25 @@ mod tests {
 
     #[test]
     fn spmv_layout_places_all_arrays() {
-        let mut sram = Sram::new(1 << 20, 1);
+        let mut image = ByteStore::new(1 << 20);
         let m = generate::random_csr(16, 16, 0.5, 1);
         let v = generate::random_dense_vector(16, 2);
-        let l = layout_spmv(&mut sram, &m, &v);
+        let l = layout_spmv(&mut image, &m, &v);
         // Arrays readable back.
-        assert_eq!(sram.read_u32s(l.rows_base, 17), m.row_ptr());
-        assert_eq!(sram.read_u32s(l.cols_base, m.nnz()), m.col_indices());
-        assert_eq!(sram.read_f32s(l.vals_base, m.nnz()), m.values());
-        assert_eq!(sram.read_f32s(l.v_base, 16), v.as_slice());
+        assert_eq!(image.read_u32s(l.rows_base, 17), m.row_ptr());
+        assert_eq!(image.read_u32s(l.cols_base, m.nnz()), m.col_indices());
+        assert_eq!(image.read_f32s(l.vals_base, m.nnz()), m.values());
+        assert_eq!(image.read_f32s(l.v_base, 16), v.as_slice());
         assert!(l.y_base > l.v_base);
         assert_eq!(l.m_nnz, m.nnz() as u32);
     }
 
     #[test]
     fn arrays_do_not_overlap() {
-        let mut sram = Sram::new(1 << 20, 1);
+        let mut image = ByteStore::new(1 << 20);
         let m = generate::random_csr(32, 32, 0.3, 3);
         let v = generate::random_dense_vector(32, 4);
-        let l = layout_spmv(&mut sram, &m, &v);
+        let l = layout_spmv(&mut image, &m, &v);
         let ends = [
             (l.rows_base, 33 * 4),
             (l.cols_base, m.nnz() * 4),
@@ -331,33 +331,33 @@ mod tests {
 
     #[test]
     fn spmspv_layout_places_vector_arrays() {
-        let mut sram = Sram::new(1 << 20, 1);
+        let mut image = ByteStore::new(1 << 20);
         let m = generate::random_csr(16, 16, 0.5, 5);
         let x = generate::random_sparse_vector(16, 0.5, 6);
-        let l = layout_spmspv(&mut sram, &m, &x);
-        assert_eq!(sram.read_u32s(l.x_idx_base, x.nnz()), x.indices());
-        assert_eq!(sram.read_f32s(l.x_vals_base, x.nnz()), x.values());
+        let l = layout_spmspv(&mut image, &m, &x);
+        assert_eq!(image.read_u32s(l.x_idx_base, x.nnz()), x.indices());
+        assert_eq!(image.read_f32s(l.x_vals_base, x.nnz()), x.values());
         assert_eq!(l.x_nnz, x.nnz() as u32);
     }
 
     #[test]
     fn smash_layout() {
-        let mut sram = Sram::new(1 << 20, 1);
+        let mut image = ByteStore::new(1 << 20);
         let m = SmashMatrix::from_triplets(64, 64, &[(0, 0, 1.0), (63, 63, 2.0)]).unwrap();
         let v = generate::random_dense_vector(64, 7);
-        let l = layout_smash_spmv(&mut sram, &m, &v);
+        let l = layout_smash_spmv(&mut image, &m, &v);
         assert_ne!(l.smash_l0_base, 0);
         assert_ne!(l.smash_l1_base, 0);
-        assert_eq!(sram.read_u32s(l.smash_l0_base, m.level(0).len()), m.level(0));
+        assert_eq!(image.read_u32s(l.smash_l0_base, m.level(0).len()), m.level(0));
     }
 
     #[test]
     #[should_panic(expected = "fit in SRAM")]
     fn overflow_is_detected() {
-        let mut sram = Sram::new(4096, 1);
+        let mut image = ByteStore::new(4096);
         let m = generate::random_csr(64, 64, 0.1, 1);
         let v = generate::random_dense_vector(64, 2);
-        let _ = layout_spmv(&mut sram, &m, &v);
+        let _ = layout_spmv(&mut image, &m, &v);
     }
 
     /// 4 GiB of output words: the byte count must not wrap to a small
@@ -365,8 +365,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not fit")]
     fn reservations_past_the_address_space_are_rejected() {
-        let mut sram = Sram::new(1 << 20, 1);
-        ImageBuilder::new(&mut sram, 0x100).place_output(1 << 30);
+        let mut image = ByteStore::new(1 << 20);
+        ImageBuilder::new(&mut image, 0x100).place_output(1 << 30);
     }
 
     #[test]
@@ -408,18 +408,18 @@ mod tests {
 
     #[test]
     fn shard_layouts_rebase_row_pointers() {
-        let mut sram = Sram::new(1 << 20, 1);
+        let mut image = ByteStore::new(1 << 20);
         let m = generate::random_csr(64, 64, 0.5, 5);
         let v = generate::random_dense_vector(64, 6);
-        let l = layout_spmv(&mut sram, &m, &v);
+        let l = layout_spmv(&mut image, &m, &v);
         let shards = row_shards(&m, 4);
-        let ls = shard_layouts(&mut sram, &l, &m, &shards);
+        let ls = shard_layouts(&mut image, &l, &m, &shards);
         let ptr = m.row_ptr();
         let mut nnz = 0u32;
         let mut rows = 0u32;
         for (sl, &(r0, r1)) in ls.iter().zip(&shards) {
             // Rebased pointer slice starts at 0 and ends at the shard nnz.
-            let p = sram.read_u32s(sl.rows_base, r1 - r0 + 1);
+            let p = image.read_u32s(sl.rows_base, r1 - r0 + 1);
             assert_eq!(p[0], 0);
             assert_eq!(*p.last().unwrap(), sl.m_nnz);
             assert_eq!(sl.m_nnz, ptr[r1] - ptr[r0]);

@@ -5,7 +5,7 @@
 //!
 //! - [`config`] — [`config::SystemConfig`]: Table 1 plus the calibrated
 //!   free parameters.
-//! - [`layout`] — builds the SRAM image for a problem instance and records
+//! - [`layout`] — builds the RAM image for a problem instance and records
 //!   where each array lives.
 //! - [`kernels`] — the kernel library: every baseline and HHT-assisted
 //!   SpMV / SpMSpV program, emitted as real RV32 assembly through
@@ -17,8 +17,6 @@
 //! - [`system`] — [`system::System`]: the single-tile machine, a one-tile
 //!   fabric (CPU steps first each cycle, then the HHT, sharing the SRAM
 //!   port).
-//! - [`legacy`] — [`legacy::LegacySystem`]: the seed machine's per-cycle
-//!   loop, kept as the reference the one-tile fabric is tested against.
 //! - [`runner`] — one-call "run kernel X on problem Y" helpers that also
 //!   verify the numeric result against the `hht-sparse` golden kernels.
 //! - [`experiments`] — the figure-level drivers (speedup sweeps, wait-cycle
@@ -38,7 +36,6 @@ pub mod experiments;
 pub mod fabric;
 pub mod kernels;
 pub mod layout;
-pub mod legacy;
 pub mod metrics;
 pub mod runner;
 pub mod system;
@@ -46,7 +43,6 @@ pub mod tiling;
 
 pub use config::{SystemConfig, TraceConfig};
 pub use fabric::{ArbPolicy, Fabric, FabricConfig, FabricStats, SchedStats, TileSchedStats};
-pub use legacy::LegacySystem;
 pub use metrics::MetricsSnapshot;
 pub use runner::{RecoveryReport, RunOutput, RunStats};
 pub use system::{FaultSummary, System};

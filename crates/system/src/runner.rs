@@ -22,7 +22,7 @@ use crate::kernels;
 use crate::layout;
 use crate::system::{System, SystemStats};
 use hht_fault::FaultPlan;
-use hht_mem::{ByteStore, SharedMemStats, SharedMemory, Sram};
+use hht_mem::{ByteStore, SharedMemStats, SharedMemory};
 use hht_sim::RunError;
 use hht_sparse::{
     kernels as golden, CscMatrix, CsrMatrix, DenseMatrix, DenseVector, SmashMatrix, SparseFormat,
@@ -176,25 +176,26 @@ fn software_fallback(
     out
 }
 
-/// Build the SRAM for an image of `words` words, growing it beyond the
+/// Build the RAM image for `words` words of arrays, growing it beyond the
 /// configured (Table-1) 1 MB when the image does not fit. The paper runs
 /// 512x512 matrices at 10 % sparsity, whose CSR image alone is ~1.9 MB —
 /// their spike memory model must have been sized up the same way
 /// (documented in EXPERIMENTS.md).
-fn sram_for(cfg: &SystemConfig, words: usize) -> Sram {
+fn image_for(cfg: &SystemConfig, words: usize) -> ByteStore {
     // base offset + arrays + per-array alignment padding slack
-    sram_with_footprint(cfg, 0x100 + 4 * words as u64 + 32 * 8)
+    image_with_footprint(cfg, 0x100 + 4 * words as u64 + 32 * 8)
 }
 
-/// An all-zero SRAM for an image of `needed` bytes: its logical size is
+/// An all-zero RAM image for `needed` bytes: its logical size is
 /// `max(cfg.ram_size, needed)` rounded up to a 4 KiB page, but only the
-/// footprint is backed on the host.
-pub(crate) fn sram_with_footprint(cfg: &SystemConfig, needed: u64) -> Sram {
+/// footprint is backed on the host. Every runner sizes its image with this
+/// rule.
+pub fn image_with_footprint(cfg: &SystemConfig, needed: u64) -> ByteStore {
     let footprint = needed.next_multiple_of(4096);
     let size = u32::try_from(footprint.max(cfg.ram_size as u64)).unwrap_or_else(|_| {
         panic!("problem does not fit in SRAM ({needed} bytes past a 32-bit address space)")
     });
-    Sram::from_store(ByteStore::from_vec(vec![0; footprint as usize], size), cfg.ram_word_cycles)
+    ByteStore::from_vec(vec![0; footprint as usize], size)
 }
 
 fn spmv_words(m: &CsrMatrix, v: &DenseVector) -> usize {
@@ -207,10 +208,10 @@ fn spmspv_words(m: &CsrMatrix, x: &SparseVector) -> usize {
 
 /// Run baseline SpMV (CPU only, Algorithm 1).
 pub fn run_spmv_baseline(cfg: &SystemConfig, m: &CsrMatrix, v: &DenseVector) -> RunOutput {
-    let mut sram = sram_for(cfg, spmv_words(m, v));
-    let l = layout::layout_spmv(&mut sram, m, v);
+    let mut image = image_for(cfg, spmv_words(m, v));
+    let l = layout::layout_spmv(&mut image, m, v);
     let program = kernels::spmv_baseline(&l, cfg.core.vlen > 1);
-    let mut sys = System::new(cfg, program, sram);
+    let mut sys = System::new(cfg, program, image);
     let stats = sys.run().expect("baseline SpMV kernel fault");
     let y = sys.read_output(l.y_base, m.rows());
     verify(&y, &golden::spmv(m, v).expect("shapes validated by layout"), "spmv_baseline");
@@ -248,10 +249,10 @@ fn run_spmv_hht_inner(
         m.rows(),
         plan,
         &|cfg| {
-            let mut sram = sram_for(cfg, spmv_words(m, v));
-            let l = layout::layout_spmv(&mut sram, m, v);
+            let mut image = image_for(cfg, spmv_words(m, v));
+            let l = layout::layout_spmv(&mut image, m, v);
             let program = kernels::spmv_hht(&l, cfg.core.vlen > 1);
-            (System::new(cfg, program, sram), l.y_base)
+            (System::new(cfg, program, image), l.y_base)
         },
         &|cfg| run_spmv_baseline(cfg, m, v),
     )
@@ -259,10 +260,10 @@ fn run_spmv_hht_inner(
 
 /// Run baseline SpMSpV (CPU-only scalar merge).
 pub fn run_spmspv_baseline(cfg: &SystemConfig, m: &CsrMatrix, x: &SparseVector) -> RunOutput {
-    let mut sram = sram_for(cfg, spmspv_words(m, x));
-    let l = layout::layout_spmspv(&mut sram, m, x);
+    let mut image = image_for(cfg, spmspv_words(m, x));
+    let l = layout::layout_spmspv(&mut image, m, x);
     let program = kernels::spmspv_baseline(&l);
-    let mut sys = System::new(cfg, program, sram);
+    let mut sys = System::new(cfg, program, image);
     let stats = sys.run().expect("baseline SpMSpV kernel fault");
     let y = sys.read_output(l.y_base, m.rows());
     verify(&y, &golden::spmspv(m, x).expect("shapes validated"), "spmspv_baseline");
@@ -270,16 +271,16 @@ pub fn run_spmspv_baseline(cfg: &SystemConfig, m: &CsrMatrix, x: &SparseVector) 
     RunOutput { y, stats, events, recovery: None, sched, dropped }
 }
 
-/// Run the work-efficient CSC SpMSpV baseline (related work [43]):
+/// Run the work-efficient CSC SpMSpV baseline (related work \[43\]):
 /// column-scatter over the non-zeros of `x` only.
 pub fn run_spmspv_csc_baseline(cfg: &SystemConfig, m: &CsrMatrix, x: &SparseVector) -> RunOutput {
     let csc = CscMatrix::from_triplets(m.rows(), m.cols(), &m.triplets())
         .expect("valid triplets from CSR");
     let words = (m.cols() + 1) + 2 * m.nnz() + 2 * x.nnz() + m.rows();
-    let mut sram = sram_for(cfg, words);
-    let l = kernels::layout_spmspv_csc(&mut sram, &csc, x);
+    let mut image = image_for(cfg, words);
+    let l = kernels::layout_spmspv_csc(&mut image, &csc, x);
     let program = kernels::spmspv_csc_baseline(&l);
-    let mut sys = System::new(cfg, program, sram);
+    let mut sys = System::new(cfg, program, image);
     let stats = sys.run().expect("CSC SpMSpV kernel fault");
     let y = sys.read_output(l.y_base, m.rows());
     verify(&y, &golden::spmspv(m, x).expect("shapes validated"), "spmspv_csc_baseline");
@@ -297,10 +298,10 @@ pub fn run_spmspv_hht_v1(cfg: &SystemConfig, m: &CsrMatrix, x: &SparseVector) ->
         m.rows(),
         None,
         &|cfg| {
-            let mut sram = sram_for(cfg, spmspv_words(m, x));
-            let l = layout::layout_spmspv(&mut sram, m, x);
+            let mut image = image_for(cfg, spmspv_words(m, x));
+            let l = layout::layout_spmspv(&mut image, m, x);
             let program = kernels::spmspv_hht_v1(&l);
-            (System::new(cfg, program, sram), l.y_base)
+            (System::new(cfg, program, image), l.y_base)
         },
         &|cfg| run_spmspv_baseline(cfg, m, x),
     )
@@ -316,10 +317,10 @@ pub fn run_spmspv_hht_v2(cfg: &SystemConfig, m: &CsrMatrix, x: &SparseVector) ->
         m.rows(),
         None,
         &|cfg| {
-            let mut sram = sram_for(cfg, spmspv_words(m, x));
-            let l = layout::layout_spmspv(&mut sram, m, x);
+            let mut image = image_for(cfg, spmspv_words(m, x));
+            let l = layout::layout_spmspv(&mut image, m, x);
             let program = kernels::spmspv_hht_v2(&l);
-            (System::new(cfg, program, sram), l.y_base)
+            (System::new(cfg, program, image), l.y_base)
         },
         &|cfg| run_spmspv_baseline(cfg, m, x),
     )
@@ -328,10 +329,10 @@ pub fn run_spmspv_hht_v2(cfg: &SystemConfig, m: &CsrMatrix, x: &SparseVector) ->
 /// Run the dense (expanded) matrix-vector baseline: the §6 comparator that
 /// stores every zero and pays no metadata cost.
 pub fn run_dense_matvec(cfg: &SystemConfig, m: &DenseMatrix, v: &DenseVector) -> RunOutput {
-    let mut sram = sram_for(cfg, m.rows() * m.cols() + v.len() + m.rows());
-    let l = layout::layout_dense(&mut sram, m, v);
+    let mut image = image_for(cfg, m.rows() * m.cols() + v.len() + m.rows());
+    let l = layout::layout_dense(&mut image, m, v);
     let program = kernels::dense_matvec(&l);
-    let mut sys = System::new(cfg, program, sram);
+    let mut sys = System::new(cfg, program, image);
     let stats = sys.run().expect("dense matvec kernel fault");
     let y = sys.read_output(l.y_base, m.rows());
     verify(&y, &m.matvec(v).expect("shapes validated"), "dense_matvec");
@@ -351,10 +352,10 @@ pub fn run_spmv_hht_programmable(cfg: &SystemConfig, m: &CsrMatrix, v: &DenseVec
         m.rows(),
         None,
         &|cfg| {
-            let mut sram = sram_for(cfg, spmv_words(m, v));
-            let l = layout::layout_spmv(&mut sram, m, v);
+            let mut image = image_for(cfg, spmv_words(m, v));
+            let l = layout::layout_spmv(&mut image, m, v);
             let program = kernels::spmv_hht_programmable(&l, cfg.core.vlen > 1);
-            (System::new(cfg, program, sram), l.y_base)
+            (System::new(cfg, program, image), l.y_base)
         },
         &|cfg| run_spmv_baseline(cfg, m, v),
     )
@@ -378,10 +379,10 @@ pub fn run_smash_spmv_hht(cfg: &SystemConfig, m: &SmashMatrix, v: &DenseVector) 
                 + m.nnz()
                 + v.len()
                 + m.rows();
-            let mut sram = sram_for(cfg, words);
-            let l = layout::layout_smash_spmv(&mut sram, m, v);
+            let mut image = image_for(cfg, words);
+            let l = layout::layout_smash_spmv(&mut image, m, v);
             let program = kernels::smash_spmv_hht(&l);
-            (System::new(cfg, program, sram), l.y_base)
+            (System::new(cfg, program, image), l.y_base)
         },
         &|cfg| run_spmv_baseline(cfg, &csr, v),
     )
@@ -676,12 +677,12 @@ fn run_fabric(
         // Fresh image per attempt: failover restarts shards from clean
         // state (a fault may have corrupted shared arrays), and the bump
         // allocator re-places the rebased row-pointer copies.
-        let mut sram = plan.sram_in(cfg, provider.image_buffer());
+        let mut image = plan.image_in(provider.image_buffer());
         let full = plan.layout;
-        let layouts = layout::shard_layouts(&mut sram, &full, m, &assigned);
+        let layouts = layout::shard_layouts(&mut image, &full, m, &assigned);
         let programs = layouts.iter().map(emit).collect();
         let fab_a = FabricConfig { tiles: survivors.len(), banks: fab.banks, arb: fab.arb };
-        let mem = SharedMemory::from_sram(sram, fab.banks, survivors.len());
+        let mem = SharedMemory::new(image, cfg.ram_word_cycles, fab.banks, survivors.len());
         let mut attempt_cfg = *cfg;
         if attempt > 0 {
             // Retries run clean and untraced: the injected campaign (and
@@ -856,11 +857,11 @@ pub fn build_spmv_fabric(
     v: &DenseVector,
 ) -> (Fabric, u32) {
     let plan = plan_spmv_fabric(cfg, fab, m, v);
-    let mut sram = plan.sram_in(cfg, Vec::new());
-    let layouts = layout::shard_layouts(&mut sram, &plan.layout, m, &plan.shards);
+    let mut image = plan.image_in(Vec::new());
+    let layouts = layout::shard_layouts(&mut image, &plan.layout, m, &plan.shards);
     let vectorized = cfg.core.vlen > 1;
     let programs = layouts.iter().map(|sl| kernels::spmv_hht(sl, vectorized)).collect();
-    let mem = SharedMemory::from_sram(sram, fab.banks, fab.tiles);
+    let mem = SharedMemory::new(image, cfg.ram_word_cycles, fab.banks, fab.tiles);
     (Fabric::new(cfg, fab, programs, mem), plan.layout.y_base)
 }
 
@@ -896,24 +897,28 @@ pub fn plan_spmv_fabric(
     m: &CsrMatrix,
     v: &DenseVector,
 ) -> FabricPlan {
-    let mut sram = sram_for(cfg, spmv_words(m, v) + shard_words(m, fab.tiles));
-    let layout = layout::layout_spmv(&mut sram, m, v);
+    let mut image = image_for(cfg, spmv_words(m, v) + shard_words(m, fab.tiles));
+    let layout = layout::layout_spmv(&mut image, m, v);
     let (shards, _) = assign_shards(m, &[(0, m.rows())], fab.tiles);
-    plan_from(sram, layout, shards)
+    plan_from(image, layout, shards)
 }
 
-fn plan_from(sram: Sram, layout: layout::ProblemLayout, shards: Vec<(usize, usize)>) -> FabricPlan {
-    let size = sram.size();
-    FabricPlan { image: sram.into_store().into_vec(), size, layout, shards }
+fn plan_from(
+    image: ByteStore,
+    layout: layout::ProblemLayout,
+    shards: Vec<(usize, usize)>,
+) -> FabricPlan {
+    let size = image.size();
+    FabricPlan { image: image.into_vec(), size, layout, shards }
 }
 
 impl FabricPlan {
     /// Rebuild the pristine image into `buf` (a recycled buffer of any
     /// length and contents) by one `memcpy`.
-    fn sram_in(&self, cfg: &SystemConfig, mut buf: Vec<u8>) -> Sram {
+    fn image_in(&self, mut buf: Vec<u8>) -> ByteStore {
         buf.clear();
         buf.extend_from_slice(&self.image);
-        Sram::from_store(ByteStore::from_vec(buf, self.size), cfg.ram_word_cycles)
+        ByteStore::from_vec(buf, self.size)
     }
 }
 
@@ -991,10 +996,10 @@ pub fn plan_spmspv_fabric(
     m: &CsrMatrix,
     x: &SparseVector,
 ) -> FabricPlan {
-    let mut sram = sram_for(cfg, spmspv_words(m, x) + shard_words(m, fab.tiles));
-    let layout = layout::layout_spmspv(&mut sram, m, x);
+    let mut image = image_for(cfg, spmspv_words(m, x) + shard_words(m, fab.tiles));
+    let layout = layout::layout_spmspv(&mut image, m, x);
     let (shards, _) = assign_shards(m, &[(0, m.rows())], fab.tiles);
-    plan_from(sram, layout, shards)
+    plan_from(image, layout, shards)
 }
 
 /// Run fabric SpMSpV (either variant) from a precomputed [`FabricPlan`]
@@ -1108,7 +1113,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not fit")]
     fn images_past_the_address_space_are_rejected() {
-        sram_for(&SystemConfig::paper_default(), 1 << 31);
+        image_for(&SystemConfig::paper_default(), 1 << 31);
     }
 
     #[test]

@@ -1,18 +1,15 @@
-//! The single-tile system: a thin wrapper over a one-tile [`Fabric`].
-//!
-//! Historically this module owned the per-cycle loop coupling CPU, HHT and
-//! SRAM directly. That loop is preserved as the seed-machine reference
-//! [`LegacySystem`](crate::legacy::LegacySystem); the live implementation
-//! is the port-based [`Fabric`](crate::fabric::Fabric) run with one tile
-//! over one bank — a configuration proved cycle-, stats- and
-//! event-identical to the seed machine in `tests/determinism.rs`.
+//! The single-tile system: a thin wrapper over a one-tile [`Fabric`]
+//! with one memory bank, the paper's MCU. `tests/determinism.rs` pins it,
+//! under both schedulers, to the cycle counts, statistics, results and
+//! event streams recorded from the pre-fabric seed machine
+//! (`tests/golden/one_tile_legacy.txt`).
 
 use crate::config::SystemConfig;
 use crate::fabric::{Fabric, FabricConfig};
 use hht_accel::HhtStats;
 use hht_fault::FaultPlan;
 use hht_isa::Program;
-use hht_mem::{SharedMemory, Sram, SramStats};
+use hht_mem::{ByteStore, SharedMemory, SramStats};
 use hht_obs::Event;
 use hht_sim::{Core, CoreStats, RunError};
 use hht_sparse::DenseVector;
@@ -80,18 +77,18 @@ impl SystemStats {
 }
 
 /// A CPU + HHT + SRAM instance executing one program: a one-tile
-/// [`Fabric`] over a single memory bank, which behaves bit-identically to
-/// the pre-fabric machine.
+/// [`Fabric`] over a single memory bank.
 pub struct System {
     fabric: Fabric,
 }
 
 impl System {
-    /// Build a system: the SRAM must already hold the problem image. When
-    /// `cfg.trace` asks for it, event buses are installed on the core, the
-    /// HHT and the memory port (sinks never change simulated timing).
-    pub fn new(cfg: &SystemConfig, program: Program, sram: Sram) -> Self {
-        let mem = SharedMemory::from_sram(sram, 1, 1);
+    /// Build a system over `image`, which must already hold the problem;
+    /// each word access takes `cfg.ram_word_cycles`. When `cfg.trace` asks
+    /// for it, event buses are installed on the core, the HHT and the
+    /// memory port (sinks never change simulated timing).
+    pub fn new(cfg: &SystemConfig, program: Program, image: ByteStore) -> Self {
+        let mem = SharedMemory::new(image, cfg.ram_word_cycles, 1, 1);
         System { fabric: Fabric::new(cfg, FabricConfig::single(), vec![program], mem) }
     }
 
@@ -180,9 +177,9 @@ mod tests {
     #[test]
     fn trivial_program_runs() {
         let cfg = SystemConfig::paper_default();
-        let sram = Sram::new(cfg.ram_size, cfg.ram_word_cycles);
+        let image = ByteStore::new(cfg.ram_size);
         let p = assemble("li a0, 1\nebreak").unwrap();
-        let mut sys = System::new(&cfg, p, sram);
+        let mut sys = System::new(&cfg, p, image);
         let stats = sys.run().unwrap();
         assert!(stats.cycles >= 2);
         assert_eq!(stats.core.instructions, 2);
@@ -192,9 +189,9 @@ mod tests {
     #[test]
     fn guest_fault_is_an_error() {
         let cfg = SystemConfig::paper_default();
-        let sram = Sram::new(cfg.ram_size, cfg.ram_word_cycles);
+        let image = ByteStore::new(cfg.ram_size);
         let p = assemble("li a0, 0x50000000\nlw a1, 0(a0)\nebreak").unwrap();
-        let mut sys = System::new(&cfg, p, sram);
+        let mut sys = System::new(&cfg, p, image);
         // 0x5000_0000 is unmapped (not RAM, not HHT windows).
         assert!(sys.run().is_err());
     }

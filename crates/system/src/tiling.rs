@@ -18,7 +18,7 @@
 use crate::config::SystemConfig;
 use crate::kernels::emit_hht_setup_regs;
 use crate::layout::ImageBuilder;
-use crate::runner::{sram_with_footprint, RunOutput};
+use crate::runner::{image_with_footprint, RunOutput};
 use crate::system::System;
 use hht_accel::hht::window;
 use hht_accel::mmr::reg;
@@ -194,13 +194,13 @@ pub fn run_spmv_tiled(cfg: &SystemConfig, m: &CsrMatrix, v: &DenseVector, tile: 
     let blocks = m.rows().div_ceil(tile) * m.cols().div_ceil(tile);
     let words = 2 * m.nnz() + blocks * (tile + 1 + 8) + v.len() + m.rows() + 64;
     let needed = 0x100 + 4 * words as u64 + 32 * (blocks as u64 + 8);
-    let mut sram = sram_with_footprint(cfg, needed);
-    let mut builder = ImageBuilder::new(&mut sram, 0x100);
+    let mut image = image_with_footprint(cfg, needed);
+    let mut builder = ImageBuilder::new(&mut image, 0x100);
     let v_base = builder.place_f32s(v.as_slice());
     let y_base = builder.place_output(m.rows());
     let (desc_base, tiles) = build_tiles(&mut builder, m, tile, v_base, y_base);
     let program = tiled_kernel(desc_base, tiles);
-    let mut sys = System::new(cfg, program, sram);
+    let mut sys = System::new(cfg, program, image);
     let stats = sys.run().expect("tiled SpMV kernel fault");
     let y = sys.read_output(y_base, m.rows());
     let gold = golden::spmv(m, v).expect("shapes validated");

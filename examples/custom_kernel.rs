@@ -13,7 +13,7 @@
 
 use hht::accel::mmr::reg;
 use hht::isa::asm::assemble;
-use hht::mem::{map, Sram};
+use hht::mem::{map, ByteStore};
 use hht::system::config::SystemConfig;
 use hht::system::System;
 
@@ -23,14 +23,14 @@ const V: u32 = 0x2000; // gather source
 const W: u32 = 0x3000; // weights
 const OUT: u32 = 0x4000; // result
 
-fn image(cfg: &SystemConfig) -> Sram {
-    let mut sram = Sram::new(cfg.ram_size, cfg.ram_word_cycles);
+fn image(cfg: &SystemConfig) -> ByteStore {
+    let mut image = ByteStore::new(cfg.ram_size);
     // A permutation-ish index pattern and two value arrays.
     let idx: Vec<u32> = (0..N as u32).map(|i| (i * 7) % N as u32).collect();
-    sram.load_words(IDX, &idx);
-    sram.load_f32s(V, &(0..N).map(|i| i as f32).collect::<Vec<_>>());
-    sram.load_f32s(W, &(0..N).map(|i| 1.0 + (i % 3) as f32).collect::<Vec<_>>());
-    sram
+    image.load_words(IDX, &idx);
+    image.load_f32s(V, &(0..N).map(|i| i as f32).collect::<Vec<_>>());
+    image.load_f32s(W, &(0..N).map(|i| 1.0 + (i % 3) as f32).collect::<Vec<_>>());
+    image
 }
 
 fn main() {

@@ -11,7 +11,7 @@
 //! the HHT version's CPU stream.
 
 use hht::accel::{Hht, HhtParams};
-use hht::mem::Sram;
+use hht::mem::{ByteStore, Dram, DramConfig, FabricPort, SharedMemory};
 use hht::sim::profile::InstructionMix;
 use hht::sim::Core;
 use hht::sparse::generate;
@@ -21,17 +21,20 @@ use hht::system::{kernels, layout};
 fn traced_run(cfg: &SystemConfig, hht_kernel: bool) -> (InstructionMix, u64) {
     let m = generate::random_csr(64, 64, 0.6, 7);
     let v = generate::random_dense_vector(64, 8);
-    let mut sram = Sram::new(cfg.ram_size, cfg.ram_word_cycles);
-    let l = layout::layout_spmv(&mut sram, &m, &v);
+    let mut image = ByteStore::new(cfg.ram_size);
+    let l = layout::layout_spmv(&mut image, &m, &v);
     let program =
         if hht_kernel { kernels::spmv_hht(&l, true) } else { kernels::spmv_baseline(&l, true) };
     let mut core = Core::new(cfg.core, program);
     core.enable_trace();
     let mut hht = Hht::new(HhtParams::default());
+    // The paper's single shared RAM port: one bank, one tile, flat timing.
+    let shared = SharedMemory::new(image, cfg.ram_word_cycles, 1, 1);
+    let mut mem = Dram::new(shared, DramConfig::flat());
     let mut now = 0u64;
     while !core.halted() {
-        core.step(now, &mut sram, &mut hht);
-        hht.step(now, &mut sram);
+        core.step(now, &mut FabricPort::new(&mut mem, 0), &mut hht);
+        hht.step(now, &mut FabricPort::new(&mut mem, 0));
         now += 1;
     }
     (InstructionMix::from_trace(&core.trace()), now)

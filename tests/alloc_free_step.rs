@@ -9,7 +9,7 @@
 //! is process-wide; it counts only on the thread that arms it, into that
 //! thread's own counter.
 
-use hht::mem::{ByteStore, Sram};
+use hht::mem::ByteStore;
 use hht::sparse::{generate, kernels as golden, CscMatrix, DenseVector, SparseFormat};
 use hht::system::config::SystemConfig;
 use hht::system::{kernels, layout, System};
@@ -88,13 +88,13 @@ fn one_tile_runs_allocate_a_bounded_handful() {
                 ("spmspv_hht_v2", false, |l, _| kernels::spmspv_hht_v2(l)),
             ];
             for (name, dense_operand, build) in cases {
-                let mut sram = Sram::new(cfg.ram_size, cfg.ram_word_cycles);
+                let mut image = ByteStore::new(cfg.ram_size);
                 let l = if dense_operand {
-                    layout::layout_spmv(&mut sram, &m, &v)
+                    layout::layout_spmv(&mut image, &m, &v)
                 } else {
-                    layout::layout_spmspv(&mut sram, &m, &x)
+                    layout::layout_spmspv(&mut image, &m, &x)
                 };
-                let sys = System::new(&cfg, build(&l, vector), sram);
+                let sys = System::new(&cfg, build(&l, vector), image);
                 let (allocs, y) = run_counted(sys, l.y_base, rows);
                 let gold = if dense_operand { &spmv_gold } else { &spmspv_gold };
                 assert!(
@@ -118,30 +118,29 @@ fn baseline_allocs(cfg: &SystemConfig, name: &str, rows: usize) -> u64 {
     let x = generate::random_sparse_vector(rows, 0.9, rows as u64 ^ 2);
     // Fully backed, as the runner backs the whole image: a store to `y`
     // never grows the backing mid-run.
-    let store = ByteStore::from_vec(vec![0; cfg.ram_size as usize], cfg.ram_size);
-    let mut sram = Sram::from_store(store, cfg.ram_word_cycles);
+    let mut image = ByteStore::from_vec(vec![0; cfg.ram_size as usize], cfg.ram_size);
     let (l, program, gold) = match name {
         "spmv_scalar" | "spmv_vector" => {
-            let l = layout::layout_spmv(&mut sram, &m, &v);
+            let l = layout::layout_spmv(&mut image, &m, &v);
             let p = kernels::spmv_baseline(&l, name == "spmv_vector");
             (l, p, golden::spmv(&m, &v).expect("square shapes"))
         }
         "spmspv_merge" => {
-            let l = layout::layout_spmspv(&mut sram, &m, &x);
+            let l = layout::layout_spmspv(&mut image, &m, &x);
             (l, kernels::spmspv_baseline(&l), golden::spmspv(&m, &x).expect("square shapes"))
         }
         "spmspv_csc" => {
             let csc = CscMatrix::from_triplets(rows, rows, &m.triplets()).expect("valid triplets");
-            let l = kernels::layout_spmspv_csc(&mut sram, &csc, &x);
+            let l = kernels::layout_spmspv_csc(&mut image, &csc, &x);
             (l, kernels::spmspv_csc_baseline(&l), golden::spmspv(&m, &x).expect("square shapes"))
         }
         _ => {
             let d = m.to_dense();
-            let l = layout::layout_dense(&mut sram, &d, &v);
+            let l = layout::layout_dense(&mut image, &d, &v);
             (l, kernels::dense_matvec(&l), d.matvec(&v).expect("square shapes"))
         }
     };
-    let (allocs, y) = run_counted(System::new(cfg, program, sram), l.y_base, rows);
+    let (allocs, y) = run_counted(System::new(cfg, program, image), l.y_base, rows);
     assert!(y.max_abs_diff(&gold) <= 1e-3, "{name} rows={rows}: wrong result");
     allocs
 }

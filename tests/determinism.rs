@@ -201,93 +201,136 @@ fn cycle_skipping_matches_legacy_on_figure_sweep_cells() {
 }
 
 // ---------------------------------------------------------------------------
-// One-tile fabric vs the preserved pre-refactor machine (LegacySystem)
+// One-tile fabric vs the seed machine's recorded outputs
 // ---------------------------------------------------------------------------
 
-/// Build the full-problem image and HHT program for one kernel flavour so
-/// the port-based one-tile fabric and the pre-refactor `LegacySystem` can
-/// run bit-identical inputs.
+/// Build the full-problem image and HHT program for one kernel flavour:
+/// 0 = SpMV, 1 = SpMSpV variant 1, 2 = SpMSpV variant 2.
 fn build_image(
     cfg: &SystemConfig,
     kernel: usize,
     n: usize,
     sparsity: f64,
     seed: u64,
-) -> (hht::mem::Sram, hht::isa::Program, u32, usize) {
+) -> (hht::mem::ByteStore, hht::isa::Program, u32) {
     use hht::system::{kernels, layout};
     let m = generate::random_csr(n, n, sparsity, seed);
-    let mut sram = hht::mem::Sram::new(cfg.ram_size, cfg.ram_word_cycles);
+    let mut image = hht::mem::ByteStore::new(cfg.ram_size);
     let (l, program) = match kernel {
         0 => {
             let v = generate::random_dense_vector(n, seed ^ 1);
-            let l = layout::layout_spmv(&mut sram, &m, &v);
+            let l = layout::layout_spmv(&mut image, &m, &v);
             (l, kernels::spmv_hht(&l, cfg.core.vlen > 1))
         }
         1 => {
             let x = generate::random_sparse_vector(n, sparsity, seed ^ 2);
-            let l = layout::layout_spmspv(&mut sram, &m, &x);
+            let l = layout::layout_spmspv(&mut image, &m, &x);
             (l, kernels::spmspv_hht_v1(&l))
         }
         _ => {
             let x = generate::random_sparse_vector(n, sparsity, seed ^ 2);
-            let l = layout::layout_spmspv(&mut sram, &m, &x);
+            let l = layout::layout_spmspv(&mut image, &m, &x);
             (l, kernels::spmspv_hht_v2(&l))
         }
     };
-    (sram, program, l.y_base, n)
+    (image, program, l.y_base)
 }
 
-/// The one-tile port-based fabric (via the `System` wrapper) must agree
-/// with the preserved pre-refactor machine bit-for-bit: final cycle count,
-/// every counter, the result vector, and every traced event — under both
-/// fabric schedulers, against the per-cycle `LegacySystem`.
-fn assert_fabric_matches_legacy(base: SystemConfig, kernel: usize, n: usize, s: f64, seed: u64) {
-    use hht::system::{LegacySystem, System};
-    let traced = base.with_trace(TraceConfig::enabled());
-    let (sram, program, y_base, rows) = build_image(&traced, kernel, n, s, seed);
-    let mut legacy = LegacySystem::new(&traced, program, sram);
-    let ls = legacy.run().expect("legacy run");
-    let legacy_y = legacy.read_output(y_base, rows);
-    let legacy_events = legacy.take_events();
-    for skip in [true, false] {
-        let cfg = traced.with_cycle_skip(skip);
-        let (sram, program, ..) = build_image(&cfg, kernel, n, s, seed);
-        let mut sys = System::new(&cfg, program, sram);
-        let fs = sys.run().expect("fabric run");
-        assert_eq!(fs, ls, "kernel {kernel} n={n} s={s} skip={skip}");
-        assert_eq!(sys.read_output(y_base, rows), legacy_y);
-        assert_eq!(sys.take_events(), legacy_events, "kernel {kernel} skip={skip}");
-    }
+/// One run of the seed machine, as recorded in
+/// `tests/golden/one_tile_legacy.txt` (see its header).
+struct SeedRecord {
+    kernel: usize,
+    sparsity_pct: u32,
+    buffers: usize,
+    n: usize,
+    seed: u64,
+    ram_word_cycles: u64,
+    events: usize,
+    events_digest: u64,
+    y_bits: Vec<u32>,
+    stats: hht::system::system::SystemStats,
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+fn seed_records() -> Vec<SeedRecord> {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/one_tile_legacy.txt");
+    let text = std::fs::read_to_string(path).expect("tests/golden/one_tile_legacy.txt");
+    text.lines()
+        .filter(|line| !line.starts_with('#'))
+        .map(|line| {
+            let f: Vec<&str> = line.splitn(10, ' ').collect();
+            let hex = |s: &str| u64::from_str_radix(s, 16).expect("hex field");
+            SeedRecord {
+                kernel: f[0].parse().expect("kernel"),
+                sparsity_pct: f[1].parse().expect("sparsity_pct"),
+                buffers: f[2].parse().expect("buffers"),
+                n: f[3].parse().expect("n"),
+                seed: f[4].parse().expect("seed"),
+                ram_word_cycles: f[5].parse().expect("ram_word_cycles"),
+                events: f[6].parse().expect("events"),
+                events_digest: hex(f[7]),
+                y_bits: f[8].split(',').map(|w| hex(w) as u32).collect(),
+                stats: serde_json::from_str(f[9]).expect("stats JSON"),
+            }
+        })
+        .collect()
+}
 
-    /// The differential property behind the port refactor: a one-tile
-    /// fabric over one bank is observationally identical to the
-    /// pre-refactor machine across random kernels × sparsities × buffer
-    /// counts, under both fabric schedulers.
-    #[test]
-    fn one_tile_fabric_is_bit_identical_to_legacy(
-        kernel in 0usize..3,
-        sparsity_pct in 5u32..95,
-        buffers in 1usize..=3,
-        n in 12usize..40,
-        seed in 0u64..1_000_000,
-    ) {
-        let cfg = SystemConfig::paper_default().with_buffers(buffers);
-        assert_fabric_matches_legacy(cfg, kernel, n, sparsity_pct as f64 / 100.0, seed);
+/// `StableHasher` digest of an event stream: each event's `Debug` text.
+fn events_digest(events: &[hht::obs::Event]) -> u64 {
+    let mut h = hht::sparse::hash::StableHasher::new();
+    for e in events {
+        h.write_bytes(format!("{e:?}").as_bytes());
     }
+    h.finish()
+}
+
+/// The one-tile fabric over one bank (the `System` wrapper) reproduces
+/// the pre-fabric seed machine bit for bit under both schedulers: final
+/// cycle count, every counter, the result bits and the traced event
+/// stream, on each recorded input whose word latency is `ram_word_cycles`.
+/// Returns how many records were checked.
+fn assert_one_tile_reproduces_seed_records(ram_word_cycles: u64) -> usize {
+    use hht::system::System;
+    let records: Vec<SeedRecord> =
+        seed_records().into_iter().filter(|r| r.ram_word_cycles == ram_word_cycles).collect();
+    for r in &records {
+        let traced = SystemConfig::paper_default()
+            .with_buffers(r.buffers)
+            .with_ram_word_cycles(r.ram_word_cycles)
+            .with_trace(TraceConfig::enabled());
+        let sparsity = r.sparsity_pct as f64 / 100.0;
+        for skip in [true, false] {
+            let case = format!("kernel {} n={} s={sparsity} skip={skip}", r.kernel, r.n);
+            let cfg = traced.with_cycle_skip(skip);
+            let (image, program, y_base) = build_image(&cfg, r.kernel, r.n, sparsity, r.seed);
+            let mut sys = System::new(&cfg, program, image);
+            assert_eq!(sys.run().expect("one-tile run"), r.stats, "{case}");
+            let y = sys.read_output(y_base, r.n);
+            let y_bits: Vec<u32> = y.as_slice().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(y_bits, r.y_bits, "{case}");
+            let events = sys.take_events();
+            assert_eq!(
+                (events.len(), events_digest(&events)),
+                (r.events, r.events_digest),
+                "{case}"
+            );
+        }
+    }
+    records.len()
+}
+
+/// The differential property behind the port refactor, on the 12 random
+/// kernels x sparsities x buffer counts recorded from the seed machine.
+#[test]
+fn one_tile_fabric_is_bit_identical_to_legacy() {
+    assert_eq!(assert_one_tile_reproduces_seed_records(1), 12);
 }
 
 #[test]
 fn one_tile_fabric_matches_legacy_with_slow_memory() {
     // Multi-cycle SRAM words exercise the burst wake hints through the
     // banked port layer.
-    for kernel in 0..3 {
-        let cfg = SystemConfig::paper_default().with_ram_word_cycles(4);
-        assert_fabric_matches_legacy(cfg, kernel, 24, 0.5, 0xD1FF);
-    }
+    assert_eq!(assert_one_tile_reproduces_seed_records(4), 3);
 }
 
 #[test]
@@ -728,7 +771,7 @@ const SOLO_TAIL: u64 = 200;
 /// adds, on `banks` banks.
 fn staggered_fabric(cfg: &SystemConfig, iters: &[u32], banks: usize) -> hht::system::Fabric {
     use hht::isa::asm::assemble;
-    use hht::mem::{SharedMemory, Sram};
+    use hht::mem::{ByteStore, SharedMemory};
     use hht::system::{ArbPolicy, Fabric, FabricConfig};
     let fab = FabricConfig { tiles: iters.len(), banks, arb: ArbPolicy::RoundRobin };
     let programs = iters
@@ -745,7 +788,7 @@ fn staggered_fabric(cfg: &SystemConfig, iters: &[u32], banks: usize) -> hht::sys
         })
         .collect();
     let mem =
-        SharedMemory::from_sram(Sram::new(cfg.ram_size, cfg.ram_word_cycles), banks, fab.tiles);
+        SharedMemory::new(ByteStore::new(cfg.ram_size), cfg.ram_word_cycles, banks, fab.tiles);
     Fabric::new(cfg, fab, programs, mem)
 }
 
@@ -811,7 +854,7 @@ fn parked_wakes_interrupt_solo_runs_on_sixteen_dram_tiles() {
 #[test]
 fn watchdog_expiry_is_a_recoverable_error() {
     use hht::isa::asm::assemble;
-    use hht::mem::Sram;
+    use hht::mem::ByteStore;
     use hht::sim::RunError;
     use hht::system::System;
 
@@ -819,8 +862,8 @@ fn watchdog_expiry_is_a_recoverable_error() {
     cfg.core.max_cycles = 10_000;
     let p = assemble("loop:\n  j loop\n").unwrap();
     for skip in [true, false] {
-        let sram = Sram::new(cfg.ram_size, cfg.ram_word_cycles);
-        let mut sys = System::new(&cfg.with_cycle_skip(skip), p.clone(), sram);
+        let image = ByteStore::new(cfg.ram_size);
+        let mut sys = System::new(&cfg.with_cycle_skip(skip), p.clone(), image);
         match sys.run() {
             Err(RunError::Watchdog(c)) => assert_eq!(c, 10_000),
             other => panic!("expected watchdog error, got {other:?}"),
@@ -1073,33 +1116,33 @@ fn baseline_fabric(
     n: usize,
     seed: u64,
 ) -> (hht::system::Fabric, hht::system::layout::ProblemLayout) {
-    use hht::mem::{SharedMemory, Sram};
+    use hht::mem::{ByteStore, SharedMemory};
     use hht::sparse::{CscMatrix, SparseFormat};
     use hht::system::{kernels, layout, Fabric, FabricConfig};
     let m = generate::random_csr(n, n, 0.8, seed);
     let v = generate::random_dense_vector(n, seed ^ 1);
     let x = generate::random_sparse_vector(n, 0.8, seed ^ 2);
-    let mut sram = Sram::new(cfg.ram_size, cfg.ram_word_cycles);
+    let mut image = ByteStore::new(cfg.ram_size);
     let (l, program) = match name {
         "spmv_scalar" | "spmv_vector" => {
-            let l = layout::layout_spmv(&mut sram, &m, &v);
+            let l = layout::layout_spmv(&mut image, &m, &v);
             (l, kernels::spmv_baseline(&l, name == "spmv_vector"))
         }
         "spmspv_merge" => {
-            let l = layout::layout_spmspv(&mut sram, &m, &x);
+            let l = layout::layout_spmspv(&mut image, &m, &x);
             (l, kernels::spmspv_baseline(&l))
         }
         "spmspv_csc" => {
             let csc = CscMatrix::from_triplets(n, n, &m.triplets()).expect("valid triplets");
-            let l = kernels::layout_spmspv_csc(&mut sram, &csc, &x);
+            let l = kernels::layout_spmspv_csc(&mut image, &csc, &x);
             (l, kernels::spmspv_csc_baseline(&l))
         }
         _ => {
-            let l = layout::layout_dense(&mut sram, &m.to_dense(), &v);
+            let l = layout::layout_dense(&mut image, &m.to_dense(), &v);
             (l, kernels::dense_matvec(&l))
         }
     };
-    let mem = SharedMemory::from_sram(sram, 1, 1);
+    let mem = SharedMemory::new(image, cfg.ram_word_cycles, 1, 1);
     (Fabric::new(cfg, FabricConfig::single(), vec![program], mem), l)
 }
 
@@ -1212,15 +1255,15 @@ fn an_engine_started_mid_run_steps_in_its_start_cycle() {
     use hht::accel::mmr::reg;
     use hht::accel::Mode;
     use hht::isa::asm::assemble;
-    use hht::mem::{map, SharedMemory, Sram};
+    use hht::mem::{map, ByteStore, SharedMemory};
     use hht::sparse::SparseFormat;
     use hht::system::{layout, Fabric, FabricConfig};
     let n = 24;
     let m = generate::random_csr(n, n, 0.7, 0x57A7);
     let v = generate::random_dense_vector(n, 0x57A8);
     let build = |cfg: &SystemConfig| {
-        let mut sram = Sram::new(cfg.ram_size, cfg.ram_word_cycles);
-        let l = layout::layout_spmv(&mut sram, &m, &v);
+        let mut image = ByteStore::new(cfg.ram_size);
+        let l = layout::layout_spmv(&mut image, &m, &v);
         let mut src = format!(
             "li t0, {nnz}\nli a0, {vals}\nwarm:\nflw ft0, 0(a0)\nfadd.s fa1, fa1, ft0\n\
              addi a0, a0, 4\naddi t0, t0, -1\nbnez t0, warm\nli t6, {mmr}\n",
@@ -1250,7 +1293,7 @@ fn an_engine_started_mid_run_steps_in_its_start_cycle() {
             y = l.y_base,
         ));
         let program = assemble(&src).expect("hand-written program assembles");
-        let mem = SharedMemory::from_sram(sram, 1, 1);
+        let mem = SharedMemory::new(image, cfg.ram_word_cycles, 1, 1);
         (Fabric::new(cfg, FabricConfig::single(), vec![program], mem), l.y_base)
     };
     let values_sum = m.values().iter().fold(0.0f32, |s, &x| s + x);

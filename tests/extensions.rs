@@ -200,21 +200,23 @@ fn motivation_shows_metadata_dominates_baseline() {
 fn execution_trace_is_inspectable() {
     use hht::isa::Instr;
     use hht::mem::mmio::NullDevice;
-    use hht::mem::Sram;
+    use hht::mem::{ByteStore, Dram, DramConfig, FabricPort, SharedMemory};
     use hht::sim::{Core, CoreConfig};
     use hht::system::{kernels, layout};
     let cfg = SystemConfig::paper_default();
     let m = generate::random_csr(16, 16, 0.5, 43);
     let v = generate::random_dense_vector(16, 44);
-    let mut sram = Sram::new(cfg.ram_size, cfg.ram_word_cycles);
-    let l = layout::layout_spmv(&mut sram, &m, &v);
+    let mut image = ByteStore::new(cfg.ram_size);
+    let l = layout::layout_spmv(&mut image, &m, &v);
     let program = kernels::spmv_baseline(&l, true);
+    let shared = SharedMemory::new(image, cfg.ram_word_cycles, 1, 1);
+    let mut mem = Dram::new(shared, DramConfig::flat());
     let mut core = Core::new(CoreConfig::paper_default(), program);
     core.enable_trace();
     let mut dev = NullDevice;
     let mut now = 0u64;
     while !core.halted() {
-        core.step(now, &mut sram, &mut dev);
+        core.step(now, &mut FabricPort::new(&mut mem, 0), &mut dev);
         now += 1;
         assert!(now < 10_000_000, "runaway");
     }

@@ -83,13 +83,13 @@ fn engine_stall_resumes_cleanly() {
 /// result; the runner's golden check catches it and falls back.
 #[test]
 fn sram_corruption_is_caught_by_golden_check() {
-    use hht::mem::Sram;
+    use hht::mem::ByteStore;
     let (m, v) = problem(32);
     let cfg = robust_cfg();
     // The layout is deterministic: recompute it on a scratch SRAM to find
     // where the dense vector lives, then flip a high mantissa/exponent bit
     // in its first element.
-    let mut scratch = Sram::new(cfg.ram_size, cfg.ram_word_cycles);
+    let mut scratch = ByteStore::new(cfg.ram_size);
     let l = hht::system::layout::layout_spmv(&mut scratch, &m, &v);
     let p = plan(vec![(1, FaultKind::SramBitFlip { addr: l.v_base, bit: 30 })]);
     let out = runner::run_spmv_hht_with_plan(&cfg, &m, &v, p);
