@@ -149,12 +149,10 @@ pub const BANK_WORDS: u32 = 8;
 const BANK_SHIFT: u32 = (4 * BANK_WORDS).trailing_zeros();
 
 impl SharedMemory {
-    /// House `mem` (an image built by the layout code, or a recycled
-    /// buffer) behind `banks` interleaved ports with `word_cycles` per word
-    /// access, shared by `tiles` accounting domains. `banks` must be a
-    /// power of two, so the bank of an address is a shift and a mask. The
-    /// port state is pristine, so a warm-pool rebuild is bit-identical to a
-    /// cold one by construction.
+    /// House `mem` (an image built by the layout code) behind `banks`
+    /// interleaved ports with `word_cycles` per word access, shared by
+    /// `tiles` accounting domains. `banks` must be a power of two, so the
+    /// bank of an address is a shift and a mask.
     pub fn new(mem: ByteStore, word_cycles: u64, banks: usize, tiles: usize) -> Self {
         assert!(word_cycles >= 1, "an access takes at least one cycle");
         assert!(banks >= 1, "at least one bank");
@@ -168,13 +166,6 @@ impl SharedMemory {
             obs: (0..tiles).map(|_| None).collect(),
             stats: SharedMemStats { banks: banks as u64, ..SharedMemStats::default() },
         }
-    }
-
-    /// Consume the memory and recover its storage, discarding port state.
-    /// The warm fabric pool recycles a retired fabric's backing buffer into
-    /// the next job's image build.
-    pub fn into_store(self) -> ByteStore {
-        self.mem
     }
 
     /// Install a structured-event sink for one tile's arbitration events.

@@ -187,12 +187,6 @@ impl Dram {
         &mut self.mem
     }
 
-    /// Consume the wrapper and recover the banked memory (row/window/budget
-    /// timing state is discarded).
-    pub fn into_inner(self) -> SharedMemory {
-        self.mem
-    }
-
     /// Transactions of `tile` whose responses are still outstanding at
     /// `now` (the window occupancy the MLP cap is tested against).
     pub fn in_flight(&self, tile: usize, now: u64) -> usize {

@@ -1,15 +1,15 @@
-//! Content-addressed job caches: the plan tier and the replay tier.
+//! The replay tier's key, its bounded FIFO store, and the content-hash
+//! memo that feeds it.
 //!
 //! Keys are built from `hht_sparse::hash` stable content hashes, so a key
 //! names the *mathematical* job, not the allocation that carried it —
 //! clients resubmitting an equal matrix from a different buffer still hit.
-//! Both tiers are bounded FIFO caches: inserts past capacity evict the
+//! The tier is a bounded FIFO cache: inserts past capacity evict the
 //! oldest entry, which keeps eviction deterministic (no recency state that
 //! would make hit counts depend on timing).
 
 use crate::request::{KernelKind, Operand, Request};
-use hht_system::runner::{FabricPlan, FabricRunOutput};
-use std::collections::hash_map::Entry;
+use hht_sparse::CsrMatrix;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -25,20 +25,6 @@ pub struct CacheKey {
     pub operand: u64,
 }
 
-/// Plan-tier key. For SpMV the operand hash is zero: the layout depends
-/// only on the matrix shape (the dense vector occupies a fixed-size region
-/// that a hit patches in place). For SpMSpV the operand's nonzero count
-/// shapes the layout, so the operand hash participates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PlanKey {
-    /// [`KernelKind::family_tag`] (both SpMSpV variants share plans).
-    pub family: u8,
-    /// Matrix content hash.
-    pub matrix: u64,
-    /// Operand content hash (0 for SpMV).
-    pub operand: u64,
-}
-
 impl CacheKey {
     /// Key for `request`, given its precomputed content hashes.
     pub fn new(kernel: KernelKind, matrix: u64, operand: u64) -> Self {
@@ -46,28 +32,7 @@ impl CacheKey {
     }
 }
 
-impl PlanKey {
-    /// Plan key for `request`, given its precomputed content hashes.
-    pub fn new(kernel: KernelKind, matrix: u64, operand: u64) -> Self {
-        let operand = match kernel {
-            KernelKind::Spmv => 0,
-            KernelKind::SpmspvV1 | KernelKind::SpmspvV2 => operand,
-        };
-        PlanKey { family: kernel.family_tag(), matrix, operand }
-    }
-}
-
-/// A cached plan plus the hash of the dense operand currently baked into
-/// its image (SpMV only; `0` for SpMSpV plans, whose operand is part of
-/// the key).
-pub struct PlanEntry {
-    /// The reusable image/layout/shards.
-    pub plan: Arc<FabricPlan>,
-    /// Content hash of the dense vector whose bytes `plan.image` holds.
-    pub baked_operand: u64,
-}
-
-/// Bounded FIFO map used by both tiers.
+/// Bounded FIFO map (the replay tier and the hash memo).
 pub struct FifoCache<K, V> {
     map: HashMap<K, V>,
     order: VecDeque<K>,
@@ -76,7 +41,7 @@ pub struct FifoCache<K, V> {
 
 impl<K: std::hash::Hash + Eq + Copy, V> FifoCache<K, V> {
     /// An empty cache evicting beyond `cap` entries (`cap == 0` disables
-    /// the tier: every lookup misses, every insert is dropped).
+    /// it: every lookup misses, every insert is dropped).
     pub fn new(cap: usize) -> Self {
         FifoCache { map: HashMap::new(), order: VecDeque::new(), cap }
     }
@@ -84,11 +49,6 @@ impl<K: std::hash::Hash + Eq + Copy, V> FifoCache<K, V> {
     /// Lookup without touching eviction order.
     pub fn get(&self, k: &K) -> Option<&V> {
         self.map.get(k)
-    }
-
-    /// Mutable lookup (the SpMV plan tier patches images in place).
-    pub fn get_mut(&mut self, k: &K) -> Option<&mut V> {
-        self.map.get_mut(k)
     }
 
     /// Insert, evicting the oldest entry when full.
@@ -106,11 +66,6 @@ impl<K: std::hash::Hash + Eq + Copy, V> FifoCache<K, V> {
         }
     }
 
-    /// The held values, in no particular order.
-    pub fn values(&self) -> impl Iterator<Item = &V> {
-        self.map.values()
-    }
-
     /// Entries currently held.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -122,70 +77,63 @@ impl<K: std::hash::Hash + Eq + Copy, V> FifoCache<K, V> {
     }
 }
 
-/// Content hashes of one request's operands, memoized by allocation
-/// identity: serving streams resubmit the same `Arc`s, so each unique
-/// buffer is hashed once no matter how often it recurs.
-pub struct HashMemo {
-    matrices: HashMap<usize, (Arc<hht_sparse::CsrMatrix>, u64)>,
-    operands: HashMap<usize, u64>,
-    /// Arcs pinned so the pointer keys above can never be reused by a new
-    /// allocation while memoized.
-    pinned: Vec<Operand>,
+/// An allocation the memo keeps alive while its address is a key (held,
+/// never read).
+#[allow(dead_code)]
+enum Pin {
+    Matrix(Arc<CsrMatrix>),
+    Operand(Operand),
 }
 
-impl Default for HashMemo {
-    fn default() -> Self {
-        Self::new()
-    }
+/// Content hashes of requests' operands, memoized by allocation identity:
+/// serving streams resubmit the same `Arc`s, so each buffer is hashed once
+/// while it stays memoized. Each entry pins its allocation, so its address
+/// cannot be reused by a new allocation while it is a key; eviction drops
+/// the entry and its pin together, so a reused address can only miss and
+/// rehash. Bounded FIFO, like the replay tier.
+pub struct HashMemo {
+    entries: FifoCache<usize, (Pin, u64)>,
 }
 
 impl HashMemo {
-    /// An empty memo.
-    pub fn new() -> Self {
-        HashMemo { matrices: HashMap::new(), operands: HashMap::new(), pinned: Vec::new() }
+    /// An empty memo holding at most `cap` pinned allocations.
+    pub fn new(cap: usize) -> Self {
+        HashMemo { entries: FifoCache::new(cap) }
     }
 
-    /// `(matrix_hash, operand_hash)` for `req`, computing each at most
-    /// once per distinct allocation.
+    /// Allocations currently pinned.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// `(matrix_hash, operand_hash)` for `req`, hashing each allocation
+    /// only when it is not memoized.
     pub fn hashes(&mut self, req: &Request) -> (u64, u64) {
         let mp = Arc::as_ptr(&req.matrix) as usize;
-        let mh = match self.matrices.get(&mp) {
-            Some(&(_, h)) => h,
-            None => {
-                let h = req.matrix.content_hash();
-                self.matrices.insert(mp, (Arc::clone(&req.matrix), h));
-                h
-            }
-        };
+        let mh =
+            self.hash(mp, || (Pin::Matrix(Arc::clone(&req.matrix)), req.matrix.content_hash()));
         let op = match &req.operand {
             Operand::Dense(v) => Arc::as_ptr(v) as usize,
             Operand::Sparse(x) => Arc::as_ptr(x) as usize,
         };
-        let oh = match self.operands.entry(op) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                let h = match &req.operand {
-                    Operand::Dense(v) => v.content_hash(),
-                    Operand::Sparse(x) => x.content_hash(),
-                };
-                e.insert(h);
-                self.pinned.push(req.operand.clone());
-                h
-            }
-        };
+        let oh = self.hash(op, || (Pin::Operand(req.operand.clone()), req.operand.content_hash()));
         (mh, oh)
     }
-}
 
-/// The replay tier's stored value: the complete run output of the
-/// *singleton* pass that first served this job. Batched passes are never
-/// entered here — a replay must be bit-identical to a cold one-shot run
-/// (y, stats, events), which only a singleton pass is.
-pub type CachedRun = Arc<FabricRunOutput>;
+    fn hash(&mut self, addr: usize, fresh: impl FnOnce() -> (Pin, u64)) -> u64 {
+        if let Some(&(_, h)) = self.entries.get(&addr) {
+            return h;
+        }
+        let (pin, h) = fresh();
+        self.entries.insert(addr, (pin, h));
+        h
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hht_sparse::generate;
 
     #[test]
     fn fifo_cache_evicts_oldest_first() {
@@ -208,19 +156,35 @@ mod tests {
     }
 
     #[test]
-    fn spmv_plan_key_ignores_operand_spmspv_does_not() {
-        let a = PlanKey::new(KernelKind::Spmv, 7, 100);
-        let b = PlanKey::new(KernelKind::Spmv, 7, 200);
-        assert_eq!(a, b);
-        let c = PlanKey::new(KernelKind::SpmspvV1, 7, 100);
-        let d = PlanKey::new(KernelKind::SpmspvV1, 7, 200);
-        assert_ne!(c, d);
-        // The SpMSpV variants share the plan tier…
-        assert_eq!(c, PlanKey::new(KernelKind::SpmspvV2, 7, 100));
-        // …but never the replay tier.
+    fn spmspv_variants_never_share_a_replay_key() {
         assert_ne!(
             CacheKey::new(KernelKind::SpmspvV1, 7, 100),
             CacheKey::new(KernelKind::SpmspvV2, 7, 100)
         );
+    }
+
+    #[test]
+    fn hash_memo_evicts_pins_and_rehashes() {
+        let mut memo = HashMemo::new(2);
+        let req = |seed| {
+            Request::spmv(
+                0,
+                Arc::new(generate::random_csr(8, 8, 0.5, seed)),
+                Arc::new(generate::random_dense_vector(8, seed)),
+            )
+        };
+        let a = req(1);
+        let want = (a.matrix.content_hash(), a.operand.content_hash());
+        assert_eq!(memo.hashes(&a), want);
+        assert_eq!(memo.len(), 2);
+        let held = Arc::downgrade(&a.matrix);
+        drop(a);
+        assert!(held.upgrade().is_some(), "a memoized address stays pinned");
+        // A second request's entries push the first one's out, pins
+        // included.
+        memo.hashes(&req(2));
+        assert_eq!(memo.len(), 2);
+        assert!(held.upgrade().is_none(), "an evicted entry keeps no pin");
+        assert_eq!(memo.hashes(&req(1)), want, "a miss rehashes to the same key");
     }
 }

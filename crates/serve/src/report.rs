@@ -3,13 +3,13 @@
 //!
 //! Mirrors the repo's `BENCH_core.json` convention: a small committed
 //! JSON baseline, a comparator that gates **only deterministic fields**.
-//! For serving those are the cache/pool/batch counters (exact — they are
+//! For serving those are the replay/batch counters (exact — they are
 //! structural properties of the request stream and configuration) and the
 //! total simulated cycles (relative tolerance). Host throughput varies
 //! with the machine running CI, so jobs/sec and latencies are carried for
 //! context; the serve-vs-naive *speedup* is a same-machine same-process
-//! ratio and is gated only against the absolute `min_speedup` floor
-//! committed in the baseline.
+//! ratio, the median of interleaved timing pairs, and is gated only
+//! against the absolute `min_speedup` floor committed in the baseline.
 
 use serde::{Deserialize, Serialize};
 
@@ -31,41 +31,30 @@ pub struct ServeConfigReport {
     pub requests: u64,
     /// Requests served from the replay tier. Deterministic; gated exactly.
     pub replay_hits: u64,
-    /// Singleton jobs that reused a cached plan. Deterministic; gated
-    /// exactly.
-    pub plan_hits: u64,
-    /// Singleton jobs that computed a fresh plan. Deterministic; gated
-    /// exactly.
-    pub plan_misses: u64,
     /// Batch passes executed. Deterministic; gated exactly.
     pub batches: u64,
     /// Jobs packed into batch passes. Deterministic; gated exactly.
     pub batched_jobs: u64,
     /// Singleton fabric passes executed. Deterministic; gated exactly.
     pub singleton_passes: u64,
-    /// Fabric acquires served by resetting a warm spare. Deterministic;
-    /// gated exactly.
-    pub pool_reuses: u64,
-    /// Fabric acquires that built from scratch. Deterministic; gated
-    /// exactly.
-    pub pool_builds: u64,
     /// Total simulated cycles across executed passes. Deterministic;
     /// gated with the relative tolerance (legitimate timing-model changes
     /// shift it slightly).
     pub sim_cycles: u64,
     /// Replay hit rate over the stream (informational, derived).
     pub hit_rate: f64,
-    /// Warm-pool reuse rate (informational, derived).
-    pub pool_reuse_rate: f64,
-    /// Naive serial cold loop, host seconds (informational).
+    /// Naive serial cold loop, host seconds of the median timing pair
+    /// (informational).
     pub naive_secs: f64,
-    /// Service, host seconds for the same stream (informational).
+    /// Service, host seconds for the same stream in the median timing
+    /// pair (informational).
     pub serve_secs: f64,
     /// Naive host throughput, jobs/second (informational).
     pub naive_jobs_per_sec: f64,
     /// Service host throughput, jobs/second (informational).
     pub serve_jobs_per_sec: f64,
-    /// `naive_secs / serve_secs` — same machine, same process. Gated
+    /// `naive_secs / serve_secs` of the median of the interleaved
+    /// (naive, serve) timing pairs — same machine, same process. Gated
     /// against `min_speedup`.
     pub speedup: f64,
     /// Gate floor for `speedup` (from the committed baseline).
@@ -126,13 +115,9 @@ impl ServeBenchReport {
             let exact = [
                 ("requests", cur.requests, base.requests),
                 ("replay_hits", cur.replay_hits, base.replay_hits),
-                ("plan_hits", cur.plan_hits, base.plan_hits),
-                ("plan_misses", cur.plan_misses, base.plan_misses),
                 ("batches", cur.batches, base.batches),
                 ("batched_jobs", cur.batched_jobs, base.batched_jobs),
                 ("singleton_passes", cur.singleton_passes, base.singleton_passes),
-                ("pool_reuses", cur.pool_reuses, base.pool_reuses),
-                ("pool_builds", cur.pool_builds, base.pool_builds),
             ];
             for (label, cur_v, base_v) in exact {
                 if cur_v != base_v {
@@ -195,16 +180,11 @@ mod tests {
             banks: 4,
             requests: 120,
             replay_hits: hits,
-            plan_hits: 6,
-            plan_misses: 12,
             batches: 3,
             batched_jobs: 9,
             singleton_passes: 15,
-            pool_reuses: 14,
-            pool_builds: 4,
             sim_cycles: cycles,
             hit_rate: hits as f64 / 120.0,
-            pool_reuse_rate: 14.0 / 18.0,
             naive_secs: 1.0,
             serve_secs: 1.0 / speedup,
             naive_jobs_per_sec: 120.0,

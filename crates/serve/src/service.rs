@@ -1,4 +1,4 @@
-//! The persistent service: tenant-fair admission, wave scheduling, cache
+//! The persistent service: tenant-fair admission, wave scheduling, replay
 //! resolution, batching, and dispatch over the `hht-exec` worker pool.
 //!
 //! # Scheduling model
@@ -16,34 +16,31 @@
 //!    its pass.
 //! 2. **Batching**: remaining small SpMV jobs are packed block-diagonally
 //!    (up to the configured job/row caps); everything else becomes a
-//!    singleton unit with plan-cache resolution.
+//!    singleton unit, a plain one-shot fabric run.
 //! 3. **Dispatch**: units execute over the persistent `hht-exec` worker
-//!    pool (`jobs` wide). Each unit uses the warm fabric pool assigned by
-//!    its *unit index* — not by thread — so pool-reuse counts are
-//!    deterministic under any scheduling.
+//!    pool (`jobs` wide). Every unit is a one-shot runner call, so units
+//!    share no state.
 //! 4. **Demux & memoization**: per-job `y` is sliced out of batch passes;
 //!    singleton passes enter the replay tier (batched passes do not: a
 //!    replay must be bit-identical to a cold one-shot run, which only a
 //!    singleton pass is).
 //!
-//! Because admission order, cache resolution order, and pool assignment
-//! are all independent of thread timing, every field of [`ServeStats`]
-//! except host wall time is bit-deterministic — which is what lets CI gate
-//! them.
+//! Because admission order and replay resolution are independent of
+//! thread timing, every field of [`ServeStats`] is bit-deterministic for
+//! a given request stream and configuration, whatever `jobs` is — which
+//! is what lets CI gate them.
 
 use crate::batch::concat_spmv;
-use crate::cache::{CacheKey, FifoCache, HashMemo, PlanEntry, PlanKey};
-use crate::pool::FabricPool;
+use crate::cache::{CacheKey, FifoCache, HashMemo};
 use crate::request::{KernelKind, Operand, Request, Response, Served};
 use hht_sparse::DenseVector;
 use hht_system::config::SystemConfig;
 use hht_system::fabric::FabricConfig;
 use hht_system::runner::{
-    plan_spmspv_fabric, plan_spmv_fabric, run_spmspv_fabric_planned, run_spmspv_fabric_v1,
-    run_spmspv_fabric_v2, run_spmv_fabric, run_spmv_fabric_planned, FabricPlan, FabricRunOutput,
+    run_spmspv_fabric_v1, run_spmspv_fabric_v2, run_spmv_fabric, FabricRunOutput,
 };
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Tuning knobs of one [`Service`].
@@ -60,14 +57,9 @@ pub struct ServiceConfig {
     pub batch_max_jobs: usize,
     /// Max total rows per batch pass.
     pub batch_max_rows: usize,
-    /// Memoize singleton run outputs for exact-repeat replay.
-    pub replay: bool,
-    /// Plan-tier capacity (entries).
-    pub plan_cap: usize,
-    /// Replay-tier capacity (entries).
+    /// Replay-tier capacity (entries); also bounds the allocations the
+    /// content-hash memo pins.
     pub replay_cap: usize,
-    /// Warm spares kept per fabric pool (one pool per dispatch lane).
-    pub pool_cap: usize,
 }
 
 impl Default for ServiceConfig {
@@ -78,17 +70,14 @@ impl Default for ServiceConfig {
             batch_row_threshold: 256,
             batch_max_jobs: 8,
             batch_max_rows: 1024,
-            replay: true,
-            plan_cap: 256,
             replay_cap: 1024,
-            pool_cap: 4,
         }
     }
 }
 
-/// Serving counters. Everything here except nothing — all fields — is
-/// bit-deterministic for a given request stream and configuration; host
-/// timing lives in the per-response latencies instead.
+/// Serving counters. Every field is bit-deterministic for a given request
+/// stream and configuration; host timing lives in the per-response
+/// latencies instead.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Requests admitted.
@@ -98,9 +87,11 @@ pub struct ServeStats {
     /// Requests served from the replay tier (including in-wave duplicate
     /// followers).
     pub replay_hits: u64,
-    /// Singleton jobs that reused a cached plan.
+    /// Always 0: the plan tier is gone. Kept only for the benchmark
+    /// adapter until the runner's entry points fold into one `run`.
     pub plan_hits: u64,
-    /// Singleton jobs that computed (and cached) a fresh plan.
+    /// Singleton jobs laid out (every singleton pass lays out its own
+    /// problem, so this equals `singleton_passes`).
     pub plan_misses: u64,
     /// Batch passes executed.
     pub batches: u64,
@@ -108,12 +99,11 @@ pub struct ServeStats {
     pub batched_jobs: u64,
     /// Singleton fabric passes executed.
     pub singleton_passes: u64,
-    /// Fabric acquires satisfied by resetting a warm spare.
+    /// Always 0: the warm pool is gone. Kept only for the benchmark
+    /// adapter, like `plan_hits`.
     pub pool_reuses: u64,
-    /// Fabric acquires that constructed from scratch.
+    /// Always 0, like `pool_reuses`.
     pub pool_builds: u64,
-    /// Image builds that started from a recycled buffer.
-    pub buffer_reuses: u64,
     /// Total simulated wall cycles across executed passes (replays add
     /// nothing — their cycles were counted when first simulated).
     pub sim_cycles: u64,
@@ -128,27 +118,17 @@ impl ServeStats {
             self.replay_hits as f64 / self.requests as f64
         }
     }
-
-    /// Fraction of fabric acquires served warm.
-    pub fn pool_reuse_rate(&self) -> f64 {
-        let total = self.pool_reuses + self.pool_builds;
-        if total == 0 {
-            0.0
-        } else {
-            self.pool_reuses as f64 / total as f64
-        }
-    }
 }
 
 /// A single execution unit of one wave.
 enum Unit {
-    Single { idx: usize, key: CacheKey, plan: Arc<FabricPlan>, served: Served },
+    Single { idx: usize, key: CacheKey },
     Batch { members: Vec<(usize, CacheKey)> },
 }
 
 /// What executing a unit produced.
 enum UnitOut {
-    Single { idx: usize, key: CacheKey, run: Arc<FabricRunOutput>, served: Served, secs: Duration },
+    Single { idx: usize, key: CacheKey, run: Arc<FabricRunOutput>, secs: Duration },
     Batch { members: Vec<(usize, CacheKey)>, run: Arc<FabricRunOutput>, secs: Duration },
 }
 
@@ -159,40 +139,36 @@ pub struct Service {
     fab: FabricConfig,
     scfg: ServiceConfig,
     memo: HashMemo,
-    plans: FifoCache<PlanKey, PlanEntry>,
+    /// The complete run output of the *singleton* pass that first served
+    /// each job. Batched passes are never entered — a replay must be
+    /// bit-identical to a cold one-shot run (y, stats, events), which only
+    /// a singleton pass is.
     replays: FifoCache<CacheKey, Arc<FabricRunOutput>>,
-    /// One warm pool per dispatch lane; units lock `pools[unit % lanes]`,
-    /// keeping reuse accounting independent of thread scheduling.
-    pools: Vec<Mutex<FabricPool>>,
     stats: ServeStats,
 }
 
 impl Service {
     /// A fresh service for one config shape.
     pub fn new(cfg: SystemConfig, fab: FabricConfig, scfg: ServiceConfig) -> Self {
-        let lanes = scfg.jobs.max(1);
         Service {
             cfg,
             fab,
             scfg,
-            memo: HashMemo::new(),
-            plans: FifoCache::new(scfg.plan_cap),
+            memo: HashMemo::new(scfg.replay_cap),
             replays: FifoCache::new(scfg.replay_cap),
-            pools: (0..lanes).map(|_| Mutex::new(FabricPool::new(scfg.pool_cap))).collect(),
             stats: ServeStats::default(),
         }
     }
 
-    /// Accumulated serving counters (pool counters folded in).
+    /// Accumulated serving counters.
     pub fn stats(&self) -> ServeStats {
-        let mut s = self.stats;
-        for p in &self.pools {
-            let p = p.lock().unwrap();
-            s.pool_reuses += p.reuses;
-            s.pool_builds += p.builds;
-            s.buffer_reuses += p.buffer_reuses;
-        }
-        s
+        self.stats
+    }
+
+    /// Matrix and operand allocations the content-hash memo currently
+    /// keeps alive (at most `replay_cap`).
+    pub fn pinned(&self) -> usize {
+        self.memo.len()
     }
 
     /// Serve a whole request stream to completion, returning responses in
@@ -229,32 +205,27 @@ impl Service {
             self.stats.requests += 1;
             let (mh, oh) = self.memo.hashes(req);
             let key = CacheKey::new(req.kernel, mh, oh);
-            if self.scfg.replay {
-                if let Some(run) = self.replays.get(&key) {
-                    self.stats.replay_hits += 1;
-                    out[idx] = Some(replay_response(req, Arc::clone(run)));
-                    continue;
-                }
-                // In-wave dedup (same memoization contract as the replay
-                // tier, so it is gated by the same flag): identical misses
-                // share the leader's pass.
-                if leaders.contains(&key) {
-                    self.stats.replay_hits += 1;
-                    followers.entry(key).or_default().push(idx);
-                    continue;
-                }
+            if let Some(run) = self.replays.get(&key) {
+                self.stats.replay_hits += 1;
+                out[idx] = Some(replay_response(req, Arc::clone(run)));
+                continue;
+            }
+            // In-wave dedup: identical misses share the leader's pass.
+            if leaders.contains(&key) {
+                self.stats.replay_hits += 1;
+                followers.entry(key).or_default().push(idx);
+                continue;
             }
             leaders.push(key);
             let small = req.rows() <= self.scfg.batch_row_threshold;
             if self.scfg.batching && req.kernel == KernelKind::Spmv && small {
                 batchable.push((idx, key));
             } else {
-                let (plan, served) = self.resolve_plan(req, mh, oh);
-                units.push(Unit::Single { idx, key, plan, served });
+                units.push(Unit::Single { idx, key });
             }
         }
         // Greedy packing in wave order; a group of one is a plain
-        // singleton (it then gets plan caching and replayability).
+        // singleton (it then gets replayability).
         let mut group: Vec<(usize, CacheKey)> = Vec::new();
         let mut group_rows = 0usize;
         for (idx, key) in batchable {
@@ -262,48 +233,24 @@ impl Service {
             if group.len() >= self.scfg.batch_max_jobs
                 || (!group.is_empty() && group_rows + rows > self.scfg.batch_max_rows)
             {
-                self.flush_group(requests, &mut group, &mut units);
+                flush_group(&mut group, &mut units);
                 group_rows = 0;
             }
             group.push((idx, key));
             group_rows += rows;
         }
-        self.flush_group(requests, &mut group, &mut units);
+        flush_group(&mut group, &mut units);
 
-        // Dispatch over the persistent worker pool; pool lane by unit
-        // index so warm-pool accounting is scheduling-independent.
-        let lanes = self.pools.len();
-        let pools = &self.pools;
+        // Dispatch over the persistent worker pool.
         let cfg = self.cfg;
         let fab = self.fab;
         let results: Vec<UnitOut> =
-            hht_exec::parallel_map(self.scfg.jobs.max(1), units, |u_idx, unit| {
-                let mut pool = pools[u_idx % lanes].lock().unwrap();
+            hht_exec::parallel_map(self.scfg.jobs.max(1), units, |_, unit| {
                 let t0 = Instant::now();
                 match unit {
-                    Unit::Single { idx, key, plan, served } => {
-                        let req = &requests[idx];
-                        let run = match (&req.kernel, &req.operand) {
-                            (KernelKind::Spmv, Operand::Dense(v)) => run_spmv_fabric_planned(
-                                &cfg,
-                                fab,
-                                &req.matrix,
-                                v,
-                                &plan,
-                                &mut *pool,
-                            ),
-                            (k, Operand::Sparse(x)) => run_spmspv_fabric_planned(
-                                &cfg,
-                                fab,
-                                &req.matrix,
-                                x,
-                                *k == KernelKind::SpmspvV2,
-                                &plan,
-                                &mut *pool,
-                            ),
-                            _ => unreachable!("request constructors enforce operand kinds"),
-                        };
-                        UnitOut::Single { idx, key, run: Arc::new(run), served, secs: t0.elapsed() }
+                    Unit::Single { idx, key } => {
+                        let run = Arc::new(run_one_shot(&cfg, fab, &requests[idx]));
+                        UnitOut::Single { idx, key, run, secs: t0.elapsed() }
                     }
                     Unit::Batch { members } => {
                         let jobs: Vec<(&hht_sparse::CsrMatrix, &DenseVector)> = members
@@ -317,22 +264,19 @@ impl Service {
                             })
                             .collect();
                         let b = concat_spmv(&jobs);
-                        let plan = plan_spmv_fabric(&cfg, fab, &b.matrix, &b.v);
-                        let run =
-                            run_spmv_fabric_planned(&cfg, fab, &b.matrix, &b.v, &plan, &mut *pool);
-                        UnitOut::Batch { members, run: Arc::new(run), secs: t0.elapsed() }
+                        let run = Arc::new(run_spmv_fabric(&cfg, fab, &b.matrix, &b.v));
+                        UnitOut::Batch { members, run, secs: t0.elapsed() }
                     }
                 }
             });
 
         for r in results {
             match r {
-                UnitOut::Single { idx, key, run, served, secs } => {
+                UnitOut::Single { idx, key, run, secs } => {
                     self.stats.singleton_passes += 1;
+                    self.stats.plan_misses += 1;
                     self.stats.sim_cycles += run.stats.cycles;
-                    if self.scfg.replay {
-                        self.replays.insert(key, Arc::clone(&run));
-                    }
+                    self.replays.insert(key, Arc::clone(&run));
                     let rows = run.y.len();
                     for &f in followers.get(&key).map(Vec::as_slice).unwrap_or(&[]) {
                         out[f] = Some(replay_response(&requests[f], Arc::clone(&run)));
@@ -342,7 +286,7 @@ impl Service {
                         y: run.y.clone(),
                         rows: (0, rows),
                         run,
-                        served,
+                        served: Served::Cold,
                         batch_size: 1,
                         latency: secs,
                     });
@@ -383,62 +327,20 @@ impl Service {
             }
         }
     }
+}
 
-    /// Close out the pending batch group: one job falls back to the
-    /// singleton path (plan cache + replayability), two or more become a
-    /// batch unit.
-    fn flush_group(
-        &mut self,
-        requests: &[Request],
-        group: &mut Vec<(usize, CacheKey)>,
-        units: &mut Vec<Unit>,
-    ) {
-        match group.len() {
-            0 => {}
-            1 => {
-                let (idx, key) = group[0];
-                let req = &requests[idx];
-                let (mh, oh) = self.memo.hashes(req);
-                let (plan, served) = self.resolve_plan(req, mh, oh);
-                units.push(Unit::Single { idx, key, plan, served });
-            }
-            _ => units.push(Unit::Batch { members: std::mem::take(group) }),
+/// Close out the pending batch group: one job falls back to the singleton
+/// path (replayable), two or more become a batch unit.
+fn flush_group(group: &mut Vec<(usize, CacheKey)>, units: &mut Vec<Unit>) {
+    match group.len() {
+        0 => {}
+        1 => {
+            let (idx, key) = group[0];
+            units.push(Unit::Single { idx, key });
         }
-        group.clear();
+        _ => units.push(Unit::Batch { members: std::mem::take(group) }),
     }
-
-    fn resolve_plan(&mut self, req: &Request, mh: u64, oh: u64) -> (Arc<FabricPlan>, Served) {
-        let pk = PlanKey::new(req.kernel, mh, oh);
-        if let Some(entry) = self.plans.get_mut(&pk) {
-            self.stats.plan_hits += 1;
-            if entry.baked_operand != oh {
-                // SpMV hit with a new dense operand: patch its bytes into
-                // the cached image at the layout's vector base. (SpMSpV
-                // keys include the operand, so they never get here.)
-                let v = match &req.operand {
-                    Operand::Dense(v) => v,
-                    Operand::Sparse(_) => unreachable!("spmspv plan keys pin the operand"),
-                };
-                let plan = Arc::make_mut(&mut entry.plan);
-                let base = plan.layout.v_base as usize;
-                for (i, &val) in v.as_slice().iter().enumerate() {
-                    plan.image[base + 4 * i..base + 4 * i + 4].copy_from_slice(&val.to_le_bytes());
-                }
-                entry.baked_operand = oh;
-            }
-            return (Arc::clone(&entry.plan), Served::PlanHit);
-        }
-        self.stats.plan_misses += 1;
-        let plan = Arc::new(match (&req.kernel, &req.operand) {
-            (KernelKind::Spmv, Operand::Dense(v)) => {
-                plan_spmv_fabric(&self.cfg, self.fab, &req.matrix, v)
-            }
-            (_, Operand::Sparse(x)) => plan_spmspv_fabric(&self.cfg, self.fab, &req.matrix, x),
-            _ => unreachable!("request constructors enforce operand kinds"),
-        });
-        self.plans.insert(pk, PlanEntry { plan: Arc::clone(&plan), baked_operand: oh });
-        (plan, Served::Cold)
-    }
+    group.clear();
 }
 
 /// A response served from a memoized singleton pass.
@@ -455,9 +357,23 @@ fn replay_response(req: &Request, run: Arc<FabricRunOutput>) -> Response {
     }
 }
 
+/// The one-shot fabric runner for `req`'s kernel.
+fn run_one_shot(cfg: &SystemConfig, fab: FabricConfig, req: &Request) -> FabricRunOutput {
+    match (&req.kernel, &req.operand) {
+        (KernelKind::Spmv, Operand::Dense(v)) => run_spmv_fabric(cfg, fab, &req.matrix, v),
+        (KernelKind::SpmspvV1, Operand::Sparse(x)) => {
+            run_spmspv_fabric_v1(cfg, fab, &req.matrix, x)
+        }
+        (KernelKind::SpmspvV2, Operand::Sparse(x)) => {
+            run_spmspv_fabric_v2(cfg, fab, &req.matrix, x)
+        }
+        _ => unreachable!("request constructors enforce operand kinds"),
+    }
+}
+
 /// The comparator the serve benchmark is measured against: a serial cold
-/// one-shot loop with no pool, no caches, no batching — exactly what a
-/// client scripting the pre-serve runners would do.
+/// one-shot loop with no replay and no batching — exactly what a client
+/// scripting the runners would do.
 pub fn naive_run_stream(
     cfg: &SystemConfig,
     fab: FabricConfig,
@@ -467,53 +383,8 @@ pub fn naive_run_stream(
         .iter()
         .map(|req| {
             let t0 = Instant::now();
-            let run = match (&req.kernel, &req.operand) {
-                (KernelKind::Spmv, Operand::Dense(v)) => run_spmv_fabric(cfg, fab, &req.matrix, v),
-                (KernelKind::SpmspvV1, Operand::Sparse(x)) => {
-                    run_spmspv_fabric_v1(cfg, fab, &req.matrix, x)
-                }
-                (KernelKind::SpmspvV2, Operand::Sparse(x)) => {
-                    run_spmspv_fabric_v2(cfg, fab, &req.matrix, x)
-                }
-                _ => unreachable!("request constructors enforce operand kinds"),
-            };
+            let run = run_one_shot(cfg, fab, req);
             (Arc::new(run), t0.elapsed())
         })
         .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use hht_sparse::generate;
-
-    /// Plans hold the image footprint, not the simulated RAM: 24 distinct
-    /// 64-row jobs on 4 tiles keep at most two 4 KiB pages of image each
-    /// in the plan tier, while each plan stands for a full 1 MB RAM.
-    #[test]
-    fn plan_tier_holds_footprint_sized_images() {
-        let cfg = SystemConfig::paper_default();
-        let scfg = ServiceConfig { batching: false, replay: false, ..ServiceConfig::default() };
-        let mut svc = Service::new(cfg, FabricConfig::scaled(4), scfg);
-        let requests: Vec<Request> = (0..24u64)
-            .map(|seed| {
-                let m = Arc::new(generate::random_csr(64, 64, 0.9, seed));
-                Request::spmv(
-                    seed as usize % 4,
-                    m,
-                    Arc::new(generate::random_dense_vector(64, !seed)),
-                )
-            })
-            .collect();
-        for resp in svc.run_stream(&requests) {
-            assert_eq!(resp.served, Served::Cold);
-        }
-        assert_eq!(svc.plans.len(), 24);
-        let mut image_bytes = 0;
-        for entry in svc.plans.values() {
-            assert_eq!(entry.plan.size, cfg.ram_size);
-            image_bytes += entry.plan.image.len();
-        }
-        assert!(image_bytes <= 24 * 2 * 4096, "plan tier holds {image_bytes} image bytes");
-    }
 }

@@ -535,29 +535,6 @@ impl Fabric {
         }
     }
 
-    /// Reset this warm fabric in place for a new job, returning the
-    /// retired memory buffer for recycling into the next image build.
-    ///
-    /// Implemented as a full rebuild through [`Fabric::new`] — cores,
-    /// HHTs, event buses, fault plan and scheduler state are all freshly
-    /// constructed — so a reused fabric is **bit-identical to a cold one
-    /// by construction**; no per-field reset code can drift out of sync
-    /// with what `new` initializes. What the warm pool actually amortizes
-    /// is the memory's footprint-sized backing buffer handed back here
-    /// (the serving layer builds the next image into it), plus everything
-    /// the layout cache skips upstream. The determinism suite pins the
-    /// bit-identity end to end anyway.
-    pub fn reset_for(
-        &mut self,
-        cfg: &SystemConfig,
-        fab: FabricConfig,
-        programs: Vec<Program>,
-        mem: SharedMemory,
-    ) -> Vec<u8> {
-        let retired = std::mem::replace(self, Fabric::new(cfg, fab, programs, mem));
-        retired.mem.into_inner().into_store().into_vec()
-    }
-
     /// Install an explicit fault schedule (replacing any seed-derived one).
     /// Events carry the tile they target.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {

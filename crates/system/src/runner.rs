@@ -487,54 +487,22 @@ impl FabricRecovery {
     }
 }
 
-/// Where the fabric driver gets (and returns) its fabrics and image
-/// buffers. The default implementation is the cold path: fresh allocations
-/// and [`Fabric::new`] every attempt, which is exactly the seed behaviour.
-/// The serving layer (`hht-serve`) substitutes a warm pool that recycles a
-/// retired fabric's memory backing buffer (the previous job's image
-/// footprint) into the next image build
-/// — the determinism suite pins that both paths are bit-identical.
-pub trait FabricProvider {
-    /// A byte buffer for the next image build. May hold stale bytes of any
-    /// length; image builders clear and refill it.
-    fn image_buffer(&mut self) -> Vec<u8> {
-        Vec::new()
-    }
-
-    /// Produce a fabric for one attempt over an already-loaded memory.
-    fn acquire(
-        &mut self,
-        cfg: &SystemConfig,
-        fab: FabricConfig,
-        programs: Vec<hht_isa::Program>,
-        mem: SharedMemory,
-    ) -> Fabric {
-        Fabric::new(cfg, fab, programs, mem)
-    }
-
-    /// Take a finished attempt's fabric back (the cold path just drops it).
-    fn release(&mut self, _fabric: Fabric) {}
-}
-
-/// The default [`FabricProvider`]: no reuse, identical to pre-serve
-/// behaviour.
+/// The cold-start token the planned drivers take. It carries nothing:
+/// every attempt builds a fresh image and a fresh [`Fabric::new`]. It is
+/// kept only so the benchmark adapter's `run_*_fabric_planned` calls
+/// compile unchanged until the runner's entry points fold into one `run`.
 pub struct ColdStart;
 
-impl FabricProvider for ColdStart {}
-
-/// A reusable precomputed fabric job: the pristine (pre-shard-copy)
-/// problem image, its layout, and the attempt-0 nnz-balanced shard
-/// assignment. Every fabric run starts from one: a one-shot runner
-/// ([`run_spmv_fabric`], [`run_spmspv_fabric_v1`]) builds a fresh plan and
-/// drives it on a [`ColdStart`]. The serving layer's content-addressed
-/// cache stores plans per `(matrix, operand, kernel, tile count)` key: a
-/// cache hit skips SRAM sizing, layout, and shard balancing, and rebuilds
-/// the image by a single `memcpy` into a recycled buffer.
+/// A precomputed fabric job: the pristine (pre-shard-copy) problem image,
+/// its layout, and the attempt-0 nnz-balanced shard assignment. Every
+/// fabric run starts from one: a one-shot runner ([`run_spmv_fabric`],
+/// [`run_spmspv_fabric_v1`]) builds a fresh plan and drives it, and each
+/// attempt rebuilds its image from the plan by one `memcpy`, so failover
+/// re-sharding starts from the pristine image.
 ///
-/// Bit-identity of cached replays holds because the image is captured
-/// *before* [`layout::shard_layouts`] runs: the per-attempt shard
-/// row-pointer copies are placed by the driver at a deterministic bump
-/// address on every attempt, exactly as on the cold path.
+/// The image is captured *before* [`layout::shard_layouts`] runs: the
+/// per-attempt shard row-pointer copies are placed by the driver at a
+/// deterministic bump address on every attempt.
 #[derive(Debug, Clone)]
 pub struct FabricPlan {
     /// The pristine image bytes: the host-backed footprint, shard area
@@ -630,7 +598,6 @@ fn run_fabric(
     m: &CsrMatrix,
     emit: &dyn Fn(&layout::ProblemLayout) -> hht_isa::Program,
     faults: Option<FaultPlan>,
-    provider: &mut dyn FabricProvider,
     baseline: &dyn Fn(&SystemConfig) -> RunOutput,
 ) -> FabricRunOutput {
     let n0 = fab.tiles;
@@ -677,7 +644,7 @@ fn run_fabric(
         // Fresh image per attempt: failover restarts shards from clean
         // state (a fault may have corrupted shared arrays), and the bump
         // allocator re-places the rebased row-pointer copies.
-        let mut image = plan.image_in(provider.image_buffer());
+        let mut image = plan.image();
         let full = plan.layout;
         let layouts = layout::shard_layouts(&mut image, &full, m, &assigned);
         let programs = layouts.iter().map(emit).collect();
@@ -690,7 +657,7 @@ fn run_fabric(
             attempt_cfg.fault.seed = 0;
             attempt_cfg.trace.events = false;
         }
-        let mut fabric = provider.acquire(&attempt_cfg, fab_a, programs, mem);
+        let mut fabric = Fabric::new(&attempt_cfg, fab_a, programs, mem);
         if attempt == 0 {
             if let Some(p) = faults.take() {
                 fabric.set_fault_plan(p);
@@ -775,7 +742,6 @@ fn run_fabric(
                 y[r0..r1].copy_from_slice(out.as_slice());
             }
         }
-        provider.release(fabric);
         wall += max_backoff;
         backoff_total += max_backoff;
         attempts.push(FabricAttempt {
@@ -857,7 +823,7 @@ pub fn build_spmv_fabric(
     v: &DenseVector,
 ) -> (Fabric, u32) {
     let plan = plan_spmv_fabric(cfg, fab, m, v);
-    let mut image = plan.image_in(Vec::new());
+    let mut image = plan.image();
     let layouts = layout::shard_layouts(&mut image, &plan.layout, m, &plan.shards);
     let vectorized = cfg.core.vlen > 1;
     let programs = layouts.iter().map(|sl| kernels::spmv_hht(sl, vectorized)).collect();
@@ -866,14 +832,14 @@ pub fn build_spmv_fabric(
 }
 
 /// Run HHT-assisted SpMV sharded row-block-wise across an N-tile fabric:
-/// [`plan_spmv_fabric`] then [`run_spmv_fabric_planned`] on a cold start.
+/// [`plan_spmv_fabric`] then [`run_spmv_fabric_planned`].
 pub fn run_spmv_fabric(
     cfg: &SystemConfig,
     fab: FabricConfig,
     m: &CsrMatrix,
     v: &DenseVector,
 ) -> FabricRunOutput {
-    spmv_fabric(cfg, fab, m, v, &plan_spmv_fabric(cfg, fab, m, v), None, &mut ColdStart)
+    spmv_fabric(cfg, fab, m, v, &plan_spmv_fabric(cfg, fab, m, v), None)
 }
 
 /// Run HHT-assisted fabric SpMV with an explicit fault schedule (replacing
@@ -886,7 +852,7 @@ pub fn run_spmv_fabric_with_plan(
     v: &DenseVector,
     plan: FaultPlan,
 ) -> FabricRunOutput {
-    spmv_fabric(cfg, fab, m, v, &plan_spmv_fabric(cfg, fab, m, v), Some(plan), &mut ColdStart)
+    spmv_fabric(cfg, fab, m, v, &plan_spmv_fabric(cfg, fab, m, v), Some(plan))
 }
 
 /// Precompute the reusable SpMV fabric job for `fab.tiles` tiles: image,
@@ -913,29 +879,23 @@ fn plan_from(
 }
 
 impl FabricPlan {
-    /// Rebuild the pristine image into `buf` (a recycled buffer of any
-    /// length and contents) by one `memcpy`.
-    fn image_in(&self, mut buf: Vec<u8>) -> ByteStore {
-        buf.clear();
-        buf.extend_from_slice(&self.image);
-        ByteStore::from_vec(buf, self.size)
+    /// The pristine image at the plan's logical size, by one `memcpy`.
+    fn image(&self) -> ByteStore {
+        ByteStore::from_vec(self.image.clone(), self.size)
     }
 }
 
-/// Run fabric SpMV from a precomputed [`FabricPlan`] through a
-/// [`FabricProvider`]. [`run_spmv_fabric`] is this with a fresh plan and
-/// `&mut ColdStart`; the serving layer passes its warm pool and cached
-/// plans instead. The image is rebuilt from the plan by `memcpy` each
-/// attempt, so failover re-sharding starts from the pristine image.
+/// Run fabric SpMV from a precomputed [`FabricPlan`]. [`run_spmv_fabric`]
+/// is this with a fresh plan; the [`ColdStart`] token is unused.
 pub fn run_spmv_fabric_planned(
     cfg: &SystemConfig,
     fab: FabricConfig,
     m: &CsrMatrix,
     v: &DenseVector,
     plan: &FabricPlan,
-    provider: &mut dyn FabricProvider,
+    _cold: &mut ColdStart,
 ) -> FabricRunOutput {
-    spmv_fabric(cfg, fab, m, v, plan, None, provider)
+    spmv_fabric(cfg, fab, m, v, plan, None)
 }
 
 fn spmv_fabric(
@@ -945,7 +905,6 @@ fn spmv_fabric(
     v: &DenseVector,
     plan: &FabricPlan,
     faults: Option<FaultPlan>,
-    provider: &mut dyn FabricProvider,
 ) -> FabricRunOutput {
     let gold = golden::spmv(m, v).expect("shapes validated by layout");
     let vectorized = cfg.core.vlen > 1;
@@ -958,14 +917,13 @@ fn spmv_fabric(
         m,
         &|sl| kernels::spmv_hht(sl, vectorized),
         faults,
-        provider,
         &|cfg| run_spmv_baseline(cfg, m, v),
     )
 }
 
 /// Run HHT-assisted SpMSpV (variant 1: sparse gather against dense-indexed
 /// windows) sharded across an N-tile fabric: [`plan_spmspv_fabric`] then
-/// [`run_spmspv_fabric_planned`] on a cold start.
+/// [`run_spmspv_fabric_planned`].
 pub fn run_spmspv_fabric_v1(
     cfg: &SystemConfig,
     fab: FabricConfig,
@@ -1003,7 +961,7 @@ pub fn plan_spmspv_fabric(
 }
 
 /// Run fabric SpMSpV (either variant) from a precomputed [`FabricPlan`]
-/// through a [`FabricProvider`] (see [`run_spmv_fabric_planned`]).
+/// (see [`run_spmv_fabric_planned`]).
 pub fn run_spmspv_fabric_planned(
     cfg: &SystemConfig,
     fab: FabricConfig,
@@ -1011,7 +969,7 @@ pub fn run_spmspv_fabric_planned(
     x: &SparseVector,
     variant2: bool,
     plan: &FabricPlan,
-    provider: &mut dyn FabricProvider,
+    _cold: &mut ColdStart,
 ) -> FabricRunOutput {
     let gold = golden::spmspv(m, x).expect("shapes validated");
     let emit: &dyn Fn(&layout::ProblemLayout) -> hht_isa::Program =
@@ -1025,7 +983,6 @@ pub fn run_spmspv_fabric_planned(
         m,
         emit,
         None,
-        provider,
         &|cfg| run_spmspv_baseline(cfg, m, x),
     )
 }

@@ -1,5 +1,5 @@
-//! Serving demo: a mixed-tenant request stream through the warm-fabric
-//! job service.
+//! Serving demo: a mixed-tenant request stream through the replaying,
+//! batching job service.
 //!
 //! ```text
 //! cargo run --release --example serve_demo
@@ -7,10 +7,10 @@
 //!
 //! Five tenants with different traffic shapes share one 4-tile fabric:
 //! tenant 0 hammers one hot matrix (replay-tier traffic), tenant 1
-//! cycles a working set of medium matrices with fresh operands (plan-tier
-//! and warm-pool traffic), tenants 2 and 3 stream unique small jobs (their
-//! waves batch into block-diagonal passes) and tenant 4 occasionally
-//! submits one large job. The demo prints the serving counters, a
+//! cycles a working set of medium matrices with fresh operands (every one
+//! simulated), tenants 2 and 3 stream unique small jobs (their waves
+//! batch into block-diagonal passes) and tenant 4 occasionally submits
+//! one large job. The demo prints the serving counters, a
 //! per-tenant latency/fairness table, and the naive one-shot comparison.
 
 use hht::serve::{naive_run_stream, percentile_us, Request, Served, Service, ServiceConfig};
@@ -28,7 +28,7 @@ fn main() {
     let hot_m = Arc::new(generate::random_csr(128, 128, 0.9, 0x10));
     let hot_v = Arc::new(generate::random_dense_vector(128, 0x11));
     // Tenant 1: a working set of three 192x192 matrices with fresh
-    // operands each round (plan hits, not replays).
+    // operands each round (simulated, never replayed).
     let ws: Vec<_> =
         (0..3).map(|k| Arc::new(generate::random_csr(192, 192, 0.9, 0x20 + k))).collect();
     // Tenant 4: one 384x384 heavyweight.
@@ -69,8 +69,7 @@ fn main() {
     );
 
     // Batch only genuinely small jobs (tenant 2's stream); the hot and
-    // working-set jobs stay singleton so the replay and plan tiers serve
-    // them.
+    // working-set jobs stay singleton (the hot one then replays).
     let scfg = ServiceConfig { batch_row_threshold: 80, ..ServiceConfig::default() };
     let mut svc = Service::new(cfg, fab, scfg);
     let t0 = Instant::now();
@@ -83,15 +82,14 @@ fn main() {
         naive_secs / serve_secs
     );
     println!(
-        "\nwaves {}  replay hits {}/{} ({:.0}%)  plan hits {}  batches {} ({} jobs)  pool reuse {:.0}%  {:.2} Mcycles simulated",
+        "\nwaves {}  replay hits {}/{} ({:.0}%)  batches {} ({} jobs)  singletons {}  {:.2} Mcycles simulated",
         stats.waves,
         stats.replay_hits,
         stats.requests,
         100.0 * stats.hit_rate(),
-        stats.plan_hits,
         stats.batches,
         stats.batched_jobs,
-        100.0 * stats.pool_reuse_rate(),
+        stats.singleton_passes,
         stats.sim_cycles as f64 / 1e6,
     );
 

@@ -33,8 +33,8 @@
 //! - [`workloads`] — synthetic, DNN and SuiteSparse-profile generators.
 //! - [`prof`] — post-run analysis: top-down CPI stacks, bottleneck
 //!   classification, host self-profiling, bench regression reports.
-//! - [`serve`] — persistent job service: warm fabric pools,
-//!   content-addressed plan/replay caches, tenant-fair batched serving.
+//! - [`serve`] — persistent job service: content-addressed replay,
+//!   tenant-fair admission, block-diagonal request batching.
 
 pub use hht_accel as accel;
 pub use hht_energy as energy;

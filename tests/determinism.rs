@@ -893,13 +893,12 @@ fn serve_pair(kernel: usize, n: usize, s: f64, seed: u64) -> Vec<hht::serve::Req
     }
 }
 
-/// The differential property behind `hht-serve`: a request served through
-/// the content-addressed caches and the warm fabric pool must be
-/// bit-identical — output words, every counter of the fabric stats, every
-/// traced event, the scheduler accounting and the recovery report — to the
-/// naive cold one-shot run of the same job. Covered paths: cold service
-/// run (fresh plan + fresh fabric through the provider), replay-tier hit,
-/// and plan-cache hit re-simulated on a warm pooled fabric (replay off).
+/// The differential property behind `hht-serve`: a request served by the
+/// service must be bit-identical — output words, every counter of the
+/// fabric stats, every traced event, the scheduler accounting and the
+/// recovery report — to the naive cold one-shot run of the same job.
+/// Covered paths: the service's own singleton run and the replay of the
+/// identical repeat (an in-wave follower).
 fn assert_serve_matches_cold(
     base: SystemConfig,
     kernel: usize,
@@ -913,35 +912,25 @@ fn assert_serve_matches_cold(
     let fab = FabricConfig::scaled(tiles);
     let requests = serve_pair(kernel, n, s, seed);
     let naive = naive_run_stream(&base, fab, &requests);
-    let shapes = [
-        // Replay on: the repeat is served from the replay tier.
-        ServiceConfig { batching: false, ..ServiceConfig::default() },
-        // Replay off: the repeat re-simulates through the cached plan and
-        // the warmed fabric pool.
-        ServiceConfig { batching: false, replay: false, ..ServiceConfig::default() },
-    ];
-    for scfg in shapes {
-        let mut svc = Service::new(base, fab, scfg);
-        let responses = svc.run_stream(&requests);
-        for (i, (resp, (cold, _))) in responses.iter().zip(&naive).enumerate() {
-            let ctx = format!(
-                "kernel {kernel} tiles={tiles} n={n} s={s} replay={} request {i} ({:?})",
-                scfg.replay, resp.served
-            );
-            assert_eq!(resp.y.as_slice(), cold.y.as_slice(), "{ctx}: y");
-            assert_eq!(resp.run.stats, cold.stats, "{ctx}: stats");
-            assert_eq!(resp.run.tile_events, cold.tile_events, "{ctx}: events");
-            assert_eq!(resp.run.sched, cold.sched, "{ctx}: sched");
-            assert_eq!(resp.run.tile_sched, cold.tile_sched, "{ctx}: tile sched");
-            assert_eq!(resp.run.recovery, cold.recovery, "{ctx}: recovery");
-        }
+    let scfg = ServiceConfig { batching: false, ..ServiceConfig::default() };
+    let mut svc = Service::new(base, fab, scfg);
+    let responses = svc.run_stream(&requests);
+    for (i, (resp, (cold, _))) in responses.iter().zip(&naive).enumerate() {
+        let ctx =
+            format!("kernel {kernel} tiles={tiles} n={n} s={s} request {i} ({:?})", resp.served);
+        assert_eq!(resp.y.as_slice(), cold.y.as_slice(), "{ctx}: y");
+        assert_eq!(resp.run.stats, cold.stats, "{ctx}: stats");
+        assert_eq!(resp.run.tile_events, cold.tile_events, "{ctx}: events");
+        assert_eq!(resp.run.sched, cold.sched, "{ctx}: sched");
+        assert_eq!(resp.run.tile_sched, cold.tile_sched, "{ctx}: tile sched");
+        assert_eq!(resp.run.recovery, cold.recovery, "{ctx}: recovery");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Serving through warm fabrics and content-addressed caches is
+    /// Serving through the content-addressed replay tier is
     /// observationally identical to cold one-shot runs across kernels ×
     /// tile counts × both fabric schedulers, with event tracing on.
     #[test]
@@ -960,9 +949,9 @@ proptest! {
     }
 
     /// The same property under seeded fault injection with recovery on:
-    /// cached plans re-derive the identical fault schedule (the image the
-    /// seed hashes over is byte-identical), so detections, retries and
-    /// failovers replay exactly.
+    /// the service's run derives the identical fault schedule (the image
+    /// the seed hashes over is byte-identical), so detections, retries and
+    /// failovers match exactly.
     #[test]
     fn serving_is_bit_identical_to_cold_runs_under_faults(
         kernel in 0usize..3,
@@ -980,48 +969,13 @@ proptest! {
     }
 }
 
-/// A [`runner::FabricProvider`] that forwards to `inner` and records, for
-/// every memory it is handed, its logical size, its host backing and a
-/// digest of its contents over the whole logical size.
-struct Recording<P> {
-    inner: P,
-    memories: Vec<(u32, usize, u64)>,
-}
-
-impl<P: runner::FabricProvider> runner::FabricProvider for Recording<P> {
-    fn image_buffer(&mut self) -> Vec<u8> {
-        self.inner.image_buffer()
-    }
-
-    fn acquire(
-        &mut self,
-        cfg: &SystemConfig,
-        fab: hht::system::FabricConfig,
-        programs: Vec<hht::isa::Program>,
-        mem: hht::mem::SharedMemory,
-    ) -> hht::system::fabric::Fabric {
-        let digest = mem
-            .read_u32s(0, mem.size() as usize / 4)
-            .iter()
-            .fold(0xcbf2_9ce4_8422_2325u64, |h, &w| (h ^ w as u64).wrapping_mul(0x100_0000_01b3));
-        self.memories.push((mem.size(), mem.backed_len(), digest));
-        self.inner.acquire(cfg, fab, programs, mem)
-    }
-
-    fn release(&mut self, fabric: hht::system::fabric::Fabric) {
-        self.inner.release(fabric)
-    }
-}
-
-/// Plans hold only the image footprint, and rebuilding a memory from one —
-/// cold, or into a warm pool's recycled buffer left by a larger job — gives
-/// the cold path's logical size, the same contents over all of it, and a
-/// run bit-identical to the one-shot runner. The RAM is shrunk to 64 KiB
-/// so the 64-row job keeps the configured size and the 512-row job grows
-/// it.
+/// Plans hold only the image footprint, and rebuilding a memory from one
+/// gives the cold path's logical size over a footprint-sized backing; a
+/// planned run is bit-identical to the one-shot runner. The RAM is shrunk
+/// to 64 KiB so the 64-row job keeps the configured size and the 512-row
+/// job grows it.
 #[test]
 fn planned_runs_rebuild_footprint_images_bit_identically() {
-    use hht::serve::FabricPool;
     use hht::sparse::SparseFormat;
     use hht::system::FabricConfig;
     let mut cfg = SystemConfig::paper_default().with_trace(TraceConfig::enabled());
@@ -1043,10 +997,6 @@ fn planned_runs_rebuild_footprint_images_bit_identically() {
             0 => runner::plan_spmv_fabric(&cfg, fab, m, v),
             _ => runner::plan_spmspv_fabric(&cfg, fab, m, x),
         };
-        let run = |m, v, x, plan, provider: &mut dyn runner::FabricProvider| match kernel {
-            0 => runner::run_spmv_fabric_planned(&cfg, fab, m, v, plan, provider),
-            k => runner::run_spmspv_fabric_planned(&cfg, fab, m, x, k == 2, plan, provider),
-        };
         let want = match kernel {
             0 => runner::run_spmv_fabric(&cfg, fab, &m, &v),
             1 => runner::run_spmspv_fabric_v1(&cfg, fab, &m, &x),
@@ -1067,36 +1017,26 @@ fn planned_runs_rebuild_footprint_images_bit_identically() {
         );
         assert!(big.size as usize == big.image.len() && big.size > cfg.ram_size, "kernel {kernel}");
 
-        let mut cold = Recording { inner: runner::ColdStart, memories: Vec::new() };
-        let cold_run = run(&m, &v, &x, &plan, &mut cold);
-        // Two 512-row jobs through the pool: the second resets the first's
-        // fabric and banks its buffer, which the 64-row image build reuses.
-        let mut pool = Recording { inner: FabricPool::new(2), memories: Vec::new() };
-        for _ in 0..2 {
-            run(&bm, &bv, &bx, &big, &mut pool);
-        }
-        let pooled = run(&m, &v, &x, &plan, &mut pool);
-        assert_eq!(
-            pool.inner.buffer_reuses, 1,
-            "kernel {kernel}: the recycled buffer was not used"
-        );
-        assert_eq!(pool.memories[0].0, big.size, "kernel {kernel}");
-
-        assert_eq!(cold.memories.len(), 1, "kernel {kernel}: a clean run is one attempt");
-        let rebuilt = cold.memories[0];
-        assert_eq!(rebuilt.0, plan.size, "kernel {kernel}: logical size");
-        assert_eq!(rebuilt.1, plan.image.len(), "kernel {kernel}: backing");
-        assert_eq!(pool.memories.last(), Some(&rebuilt), "kernel {kernel}: pooled memory");
-        for (what, got) in [("cold", &cold_run), ("pooled", &pooled)] {
-            let ctx = format!("kernel {kernel} {what}");
-            assert_eq!(got.y.as_slice(), want.y.as_slice(), "{ctx}: y");
-            assert_eq!(got.stats, want.stats, "{ctx}: stats");
-            assert_eq!(got.tile_events, want.tile_events, "{ctx}: events");
-            assert_eq!(got.sched, want.sched, "{ctx}: sched");
-            assert_eq!(got.tile_sched, want.tile_sched, "{ctx}: tile sched");
-            assert_eq!(got.recovery, want.recovery, "{ctx}: recovery");
-        }
+        let cold = &mut runner::ColdStart;
+        let got = match kernel {
+            0 => runner::run_spmv_fabric_planned(&cfg, fab, &m, &v, &plan, cold),
+            k => runner::run_spmspv_fabric_planned(&cfg, fab, &m, &x, k == 2, &plan, cold),
+        };
+        let ctx = format!("kernel {kernel} planned");
+        assert_eq!(got.y.as_slice(), want.y.as_slice(), "{ctx}: y");
+        assert_eq!(got.stats, want.stats, "{ctx}: stats");
+        assert_eq!(got.tile_events, want.tile_events, "{ctx}: events");
+        assert_eq!(got.sched, want.sched, "{ctx}: sched");
+        assert_eq!(got.tile_sched, want.tile_sched, "{ctx}: tile sched");
+        assert_eq!(got.recovery, want.recovery, "{ctx}: recovery");
     }
+    // The rebuilt memory the SpMV fabric runs over: the plan's logical
+    // size, backed only over the plan's footprint (the shard row-pointer
+    // copies land inside it).
+    let plan = runner::plan_spmv_fabric(&cfg, fab, &m, &v);
+    let (fabric, _) = runner::build_spmv_fabric(&cfg, fab, &m, &v);
+    assert_eq!(fabric.mem().size(), plan.size, "logical size");
+    assert_eq!(fabric.mem().backed_len(), plan.image.len(), "backing");
 }
 
 // ---------------------------------------------------------------------------
