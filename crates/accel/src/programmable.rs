@@ -114,12 +114,6 @@ impl ProgrammableEngine {
             beats_seen: 0,
         }
     }
-
-    /// The helper core's own performance counters (instructions executed
-    /// per element is the §7 flexibility cost).
-    pub fn core_stats(&self) -> hht_sim::CoreStats {
-        self.core.stats()
-    }
 }
 
 impl Engine for ProgrammableEngine {

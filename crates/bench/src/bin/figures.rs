@@ -225,7 +225,7 @@ fn bench_observatory(
     bench_compare: Option<String>,
     tolerance: f64,
 ) {
-    use hht_prof::{classify, BenchConfig, BenchReport, CpiStack, HostProfile, Stopwatch};
+    use hht_prof::{classify, BenchConfig, BenchReport, CpiStack, HostProfile};
     header(
         &format!("Benchmark observatory ({n}x{n} SpMV, 50% sparsity)"),
         "regression gate: simulated cycles are deterministic; host throughput is informational",
@@ -237,13 +237,12 @@ fn bench_observatory(
         ("dram_slow_memory", cfg.with_dram(hht_mem::DramConfig::slow_300ns())),
     ];
     for (name, c) in configs {
-        let mut sw = Stopwatch::start();
         let m = hht_sparse::generate::random_csr(n, n, 0.5, 0xBE);
         let v = hht_sparse::generate::random_dense_vector(n, 0xBF);
-        let layout_secs = sw.lap();
+        let t0 = std::time::Instant::now();
         let base = hht_system::runner::run_spmv_baseline(&c, &m, &v);
         let hht = hht_system::runner::run_spmv_hht(&c, &m, &v);
-        let run_secs = sw.lap();
+        let run_secs = t0.elapsed().as_secs_f64();
         let stack = CpiStack::from_stats(&hht.stats)
             .unwrap_or_else(|e| panic!("{name}: CPI attribution failed: {e}"));
         assert_eq!(stack.total(), stack.cycles, "{name}: CPI stack must sum to total cycles");
@@ -251,9 +250,6 @@ fn bench_observatory(
         let mut sched = base.sched;
         sched.add(&hht.sched);
         let host = HostProfile {
-            layout_secs,
-            run_secs,
-            export_secs: 0.0,
             sim_cycles: base.stats.cycles + hht.stats.cycles,
             stepped_cycles: 0,
             skipped_cycles: 0,
@@ -263,7 +259,7 @@ fn bench_observatory(
         println!("  {}", verdict.render());
         let speedup = base.stats.cycles as f64 / hht.stats.cycles as f64;
         println!("  speedup {speedup:.3}x  ({} -> {})", base.stats.cycles, hht.stats.cycles);
-        let mut entry = BenchConfig {
+        let entry = BenchConfig {
             name: name.to_string(),
             baseline_cycles: base.stats.cycles,
             hht_cycles: hht.stats.cycles,
@@ -272,8 +268,7 @@ fn bench_observatory(
             issue_frac: stack.frac(stack.issue),
             host,
         };
-        entry.host.export_secs = sw.lap();
-        println!("  {}", entry.host.render());
+        println!("  {}", entry.host.render(run_secs));
         report.configs.push(entry);
     }
     report.fabric.push(fabric_throughput_entry());
@@ -390,8 +385,6 @@ fn fabric_throughput_entry() -> hht_prof::FabricBenchConfig {
         banks: fab.banks,
         ram_word_cycles,
         wall_cycles: wall,
-        eq_mcycles_per_sec: mcs(timing.measured_secs),
-        percycle_mcycles_per_sec: mcs(timing.reference_secs),
         host_speedup_vs_percycle: timing.speedup,
         min_host_speedup: 10.0,
     };
@@ -402,8 +395,8 @@ fn fabric_throughput_entry() -> hht_prof::FabricBenchConfig {
     println!(
         "  event queue {:.1} Mc/s | per-cycle {:.1} Mc/s ({:.2}x median of {} pairs, \
          min {:.2}x, max {:.2}x, floor {:.0}x)",
-        entry.eq_mcycles_per_sec,
-        entry.percycle_mcycles_per_sec,
+        mcs(timing.measured_secs),
+        mcs(timing.reference_secs),
         entry.host_speedup_vs_percycle,
         FABRIC_TIMING_PAIRS,
         timing.min,
@@ -571,28 +564,22 @@ fn serve_bench(
             singleton_passes: stats.singleton_passes,
             sim_cycles: stats.sim_cycles,
             hit_rate: stats.hit_rate(),
-            naive_secs: timing.reference_secs,
-            serve_secs: timing.measured_secs,
-            naive_jobs_per_sec: requests.len() as f64 / timing.reference_secs,
-            serve_jobs_per_sec: requests.len() as f64 / timing.measured_secs,
             speedup: timing.speedup,
             min_speedup: floor,
-            p50_us,
-            p99_us,
         };
         println!(
             "{}: {:.1} jobs/s vs naive {:.1} jobs/s ({:.2}x median of {} pairs, min {:.2}x, \
              max {:.2}x, floor {:.1}x)  p50 {:.0}us p99 {:.0}us",
             entry.name,
-            entry.serve_jobs_per_sec,
-            entry.naive_jobs_per_sec,
+            requests.len() as f64 / timing.measured_secs,
+            requests.len() as f64 / timing.reference_secs,
             entry.speedup,
             FABRIC_TIMING_PAIRS,
             timing.min,
             timing.max,
             entry.min_speedup,
-            entry.p50_us,
-            entry.p99_us,
+            p50_us,
+            p99_us,
         );
         println!(
             "  replay {}/{} ({:.0}% hit)  batches {} ({} jobs)  singletons {}  {:.2} Mcycles",
@@ -822,7 +809,7 @@ fn fig4(cfg: &SystemConfig, n: usize, jobs: usize) {
         &format!("Fig. 4: HHT speedup for SpMV ({n}x{n})"),
         "1-buffer avg 1.70 (1.67-1.72); 2-buffer avg 1.73 (1.71-1.75); gains shrink at high sparsity",
     );
-    let sweep = experiments::spmv_sweep_jobs(cfg, n, jobs);
+    let sweep = experiments::spmv_sweep(cfg, n, jobs);
     let mut rows = Vec::new();
     for (i, &s) in PAPER_SPARSITIES.iter().enumerate() {
         rows.push(vec![
@@ -842,7 +829,7 @@ fn fig5(cfg: &SystemConfig, n: usize, jobs: usize) {
         &format!("Fig. 5: HHT speedup for SpMSpV ({n}x{n})"),
         "variant-1 avg 2.47 (1.48 to 4.0+, rising with sparsity); variant-2 avg 3.05 (2.5-3.52); v2 wins below ~80% sparsity, v1 above",
     );
-    let sweep = experiments::spmspv_sweep_jobs(cfg, n, jobs);
+    let sweep = experiments::spmspv_sweep(cfg, n, jobs);
     let mut rows = Vec::new();
     for (i, &s) in PAPER_SPARSITIES.iter().enumerate() {
         rows.push(vec![
@@ -861,7 +848,7 @@ fn fig6(cfg: &SystemConfig, n: usize, jobs: usize) {
         &format!("Fig. 6: CPU wait-cycle fraction for SpMV ({n}x{n})"),
         "with the ASIC HHT the application CPU rarely waits",
     );
-    let sweep = experiments::spmv_sweep_jobs(cfg, n, jobs);
+    let sweep = experiments::spmv_sweep(cfg, n, jobs);
     let mut rows = Vec::new();
     for (i, &s) in PAPER_SPARSITIES.iter().enumerate() {
         rows.push(vec![
@@ -878,7 +865,7 @@ fn fig7(cfg: &SystemConfig, n: usize, jobs: usize) {
         &format!("Fig. 7: CPU wait-cycle fraction for SpMSpV ({n}x{n})"),
         "variant-1 idles the CPU a significant fraction (2 buffers help little); variant-2 greatly reduced",
     );
-    let sweep = experiments::spmspv_sweep_jobs(cfg, n, jobs);
+    let sweep = experiments::spmspv_sweep(cfg, n, jobs);
     let mut rows = Vec::new();
     for (i, &s) in PAPER_SPARSITIES.iter().enumerate() {
         rows.push(vec![
@@ -897,7 +884,7 @@ fn fig8(cfg: &SystemConfig, n: usize, jobs: usize) {
         &format!("Fig. 8: sensitivity to vector width ({n}x{n}, 2 buffers)"),
         "speedup 1.77-1.81 scalar, 1.51-1.62 VL=4, 1.71-1.75 VL=8",
     );
-    let sweep = experiments::vector_width_sweep_jobs(cfg, n, jobs);
+    let sweep = experiments::vector_width_sweep(cfg, n, jobs);
     let mut rows = Vec::new();
     for (i, &s) in PAPER_SPARSITIES.iter().enumerate() {
         rows.push(vec![
@@ -912,7 +899,7 @@ fn fig8(cfg: &SystemConfig, n: usize, jobs: usize) {
 
 fn fig9(cfg: &SystemConfig, jobs: usize) {
     header("Fig. 9: DNN fully-connected layers", "1.53x on DenseNet up to 1.92x on VGG19");
-    let results = experiments::dnn_suite_jobs(cfg, jobs);
+    let results = experiments::dnn_suite(cfg, jobs);
     let rows = results
         .iter()
         .map(|r| {
@@ -1008,7 +995,7 @@ fn motivation(cfg: &SystemConfig, n: usize, jobs: usize) {
         &format!("Sec. 2 motivation: metadata overhead of Algorithm 1 ({n}x{n})"),
         "indirect v[cols[.]] accesses are cache/prefetch-hostile and inflate the dynamic instruction count",
     );
-    let pts = experiments::motivation_jobs(cfg, n, jobs);
+    let pts = experiments::motivation(cfg, n, jobs);
     let rows = pts
         .iter()
         .map(|p| {
@@ -1043,7 +1030,7 @@ fn crossover(cfg: &SystemConfig, n: usize, jobs: usize) {
         &format!("Sec. 6: dense-expansion crossover ({n}x{n})"),
         "[40]/[23]: at lower sparsities, expanding sparse data to dense can improve performance; the HHT moves the crossover toward lower sparsity",
     );
-    let pts = experiments::crossover_jobs(cfg, n, jobs);
+    let pts = experiments::crossover(cfg, n, jobs);
     let rows = pts
         .iter()
         .map(|p| {
@@ -1071,7 +1058,7 @@ fn ablate_baseline(cfg: &SystemConfig, n: usize, jobs: usize) {
         &format!("Ablation: SpMSpV baseline choice ({n}x{n})"),
         "row-merge (the Fig. 5 baseline) vs work-efficient CSC scatter [43]; HHT speedups depend on which baseline the reader assumes",
     );
-    let pts = experiments::baseline_ablation_jobs(cfg, n, jobs);
+    let pts = experiments::baseline_ablation(cfg, n, jobs);
     let rows = pts
         .iter()
         .map(|p| {
@@ -1100,7 +1087,7 @@ fn ablate_programmable(cfg: &SystemConfig, n: usize, jobs: usize) {
         &format!("Ablation: ASIC vs programmable HHT back-end ({n}x{n}, SpMV)"),
         "Sec. 7 future work: a programmable HHT using a simple RISCV-like core trades throughput for format flexibility",
     );
-    let pts = experiments::programmable_ablation_jobs(cfg, n, jobs);
+    let pts = experiments::programmable_ablation(cfg, n, jobs);
     let rows = pts
         .iter()
         .map(|p| {
@@ -1250,7 +1237,7 @@ fn ablate_format(cfg: &SystemConfig, n: usize, jobs: usize) {
         &format!("Ablation: CSR vs SMASH HHT engines ({n}x{n})"),
         "Sec. 6: under SMASH the HHT performs more work than the CPU, causing the CPU to idle",
     );
-    let pts = experiments::format_ablation_jobs(cfg, n, jobs);
+    let pts = experiments::format_ablation(cfg, n, jobs);
     let rows = pts
         .iter()
         .map(|p| {

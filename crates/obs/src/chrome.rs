@@ -11,22 +11,17 @@
 //! Two entry points: [`chrome_trace_json`] renders one event stream as a
 //! single process (pid 0, the single-tile system), and
 //! [`chrome_trace_json_tiles`] renders one stream *per fabric tile* as one
-//! process per tile ("tile N" lanes side by side in the viewer).
+//! process per tile ("tile N" lanes side by side in the viewer), plus a
+//! scheduler lane per tile when it is given cycle-skip spans.
 
 use crate::{Event, EventKind, SkipSpan, Track};
 use serde::{Number, Value};
 
-/// Thread id of the per-tile scheduler lane (one past the [`Track`] tids).
-/// The lane is emitted only by the `_sched` exporters: cycle-skip spans
-/// exist only under the event-driven scheduler, so they live outside the
-/// [`Track`] set whose streams are compared across scheduler modes.
+/// Thread id of the per-tile scheduler lane. The lane is emitted only when
+/// [`chrome_trace_json_tiles`] gets spans: cycle-skip spans exist only
+/// under the event-driven scheduler, so they live outside the [`Track`]
+/// set whose streams are compared across scheduler modes.
 const SCHED_TID: u32 = 8;
-
-/// Thread id of the per-tile fault-domain lane (one past the scheduler
-/// lane). Emitted only by the `_fault_domains` exporters, and only for
-/// tiles that were actually quarantined, so a healthy run's export stays
-/// byte-identical to the plain tile export.
-const DOMAIN_TID: u32 = 9;
 
 fn base_event(name: &str, ph: &str, pid: u64, tid: u32) -> Vec<(String, Value)> {
     vec![
@@ -193,101 +188,18 @@ fn counter(name: &str, pid: u64, tid: u32, cycle: u64, value: u64) -> Value {
     Value::Map(fields)
 }
 
-fn wrap(trace_events: Vec<Value>) -> Value {
-    Value::Map(vec![
+/// Render the records as a compact JSON string, byte-stable per input
+/// (the vendored serde_json keeps map order).
+fn render(trace_events: Vec<Value>) -> String {
+    let trace = Value::Map(vec![
         ("displayTimeUnit".into(), Value::Str("ns".into())),
         (
             "otherData".into(),
             Value::Map(vec![("timestampUnit".into(), Value::Str("cycle".into()))]),
         ),
         ("traceEvents".into(), Value::Seq(trace_events)),
-    ])
-}
-
-/// Build the trace as a serde [`Value`] tree (single process, pid 0).
-pub fn chrome_trace_value(events: &[Event]) -> Value {
-    let mut trace_events: Vec<Value> = Vec::new();
-    emit_process(&mut trace_events, 0, "hht simulation", events);
-    wrap(trace_events)
-}
-
-/// Build a multi-tile trace: one process per tile (`pid` = tile index,
-/// named `tile N`), each with the full per-[`Track`] thread set, so an
-/// N-tile fabric run renders as N side-by-side lanes.
-pub fn chrome_trace_value_tiles(tiles: &[Vec<Event>]) -> Value {
-    let mut trace_events: Vec<Value> = Vec::new();
-    for (t, events) in tiles.iter().enumerate() {
-        emit_process(&mut trace_events, t as u64, &format!("tile {t}"), events);
-    }
-    wrap(trace_events)
-}
-
-/// [`chrome_trace_value_tiles`] plus a scheduler lane per tile: the fabric
-/// skips all tiles together, so every tile's lane carries the same
-/// cycle-skip spans (rendered as slices and a counter track). With `spans`
-/// empty the output is identical to the plain tile export.
-pub fn chrome_trace_value_tiles_sched(tiles: &[Vec<Event>], spans: &[SkipSpan]) -> Value {
-    let mut trace_events: Vec<Value> = Vec::new();
-    for (t, events) in tiles.iter().enumerate() {
-        emit_process(&mut trace_events, t as u64, &format!("tile {t}"), events);
-        if !spans.is_empty() {
-            emit_sched_lane(&mut trace_events, t as u64, spans);
-        }
-    }
-    wrap(trace_events)
-}
-
-/// Render a multi-tile trace with per-tile scheduler lanes as a compact
-/// JSON string (byte-stable per event stream + span list).
-pub fn chrome_trace_json_tiles_sched(tiles: &[Vec<Event>], spans: &[SkipSpan]) -> String {
-    serde_json::to_string(&chrome_trace_value_tiles_sched(tiles, spans))
-        .expect("trace values are always finite")
-}
-
-/// Append one tile's fault-domain lane: a "fault-domain" thread carrying a
-/// `B`/`E` "quarantined" slice per span the tile spent quarantined.
-fn emit_domain_lane(trace_events: &mut Vec<Value>, pid: u64, spans: &[SkipSpan]) {
-    let mut meta = base_event("thread_name", "M", pid, DOMAIN_TID);
-    meta.push((
-        "args".into(),
-        Value::Map(vec![("name".into(), Value::Str("fault-domain".into()))]),
-    ));
-    trace_events.push(Value::Map(meta));
-    for s in spans {
-        trace_events.push(slice("quarantined", "B", pid, DOMAIN_TID, s.start, "fault"));
-        trace_events.push(slice("quarantined", "E", pid, DOMAIN_TID, s.end, "fault"));
-    }
-}
-
-/// [`chrome_trace_value_tiles`] plus a fault-domain lane per quarantined
-/// tile: `domains[t]` is the list of spans tile `t` spent quarantined
-/// (normally one span, from the quarantine cycle to the end of the run).
-/// Tiles with no spans get no lane, so a healthy run's export is identical
-/// to the plain tile export.
-pub fn chrome_trace_value_tiles_fault_domains(
-    tiles: &[Vec<Event>],
-    domains: &[Vec<SkipSpan>],
-) -> Value {
-    let mut trace_events: Vec<Value> = Vec::new();
-    for (t, events) in tiles.iter().enumerate() {
-        emit_process(&mut trace_events, t as u64, &format!("tile {t}"), events);
-        if let Some(spans) = domains.get(t) {
-            if !spans.is_empty() {
-                emit_domain_lane(&mut trace_events, t as u64, spans);
-            }
-        }
-    }
-    wrap(trace_events)
-}
-
-/// Render a multi-tile trace with per-tile fault-domain lanes as a compact
-/// JSON string (byte-stable per event stream + domain-span list).
-pub fn chrome_trace_json_tiles_fault_domains(
-    tiles: &[Vec<Event>],
-    domains: &[Vec<SkipSpan>],
-) -> String {
-    serde_json::to_string(&chrome_trace_value_tiles_fault_domains(tiles, domains))
-        .expect("trace values are always finite")
+    ]);
+    serde_json::to_string(&trace).expect("trace values are always finite")
 }
 
 fn slice(name: &str, ph: &str, pid: u64, tid: u32, cycle: u64, cat: &str) -> Value {
@@ -303,15 +215,29 @@ fn instant(name: &str, pid: u64, tid: u32, cycle: u64, cat: &str) -> Value {
     Value::Map(fields)
 }
 
-/// Render the trace as a compact JSON string (byte-stable per event stream).
+/// Render one event stream as a single process (pid 0) in compact JSON
+/// (byte-stable per event stream).
 pub fn chrome_trace_json(events: &[Event]) -> String {
-    serde_json::to_string(&chrome_trace_value(events)).expect("trace values are always finite")
+    let mut trace_events: Vec<Value> = Vec::new();
+    emit_process(&mut trace_events, 0, "hht simulation", events);
+    render(trace_events)
 }
 
-/// Render a multi-tile trace (one process per tile) as a compact JSON
-/// string (byte-stable per event stream).
-pub fn chrome_trace_json_tiles(tiles: &[Vec<Event>]) -> String {
-    serde_json::to_string(&chrome_trace_value_tiles(tiles)).expect("trace values are always finite")
+/// Render a multi-tile trace in compact JSON: one process per tile (`pid` =
+/// tile index, named `tile N`), each with the full per-[`Track`] thread
+/// set, so an N-tile fabric run renders as N side-by-side lanes. With
+/// `spans` non-empty every tile also gets a scheduler lane carrying the
+/// fabric's cycle-skip spans (the fabric skips all tiles together);
+/// byte-stable per event streams + span list.
+pub fn chrome_trace_json_tiles(tiles: &[Vec<Event>], spans: &[SkipSpan]) -> String {
+    let mut trace_events: Vec<Value> = Vec::new();
+    for (t, events) in tiles.iter().enumerate() {
+        emit_process(&mut trace_events, t as u64, &format!("tile {t}"), events);
+        if !spans.is_empty() {
+            emit_sched_lane(&mut trace_events, t as u64, spans);
+        }
+    }
+    render(trace_events)
 }
 
 #[cfg(test)]
@@ -382,7 +308,7 @@ mod tests {
     #[test]
     fn tile_export_gives_each_tile_its_own_pid() {
         let tiles = vec![sample_events(), sample_events()];
-        let json = chrome_trace_json_tiles(&tiles);
+        let json = chrome_trace_json_tiles(&tiles, &[]);
         assert!(json.contains("\"tile 0\""));
         assert!(json.contains("\"tile 1\""));
         assert!(json.contains("\"pid\":1"));
@@ -396,27 +322,11 @@ mod tests {
     fn sched_lane_is_additive_and_balanced() {
         let tiles = vec![sample_events()];
         let spans = [SkipSpan { start: 2, end: 10 }, SkipSpan { start: 12, end: 15 }];
-        // No spans: byte-identical to the plain tile export.
-        assert_eq!(chrome_trace_json_tiles_sched(&tiles, &[]), chrome_trace_json_tiles(&tiles));
-        let json = chrome_trace_json_tiles_sched(&tiles, &spans);
+        let plain = chrome_trace_json_tiles(&tiles, &[]);
+        assert!(!plain.contains("\"cycle-skip\""));
+        let json = chrome_trace_json_tiles(&tiles, &spans);
         assert!(json.contains("\"cycle-skip\""));
         assert_eq!(json.matches("\"skipped\"").count(), 4); // 2 counter pairs
-        assert_eq!(json.matches("\"ph\":\"B\"").count(), json.matches("\"ph\":\"E\"").count());
-    }
-
-    #[test]
-    fn fault_domain_lane_is_additive_and_balanced() {
-        let tiles = vec![sample_events(), sample_events()];
-        // No quarantined tiles: byte-identical to the plain tile export.
-        assert_eq!(
-            chrome_trace_json_tiles_fault_domains(&tiles, &[Vec::new(), Vec::new()]),
-            chrome_trace_json_tiles(&tiles)
-        );
-        // Tile 1 quarantined from cycle 40 to 100: one lane, one slice.
-        let domains = vec![Vec::new(), vec![SkipSpan { start: 40, end: 100 }]];
-        let json = chrome_trace_json_tiles_fault_domains(&tiles, &domains);
-        assert_eq!(json.matches("\"fault-domain\"").count(), 1);
-        assert_eq!(json.matches("\"quarantined\"").count(), 2); // one B/E pair
         assert_eq!(json.matches("\"ph\":\"B\"").count(), json.matches("\"ph\":\"E\"").count());
     }
 
@@ -448,7 +358,7 @@ mod tests {
         // The per-tile exporter with one tile differs from the flat
         // exporter only in the process name.
         let flat = chrome_trace_json(&sample_events());
-        let tiled = chrome_trace_json_tiles(&[sample_events()]);
+        let tiled = chrome_trace_json_tiles(&[sample_events()], &[]);
         assert_eq!(tiled.replace("tile 0", "hht simulation"), flat);
     }
 }

@@ -123,9 +123,8 @@ impl Track {
     }
 
     /// Stable thread id for the Chrome trace (1-based, display order).
-    /// 8 and 9 are reserved for the host-side scheduler and fault-domain
-    /// lanes (`chrome::SCHED_TID`/`chrome::DOMAIN_TID`), which live outside
-    /// the [`Track`] set.
+    /// 8 is reserved for the host-side scheduler lane (`chrome::SCHED_TID`),
+    /// which lives outside the [`Track`] set.
     pub fn tid(self) -> u32 {
         match self {
             Track::CpuPipe => 1,

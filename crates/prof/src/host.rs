@@ -1,56 +1,20 @@
 //! Host-side self-profiling: how fast is the *simulator*, not the
 //! simulated machine.
 //!
-//! Simulated timing is deterministic; host timing is not. Everything in
-//! this module is therefore informational — the regression comparator in
-//! [`crate::bench`] never gates on host seconds, only reports them.
+//! Simulated timing is deterministic; host timing is not. So host seconds
+//! are only printed, never committed: the regression comparator in
+//! [`crate::bench`] gates no host seconds.
 
 use hht_system::fabric::SchedStats;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
-/// A restartable phase timer.
-///
-/// ```
-/// let mut sw = hht_prof::Stopwatch::start();
-/// // ... phase 1 ...
-/// let phase1_secs = sw.lap();
-/// // ... phase 2 ...
-/// let phase2_secs = sw.lap();
-/// # let _ = (phase1_secs, phase2_secs);
-/// ```
-pub struct Stopwatch(Instant);
-
-impl Stopwatch {
-    /// Start timing now.
-    pub fn start() -> Self {
-        Stopwatch(Instant::now())
-    }
-
-    /// Seconds since the last `lap` (or `start`), and restart.
-    pub fn lap(&mut self) -> f64 {
-        let now = Instant::now();
-        let secs = now.duration_since(self.0).as_secs_f64();
-        self.0 = now;
-        secs
-    }
-
-    /// Seconds since the last `lap`/`start`, without restarting.
-    pub fn elapsed(&self) -> f64 {
-        self.0.elapsed().as_secs_f64()
-    }
-}
-
-/// One experiment's host-side cost profile.
+/// One experiment's scheduler profile: the simulated cycles its runs
+/// completed and how the scheduler covered them. Every field is
+/// deterministic, so the committed bench report carries it; host seconds
+/// are measured by the caller and only printed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct HostProfile {
-    /// Seconds building the SRAM image and assembling kernels.
-    pub layout_secs: f64,
-    /// Seconds inside the cycle loop.
-    pub run_secs: f64,
-    /// Seconds serializing metrics/traces/reports.
-    pub export_secs: f64,
-    /// Simulated cycles completed in `run_secs`.
+    /// Simulated cycles the profiled runs completed.
     pub sim_cycles: u64,
     /// Cycles the scheduler actually stepped.
     pub stepped_cycles: u64,
@@ -66,11 +30,6 @@ impl HostProfile {
         self
     }
 
-    /// Total wall seconds across the three phases.
-    pub fn total_secs(&self) -> f64 {
-        self.layout_secs + self.run_secs + self.export_secs
-    }
-
     /// Fraction of simulated cycles the scheduler skipped instead of
     /// stepping — the cycle-skip win (0 when the per-cycle loop ran).
     pub fn skip_efficiency(&self) -> f64 {
@@ -82,25 +41,23 @@ impl HostProfile {
         }
     }
 
-    /// Simulated megacycles per host second (the headline simulator
-    /// throughput number); 0 when `run_secs` is too small to measure.
-    pub fn sim_mcycles_per_sec(&self) -> f64 {
-        if self.run_secs <= 0.0 {
+    /// Simulated megacycles per host second when the runs took `run_secs`
+    /// (the headline simulator throughput number); 0 when `run_secs` is
+    /// too small to measure.
+    pub fn sim_mcycles_per_sec(&self, run_secs: f64) -> f64 {
+        if run_secs <= 0.0 {
             0.0
         } else {
-            self.sim_cycles as f64 / self.run_secs / 1e6
+            self.sim_cycles as f64 / run_secs / 1e6
         }
     }
 
-    /// One-line terminal rendering.
-    pub fn render(&self) -> String {
+    /// One-line terminal rendering for runs that took `run_secs`.
+    pub fn render(&self, run_secs: f64) -> String {
         format!(
-            "host: layout {:.3}s, run {:.3}s, export {:.3}s; {:.1} Mcycle/s, \
-             skip efficiency {:.1}% ({} skipped / {} stepped)",
-            self.layout_secs,
-            self.run_secs,
-            self.export_secs,
-            self.sim_mcycles_per_sec(),
+            "host: run {:.3}s; {:.1} Mcycle/s, skip efficiency {:.1}% ({} skipped / {} stepped)",
+            run_secs,
+            self.sim_mcycles_per_sec(run_secs),
             100.0 * self.skip_efficiency(),
             self.skipped_cycles,
             self.stepped_cycles,

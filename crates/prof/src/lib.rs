@@ -11,8 +11,8 @@
 //! - [`classify`](mod@classify) — a bottleneck classifier over the stack
 //!   (compute-bound / latency-bound / bandwidth-bound) plus the
 //!   "cycles hidden by the HHT" estimate.
-//! - [`host`] — host-side self-profiling: phase timers (layout / run /
-//!   export), cycle-skip efficiency, and simulated-cycles-per-host-second
+//! - [`host`] — host-side self-profiling: the scheduler's cycle split,
+//!   cycle-skip efficiency, and simulated-cycles-per-host-second
 //!   throughput.
 //! - [`recovery`] — fault-domain attribution: joins the runner's
 //!   [`FabricRecovery`](hht_system::runner::FabricRecovery) record with
@@ -33,5 +33,5 @@ pub mod recovery;
 pub use bench::{BenchConfig, BenchReport, FabricBenchConfig, FailoverBenchConfig, BENCH_SCHEMA};
 pub use classify::{classify, classify_with_bus, Bottleneck, BottleneckReport};
 pub use cpi::{CpiStack, FabricCpi};
-pub use host::{HostProfile, Stopwatch};
+pub use host::HostProfile;
 pub use recovery::{FabricRecoveryReport, TileVerdict};

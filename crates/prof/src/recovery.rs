@@ -182,7 +182,6 @@ mod tests {
         let rec = FabricRecovery {
             health: vec![TileHealth::Healthy],
             attempts: Vec::new(),
-            quarantined_at: vec![None],
             backoff_cycles: 0,
             fallback: None,
             fallback_cycles: 0,

@@ -19,7 +19,8 @@
 //! - **Tenant-fair admission** ([`service`]) — requests queue per tenant
 //!   and each scheduling wave admits at most one request per tenant in
 //!   round-robin order, so one tenant's burst cannot starve the others.
-//!   Waves dispatch over the persistent `hht-exec` worker pool.
+//!   A wave's units run through `hht_exec::parallel_map` on up to `jobs`
+//!   threads.
 //! - **Request batching** ([`batch`]) — small cold SpMV jobs in a wave are
 //!   packed into one block-diagonal fabric pass and the per-job `y`
 //!   demultiplexed afterwards; block-diagonal structure keeps every row's

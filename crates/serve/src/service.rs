@@ -1,5 +1,5 @@
 //! The persistent service: tenant-fair admission, wave scheduling, replay
-//! resolution, batching, and dispatch over the `hht-exec` worker pool.
+//! resolution, batching, and dispatch through `hht_exec::parallel_map`.
 //!
 //! # Scheduling model
 //!
@@ -17,9 +17,9 @@
 //! 2. **Batching**: remaining small SpMV jobs are packed block-diagonally
 //!    (up to the configured job/row caps); everything else becomes a
 //!    singleton unit, a plain one-shot fabric run.
-//! 3. **Dispatch**: units execute over the persistent `hht-exec` worker
-//!    pool (`jobs` wide). Every unit is a one-shot runner call, so units
-//!    share no state.
+//! 3. **Dispatch**: units execute through `hht_exec::parallel_map` on up
+//!    to `jobs` scoped threads. Every unit is a one-shot runner call, so
+//!    units share no state.
 //! 4. **Demux & memoization**: per-job `y` is sliced out of batch passes;
 //!    singleton passes enter the replay tier (batched passes do not: a
 //!    replay must be bit-identical to a cold one-shot run, which only a
@@ -46,8 +46,8 @@ use std::time::{Duration, Instant};
 /// Tuning knobs of one [`Service`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
-    /// Worker-pool width for wave dispatch (1 = serve on the caller, the
-    /// apples-to-apples configuration for throughput comparisons).
+    /// Threads a wave's units are spread over (1 = serve on the caller,
+    /// the apples-to-apples configuration for throughput comparisons).
     pub jobs: usize,
     /// Pack small cold SpMV jobs into block-diagonal passes.
     pub batching: bool,
@@ -241,7 +241,7 @@ impl Service {
         }
         flush_group(&mut group, &mut units);
 
-        // Dispatch over the persistent worker pool.
+        // Dispatch on up to `jobs` threads.
         let cfg = self.cfg;
         let fab = self.fab;
         let results: Vec<UnitOut> =

@@ -125,11 +125,6 @@ impl DenseVector {
         &self.data
     }
 
-    /// Mutable backing storage.
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
     /// Fraction of exactly-zero entries.
     pub fn sparsity(&self) -> f64 {
         if self.data.is_empty() {

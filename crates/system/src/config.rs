@@ -221,20 +221,6 @@ impl SystemConfig {
         self
     }
 
-    /// Same configuration with a different per-tile retry budget (failed
-    /// attempts a suspected tile gets before quarantine).
-    pub fn with_tile_retries(mut self, retries: u32) -> Self {
-        self.tile_retries = retries;
-        self
-    }
-
-    /// Same configuration with a different base retry backoff in cycles
-    /// (doubles per accumulated failure).
-    pub fn with_tile_backoff(mut self, cycles: u64) -> Self {
-        self.tile_backoff = cycles;
-        self
-    }
-
     /// Same configuration with DRAM-class memory timing (row-buffer
     /// latency, MLP window, bandwidth budget). `DramConfig::flat()` is the
     /// same as leaving it unset.

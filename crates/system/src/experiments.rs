@@ -4,9 +4,9 @@
 //! `hht-bench` crate calls these to print the actual series.
 //!
 //! Every sweep is a grid of independent, deterministically seeded cells, so
-//! each has a `*_jobs` variant fanning the cells across host threads via
-//! `hht-exec`; results come back in input order, so output is identical for
-//! every `jobs` value (the serial names delegate to `jobs = 1`).
+//! each takes a `jobs` count and fans its cells across up to that many host
+//! threads via `hht-exec`; results come back in input order, so output is
+//! identical for every `jobs` value (`jobs = 1` runs serially on the caller).
 
 use crate::config::SystemConfig;
 use crate::runner;
@@ -73,16 +73,7 @@ pub fn spmv_point(cfg: &SystemConfig, n: usize, sparsity: f64, num_buffers: usiz
 
 /// Figure 4/6 sweep: SpMV speedup and CPU-wait fraction vs sparsity for
 /// N ∈ {1, 2} buffers on an `n x n` matrix.
-pub fn spmv_sweep(cfg: &SystemConfig, n: usize) -> Vec<(usize, Vec<SpeedupPoint>)> {
-    spmv_sweep_jobs(cfg, n, 1)
-}
-
-/// [`spmv_sweep`] with its 18 cells spread over up to `jobs` threads.
-pub fn spmv_sweep_jobs(
-    cfg: &SystemConfig,
-    n: usize,
-    jobs: usize,
-) -> Vec<(usize, Vec<SpeedupPoint>)> {
+pub fn spmv_sweep(cfg: &SystemConfig, n: usize, jobs: usize) -> Vec<(usize, Vec<SpeedupPoint>)> {
     let buffers = [1usize, 2];
     let cells: Vec<(usize, f64)> =
         buffers.iter().flat_map(|&nb| PAPER_SPARSITIES.iter().map(move |&s| (nb, s))).collect();
@@ -126,12 +117,7 @@ pub fn spmspv_point(
 }
 
 /// Figure 5/7 sweep: all four bars (v1/v2 × 1/2 buffers) per sparsity.
-pub fn spmspv_sweep(cfg: &SystemConfig, n: usize) -> Vec<(SpMSpVKind, usize, Vec<SpeedupPoint>)> {
-    spmspv_sweep_jobs(cfg, n, 1)
-}
-
-/// [`spmspv_sweep`] with its 36 cells spread over up to `jobs` threads.
-pub fn spmspv_sweep_jobs(
+pub fn spmspv_sweep(
     cfg: &SystemConfig,
     n: usize,
     jobs: usize,
@@ -154,13 +140,7 @@ pub fn spmspv_sweep_jobs(
 
 /// Figure 8 sweep: SpMV speedup vs sparsity for vector widths 1, 4, 8
 /// (N = 2 buffers; the baseline at each width uses the same width).
-pub fn vector_width_sweep(cfg: &SystemConfig, n: usize) -> Vec<(usize, Vec<SpeedupPoint>)> {
-    vector_width_sweep_jobs(cfg, n, 1)
-}
-
-/// [`vector_width_sweep`] with its 27 cells spread over up to `jobs`
-/// threads.
-pub fn vector_width_sweep_jobs(
+pub fn vector_width_sweep(
     cfg: &SystemConfig,
     n: usize,
     jobs: usize,
@@ -187,12 +167,7 @@ pub struct DnnResult {
 }
 
 /// Figure 9: SpMV over DNN fully-connected layer weight matrices.
-pub fn dnn_suite(cfg: &SystemConfig) -> Vec<DnnResult> {
-    dnn_suite_jobs(cfg, 1)
-}
-
-/// [`dnn_suite`] with one cell per layer, spread over up to `jobs` threads.
-pub fn dnn_suite_jobs(cfg: &SystemConfig, jobs: usize) -> Vec<DnnResult> {
+pub fn dnn_suite(cfg: &SystemConfig, jobs: usize) -> Vec<DnnResult> {
     hht_exec::parallel_map(jobs, hht_workloads::dnn::suite(), |_, layer| {
         let m = layer.weights();
         let v = generate::random_dense_vector(m.cols(), 0xD00D ^ m.cols() as u64);
@@ -233,17 +208,7 @@ pub struct BaselineAblationPoint {
 }
 
 /// Run the SpMSpV baseline-choice ablation.
-pub fn baseline_ablation(cfg: &SystemConfig, n: usize) -> Vec<BaselineAblationPoint> {
-    baseline_ablation_jobs(cfg, n, 1)
-}
-
-/// [`baseline_ablation`] with one cell per sparsity, spread over up to
-/// `jobs` threads.
-pub fn baseline_ablation_jobs(
-    cfg: &SystemConfig,
-    n: usize,
-    jobs: usize,
-) -> Vec<BaselineAblationPoint> {
+pub fn baseline_ablation(cfg: &SystemConfig, n: usize, jobs: usize) -> Vec<BaselineAblationPoint> {
     hht_exec::parallel_map(jobs, PAPER_SPARSITIES.to_vec(), |_, s| {
         let seed = seed_for(7, n, s);
         let m = generate::random_csr(n, n, s, seed);
@@ -274,13 +239,7 @@ pub struct CrossoverPoint {
 }
 
 /// Sweep the dense-vs-sparse crossover.
-pub fn crossover(cfg: &SystemConfig, n: usize) -> Vec<CrossoverPoint> {
-    crossover_jobs(cfg, n, 1)
-}
-
-/// [`crossover`] with one cell per sparsity, spread over up to `jobs`
-/// threads.
-pub fn crossover_jobs(cfg: &SystemConfig, n: usize, jobs: usize) -> Vec<CrossoverPoint> {
+pub fn crossover(cfg: &SystemConfig, n: usize, jobs: usize) -> Vec<CrossoverPoint> {
     use hht_sparse::SparseFormat;
     hht_exec::parallel_map(jobs, PAPER_SPARSITIES.to_vec(), |_, s| {
         let seed = seed_for(6, n, s);
@@ -321,13 +280,7 @@ pub struct MotivationPoint {
 }
 
 /// Run the §2 motivation study across the paper sparsities.
-pub fn motivation(cfg: &SystemConfig, n: usize) -> Vec<MotivationPoint> {
-    motivation_jobs(cfg, n, 1)
-}
-
-/// [`motivation`] with one cell per sparsity, spread over up to `jobs`
-/// threads.
-pub fn motivation_jobs(cfg: &SystemConfig, n: usize, jobs: usize) -> Vec<MotivationPoint> {
+pub fn motivation(cfg: &SystemConfig, n: usize, jobs: usize) -> Vec<MotivationPoint> {
     use hht_sparse::kernels::spmv_access_counts;
     use hht_sparse::SparseFormat;
     hht_exec::parallel_map(jobs, PAPER_SPARSITIES.to_vec(), |_, s| {
@@ -375,17 +328,7 @@ impl ProgrammablePoint {
 }
 
 /// Run the §7 ASIC-vs-programmable ablation across the paper sparsities.
-pub fn programmable_ablation(cfg: &SystemConfig, n: usize) -> Vec<ProgrammablePoint> {
-    programmable_ablation_jobs(cfg, n, 1)
-}
-
-/// [`programmable_ablation`] with one cell per sparsity, spread over up to
-/// `jobs` threads.
-pub fn programmable_ablation_jobs(
-    cfg: &SystemConfig,
-    n: usize,
-    jobs: usize,
-) -> Vec<ProgrammablePoint> {
+pub fn programmable_ablation(cfg: &SystemConfig, n: usize, jobs: usize) -> Vec<ProgrammablePoint> {
     hht_exec::parallel_map(jobs, PAPER_SPARSITIES.to_vec(), |_, s| {
         let seed = seed_for(4, n, s);
         let m = generate::random_csr(n, n, s, seed);
@@ -425,13 +368,7 @@ pub const FORMAT_ABLATION_SPARSITIES: [f64; 11] =
     [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99];
 
 /// Run the §6 format ablation on an `n x n` matrix per sparsity level.
-pub fn format_ablation(cfg: &SystemConfig, n: usize) -> Vec<FormatAblationPoint> {
-    format_ablation_jobs(cfg, n, 1)
-}
-
-/// [`format_ablation`] with one cell per sparsity, spread over up to
-/// `jobs` threads.
-pub fn format_ablation_jobs(cfg: &SystemConfig, n: usize, jobs: usize) -> Vec<FormatAblationPoint> {
+pub fn format_ablation(cfg: &SystemConfig, n: usize, jobs: usize) -> Vec<FormatAblationPoint> {
     use hht_sparse::{SmashMatrix, SparseFormat};
     hht_exec::parallel_map(jobs, FORMAT_ABLATION_SPARSITIES.to_vec(), |_, s| {
         let seed = seed_for(3, n, s);
@@ -490,10 +427,17 @@ mod tests {
 
     #[test]
     fn format_ablation_smash_is_slower() {
-        let pts = format_ablation(&small_cfg(), 64);
+        let pts = format_ablation(&small_cfg(), 64, 1);
         // §6: SMASH indexing makes the HHT the bottleneck.
         let p = &pts[4]; // 50% sparsity
         assert!(p.smash_hht_cycles > p.csr_hht_cycles);
         assert!(p.smash_cpu_wait_frac >= p.csr_cpu_wait_frac);
+    }
+
+    #[test]
+    fn sweeps_are_identical_for_any_jobs_count() {
+        let cfg = small_cfg();
+        assert_eq!(spmv_sweep(&cfg, 32, 4), spmv_sweep(&cfg, 32, 1));
+        assert_eq!(spmspv_sweep(&cfg, 32, 4), spmspv_sweep(&cfg, 32, 1));
     }
 }

@@ -409,7 +409,7 @@ pub struct FabricRunOutput {
     pub dropped: hht_obs::ObsDrops,
     /// The fast-forward spans the cycle-skip scheduler took (empty when
     /// tracing is off or the per-cycle scheduler ran); feed to
-    /// [`hht_obs::chrome::chrome_trace_json_tiles_sched`].
+    /// [`hht_obs::chrome::chrome_trace_json_tiles`].
     pub skip_spans: Vec<hht_obs::SkipSpan>,
     /// `Some` when the per-tile fault-domain recovery policy had to act
     /// (any tile failed an attempt, or the whole run fell back to
@@ -448,8 +448,6 @@ pub struct FabricRecovery {
     pub health: Vec<TileHealth>,
     /// Every attempt in order; `attempts[0]` is the original full-width run.
     pub attempts: Vec<FabricAttempt>,
-    /// Wall cycle at which each tile was quarantined (`None` = never).
-    pub quarantined_at: Vec<Option<u64>>,
     /// Total retry-backoff cycles charged to the wall clock (the max
     /// per-attempt backoff across that attempt's failing tiles).
     pub backoff_cycles: u64,
@@ -471,19 +469,6 @@ impl FabricRecovery {
     /// Global indices of the quarantined tiles.
     pub fn quarantined(&self) -> Vec<usize> {
         (0..self.health.len()).filter(|&t| self.health[t].is_quarantined()).collect()
-    }
-
-    /// Per-tile quarantine spans (quarantine cycle to end of run) for the
-    /// Chrome fault-domain lane
-    /// ([`hht_obs::chrome::chrome_trace_json_tiles_fault_domains`]).
-    pub fn domain_spans(&self, wall: u64) -> Vec<Vec<hht_obs::SkipSpan>> {
-        self.quarantined_at
-            .iter()
-            .map(|q| match q {
-                Some(c) => vec![hht_obs::SkipSpan { start: *c, end: wall.max(*c) }],
-                None => Vec::new(),
-            })
-            .collect()
     }
 }
 
@@ -603,7 +588,6 @@ fn run_fabric(
     let n0 = fab.tiles;
     let rows = m.rows();
     let mut health = vec![TileHealth::Healthy; n0];
-    let mut quarantined_at: Vec<Option<u64>> = vec![None; n0];
     let mut acc: Vec<SystemStats> = vec![SystemStats::default(); n0];
     let mut mem_acc = SharedMemStats::default();
     let mut y = vec![0f32; rows];
@@ -711,7 +695,6 @@ fn run_fabric(
                 };
                 if fabric.tile_fatal(lt) || prev_retries + 1 > cfg.tile_retries {
                     health[g] = TileHealth::Quarantined;
-                    quarantined_at[g] = Some(wall);
                 } else {
                     let retries = prev_retries + 1;
                     health[g] = TileHealth::Suspected { retries };
@@ -796,7 +779,6 @@ fn run_fabric(
         recovery: recovered.then_some(FabricRecovery {
             health,
             attempts,
-            quarantined_at,
             backoff_cycles: backoff_total,
             fallback: fallback_reason,
             fallback_cycles,

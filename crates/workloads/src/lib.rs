@@ -7,11 +7,9 @@
 //! - [`suite`] — SuiteSparse-profile matrices (§4 mentions the Texas A&M
 //!   collection at > 90 % sparsity; the paper omits those numbers for
 //!   space, we provide the same class of inputs).
-//! - [`sweep`] — the synthetic sparsity-sweep inputs of Figs. 4-8.
 //! - [`conv`] — pruned convolution layers lowered to SpMV via im2col (the
 //!   paper's conclusion lists convolution among the accelerated kernels).
 
 pub mod conv;
 pub mod dnn;
 pub mod suite;
-pub mod sweep;

@@ -65,7 +65,8 @@ fn main() {
     );
 
     let trace_path = std::env::temp_dir().join("hht_fabric_trace.json");
-    std::fs::write(&trace_path, chrome_trace_json_tiles(&fabric.tile_events)).expect("write trace");
+    std::fs::write(&trace_path, chrome_trace_json_tiles(&fabric.tile_events, &[]))
+        .expect("write trace");
     println!(
         "\n{} events across {} tile lanes; Chrome trace written to {}",
         fabric.tile_events.iter().map(Vec::len).sum::<usize>(),

@@ -30,7 +30,7 @@ fn programmable_gap_narrows_at_high_sparsity() {
     // Fewer elements per row -> fixed overheads dominate -> the per-element
     // microprogram penalty matters less.
     let cfg = SystemConfig::paper_default();
-    let pts = experiments::programmable_ablation(&cfg, 64);
+    let pts = experiments::programmable_ablation(&cfg, 64, 1);
     let lo = &pts[0];
     let hi = &pts[8];
     let gap_lo = lo.asic_speedup() / lo.programmable_speedup();
@@ -119,7 +119,7 @@ fn l1d_over_flat_dram_is_bit_identical_to_l1d_over_shared() {
 #[test]
 fn dense_expansion_crossover_exists_for_the_baseline() {
     let cfg = SystemConfig::paper_default();
-    let pts = experiments::crossover(&cfg, 96);
+    let pts = experiments::crossover(&cfg, 96, 1);
     // At 10% sparsity the dense kernel beats the sparse *baseline*
     // (the [40]/[23] observation)...
     assert!(pts[0].dense_cycles < pts[0].sparse_baseline_cycles);
@@ -185,7 +185,7 @@ fn csc_baseline_is_work_efficient_and_correct() {
 #[test]
 fn motivation_shows_metadata_dominates_baseline() {
     let cfg = SystemConfig::paper_default();
-    let pts = experiments::motivation(&cfg, 96);
+    let pts = experiments::motivation(&cfg, 96, 1);
     for p in &pts {
         // Algorithm 1: 2 of 3 per-nnz loads are metadata/indirect, plus the
         // row-pointer array.
