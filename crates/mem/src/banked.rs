@@ -224,6 +224,11 @@ impl SharedMemory {
         self.banks[bank].free_at
     }
 
+    /// The cycle every bank is free by.
+    pub(crate) fn banks_free_at(&self) -> u64 {
+        self.banks.iter().map(|b| b.free_at).max().unwrap_or(0)
+    }
+
     /// Record the memory shape's grants-per-cycle budget (a datum the
     /// DRAM wrapper sets once at construction; see
     /// [`SharedMemStats::grant_budget`]).
@@ -312,6 +317,7 @@ impl SharedMemory {
         }
     }
 
+    #[inline]
     pub(crate) fn grant(
         &mut self,
         tile: usize,
@@ -336,6 +342,7 @@ impl SharedMemory {
     /// Flat-latency burst request by `tile`: granted when the bank of
     /// `addr` is free (a burst is charged wholly to the bank of its first
     /// word), refused as [`MemRefusal::BankBusy`] otherwise.
+    #[inline]
     pub fn request_burst_for(
         &mut self,
         tile: usize,
@@ -354,6 +361,7 @@ impl SharedMemory {
     }
 
     /// When the bank serving `addr` frees, `None` when it is already free.
+    #[inline]
     pub fn next_event_at(&self, addr: u32, now: u64) -> Option<u64> {
         let t = self.banks[self.bank_of(addr)].free_at;
         (t > now).then_some(t)

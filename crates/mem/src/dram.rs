@@ -144,6 +144,8 @@ impl DramConfig {
 pub struct Dram {
     mem: SharedMemory,
     cfg: DramConfig,
+    /// `cfg.is_flat()`: every request delegates to `mem`.
+    flat: bool,
     /// Open row id per bank (`None` = all rows precharged).
     open_rows: Vec<Option<u32>>,
     /// Response-arrival cycles of each tile's outstanding transactions.
@@ -164,6 +166,7 @@ impl Dram {
         Dram {
             mem,
             cfg,
+            flat: cfg.is_flat(),
             open_rows: vec![None; banks],
             inflight: vec![Vec::new(); tiles],
             budget_cycle: 0,
@@ -206,6 +209,7 @@ impl Dram {
 
     /// Issue a split-transaction burst request by `tile`. One transaction
     /// against the window and the budget regardless of `words`.
+    #[inline]
     pub fn request_burst_for(
         &mut self,
         tile: usize,
@@ -214,9 +218,23 @@ impl Dram {
         who: Requester,
         words: u64,
     ) -> MemIssue {
-        if self.cfg.is_flat() {
-            return self.mem.request_burst_for(tile, now, addr, who, words);
+        if self.flat {
+            self.mem.request_burst_for(tile, now, addr, who, words)
+        } else {
+            self.request_timed(tile, now, addr, who, words)
         }
+    }
+
+    /// [`Dram::request_burst_for`] on memory that is not flat.
+    #[inline(never)]
+    fn request_timed(
+        &mut self,
+        tile: usize,
+        now: u64,
+        addr: u32,
+        who: Requester,
+        words: u64,
+    ) -> MemIssue {
         // Retire delivered responses, then test the MLP window first: a
         // tile at its ceiling may not even arbitrate for a bank.
         self.inflight[tile].retain(|&d| d > now);
@@ -266,8 +284,9 @@ impl Dram {
     /// window drains monotonically while the tile is parked); otherwise
     /// the bank's free cycle; `None` when the refusal was bandwidth-only
     /// (retry next cycle — never park over a budget refusal).
+    #[inline]
     pub fn next_event_for(&self, tile: usize, addr: u32, now: u64) -> Option<u64> {
-        if self.cfg.is_flat() {
+        if self.flat {
             return self.mem.next_event_at(addr, now);
         }
         if self.window_full(tile, now) {
@@ -291,7 +310,7 @@ impl Dram {
         addr: u32,
         who: Requester,
     ) {
-        if self.cfg.is_flat() {
+        if self.flat {
             return self.mem.skip_conflicts_for(tile, now, span, addr, who);
         }
         if self.window_full(tile, now) {
@@ -323,6 +342,7 @@ impl<'a> FabricPort<'a> {
 }
 
 impl MemoryPort for FabricPort<'_> {
+    #[inline]
     fn request_burst(&mut self, now: u64, addr: u32, who: Requester, words: u64) -> MemIssue {
         self.mem.request_burst_for(self.tile, now, addr, who, words)
     }
@@ -331,8 +351,14 @@ impl MemoryPort for FabricPort<'_> {
         self.mem.cfg.has_row_latency()
     }
 
+    #[inline]
     fn next_event_at(&self, addr: u32, now: u64) -> Option<u64> {
         self.mem.next_event_for(self.tile, addr, now)
+    }
+
+    fn quiet_from(&self) -> u64 {
+        let landed = self.mem.inflight[self.tile].iter().copied().max().unwrap_or(0);
+        self.mem.mem.banks_free_at().max(landed)
     }
 
     fn skip_conflicts(&mut self, now: u64, span: u64, addr: u32, who: Requester) {
@@ -545,6 +571,24 @@ mod tests {
     /// one-bank configuration (the paper's single shared port) flat grants,
     /// bank-busy refusals, burst grants, bulk replay and the functional
     /// accessors of the byte store behind it.
+    /// A port is quiet once every bank is free and every response in
+    /// flight to its tile has landed (a row-timed response lands after
+    /// its bank frees); from then on a hint for any bank is `None`.
+    #[test]
+    fn quiet_from_covers_bank_holds_and_in_flight_responses() {
+        let cfg = DramConfig::flat().with_row_latency(0, 7);
+        let mut mem = Dram::new(SharedMemory::new(ByteStore::new(1024), 2, 2, 2), cfg);
+        assert_eq!(FabricPort::new(&mut mem, 0).quiet_from(), 0);
+        assert!(matches!(mem.request_for(1, 3, 0x00, Requester::Hht), MemIssue::Granted { .. }));
+        let granted = mem.request_for(0, 4, 0x20, Requester::Cpu);
+        assert_eq!(granted, MemIssue::Granted { data_at: 13, row: RowOutcome::Miss });
+        // Both banks are free by 6; each tile's own response lands later.
+        assert_eq!(FabricPort::new(&mut mem, 0).quiet_from(), 13);
+        assert_eq!(FabricPort::new(&mut mem, 1).quiet_from(), 12);
+        let port = FabricPort::new(&mut mem, 0);
+        assert!([0x00, 0x20].iter().all(|&a| port.next_event_at(a, 13).is_none()));
+    }
+
     #[test]
     fn fabric_port_surfaces_real_outcomes() {
         let cfg = DramConfig::flat().with_row_latency(0, 7).with_window(1);

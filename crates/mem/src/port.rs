@@ -130,6 +130,15 @@ pub trait MemoryPort {
     /// cycle may already succeed.
     fn next_event_at(&self, addr: u32, now: u64) -> Option<u64>;
 
+    /// A cycle by which every bank this port reaches is free and every
+    /// response in flight to this requestor has landed. From then on, a
+    /// requestor that issues alone and waits out each of its own
+    /// transactions always finds [`MemoryPort::next_event_at`] `None`.
+    /// `u64::MAX` (the default) promises nothing.
+    fn quiet_from(&self) -> u64 {
+        u64::MAX
+    }
+
     /// Replay `span` skipped arbitration losses by `who` against the bank
     /// serving `addr`, one per cycle starting at `now` — the per-requestor
     /// bulk-replay hook the cycle-skipping scheduler uses so conflict

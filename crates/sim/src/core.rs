@@ -152,6 +152,95 @@ pub struct AloneRun {
     pub replan: bool,
 }
 
+/// How [`Core::book_step`] left the core after a stepped cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Booked {
+    /// Halted, refused, or busy to or past the horizon: the caller
+    /// re-plans.
+    Stop,
+    /// A busy span was jumped; the core is due at its end.
+    Parked,
+    /// The core is due the very next cycle.
+    Due,
+}
+
+/// A [`Core::run_alone`] call in progress: the clock, where it must stop,
+/// and the books it keeps.
+struct Solo<'a> {
+    /// The cycle the core is due at.
+    now: u64,
+    /// The caller's horizon.
+    horizon: u64,
+    /// [`MemoryPort::quiet_from`] at the start of the run: from then on a
+    /// beat due the cycle after the last finds its bank free.
+    quiet: u64,
+    /// The scheduler's books so far.
+    run: AloneRun,
+    /// Where jumped busy spans are pushed, when given.
+    spans: Option<&'a mut Vec<SkipSpan>>,
+}
+
+/// A decoded load or store ([`Core::exec`]). A vector access's addresses,
+/// and its store values, are staged in the core's
+/// `addr_scratch`/`val_scratch`.
+#[derive(Debug, Clone, Copy)]
+struct MemAccess {
+    /// A vector access (else a scalar one of `addr`, storing `value`).
+    vector: bool,
+    /// A scalar access's address.
+    addr: u32,
+    /// A scalar store's value.
+    value: u32,
+    /// A store (else a load).
+    store: bool,
+    /// Where a load's words land.
+    dest: Dest,
+    /// Access width (vector accesses are always Word).
+    width: MemWidth,
+    /// Sign-extend narrow loads.
+    signed: bool,
+    /// Issue-stage cycles before the first beat.
+    issue_cycles: u64,
+    /// Extra cycles added after every beat (gather address generation).
+    extra_per_beat: u64,
+    /// A unit-stride vector load: one burst over row-timed memory.
+    unit_stride: bool,
+}
+
+impl MemAccess {
+    /// A scalar access of `addr`, storing `store` when given.
+    fn scalar(addr: u32, store: Option<u32>, dest: Dest, width: MemWidth, signed: bool) -> Self {
+        MemAccess {
+            vector: false,
+            addr,
+            value: store.unwrap_or(0),
+            store: store.is_some(),
+            dest,
+            width,
+            signed,
+            issue_cycles: 0,
+            extra_per_beat: 0,
+            unit_stride: false,
+        }
+    }
+
+    /// A vector access of the staged words.
+    fn vector(store: bool, dest: Dest, issue_cycles: u64, extra_per_beat: u64) -> Self {
+        MemAccess {
+            vector: true,
+            addr: 0,
+            value: 0,
+            store,
+            dest,
+            width: MemWidth::Word,
+            signed: false,
+            issue_cycles,
+            extra_per_beat,
+            unit_stride: false,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct MemOp {
     beats: Vec<Beat>,
@@ -422,7 +511,7 @@ impl Core {
     /// exactly as the per-cycle retry path does. The stall interval opens
     /// at `now` (a no-op when the first failing attempt already opened it).
     pub fn skip_port_wait(&mut self, now: u64, span: u64, sram: &mut dyn MemoryPort) {
-        let who = if self.cfg.is_helper { Requester::Hht } else { Requester::Cpu };
+        let who = self.requester();
         let addr = self.pending_port_addr(now).unwrap_or(0);
         self.stats.mem_port_stall_cycles += span;
         self.stats.stalls.record_many(StallCause::ArbitrationLoss, span);
@@ -440,43 +529,212 @@ impl Core {
     /// stops after a refused step and wherever the next beat waits on a
     /// busy bank: those cycles belong to the caller's general scheduler,
     /// which steps the device in the same cycle and bounds the port wait.
+    ///
+    /// Each iteration executes one whole instruction: it is fetched once,
+    /// and a load or store whose every word is RAM (on a core without an
+    /// L1D) takes its beats back to back through the same
+    /// [`MemoryPort::request`] at the same cycles, booking one stepped
+    /// cycle per issue and per beat, one park per busy span. A beat due
+    /// the cycle after the last asks [`MemoryPort::next_event_at`] whether
+    /// its bank is held only before [`MemoryPort::quiet_from`]: after
+    /// that, only this core has used the port, and it waits out each of
+    /// its own transactions. Everything else — a pending memory op, a
+    /// device or faulting address, an L1D, a fetch fault — goes through
+    /// [`Core::step`] one cycle at a time.
     pub fn run_alone(
         &mut self,
-        mut now: u64,
+        now: u64,
         horizon: u64,
         port: &mut dyn MemoryPort,
         dev: &mut dyn MmioDevice,
-        mut spans: Option<&mut Vec<SkipSpan>>,
+        spans: Option<&mut Vec<SkipSpan>>,
     ) -> AloneRun {
-        let mut run = AloneRun::default();
-        while now < horizon && !self.next_beat_is_device() {
-            self.step(now, port, dev);
-            now += 1;
-            run.stepped += 1;
-            // A step that neither halts nor is refused leaves the core busy
-            // until at least the next cycle; a busy span that reaches the
-            // horizon is the caller's to park.
-            if self.halted || self.busy_until < now || self.busy_until >= horizon {
-                run.replan = true;
-                break;
-            }
-            if self.busy_until > now {
-                if let Some(spans) = spans.as_deref_mut() {
-                    spans.push(SkipSpan { start: now, end: self.busy_until });
+        let mut solo =
+            Solo { now, horizon, quiet: port.quiet_from(), run: AloneRun::default(), spans };
+        let ram_size = port.size();
+        while solo.now < horizon {
+            // The core is due at `solo.now`: on entry by contract, and after
+            // a `Parked` or `Due` booking below.
+            let fetched = match self.mem_op {
+                None => self.program.fetch(self.pc),
+                Some(_) => None,
+            };
+            let booked = match fetched {
+                Some(instr) => match self.exec(instr, solo.now) {
+                    None => self.book_step(&mut solo),
+                    Some(access) if self.l1d.is_none() && self.all_ram(ram_size, access) => {
+                        self.run_access(access, &mut solo, port)
+                    }
+                    Some(access) => {
+                        self.issue(solo.now, port, access);
+                        self.book_step(&mut solo)
+                    }
+                },
+                // A pending memory op's beat, or a fetch fault.
+                None if self.next_beat_is_device() => break,
+                None => {
+                    self.step(solo.now, port, dev);
+                    self.book_step(&mut solo)
                 }
-                run.parks += 1;
-                run.parked += self.busy_until - now;
-                now = self.busy_until;
-            } else if self.next_beat_is_device()
-                || self.pending_port_addr(now).is_some_and(|a| port.next_event_at(a, now).is_some())
-            {
+            };
+            let stop = match booked {
+                Booked::Stop => true,
+                Booked::Parked => false,
                 // Due now, but on a device beat or a busy bank.
-                run.replan = true;
+                Booked::Due => {
+                    let now = solo.now;
+                    self.mem_op.is_some()
+                        && (self.next_beat_is_device()
+                            || self
+                                .pending_port_addr(now)
+                                .is_some_and(|a| port.next_event_at(a, now).is_some()))
+                }
+            };
+            if stop {
+                solo.run.replan = true;
                 break;
             }
         }
-        run.end = now;
-        run
+        solo.run.end = solo.now;
+        solo.run
+    }
+
+    /// Book the cycle just stepped at `solo.now` as the stepped solo run
+    /// would: advance the clock, and jump a busy span that ends before the
+    /// horizon (one park). A step that neither halts nor is refused leaves
+    /// the core busy until at least the next cycle; a halt, a refusal or
+    /// a busy span that reaches the horizon is the caller's to re-plan.
+    #[inline]
+    fn book_step(&self, solo: &mut Solo<'_>) -> Booked {
+        solo.now += 1;
+        solo.run.stepped += 1;
+        if self.halted || self.busy_until < solo.now || self.busy_until >= solo.horizon {
+            return Booked::Stop;
+        }
+        if self.busy_until == solo.now {
+            return Booked::Due;
+        }
+        if let Some(spans) = solo.spans.as_deref_mut() {
+            spans.push(SkipSpan { start: solo.now, end: self.busy_until });
+        }
+        solo.run.parks += 1;
+        solo.run.parked += self.busy_until - solo.now;
+        solo.now = self.busy_until;
+        Booked::Parked
+    }
+
+    /// Does every word of the staged `access` fall in RAM, aligned?
+    #[inline]
+    fn all_ram(&self, ram_size: u32, access: MemAccess) -> bool {
+        let ram = |a: u32| a.is_multiple_of(access.width.bytes()) && map::is_ram(a, ram_size);
+        if access.vector {
+            self.addr_scratch.iter().all(|&a| ram(a))
+        } else {
+            ram(access.addr)
+        }
+    }
+
+    /// Run the staged all-RAM `access` (on a core without an L1D) whole
+    /// from its issue cycle `solo.now`: issue it, then take its beats back
+    /// to back, each through the same port request at the cycle the
+    /// stepped loop would make it, booking every issue and beat as one
+    /// stepped cycle ([`Core::book_step`]). It stops where the stepped
+    /// loop would re-plan — a busy span reaching the horizon, a beat due
+    /// on a busy bank, a refused request — leaving the rest as the pending
+    /// memory op that [`Core::step`] continues.
+    #[inline(always)]
+    fn run_access(
+        &mut self,
+        access: MemAccess,
+        solo: &mut Solo<'_>,
+        port: &mut dyn MemoryPort,
+    ) -> Booked {
+        if !access.vector {
+            return self.run_beats(access, &[access.addr], &[access.value], solo, port);
+        }
+        let addrs = std::mem::take(&mut self.addr_scratch);
+        let vals = std::mem::take(&mut self.val_scratch);
+        let booked = self.run_beats(access, &addrs, &vals, solo, port);
+        self.addr_scratch = addrs;
+        self.val_scratch = vals;
+        booked
+    }
+
+    /// [`Core::run_access`] over the access's words `addrs` (storing
+    /// `vals`).
+    #[inline(always)]
+    fn run_beats(
+        &mut self,
+        access: MemAccess,
+        addrs: &[u32],
+        vals: &[u32],
+        solo: &mut Solo<'_>,
+        port: &mut dyn MemoryPort,
+    ) -> Booked {
+        let mut loaded = std::mem::take(&mut self.spare_collected);
+        loaded.clear();
+        let burst = self.bursts(port, access);
+        let who = self.requester();
+        let (width, signed) = (access.width, access.signed);
+        self.count_access(solo.now, access);
+        self.pc = self.pc.wrapping_add(4);
+        let mut next = 0;
+        let mut booked = self.book_step(solo);
+        while next < addrs.len() {
+            let (addr, at) = (addrs[next], solo.now);
+            match booked {
+                Booked::Stop => break,
+                // Before the port is quiet, another agent may hold the bank.
+                Booked::Due if at < solo.quiet && port.next_event_at(addr, at).is_some() => {
+                    booked = Booked::Stop;
+                    break;
+                }
+                Booked::Due | Booked::Parked => {}
+            }
+            let words = if burst { addrs.len() } else { 1 };
+            let issue = if burst {
+                port.request_burst(at, addr, who, words as u64)
+            } else {
+                port.request(at, addr, who)
+            };
+            match issue {
+                MemIssue::Refused(_) => self.lose_arbitration(at),
+                MemIssue::Granted { data_at, .. } => {
+                    for (i, &addr) in addrs.iter().enumerate().skip(next).take(words) {
+                        if access.store {
+                            let beat =
+                                Beat { addr, access: BeatAccess::RamWrite(vals[i]), width, signed };
+                            write_sized(port, beat, vals[i]);
+                        } else {
+                            let beat = Beat { addr, access: BeatAccess::RamRead, width, signed };
+                            loaded.push(read_sized(port, beat));
+                        }
+                    }
+                    next += words;
+                    self.land_beats(at, data_at + access.extra_per_beat, words as u64);
+                    if next == addrs.len() {
+                        self.write_back(access.dest, &loaded);
+                    }
+                }
+            }
+            booked = self.book_step(solo);
+        }
+        if next < addrs.len() {
+            self.stage_op(port, access, addrs, vals, next, loaded);
+        } else {
+            self.spare_collected = loaded;
+        }
+        booked
+    }
+
+    /// The requester this core's port accesses are accounted to.
+    #[inline]
+    fn requester(&self) -> Requester {
+        if self.cfg.is_helper {
+            Requester::Hht
+        } else {
+            Requester::Cpu
+        }
     }
 
     /// Is the pending memory op's next beat a device (MMIO) access?
@@ -569,7 +827,7 @@ impl Core {
     /// everything beyond the single issue cycle is a `cause` stall. Emits a
     /// closed begin/end pair (the core is guaranteed quiet until
     /// `busy_until`, so the pair cannot interleave with later CPU events).
-    #[inline]
+    #[inline(always)]
     fn attribute_busy(
         stats: &mut CoreStats,
         obs: &mut Option<Box<EventBus>>,
@@ -608,151 +866,79 @@ impl Core {
             self.fault(RunError::InvalidPc(self.pc));
             return;
         };
-        self.execute(instr, now, sram);
+        if let Some(access) = self.exec(instr, now) {
+            self.issue(now, sram, access);
+        }
     }
 
     fn step_mem_beat(&mut self, now: u64, sram: &mut dyn MemoryPort, dev: &mut dyn MmioDevice) {
-        let who = if self.cfg.is_helper { Requester::Hht } else { Requester::Cpu };
+        let who = self.requester();
         let op = self.mem_op.as_mut().expect("checked by caller");
         let beat = op.beats[op.next];
         match beat.access {
             BeatAccess::RamRead => {
                 // With an L1D (§3.2 high-performance integration): hits are
                 // served in one cycle without the SRAM port; misses fill a
-                // whole line through the port.
+                // whole line through the port. A burst op issues all its
+                // beats as one transaction: a refusal retries it whole, and
+                // on grant every word is read and becomes visible at the
+                // response cycle.
+                let words = if op.burst { op.beats.len() } else { 1 };
+                let issue = match self.l1d.as_mut() {
+                    Some(cache) if cache.probe(beat.addr) => {
+                        cache.access(beat.addr);
+                        self.stats.l1d_hits += 1;
+                        None
+                    }
+                    Some(cache) => {
+                        let line = (cache.line_bytes() / 4) as u64;
+                        Some(sram.request_burst(now, beat.addr, who, line))
+                    }
+                    None if op.burst => Some(sram.request_burst(now, beat.addr, who, words as u64)),
+                    None => Some(sram.request(now, beat.addr, who)),
+                };
+                let done = match issue {
+                    None => now + 1,
+                    // Split-transaction issue: a refusal (bank busy, window
+                    // full or budget spent) is one lost arbitration cycle
+                    // whatever the reason; the backend attributes the kind
+                    // on its side.
+                    Some(MemIssue::Refused(_)) => {
+                        self.lose_arbitration(now);
+                        return;
+                    }
+                    Some(MemIssue::Granted { data_at, .. }) => {
+                        if let Some(cache) = self.l1d.as_mut() {
+                            cache.access(beat.addr);
+                            self.stats.l1d_misses += 1;
+                        }
+                        data_at
+                    }
+                };
+                let first = op.next;
+                op.collected
+                    .extend(op.beats[first..first + words].iter().map(|&b| read_sized(sram, b)));
+                op.next += words;
+                let busy_until = done + op.extra_per_beat;
+                self.land_beats(now, busy_until, words as u64);
+            }
+            BeatAccess::RamWrite(v) => {
+                let MemIssue::Granted { data_at, .. } = sram.request(now, beat.addr, who) else {
+                    self.lose_arbitration(now);
+                    return;
+                };
+                // Write-through, no-allocate: memory is always current;
+                // update the cache only if the line is resident.
                 if let Some(cache) = self.l1d.as_mut() {
                     if cache.probe(beat.addr) {
                         cache.access(beat.addr);
-                        self.stats.l1d_hits += 1;
-                        op.collected.push(read_sized(sram, beat));
-                        op.next += 1;
-                        self.stats.mem_beats += 1;
-                        self.busy_until = now + 1 + op.extra_per_beat;
-                        Self::obs_unstall(&mut self.obs, &mut self.open_stall, now);
-                        Self::attribute_busy(
-                            &mut self.stats,
-                            &mut self.obs,
-                            now,
-                            self.busy_until,
-                            StallCause::LoadLatency,
-                        );
-                    } else {
-                        let words = (cache.line_bytes() / 4) as u64;
-                        // Split-transaction issue: a refusal (bank busy,
-                        // window full or budget spent) is one lost
-                        // arbitration cycle whatever the reason; the
-                        // backend attributes the kind on its side.
-                        match sram.request_burst(now, beat.addr, who, words) {
-                            MemIssue::Refused(_) => {
-                                self.stats.mem_port_stall_cycles += 1;
-                                self.stats.stalls.record(StallCause::ArbitrationLoss);
-                                Self::obs_stall(
-                                    &mut self.obs,
-                                    &mut self.open_stall,
-                                    now,
-                                    StallCause::ArbitrationLoss,
-                                );
-                                return;
-                            }
-                            MemIssue::Granted { data_at: done, .. } => {
-                                cache.access(beat.addr);
-                                self.stats.l1d_misses += 1;
-                                op.collected.push(read_sized(sram, beat));
-                                op.next += 1;
-                                self.stats.mem_beats += 1;
-                                self.busy_until = done + op.extra_per_beat;
-                                Self::obs_unstall(&mut self.obs, &mut self.open_stall, now);
-                                Self::attribute_busy(
-                                    &mut self.stats,
-                                    &mut self.obs,
-                                    now,
-                                    self.busy_until,
-                                    StallCause::LoadLatency,
-                                );
-                            }
-                        }
-                    }
-                    if op.next == op.beats.len() {
-                        self.finish_mem_op();
-                    }
-                    return;
-                }
-                // A burst op issues all its beats as one transaction: a
-                // refusal retries it whole, and on grant every word is
-                // read and becomes visible at the response cycle.
-                let issue = if op.burst {
-                    sram.request_burst(now, beat.addr, who, op.beats.len() as u64)
-                } else {
-                    sram.request(now, beat.addr, who)
-                };
-                match issue {
-                    MemIssue::Refused(_) => {
-                        self.stats.mem_port_stall_cycles += 1;
-                        self.stats.stalls.record(StallCause::ArbitrationLoss);
-                        Self::obs_stall(
-                            &mut self.obs,
-                            &mut self.open_stall,
-                            now,
-                            StallCause::ArbitrationLoss,
-                        );
-                        return;
-                    }
-                    MemIssue::Granted { data_at: done, .. } => {
-                        if op.burst {
-                            op.collected.extend(op.beats.iter().map(|&b| read_sized(sram, b)));
-                            op.next = op.beats.len();
-                            self.stats.mem_beats += op.beats.len() as u64;
-                        } else {
-                            op.collected.push(read_sized(sram, beat));
-                            op.next += 1;
-                            self.stats.mem_beats += 1;
-                        }
-                        self.busy_until = done + op.extra_per_beat;
-                        Self::obs_unstall(&mut self.obs, &mut self.open_stall, now);
-                        Self::attribute_busy(
-                            &mut self.stats,
-                            &mut self.obs,
-                            now,
-                            self.busy_until,
-                            StallCause::LoadLatency,
-                        );
                     }
                 }
+                write_sized(sram, beat, v);
+                op.next += 1;
+                let busy_until = data_at + op.extra_per_beat;
+                self.land_beats(now, busy_until, 1);
             }
-            BeatAccess::RamWrite(v) => match sram.request(now, beat.addr, who) {
-                MemIssue::Refused(_) => {
-                    self.stats.mem_port_stall_cycles += 1;
-                    self.stats.stalls.record(StallCause::ArbitrationLoss);
-                    Self::obs_stall(
-                        &mut self.obs,
-                        &mut self.open_stall,
-                        now,
-                        StallCause::ArbitrationLoss,
-                    );
-                    return;
-                }
-                MemIssue::Granted { data_at: done, .. } => {
-                    // Write-through, no-allocate: memory is always current;
-                    // update the cache only if the line is resident.
-                    if let Some(cache) = self.l1d.as_mut() {
-                        if cache.probe(beat.addr) {
-                            cache.access(beat.addr);
-                        }
-                    }
-                    write_sized(sram, beat, v);
-                    op.next += 1;
-                    self.stats.mem_beats += 1;
-                    self.busy_until = done + op.extra_per_beat;
-                    Self::obs_unstall(&mut self.obs, &mut self.open_stall, now);
-                    Self::attribute_busy(
-                        &mut self.stats,
-                        &mut self.obs,
-                        now,
-                        self.busy_until,
-                        StallCause::LoadLatency,
-                    );
-                }
-            },
             BeatAccess::DevRead => match dev.mmio_read(beat.addr, now) {
                 MmioReadResult::Stall => {
                     self.stats.hht_wait_cycles += 1;
@@ -778,27 +964,42 @@ impl Core {
                     self.hht_retries_used = 0;
                     op.collected.push(v);
                     op.next += 1;
-                    self.busy_until = now + self.cfg.hht_beat_cycles;
-                    Self::obs_unstall(&mut self.obs, &mut self.open_stall, now);
-                    Self::attribute_busy(
-                        &mut self.stats,
-                        &mut self.obs,
-                        now,
-                        self.busy_until,
-                        StallCause::LoadLatency,
-                    );
+                    self.land_beats(now, now + self.cfg.hht_beat_cycles, 0);
                 }
             },
             BeatAccess::DevWrite(v) => {
                 dev.mmio_write(beat.addr, v, now);
                 op.next += 1;
-                self.busy_until = now + 1;
-                Self::obs_unstall(&mut self.obs, &mut self.open_stall, now);
+                self.land_beats(now, now + 1, 0);
             }
         }
-        if op.next == op.beats.len() {
+        if self.mem_op.as_ref().is_some_and(|op| op.next == op.beats.len()) {
             self.finish_mem_op();
         }
+    }
+
+    /// A port request was refused at `now`: one lost arbitration cycle.
+    fn lose_arbitration(&mut self, now: u64) {
+        self.stats.mem_port_stall_cycles += 1;
+        self.stats.stalls.record(StallCause::ArbitrationLoss);
+        Self::obs_stall(&mut self.obs, &mut self.open_stall, now, StallCause::ArbitrationLoss);
+    }
+
+    /// A beat taken at `now` (`ram_words` RAM words: 0 for a device beat,
+    /// the whole op for a burst) keeps the pipe busy until `busy_until`;
+    /// the span past the beat's own cycle is load latency.
+    #[inline(always)]
+    fn land_beats(&mut self, now: u64, busy_until: u64, ram_words: u64) {
+        self.stats.mem_beats += ram_words;
+        self.busy_until = busy_until;
+        Self::obs_unstall(&mut self.obs, &mut self.open_stall, now);
+        Self::attribute_busy(
+            &mut self.stats,
+            &mut self.obs,
+            now,
+            busy_until,
+            StallCause::LoadLatency,
+        );
     }
 
     /// The HHT wait-timeout/retry protocol (detection + bounded recovery):
@@ -837,21 +1038,24 @@ impl Core {
         }
     }
 
+    /// Retire the pending memory op: its loaded words land in their
+    /// destination and its buffers go back to the core.
     fn finish_mem_op(&mut self) {
         let Some(op) = self.mem_op.take() else { return };
-        if op.next < op.beats.len() {
-            // Not actually finished (defensive; callers check first).
-            self.mem_op = Some(op);
-            return;
-        }
-        match op.dest {
-            Dest::X(r) => self.write_x(r, op.collected[0]),
-            Dest::F(r) => self.f[r.index()] = op.collected[0],
-            Dest::V(r) => self.v[r.index()][..op.collected.len()].copy_from_slice(&op.collected),
-            Dest::None => {}
-        }
+        self.write_back(op.dest, &op.collected);
         self.spare_beats = op.beats;
         self.spare_collected = op.collected;
+    }
+
+    /// Write a finished load's words into `dest`.
+    #[inline(always)]
+    fn write_back(&mut self, dest: Dest, data: &[u32]) {
+        match dest {
+            Dest::X(r) => self.write_x(r, data[0]),
+            Dest::F(r) => self.f[r.index()] = data[0],
+            Dest::V(r) => self.v[r.index()][..data.len()].copy_from_slice(data),
+            Dest::None => {}
+        }
     }
 
     /// Classify an address; `None` for unmapped or misaligned.
@@ -869,71 +1073,121 @@ impl Core {
         None
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn start_mem_op(
-        &mut self,
-        now: u64,
-        sram: &dyn MemoryPort,
-        addrs: &[u32],
-        write_values: Option<&[u32]>,
-        dest: Dest,
-        issue_cycles: u64,
-        extra_per_beat: u64,
-    ) {
-        self.start_mem_op_sized(
-            now,
-            sram,
-            addrs,
-            write_values,
-            dest,
-            issue_cycles,
-            extra_per_beat,
-            MemWidth::Word,
-            false,
-        )
+    /// Does `access` go out as one burst? A unit-stride vector load of
+    /// RAM on a core without an L1D over row-timed memory pays one row
+    /// response for its VL words, charged to the first word's bank and
+    /// row (the caller checks that every word is RAM).
+    #[inline]
+    fn bursts(&self, sram: &dyn MemoryPort, access: MemAccess) -> bool {
+        access.unit_stride && self.l1d.is_none() && sram.row_timed()
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn start_mem_op_sized(
-        &mut self,
-        now: u64,
-        sram: &dyn MemoryPort,
-        addrs: &[u32],
-        write_values: Option<&[u32]>,
-        dest: Dest,
-        issue_cycles: u64,
-        extra_per_beat: u64,
-        width: MemWidth,
-        signed: bool,
-    ) {
-        let mut beats = std::mem::take(&mut self.spare_beats);
-        beats.clear();
-        for (i, &addr) in addrs.iter().enumerate() {
-            let Some(is_ram) = self.classify(sram, addr, width) else {
-                self.spare_beats = beats;
-                self.fault(RunError::MemFault(addr));
-                return;
-            };
-            let access = match (write_values, is_ram) {
-                (None, true) => BeatAccess::RamRead,
-                (None, false) => BeatAccess::DevRead,
-                (Some(vs), true) => BeatAccess::RamWrite(vs[i]),
-                (Some(vs), false) => BeatAccess::DevWrite(vs[i]),
-            };
-            beats.push(Beat { addr, access, width, signed });
+    /// Issue the staged `access` at `now` as the first cycle of a pending
+    /// memory op whose beats [`Core::step`] takes; an unmapped or
+    /// misaligned word faults the core instead.
+    fn issue(&mut self, now: u64, sram: &dyn MemoryPort, access: MemAccess) {
+        let mut collected = std::mem::take(&mut self.spare_collected);
+        collected.clear();
+        let staged = if access.vector {
+            let addrs = std::mem::take(&mut self.addr_scratch);
+            let vals = std::mem::take(&mut self.val_scratch);
+            let staged = self.stage_op(sram, access, &addrs, &vals, 0, collected);
+            self.addr_scratch = addrs;
+            self.val_scratch = vals;
+            staged
+        } else {
+            self.stage_op(sram, access, &[access.addr], &[access.value], 0, collected)
+        };
+        if staged {
+            self.count_access(now, access);
+            self.pc = self.pc.wrapping_add(4);
         }
-        if write_values.is_some() {
+    }
+
+    /// Count an issued access and occupy its issue stage from `now`.
+    #[inline]
+    fn count_access(&mut self, now: u64, access: MemAccess) {
+        if access.store {
             self.stats.stores += 1;
         } else {
             self.stats.loads += 1;
         }
-        let mut collected = std::mem::take(&mut self.spare_collected);
-        collected.clear();
-        self.mem_op = Some(MemOp { beats, next: 0, collected, dest, extra_per_beat, burst: false });
-        self.set_busy(now, issue_cycles);
+        self.set_busy(now, access.issue_cycles);
     }
 
-    fn execute(&mut self, instr: Instr, now: u64, sram: &dyn MemoryPort) {
+    /// Make `access` over `addrs` (storing `vals`) the pending memory op
+    /// with its first `next` beats done and their words in `collected`.
+    /// Returns false, with the core faulted, when a word is unmapped or
+    /// misaligned.
+    fn stage_op(
+        &mut self,
+        sram: &dyn MemoryPort,
+        access: MemAccess,
+        addrs: &[u32],
+        vals: &[u32],
+        next: usize,
+        collected: Vec<u32>,
+    ) -> bool {
+        let mut beats = std::mem::take(&mut self.spare_beats);
+        beats.clear();
+        let (width, signed) = (access.width, access.signed);
+        for (i, &addr) in addrs.iter().enumerate() {
+            let Some(is_ram) = self.classify(sram, addr, width) else {
+                self.spare_beats = beats;
+                self.spare_collected = collected;
+                self.fault(RunError::MemFault(addr));
+                return false;
+            };
+            let kind = match (access.store, is_ram) {
+                (false, true) => BeatAccess::RamRead,
+                (false, false) => BeatAccess::DevRead,
+                (true, true) => BeatAccess::RamWrite(vals[i]),
+                (true, false) => BeatAccess::DevWrite(vals[i]),
+            };
+            beats.push(Beat { addr, access: kind, width, signed });
+        }
+        let burst = self.bursts(sram, access)
+            && beats.iter().all(|b| matches!(b.access, BeatAccess::RamRead));
+        self.mem_op = Some(MemOp {
+            beats,
+            next,
+            collected,
+            dest: access.dest,
+            extra_per_beat: access.extra_per_beat,
+            burst,
+        });
+        true
+    }
+
+    /// Effective address `x[rs1] + offset`.
+    #[inline]
+    fn ea(&self, rs1: Reg, offset: i32) -> u32 {
+        self.read_x(rs1).wrapping_add(offset as u32)
+    }
+
+    /// Stage the addresses of a `vl`-word vector access from `base`: unit
+    /// stride, or indexed by the byte offsets in `offsets`.
+    #[inline]
+    fn stage_vector(&mut self, base: u32, offsets: Option<VReg>) {
+        let vl = self.vl;
+        self.addr_scratch.clear();
+        match offsets {
+            Some(vs2) => self
+                .addr_scratch
+                .extend(self.v[vs2.index()][..vl].iter().map(|&off| base.wrapping_add(off))),
+            None => self.addr_scratch.extend((0..vl).map(|i| base.wrapping_add(4 * i as u32))),
+        }
+    }
+
+    /// Apply `instr`, issued at `now`: the one place each instruction's
+    /// semantics live. An instruction that touches no memory is complete
+    /// on return (registers, PC, busy span and its stall attribution). A
+    /// load or store returns its decoded access, with its addresses (and
+    /// store values) staged, for the caller to issue — [`Core::issue`] as
+    /// a pending memory op, or [`Core::run_access`] whole — and the PC
+    /// advances when it issues.
+    #[inline(always)]
+    fn exec(&mut self, instr: Instr, now: u64) -> Option<MemAccess> {
         use Instr::*;
         self.stats.instructions += 1;
         if let Some(trace) = self.trace.as_mut() {
@@ -943,27 +1197,28 @@ impl Core {
             self.stats.vector_instrs += 1;
         }
         let mut next_pc = self.pc.wrapping_add(4);
-        let cfg = self.cfg;
+        let alu_cycles = self.cfg.alu_cycles;
+        let taken_cycles = alu_cycles + self.cfg.branch_taken_penalty;
         match instr {
             Lui { rd, imm20 } => {
                 self.write_x(rd, (imm20 as u32) << 12);
-                self.set_busy(now, cfg.alu_cycles);
+                self.set_busy(now, alu_cycles);
             }
             Auipc { rd, imm20 } => {
                 self.write_x(rd, self.pc.wrapping_add((imm20 as u32) << 12));
-                self.set_busy(now, cfg.alu_cycles);
+                self.set_busy(now, alu_cycles);
             }
             Jal { rd, offset } => {
                 self.write_x(rd, self.pc.wrapping_add(4));
                 next_pc = self.pc.wrapping_add(offset as u32);
-                self.set_busy(now, cfg.alu_cycles + cfg.branch_taken_penalty);
+                self.set_busy(now, taken_cycles);
                 self.attribute_exec_busy(now, StallCause::BranchRefill);
             }
             Jalr { rd, rs1, offset } => {
                 let target = self.read_x(rs1).wrapping_add(offset as u32) & !1;
                 self.write_x(rd, self.pc.wrapping_add(4));
                 next_pc = target;
-                self.set_busy(now, cfg.alu_cycles + cfg.branch_taken_penalty);
+                self.set_busy(now, taken_cycles);
                 self.attribute_exec_busy(now, StallCause::BranchRefill);
             }
             Branch { op, rs1, rs2, offset } => {
@@ -979,44 +1234,50 @@ impl Core {
                 };
                 if taken {
                     next_pc = self.pc.wrapping_add(offset as u32);
-                    self.set_busy(now, cfg.alu_cycles + cfg.branch_taken_penalty);
+                    self.set_busy(now, taken_cycles);
                     self.attribute_exec_busy(now, StallCause::BranchRefill);
                 } else {
-                    self.set_busy(now, cfg.alu_cycles);
+                    self.set_busy(now, alu_cycles);
                 }
             }
             Lw { rd, rs1, offset } => {
-                let addr = self.read_x(rs1).wrapping_add(offset as u32);
-                self.start_mem_op(now, sram, &[addr], None, Dest::X(rd), 0, 0);
+                let addr = self.ea(rs1, offset);
+                return Some(MemAccess::scalar(addr, None, Dest::X(rd), MemWidth::Word, false));
             }
             Sw { rs1, rs2, offset } => {
-                let addr = self.read_x(rs1).wrapping_add(offset as u32);
-                let v = self.read_x(rs2);
-                self.start_mem_op(now, sram, &[addr], Some(&[v]), Dest::None, 0, 0);
+                let (addr, v) = (self.ea(rs1, offset), self.read_x(rs2));
+                return Some(MemAccess::scalar(addr, Some(v), Dest::None, MemWidth::Word, false));
             }
             Flw { rd, rs1, offset } => {
-                let addr = self.read_x(rs1).wrapping_add(offset as u32);
-                self.start_mem_op(now, sram, &[addr], None, Dest::F(rd), 0, 0);
+                let addr = self.ea(rs1, offset);
+                return Some(MemAccess::scalar(addr, None, Dest::F(rd), MemWidth::Word, false));
             }
             Fsw { rs1, rs2, offset } => {
-                let addr = self.read_x(rs1).wrapping_add(offset as u32);
-                let v = self.f[rs2.index()];
-                self.start_mem_op(now, sram, &[addr], Some(&[v]), Dest::None, 0, 0);
+                let (addr, v) = (self.ea(rs1, offset), self.f[rs2.index()]);
+                return Some(MemAccess::scalar(addr, Some(v), Dest::None, MemWidth::Word, false));
+            }
+            LoadNarrow { rd, rs1, offset, width, signed } => {
+                let addr = self.ea(rs1, offset);
+                return Some(MemAccess::scalar(addr, None, Dest::X(rd), width, signed));
+            }
+            StoreNarrow { rs1, rs2, offset, width } => {
+                let (addr, v) = (self.ea(rs1, offset), self.read_x(rs2));
+                return Some(MemAccess::scalar(addr, Some(v), Dest::None, width, false));
             }
             OpImm { op, rd, rs1, imm } => {
                 let v = alu(op, self.read_x(rs1), imm as u32);
                 self.write_x(rd, v);
-                self.set_busy(now, cfg.alu_cycles);
+                self.set_busy(now, alu_cycles);
             }
             Op { op, rd, rs1, rs2 } => {
                 let v = alu(op, self.read_x(rs1), self.read_x(rs2));
                 self.write_x(rd, v);
-                self.set_busy(now, cfg.alu_cycles);
+                self.set_busy(now, alu_cycles);
             }
             Mul { rd, rs1, rs2 } => {
                 let v = self.read_x(rs1).wrapping_mul(self.read_x(rs2));
                 self.write_x(rd, v);
-                self.set_busy(now, cfg.mul_cycles);
+                self.set_busy(now, self.cfg.mul_cycles);
             }
             MulDiv { op, rd, rs1, rs2 } => {
                 let a = self.read_x(rs1);
@@ -1026,119 +1287,68 @@ impl Core {
                 // Divides take longer than multiplies on small cores.
                 let cost = match op {
                     MulDivOp::Div | MulDivOp::Divu | MulDivOp::Rem | MulDivOp::Remu => {
-                        cfg.mul_cycles * 8
+                        self.cfg.mul_cycles * 8
                     }
-                    _ => cfg.mul_cycles,
+                    _ => self.cfg.mul_cycles,
                 };
                 self.set_busy(now, cost);
-            }
-            LoadNarrow { rd, rs1, offset, width, signed } => {
-                let addr = self.read_x(rs1).wrapping_add(offset as u32);
-                self.start_mem_op_sized(now, sram, &[addr], None, Dest::X(rd), 0, 0, width, signed);
-            }
-            StoreNarrow { rs1, rs2, offset, width } => {
-                let addr = self.read_x(rs1).wrapping_add(offset as u32);
-                let v = self.read_x(rs2);
-                self.start_mem_op_sized(
-                    now,
-                    sram,
-                    &[addr],
-                    Some(&[v]),
-                    Dest::None,
-                    0,
-                    0,
-                    width,
-                    false,
-                );
             }
             FaddS { rd, rs1, rs2 } => {
                 let v = self.read_f(rs1) + self.read_f(rs2);
                 self.write_f(rd, v);
-                self.set_busy(now, cfg.fpu_cycles);
+                self.set_busy(now, self.cfg.fpu_cycles);
             }
             FsubS { rd, rs1, rs2 } => {
                 let v = self.read_f(rs1) - self.read_f(rs2);
                 self.write_f(rd, v);
-                self.set_busy(now, cfg.fpu_cycles);
+                self.set_busy(now, self.cfg.fpu_cycles);
             }
             FmulS { rd, rs1, rs2 } => {
                 let v = self.read_f(rs1) * self.read_f(rs2);
                 self.write_f(rd, v);
-                self.set_busy(now, cfg.fpu_cycles);
+                self.set_busy(now, self.cfg.fpu_cycles);
             }
             FmaddS { rd, rs1, rs2, rs3 } => {
                 let v = self.read_f(rs1) * self.read_f(rs2) + self.read_f(rs3);
                 self.write_f(rd, v);
-                self.set_busy(now, cfg.fpu_cycles);
+                self.set_busy(now, self.cfg.fpu_cycles);
             }
             FmvWX { rd, rs1 } => {
                 self.f[rd.index()] = self.read_x(rs1);
-                self.set_busy(now, cfg.alu_cycles);
+                self.set_busy(now, alu_cycles);
             }
             FmvXW { rd, rs1 } => {
                 let v = self.f[rs1.index()];
                 self.write_x(rd, v);
-                self.set_busy(now, cfg.alu_cycles);
+                self.set_busy(now, alu_cycles);
             }
             Vsetvli { rd, rs1, .. } => {
-                let avl = if rs1 == Reg::ZERO { cfg.vlen as u32 } else { self.read_x(rs1) };
-                self.vl = (avl as usize).min(cfg.vlen);
+                let vlen = self.cfg.vlen;
+                let avl = if rs1 == Reg::ZERO { vlen as u32 } else { self.read_x(rs1) };
+                self.vl = (avl as usize).min(vlen);
                 self.write_x(rd, self.vl as u32);
-                self.set_busy(now, cfg.alu_cycles);
+                self.set_busy(now, alu_cycles);
             }
             Vle32 { vd, rs1 } => {
-                let base = self.read_x(rs1);
-                let mut addrs = std::mem::take(&mut self.addr_scratch);
-                addrs.clear();
-                addrs.extend((0..self.vl).map(|i| base.wrapping_add(4 * i as u32)));
-                self.start_mem_op(now, sram, &addrs, None, Dest::V(vd), cfg.vector_issue_cycles, 0);
-                self.addr_scratch = addrs;
-                // Over row-timed memory an all-RAM load without an L1D pays
-                // one row response for its VL words, charged to the first
-                // word's bank and row.
-                if sram.row_timed() && self.l1d.is_none() {
-                    if let Some(op) = self.mem_op.as_mut() {
-                        op.burst = op.beats.iter().all(|b| matches!(b.access, BeatAccess::RamRead));
-                    }
-                }
+                self.stage_vector(self.read_x(rs1), None);
+                let issue = self.cfg.vector_issue_cycles;
+                return Some(MemAccess {
+                    unit_stride: true,
+                    ..MemAccess::vector(false, Dest::V(vd), issue, 0)
+                });
             }
             Vse32 { vs3, rs1 } => {
-                let base = self.read_x(rs1);
-                let mut addrs = std::mem::take(&mut self.addr_scratch);
-                let mut vals = std::mem::take(&mut self.val_scratch);
-                addrs.clear();
-                addrs.extend((0..self.vl).map(|i| base.wrapping_add(4 * i as u32)));
-                vals.clear();
-                vals.extend_from_slice(&self.v[vs3.index()][..self.vl]);
-                self.start_mem_op(
-                    now,
-                    sram,
-                    &addrs,
-                    Some(&vals),
-                    Dest::None,
-                    cfg.vector_issue_cycles,
-                    0,
-                );
-                self.addr_scratch = addrs;
-                self.val_scratch = vals;
+                self.stage_vector(self.read_x(rs1), None);
+                self.val_scratch.clear();
+                self.val_scratch.extend_from_slice(&self.v[vs3.index()][..self.vl]);
+                let issue = self.cfg.vector_issue_cycles;
+                return Some(MemAccess::vector(true, Dest::None, issue, 0));
             }
             Vluxei32 { vd, rs1, vs2 } => {
-                let base = self.read_x(rs1);
-                let mut addrs = std::mem::take(&mut self.addr_scratch);
-                addrs.clear();
-                addrs.extend(
-                    self.v[vs2.index()][..self.vl].iter().map(|&off| base.wrapping_add(off)),
-                );
-                self.start_mem_op(
-                    now,
-                    sram,
-                    &addrs,
-                    None,
-                    Dest::V(vd),
-                    cfg.vector_issue_cycles + cfg.gather_issue_cycles,
-                    cfg.gather_addr_cycles,
-                );
-                self.addr_scratch = addrs;
+                self.stage_vector(self.read_x(rs1), Some(vs2));
+                let issue = self.cfg.vector_issue_cycles + self.cfg.gather_issue_cycles;
+                let extra = self.cfg.gather_addr_cycles;
+                return Some(MemAccess::vector(false, Dest::V(vd), issue, extra));
             }
             VfmaccVV { vd, vs1, vs2 } => {
                 for i in 0..self.vl {
@@ -1147,7 +1357,7 @@ impl Core {
                     let d = f32::from_bits(self.v[vd.index()][i]);
                     self.v[vd.index()][i] = (d + a * b).to_bits();
                 }
-                self.set_busy(now, cfg.vector_arith_cycles);
+                self.set_busy(now, self.cfg.vector_arith_cycles);
                 self.attribute_exec_busy(now, StallCause::VectorBusy);
             }
             VfmulVV { vd, vs1, vs2 } => {
@@ -1156,7 +1366,7 @@ impl Core {
                     let b = f32::from_bits(self.v[vs2.index()][i]);
                     self.v[vd.index()][i] = (a * b).to_bits();
                 }
-                self.set_busy(now, cfg.vector_arith_cycles);
+                self.set_busy(now, self.cfg.vector_arith_cycles);
                 self.attribute_exec_busy(now, StallCause::VectorBusy);
             }
             VfaddVV { vd, vs1, vs2 } => {
@@ -1165,7 +1375,7 @@ impl Core {
                     let b = f32::from_bits(self.v[vs2.index()][i]);
                     self.v[vd.index()][i] = (a + b).to_bits();
                 }
-                self.set_busy(now, cfg.vector_arith_cycles);
+                self.set_busy(now, self.cfg.vector_arith_cycles);
                 self.attribute_exec_busy(now, StallCause::VectorBusy);
             }
             VfredosumVS { vd, vs1, vs2 } => {
@@ -1174,31 +1384,31 @@ impl Core {
                     s += f32::from_bits(self.v[vs2.index()][i]);
                 }
                 self.v[vd.index()][0] = s.to_bits();
-                self.set_busy(now, cfg.vector_arith_cycles);
+                self.set_busy(now, self.cfg.vector_arith_cycles);
                 self.attribute_exec_busy(now, StallCause::VectorBusy);
             }
             VsllVI { vd, vs2, imm5 } => {
                 for i in 0..self.vl {
                     self.v[vd.index()][i] = self.v[vs2.index()][i].wrapping_shl(imm5 as u32);
                 }
-                self.set_busy(now, cfg.alu_cycles);
+                self.set_busy(now, alu_cycles);
             }
             VmvVI { vd, imm5 } => {
                 for i in 0..self.vl {
                     self.v[vd.index()][i] = imm5 as u32;
                 }
-                self.set_busy(now, cfg.alu_cycles);
+                self.set_busy(now, alu_cycles);
             }
             VmvVX { vd, rs1 } => {
                 let v = self.read_x(rs1);
                 for i in 0..self.vl {
                     self.v[vd.index()][i] = v;
                 }
-                self.set_busy(now, cfg.alu_cycles);
+                self.set_busy(now, alu_cycles);
             }
             VfmvFS { rd, vs2 } => {
                 self.f[rd.index()] = self.v[vs2.index()][0];
-                self.set_busy(now, cfg.alu_cycles);
+                self.set_busy(now, alu_cycles);
             }
             Csrrs { rd, csr, .. } => {
                 let v = match csr {
@@ -1207,18 +1417,18 @@ impl Core {
                     _ => 0,
                 };
                 self.write_x(rd, v);
-                self.set_busy(now, cfg.alu_cycles);
+                self.set_busy(now, alu_cycles);
             }
             Ecall => {
-                self.set_busy(now, cfg.alu_cycles);
+                self.set_busy(now, alu_cycles);
             }
             Ebreak => {
                 self.halted = true;
+                return None;
             }
         }
-        if !self.halted {
-            self.pc = next_pc;
-        }
+        self.pc = next_pc;
+        None
     }
 }
 
@@ -1272,6 +1482,7 @@ fn muldiv(op: MulDivOp, a: u32, b: u32) -> u32 {
     }
 }
 
+#[inline(always)]
 fn alu(op: AluOp, a: u32, b: u32) -> u32 {
     match op {
         AluOp::Add => a.wrapping_add(b),

@@ -7,6 +7,7 @@
 use crate::{CooMatrix, CsrMatrix, DenseVector, SparseVector};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 
 /// Draw a non-zero value uniformly from `[-1, 1] \ {0}`.
 fn nonzero_value(rng: &mut SmallRng) -> f32 {
@@ -30,15 +31,17 @@ pub fn random_csr(rows: usize, cols: usize, sparsity: f64, seed: u64) -> CsrMatr
     let total = rows * cols;
     let nnz = ((1.0 - sparsity) * total as f64).round() as usize;
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut coo = CooMatrix::new(rows, cols);
+    let mut triplets = Vec::with_capacity(nnz);
     if nnz * 3 < total {
-        // Sparse regime: rejection-sample coordinates.
-        let mut placed = 0usize;
-        while placed < nnz {
+        // Sparse regime: rejection-sample coordinates. The value is drawn
+        // before the duplicate test, so a rejected draw still consumes one.
+        let mut seen = HashSet::with_capacity(nnz);
+        while triplets.len() < nnz {
             let r = rng.gen_range(0..rows);
             let c = rng.gen_range(0..cols);
-            if coo.push(r, c, nonzero_value(&mut rng)).is_ok() {
-                placed += 1;
+            let v = nonzero_value(&mut rng);
+            if seen.insert(r * cols + c) {
+                triplets.push((r, c, v));
             }
         }
     } else {
@@ -50,11 +53,11 @@ pub fn random_csr(rows: usize, cols: usize, sparsity: f64, seed: u64) -> CsrMatr
         }
         let mut chosen = coords[..nnz].to_vec();
         chosen.sort_unstable();
-        for flat in chosen {
-            coo.push(flat / cols, flat % cols, nonzero_value(&mut rng)).unwrap();
-        }
+        triplets.extend(
+            chosen.into_iter().map(|flat| (flat / cols, flat % cols, nonzero_value(&mut rng))),
+        );
     }
-    CsrMatrix::from_coo(&coo)
+    CsrMatrix::from_triplets(rows, cols, &triplets).expect("distinct in-range coordinates")
 }
 
 /// Generate a random dense vector of length `n` with entries in `[-1, 1]`,
@@ -144,6 +147,59 @@ mod tests {
         for &s in &[0.1, 0.5, 0.9] {
             let m = random_csr(64, 64, s, 42);
             assert!((m.sparsity() - s).abs() < 0.01, "sparsity {} vs {}", m.sparsity(), s);
+        }
+    }
+
+    /// The construction `random_csr` replaced: the same draws, inserted
+    /// one by one into a sorted COO matrix (quadratic in the non-zeros).
+    fn random_csr_by_coo_insertion(
+        rows: usize,
+        cols: usize,
+        sparsity: f64,
+        seed: u64,
+    ) -> CsrMatrix {
+        let total = rows * cols;
+        let nnz = ((1.0 - sparsity) * total as f64).round() as usize;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut coo = CooMatrix::new(rows, cols);
+        if nnz * 3 < total {
+            let mut placed = 0usize;
+            while placed < nnz {
+                let r = rng.gen_range(0..rows);
+                let c = rng.gen_range(0..cols);
+                if coo.push(r, c, nonzero_value(&mut rng)).is_ok() {
+                    placed += 1;
+                }
+            }
+        } else {
+            let mut coords: Vec<usize> = (0..total).collect();
+            for i in 0..nnz {
+                let j = rng.gen_range(i..total);
+                coords.swap(i, j);
+            }
+            let mut chosen = coords[..nnz].to_vec();
+            chosen.sort_unstable();
+            for flat in chosen {
+                coo.push(flat / cols, flat % cols, nonzero_value(&mut rng)).unwrap();
+            }
+        }
+        CsrMatrix::from_coo(&coo)
+    }
+
+    /// Both regimes (sparsity above and below 2/3), square and
+    /// rectangular, build exactly the matrix the COO insertion built.
+    #[test]
+    fn random_csr_matches_the_coo_insertion_construction() {
+        for (rows, cols) in [(64, 64), (37, 90), (128, 17)] {
+            for sparsity in [0.0, 0.3, 0.6, 0.7, 0.9, 0.99, 1.0] {
+                for seed in [0, 1, 7, 0xB00C, u64::MAX] {
+                    assert_eq!(
+                        random_csr(rows, cols, sparsity, seed),
+                        random_csr_by_coo_insertion(rows, cols, sparsity, seed),
+                        "{rows}x{cols} sparsity {sparsity} seed {seed}"
+                    );
+                }
+            }
         }
     }
 

@@ -1086,12 +1086,66 @@ fn baseline_fabric(
     (Fabric::new(cfg, FabricConfig::single(), vec![program], mem), l)
 }
 
+/// A core's architectural state: its PC and its integer, float (as bit
+/// patterns) and vector register files.
+fn core_state(c: &hht::sim::Core) -> (u32, Vec<u32>, Vec<u32>, Vec<Vec<u32>>) {
+    use hht::isa::{FReg, Reg, VReg};
+    (
+        c.pc(),
+        (0..32).map(|i| c.read_x(Reg::new(i))).collect(),
+        (0..32).map(|i| c.read_f(FReg::new(i)).to_bits()).collect(),
+        (0..32).map(|i| c.read_v(VReg::new(i)).to_vec()).collect(),
+    )
+}
+
+/// Run the fabric `build` makes under both schedulers, with `plan`
+/// installed on each, and require bit-identical outcomes: the run
+/// verdict, the stop cycle, every statistic, the `out.1` words at
+/// `out.0`, every core's registers, PC and instruction trace, and (when
+/// traced) every event. Then check the event queue's books per tile:
+/// every stepped cycle is one pop, and stepped plus parked cycles span
+/// the tile's life. Returns the event-queue fabric.
+fn assert_fabric_matches_per_cycle(
+    cfg: &SystemConfig,
+    ctx: &str,
+    plan: Option<&hht::fault::FaultPlan>,
+    out: (u32, usize),
+    build: &dyn Fn(&SystemConfig) -> hht::system::Fabric,
+) -> hht::system::Fabric {
+    let mut eq = build(&cfg.with_cycle_skip(true));
+    let mut pc = build(&cfg.with_cycle_skip(false));
+    if let Some(p) = plan {
+        eq.set_fault_plan(p.clone());
+        pc.set_fault_plan(p.clone());
+    }
+    let (eq_res, pc_res) = (eq.run(), pc.run());
+    assert_eq!(format!("{eq_res:?}"), format!("{pc_res:?}"), "{ctx}: verdict");
+    assert_eq!(eq.cycle(), pc.cycle(), "{ctx}: stop cycle");
+    assert_eq!(eq.stats(), pc.stats(), "{ctx}: stats");
+    assert_eq!(eq.read_output(out.0, out.1), pc.read_output(out.0, out.1), "{ctx}: output");
+    for t in 0..eq.tiles() {
+        assert_eq!(core_state(eq.core(t)), core_state(pc.core(t)), "{ctx}: tile {t} registers");
+        assert_eq!(eq.core(t).trace(), pc.core(t).trace(), "{ctx}: tile {t} instruction trace");
+    }
+    assert_eq!(eq.take_all_events(), pc.take_all_events(), "{ctx}: events");
+    let stats = eq.stats();
+    for (t, ts) in eq.tile_sched_stats().iter().enumerate() {
+        assert_eq!(ts.pops, ts.stepped_cycles, "{ctx}: tile {t}: one pop per stepped cycle");
+        assert_eq!(
+            ts.stepped_cycles + ts.skipped_cycles,
+            stats.tiles[t].cycles,
+            "{ctx}: tile {t}: stepped plus parked cycles span the tile's life"
+        );
+    }
+    eq
+}
+
 /// Run baseline `name` under both schedulers, with `plan` installed on
-/// each, and require bit-identical outcomes: the run verdict, the stop
-/// cycle, every statistic, the output words and (when traced) every
-/// event. Then check the event queue's books: every stepped cycle is one
-/// pop, stepped plus parked cycles span the run, and on one tile every
-/// park is one clock skip. Returns the event-queue fabric.
+/// each, and require bit-identical outcomes
+/// ([`assert_fabric_matches_per_cycle`]). On one tile the books are the
+/// run's: the tile's stepped cycles are the run's, every park is one
+/// clock skip, and stepped plus parked cycles span the run. Returns the
+/// event-queue fabric.
 fn assert_core_alone_matches_per_cycle(
     cfg: &SystemConfig,
     name: &str,
@@ -1099,22 +1153,15 @@ fn assert_core_alone_matches_per_cycle(
     seed: u64,
     plan: Option<&hht::fault::FaultPlan>,
 ) -> hht::system::Fabric {
-    let (mut eq, l) = baseline_fabric(&cfg.with_cycle_skip(true), name, n, seed);
-    let (mut pc, _) = baseline_fabric(&cfg.with_cycle_skip(false), name, n, seed);
-    if let Some(p) = plan {
-        eq.set_fault_plan(p.clone());
-        pc.set_fault_plan(p.clone());
-    }
-    let (eq_res, pc_res) = (eq.run(), pc.run());
-    let ctx = format!("{name} n={n} max_cycles={}", cfg.core.max_cycles);
-    assert_eq!(format!("{eq_res:?}"), format!("{pc_res:?}"), "{ctx}: verdict");
-    assert_eq!(eq.cycle(), pc.cycle(), "{ctx}: stop cycle");
-    assert_eq!(eq.stats(), pc.stats(), "{ctx}: stats");
-    assert_eq!(eq.read_output(l.y_base, n), pc.read_output(l.y_base, n), "{ctx}: y");
-    assert_eq!(eq.take_all_events(), pc.take_all_events(), "{ctx}: events");
+    let y_base = baseline_fabric(cfg, name, n, seed).1.y_base;
+    let ctx = format!(
+        "{name} n={n} vlen={} word_cycles={} max_cycles={}",
+        cfg.core.vlen, cfg.ram_word_cycles, cfg.core.max_cycles
+    );
+    let build = |c: &SystemConfig| baseline_fabric(c, name, n, seed).0;
+    let eq = assert_fabric_matches_per_cycle(cfg, &ctx, plan, (y_base, n), &build);
     let s = eq.sched_stats();
     let ts = eq.tile_sched_stats()[0];
-    assert_eq!(ts.pops, ts.stepped_cycles, "{ctx}: one pop per stepped cycle");
     assert_eq!(ts.stepped_cycles, s.stepped_cycles, "{ctx}: stepped cycles");
     assert_eq!((ts.parks, ts.skipped_cycles), (s.skip_spans, s.skipped_cycles), "{ctx}: parks");
     assert_eq!(s.stepped_cycles + s.skipped_cycles, eq.cycle(), "{ctx}: the books span the run");
@@ -1147,9 +1194,12 @@ fn assert_parks_inert(cfg: &SystemConfig, name: &str, n: usize, seed: u64, parks
 }
 
 /// Each software baseline — scalar and vector SpMV, the SpMSpV merge, the
-/// CSC scatter and the dense matvec — on flat memory, 300 ns DRAM and an
-/// L1D over slow SRAM, traced and untraced, runs bit-identically to the
-/// per-cycle oracle in the core-alone loop. Tracing does not move the
+/// CSC scatter and the dense matvec — on flat memory with one- and
+/// four-cycle words (each beat due the cycle after the last, or parked
+/// inside its access), 300 ns DRAM and an L1D over slow SRAM, and the
+/// vector baseline also at VL 1 and 4, traced and untraced, runs
+/// bit-identically to the per-cycle oracle in the core-alone loop,
+/// registers and instruction trace included. Tracing does not move the
 /// scheduler's books; when traced, the clock skips exactly where the
 /// tile parks, and every park is inert in the oracle.
 #[test]
@@ -1160,25 +1210,37 @@ fn core_alone_baselines_match_the_per_cycle_oracle() {
     let flat = SystemConfig::paper_default();
     let memories = [
         ("flat", flat),
+        ("flat_word4", flat.with_ram_word_cycles(4)),
         ("slow_300ns", flat.with_dram(DramConfig::slow_300ns())),
         ("l1d", flat.with_ram_word_cycles(4).with_l1d(CacheGeometry::embedded_4k())),
     ];
     for name in BASELINES {
-        for (mem, base) in memories {
-            let mut books = Vec::new();
-            for traced in [false, true] {
-                let cfg = if traced { base.with_trace(TraceConfig::enabled()) } else { base };
-                let mut eq = assert_core_alone_matches_per_cycle(&cfg, name, n, seed, None);
-                books.push((eq.sched_stats(), eq.tile_sched_stats().to_vec()));
-                if traced {
-                    let skips = eq.take_skip_spans();
-                    let parks = eq.take_park_spans();
-                    assert!(!skips.is_empty(), "{name} on {mem}: the run never parked");
-                    assert_eq!(skips, parks[0], "{name} on {mem}: skips and parks differ");
-                    assert_parks_inert(&cfg, name, n, seed, &skips);
+        let vlens: &[usize] = if name == "spmv_vector" { &[1, 4, 8] } else { &[8] };
+        for &(mem, memory) in &memories {
+            for &vlen in vlens {
+                let base = memory.with_vlen(vlen);
+                let mut books = Vec::new();
+                for traced in [false, true] {
+                    let cfg = if traced {
+                        base.with_trace(TraceConfig::enabled().with_instr_trace())
+                    } else {
+                        base
+                    };
+                    let mut eq = assert_core_alone_matches_per_cycle(&cfg, name, n, seed, None);
+                    books.push((eq.sched_stats(), eq.tile_sched_stats().to_vec()));
+                    if traced {
+                        let skips = eq.take_skip_spans();
+                        let parks = eq.take_park_spans();
+                        assert!(!skips.is_empty(), "{name} on {mem}: the run never parked");
+                        assert_eq!(skips, parks[0], "{name} on {mem}: skips and parks differ");
+                        assert_parks_inert(&cfg, name, n, seed, &skips);
+                    }
                 }
+                assert_eq!(
+                    books[0], books[1],
+                    "{name} on {mem} at VL {vlen}: tracing moved the books"
+                );
             }
-            assert_eq!(books[0], books[1], "{name} on {mem}: tracing moved the books");
         }
     }
 }
@@ -1319,4 +1381,178 @@ fn core_alone_books_match_the_stepped_solo_run() {
         })
         .collect();
     assert_eq!(got, pinned);
+}
+
+/// The issue cycle and the next instruction's issue cycle of the first
+/// instruction `pick` accepts at or after the middle of the per-cycle run
+/// of baseline `name` under `cfg`: the cycles its access spans.
+fn access_span(
+    cfg: &SystemConfig,
+    name: &str,
+    n: usize,
+    seed: u64,
+    pick: fn(&hht::isa::Instr) -> bool,
+) -> (u64, u64) {
+    let traced = cfg.with_trace(TraceConfig::disabled().with_instr_trace()).with_cycle_skip(false);
+    let (mut probe, _) = baseline_fabric(&traced, name, n, seed);
+    let full = probe.run().expect("clean baseline run").cycles;
+    let trace = probe.core(0).trace();
+    let at = trace
+        .iter()
+        .position(|e| e.cycle >= full / 2 && pick(&e.instr))
+        .unwrap_or_else(|| panic!("{name}: no such instruction in the second half"));
+    (trace[at].cycle, trace[at + 1].cycle)
+}
+
+/// The watchdog limit and a pending fault each bound the core-alone
+/// loop's horizon. Landing on every cycle of one access — between a
+/// scalar load's issue and its beat, and between the beats of a vector
+/// load and of a gather — the loop must hand the access back exactly
+/// where the stepped loop stops, as a pending memory op that continues
+/// the same beats. The fault plan also flips the low bit of every column
+/// index, matrix value and operand word at that cycle, so a beat read on
+/// the wrong side of the horizon changes the run.
+#[test]
+fn horizons_inside_an_access_match_per_cycle() {
+    use hht::fault::{FaultEvent, FaultKind, FaultPlan};
+    use hht::isa::Instr;
+    let (n, seed) = (24, 0xACC5);
+    let scalar_load: fn(&Instr) -> bool = |i| matches!(i, Instr::Lw { .. } | Instr::Flw { .. });
+    let unit_load: fn(&Instr) -> bool = |i| matches!(i, Instr::Vle32 { .. });
+    let gather: fn(&Instr) -> bool = |i| matches!(i, Instr::Vluxei32 { .. });
+    let cases = [
+        ("spmspv_merge", scalar_load),
+        ("spmv_scalar", scalar_load),
+        ("spmv_vector", unit_load),
+        ("spmv_vector", gather),
+    ];
+    for (name, pick) in cases {
+        for word_cycles in [1, 4] {
+            let base = SystemConfig::paper_default()
+                .with_ram_word_cycles(word_cycles)
+                .with_trace(TraceConfig::enabled().with_instr_trace());
+            let (issue, next) = access_span(&base, name, n, seed, pick);
+            assert!(next > issue + 1, "{name}: the access spans its issue and a beat");
+            // Every input word past the row offsets: column indices,
+            // values and the operand.
+            let l = baseline_fabric(&base, name, n, seed).1;
+            let flips: Vec<u32> = (l.cols_base..l.y_base).step_by(4).collect();
+            for at in issue + 1..=next {
+                let mut cfg = base;
+                cfg.core.max_cycles = at;
+                let eq = assert_core_alone_matches_per_cycle(&cfg, name, n, seed, None);
+                assert_eq!(eq.cycle(), at, "{name}: the watchdog stops the run at {at}");
+                let mut events = vec![FaultEvent::new(at, FaultKind::DropResponse)];
+                events.extend(
+                    flips
+                        .iter()
+                        .map(|&addr| FaultEvent::new(at, FaultKind::SramBitFlip { addr, bit: 0 })),
+                );
+                let plan = FaultPlan::new(events);
+                let mut eq = assert_core_alone_matches_per_cycle(&base, name, n, seed, Some(&plan));
+                assert!(
+                    eq.take_skip_spans().iter().all(|s| s.end <= at || s.start >= at),
+                    "{name}: a park crosses the fault at {at}"
+                );
+            }
+        }
+    }
+}
+
+/// The scheduler's books of a run: `(stepped, skipped, skip spans)`, then
+/// each tile's `(pops, stepped, skipped, parks)`.
+fn books(f: &hht::system::Fabric) -> ([u64; 3], Vec<[u64; 4]>) {
+    let s = f.sched_stats();
+    let tiles = f
+        .tile_sched_stats()
+        .iter()
+        .map(|t| [t.pops, t.stepped_cycles, t.skipped_cycles, t.parks])
+        .collect();
+    ([s.stepped_cycles, s.skipped_cycles, s.skip_spans], tiles)
+}
+
+/// Two tiles on a flat two-bank memory with eight-cycle words touch words
+/// of one bank: tile 0 a scalar read-modify-write loop, tile 1 an
+/// indexed gather plus a scalar load per iteration. While one tile is
+/// parked inside its access, the other runs alone, and its next beat
+/// finds the bank still held by the first: due on it the cycle after an
+/// issue, or refused after a park (the gather's issue stage and its
+/// beats each park). The core-alone loop must stop there so the
+/// scheduler bounds the port wait, exactly as the per-cycle oracle steps
+/// it, and tile 1 ends in a solo run once tile 0 halts. The books are
+/// pinned to the values the loop produced before it ran instructions
+/// whole: a loop that stepped a beat due on a held bank would still
+/// match the oracle, but book one more stepped cycle there.
+#[test]
+fn a_lone_core_meets_a_bank_held_by_another_tile() {
+    use hht::isa::asm::assemble;
+    use hht::mem::{ByteStore, SharedMemory};
+    use hht::system::{ArbPolicy, Fabric, FabricConfig};
+    // Every word below sits in bank 0 of two (an even 32-byte granule).
+    let (a, b, idx) = (0x1000u32, 0x2000u32, 0x3000u32);
+    let rmw = format!(
+        "li t0, 40\nli a0, {a}\nloop:\nlw a1, 0(a0)\naddi a1, a1, 1\nsw a1, 4(a0)\n\
+         addi t0, t0, -1\nbnez t0, loop\nebreak\n"
+    );
+    let gather = format!(
+        "li a0, 8\nvsetvli t0, a0, e32, m1\nli a1, {idx}\nvle32.v v1, (a1)\nli a2, {b}\n\
+         li t1, 30\nloop:\nvluxei32.v v2, (a2), v1\nlw a3, 0(a2)\nvfadd.vv v3, v3, v2\n\
+         addi t1, t1, -1\nbnez t1, loop\nvse32.v v3, (a2)\nebreak\n"
+    );
+    let build = |cfg: &SystemConfig| {
+        let fab = FabricConfig { tiles: 2, banks: 2, arb: ArbPolicy::RoundRobin };
+        let mut image = ByteStore::new(cfg.ram_size);
+        for i in 0..8 {
+            image.write_u32(idx + 4 * i, 4 * ((3 * i) % 8));
+            image.write_f32(b + 4 * i, i as f32 + 0.5);
+        }
+        let mem = SharedMemory::new(image, cfg.ram_word_cycles, 2, 2);
+        let programs = [&rmw, &gather].map(|src| assemble(src).expect("bank loop assembles"));
+        Fabric::new(cfg, fab, programs.to_vec(), mem)
+    };
+    let pinned = ([706, 2709, 486], vec![[290, 290, 1002, 198], [508, 508, 2907, 447]]);
+    for traced in [false, true] {
+        let mut cfg = SystemConfig::paper_default().with_ram_word_cycles(8);
+        if traced {
+            cfg = cfg.with_trace(TraceConfig::enabled().with_instr_trace());
+        }
+        let eq = assert_fabric_matches_per_cycle(&cfg, "bank loops", None, (b, 8), &build);
+        let stats = eq.stats();
+        assert!(stats.mem.cross_tile_conflicts > 0, "the tiles never met on a bank");
+        assert!(stats.tiles[0].cycles < stats.tiles[1].cycles, "tile 1 must finish alone");
+        assert_eq!(books(&eq), pinned, "traced={traced}");
+    }
+}
+
+/// A window read while no engine is loaded waits on a stream that will
+/// never fill: the core-alone loop issues the load, then stops with the
+/// read due, so the scheduler parks the wait at once (to the watchdog, or
+/// to each timeout of the recovery protocol) rather than stepping it.
+/// Books pinned as above.
+#[test]
+fn a_window_read_with_no_engine_parks_at_once() {
+    use hht::accel::hht::window;
+    use hht::isa::asm::assemble;
+    use hht::mem::{map, ByteStore, SharedMemory};
+    use hht::system::{Fabric, FabricConfig};
+    let src = format!(
+        "li t0, 20\nwarm:\naddi t0, t0, -1\nbnez t0, warm\nli a6, {buf}\nflw ft0, 0(a6)\n\
+         ebreak\n",
+        buf = map::HHT_BUF_BASE + window::PRIMARY
+    );
+    let build = |cfg: &SystemConfig| {
+        let program = assemble(&src).expect("window read assembles");
+        let mem = SharedMemory::new(ByteStore::new(cfg.ram_size), cfg.ram_word_cycles, 1, 1);
+        Fabric::new(cfg, FabricConfig::single(), vec![program], mem)
+    };
+    let pinned =
+        [([43, 557, 20], vec![[43, 43, 557, 20]]), ([50, 393, 26], vec![[50, 50, 393, 26]])];
+    for (timeout, pinned) in [0, 40].into_iter().zip(pinned) {
+        let mut cfg = SystemConfig::paper_default().with_trace(TraceConfig::enabled());
+        cfg.core.max_cycles = 600;
+        cfg.core.hht_timeout = timeout;
+        let ctx = format!("hht_timeout={timeout}");
+        let eq = assert_fabric_matches_per_cycle(&cfg, &ctx, None, (0, 1), &build);
+        assert_eq!(books(&eq), pinned, "{ctx}");
+    }
 }
