@@ -28,31 +28,33 @@ pub fn spmv(m: &CsrMatrix, v: &DenseVector) -> Result<DenseVector> {
 
 /// SpMSpV: `y = M * x` with sparse `x`, dense result.
 ///
-/// Row-wise merge-intersection of each CSR row's column indices with the
+/// Row-wise intersection of each CSR row's column indices with the
 /// vector's non-zero indices — the index-matching work that variant-1 of the
-/// HHT performs in hardware (§5.1).
+/// HHT performs in hardware (§5.1). A position map of `x` (`slot[c]` is one
+/// plus the position of column `c` among its non-zeros, 0 where `x` is
+/// structurally zero) finds each row's matches in one pass over the row.
+/// Both index lists are sorted, so the matches come in the order a
+/// two-pointer merge finds them: the same products, summed in the same
+/// order, in time linear in `nnz(M) + nnz(x)`.
 pub fn spmspv(m: &CsrMatrix, x: &SparseVector) -> Result<DenseVector> {
     if x.len() != m.cols() {
         return Err(SparseError::DimensionMismatch {
             what: format!("matrix has {} cols, sparse vector has {}", m.cols(), x.len()),
         });
     }
-    let xi = x.indices();
+    let mut slot = vec![0u32; x.len()];
+    for (k, &c) in x.indices().iter().enumerate() {
+        slot[c as usize] = k as u32 + 1;
+    }
     let xv = x.values();
     let mut y = DenseVector::zeros(m.rows());
     for i in 0..m.rows() {
         let (cols, vals) = m.row(i);
         let mut s = 0.0f32;
-        let (mut a, mut b) = (0usize, 0usize);
-        while a < cols.len() && b < xi.len() {
-            match cols[a].cmp(&xi[b]) {
-                std::cmp::Ordering::Less => a += 1,
-                std::cmp::Ordering::Greater => b += 1,
-                std::cmp::Ordering::Equal => {
-                    s += vals[a] * xv[b];
-                    a += 1;
-                    b += 1;
-                }
+        for (c, a) in cols.iter().zip(vals) {
+            let k = slot[*c as usize];
+            if k != 0 {
+                s += a * xv[k as usize - 1];
             }
         }
         y[i] = s;
@@ -213,6 +215,62 @@ mod tests {
         let y2 = spmv(&m, &x.to_dense()).unwrap();
         assert_eq!(y1, y2);
         assert_eq!(y1.as_slice(), &[8.0, -3.0, 2.0]);
+    }
+
+    /// The two-pointer row merge `spmspv` used to be: the reference its
+    /// position-map walk must match bit for bit.
+    fn spmspv_merge(m: &CsrMatrix, x: &SparseVector) -> Vec<u32> {
+        let (xi, xv) = (x.indices(), x.values());
+        (0..m.rows())
+            .map(|i| {
+                let (cols, vals) = m.row(i);
+                let mut s = 0.0f32;
+                let (mut a, mut b) = (0usize, 0usize);
+                while a < cols.len() && b < xi.len() {
+                    match cols[a].cmp(&xi[b]) {
+                        std::cmp::Ordering::Less => a += 1,
+                        std::cmp::Ordering::Greater => b += 1,
+                        std::cmp::Ordering::Equal => {
+                            s += vals[a] * xv[b];
+                            a += 1;
+                            b += 1;
+                        }
+                    }
+                }
+                s.to_bits()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn spmspv_matches_the_row_merge() {
+        use crate::generate::{random_csr, random_dense_vector, random_sparse_vector};
+        let bits = |y: DenseVector| y.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut cases = Vec::new();
+        for (rows, cols) in [(1, 1), (7, 3), (3, 9), (64, 64), (40, 100), (100, 40)] {
+            for m_sparsity in [0.0, 0.5, 0.9, 0.99, 1.0] {
+                for seed in 0..4u64 {
+                    let m = random_csr(rows, cols, m_sparsity, seed);
+                    for x_sparsity in [0.0, 0.3, 0.9, 1.0] {
+                        cases.push((m.clone(), random_sparse_vector(cols, x_sparsity, seed ^ 7)));
+                    }
+                    cases.push((m.clone(), SparseVector::zeros(cols)));
+                    let full = SparseVector::from_dense(&random_dense_vector(cols, seed ^ 9));
+                    assert_eq!(full.nnz(), cols, "a full x");
+                    cases.push((m, full));
+                }
+            }
+        }
+        // An empty row between full ones, against every subset of a width-3 x.
+        let m = CsrMatrix::from_triplets(3, 3, &[(0, 0, 1.5), (0, 2, -2.0), (2, 1, 0.25)]).unwrap();
+        for mask in 0..8usize {
+            let pairs: Vec<_> =
+                (0..3).filter(|c| mask >> c & 1 == 1).map(|c| (c, c as f32 - 0.75)).collect();
+            cases.push((m.clone(), SparseVector::from_pairs(3, &pairs).unwrap()));
+        }
+        for (m, x) in &cases {
+            assert_eq!(bits(spmspv(m, x).unwrap()), spmspv_merge(m, x), "{m:?} x {x:?}");
+        }
     }
 
     #[test]

@@ -892,8 +892,9 @@ impl Fabric {
     /// - a *solo run* ([`Self::run_solo`]) only drops bookkeeping that is
     ///   provably a no-op while one tile is due: it stops at the heap's
     ///   earliest wake, the next pending fault event and the watchdog
-    ///   limit, and steps and re-plans through the same
-    ///   [`Self::step_tiles`] and [`Self::replan_tile`] as the general loop.
+    ///   limit, steps the core before the HHT as [`Self::step_tiles`]
+    ///   does, and parks through the same [`Self::park`] as
+    ///   [`Self::replan_tile`].
     fn run_event_queue(&mut self) -> Result<FabricStats, FabricError> {
         let n = self.tiles.len();
         // One entry per live tile, always: a tile leaves the queue only by
@@ -932,8 +933,15 @@ impl Fabric {
                 heap.pop();
                 due.push(t);
             }
+            // Arbiter order: tiles from `start` up, then those below it,
+            // i.e. by `(t + n - start) % n`, which the wrapping difference
+            // orders the same without a division. Tile ids are distinct,
+            // so a set already in that order needs no sort.
             let start = self.arb_start();
-            due.sort_unstable_by_key(|&t| (t + n - start) % n);
+            let arb_rank = |&t: &usize| t.wrapping_sub(start);
+            if !due.is_sorted_by_key(arb_rank) {
+                due.sort_unstable_by_key(arb_rank);
+            }
             self.step_tiles(&due);
             if !prehalted.is_empty() {
                 for t in prehalted.drain(..) {
@@ -1001,36 +1009,51 @@ impl Fabric {
         fault_at: Option<u64>,
         heap: &mut BinaryHeap<Reverse<(u64, usize)>>,
     ) -> bool {
-        let now = self.cycle;
-        let Some((bound, plan)) = self.tile_bound(t, now) else {
-            return false;
-        };
-        let target = fault_at.map_or(bound, |f| bound.min(f)).min(self.max_cycles);
-        if target > now {
-            self.commit_park(t, now, target - now, &plan);
-            heap.push(Reverse((target, t)));
-            false
-        } else {
-            true
+        match self.park(t, fault_at) {
+            Some(wake) if wake > self.cycle => {
+                heap.push(Reverse((wake, t)));
+                false
+            }
+            Some(_) => true,
+            None => false,
         }
     }
 
-    /// Solo run: tile `t` is the only one due, so step it directly each
-    /// cycle, re-planning it after every step, until the horizon — the
-    /// heap's earliest wake, the next *pending* fault event (live or dead,
-    /// so [`Self::inject_due_faults`] still runs at exactly that cycle) or
-    /// the watchdog limit — hands it back still due (`true`), or until it
-    /// halts or parks to or past the horizon (`false`). Before the horizon
-    /// the general loop would find no other due tile, no fault to take and
-    /// nothing to sort, so this is that loop minus its no-op bookkeeping;
-    /// a park that wakes before the horizon is the same clock jump the
-    /// general loop would make, so it is taken here. `fault_at` stays
-    /// valid throughout: no event is taken and no other tile can halt
-    /// before the horizon.
+    /// Park stepped tile `t` from the current cycle to its bound, capped
+    /// by the watchdog limit and the next live fault (`fault_at`),
+    /// committing the span's charges eagerly. Returns the wake cycle — at
+    /// most the current one when the tile is due now and nothing was
+    /// parked — or `None` once the tile has halted.
+    fn park(&mut self, t: usize, fault_at: Option<u64>) -> Option<u64> {
+        let now = self.cycle;
+        let (bound, plan) = self.tile_bound(t, now)?;
+        let target = fault_at.map_or(bound, |f| bound.min(f)).min(self.max_cycles);
+        if target > now {
+            self.commit_park(t, now, target - now, &plan);
+        }
+        Some(target)
+    }
+
+    /// Solo run: tile `t` is the only one due, so it runs in one co-run
+    /// loop until the horizon — the heap's earliest wake, the next
+    /// *pending* fault event (live or dead, so [`Self::inject_due_faults`]
+    /// still runs at exactly that cycle) or the watchdog limit — hands it
+    /// back still due (`true`), or until it halts or parks to or past the
+    /// horizon (`false`; the park is pushed on the heap). Before the
+    /// horizon the general loop would find no other due tile, no fault to
+    /// take and nothing to sort, so each iteration is the general loop's
+    /// cycle minus that bookkeeping: step the core, then its HHT, latch
+    /// `done_at`, and park through the same [`Self::park`] as
+    /// [`Self::replan_tile`]. A park that wakes before the horizon is the
+    /// clock jump the general loop would make, so it is taken in place,
+    /// off the heap. `fault_at` stays valid
+    /// throughout: no event is taken and no other tile can halt before
+    /// the horizon. Stepped cycles (one pop each) are booked once, on
+    /// exit.
     ///
     /// While the tile's HHT has no live engine, the core runs alone
-    /// ([`Self::run_core_alone`]); the steps and re-plans below take over
-    /// only for what that loop hands back.
+    /// ([`Self::run_core_alone`]); the loop steps only what that hands
+    /// back.
     fn run_solo(
         &mut self,
         t: usize,
@@ -1044,27 +1067,41 @@ impl Fabric {
         if let Some(at) = self.fault_plan.as_ref().and_then(FaultPlan::next_cycle) {
             horizon = horizon.min(at);
         }
-        while self.cycle < horizon {
-            let stepped = !self.tiles[t].hht.engine_live() && self.run_core_alone(t, horizon);
-            if !stepped {
+        let mut stepped = 0;
+        let due = loop {
+            // With no live engine the core runs alone up to the horizon or
+            // a device beat, which the co-step below takes.
+            let replan = !self.tiles[t].hht.engine_live() && self.run_core_alone(t, horizon);
+            if !replan {
                 if self.cycle >= horizon {
-                    break;
+                    break true;
                 }
-                self.step_tiles(&[t]);
-            }
-            if !self.replan_tile(t, fault_at, heap) {
-                // `t` halted or parked; every other entry wakes at or
-                // after the horizon, so a head entry for `t` is its park.
-                match heap.peek() {
-                    Some(&Reverse((wake, u))) if u == t && wake < horizon => {
-                        heap.pop();
-                        self.skip_to(wake);
-                    }
-                    _ => return false,
+                let now = self.cycle;
+                let tile = &mut self.tiles[t];
+                let mut port = FabricPort::new(&mut self.mem, t);
+                tile.core.step(now, &mut port, &mut tile.hht);
+                tile.hht.step(now, &mut port);
+                self.cycle = now + 1;
+                stepped += 1;
+                if tile.done_at.is_none() && tile.core.halted() {
+                    tile.done_at = Some(self.cycle);
                 }
             }
-        }
-        true
+            match self.park(t, fault_at) {
+                Some(wake) if wake <= self.cycle => {}
+                Some(wake) if wake < horizon => self.skip_to(wake),
+                Some(wake) => {
+                    heap.push(Reverse((wake, t)));
+                    break false;
+                }
+                None => break false,
+            }
+        };
+        let ts = &mut self.tile_sched[t];
+        ts.pops += stepped;
+        ts.stepped_cycles += stepped;
+        self.sched.stepped_cycles += stepped;
+        due
     }
 
     /// Solo core run: tile `t` is due and alone before `horizon`, and its
@@ -1075,10 +1112,9 @@ impl Fabric {
     /// [`Self::skip_to`] would have: every stepped cycle is one pop, and
     /// every jumped busy span one park and one skip span. The loop ends
     /// before any device beat (a store that starts an engine, a window
-    /// read): that cycle goes through [`Self::step_tiles`], which steps
-    /// the HHT in the same cycle. Returns `true` when its last stepped
-    /// cycle still needs [`Self::replan_tile`]; otherwise the tile is due
-    /// now.
+    /// read): [`Self::run_solo`] steps that cycle, the HHT in the same
+    /// cycle. Returns `true` when its last stepped cycle still needs its
+    /// bound re-derived; otherwise the tile is due now.
     fn run_core_alone(&mut self, t: usize, horizon: u64) -> bool {
         let tile = &mut self.tiles[t];
         let mut port = FabricPort::new(&mut self.mem, t);

@@ -1140,25 +1140,45 @@ fn assert_fabric_matches_per_cycle(
     eq
 }
 
-/// Run baseline `name` under both schedulers, with `plan` installed on
-/// each, and require bit-identical outcomes
+/// A one-tile fabric loaded with baseline or HHT kernel `name`
+/// ([`baseline_fabric`], [`hht_fabric`]).
+fn solo_fabric(
+    cfg: &SystemConfig,
+    name: &str,
+    n: usize,
+    seed: u64,
+) -> (hht::system::Fabric, hht::system::layout::ProblemLayout) {
+    if HHT_KERNELS.contains(&name) {
+        hht_fabric(cfg, name, n, seed)
+    } else {
+        baseline_fabric(cfg, name, n, seed)
+    }
+}
+
+/// Run baseline or HHT kernel `name` on one tile under both schedulers,
+/// with `plan` installed on each, and require bit-identical outcomes
 /// ([`assert_fabric_matches_per_cycle`]). On one tile the books are the
 /// run's: the tile's stepped cycles are the run's, every park is one
 /// clock skip, and stepped plus parked cycles span the run. Returns the
 /// event-queue fabric.
-fn assert_core_alone_matches_per_cycle(
+fn assert_solo_matches_per_cycle(
     cfg: &SystemConfig,
     name: &str,
     n: usize,
     seed: u64,
     plan: Option<&hht::fault::FaultPlan>,
 ) -> hht::system::Fabric {
-    let y_base = baseline_fabric(cfg, name, n, seed).1.y_base;
+    let y_base = solo_fabric(cfg, name, n, seed).1.y_base;
     let ctx = format!(
-        "{name} n={n} vlen={} word_cycles={} max_cycles={}",
-        cfg.core.vlen, cfg.ram_word_cycles, cfg.core.max_cycles
+        "{name} n={n} vlen={} word_cycles={} dram={} max_cycles={} timeout={} traced={}",
+        cfg.core.vlen,
+        cfg.ram_word_cycles,
+        cfg.dram.is_some(),
+        cfg.core.max_cycles,
+        cfg.core.hht_timeout,
+        cfg.trace.events
     );
-    let build = |c: &SystemConfig| baseline_fabric(c, name, n, seed).0;
+    let build = |c: &SystemConfig| solo_fabric(c, name, n, seed).0;
     let eq = assert_fabric_matches_per_cycle(cfg, &ctx, plan, (y_base, n), &build);
     let s = eq.sched_stats();
     let ts = eq.tile_sched_stats()[0];
@@ -1168,16 +1188,28 @@ fn assert_core_alone_matches_per_cycle(
     eq
 }
 
-/// Every park of a one-tile baseline run is architecturally inert:
-/// stepping the same image under the per-cycle oracle, the tile's
-/// discrete counters are the same at each span's end as at its start.
+/// Every park of a one-tile run is architecturally inert: stepping the
+/// same image under the per-cycle oracle, the tile's discrete counters
+/// (its core's, and its HHT's deliveries and memory reads) are the same
+/// at each span's end as at its start.
 fn assert_parks_inert(cfg: &SystemConfig, name: &str, n: usize, seed: u64, parks: &[SkipSpan]) {
     use std::collections::BTreeMap;
     let sig = |f: &hht::system::Fabric| {
-        let c = f.stats().tiles[0].core;
-        [c.instructions, c.loads, c.stores, c.vector_instrs, c.mem_beats, c.l1d_hits, c.l1d_misses]
+        let s = &f.stats().tiles[0];
+        let (c, h) = (s.core, s.hht);
+        [
+            c.instructions,
+            c.loads,
+            c.stores,
+            c.vector_instrs,
+            c.mem_beats,
+            c.l1d_hits,
+            c.l1d_misses,
+            h.elements_delivered,
+            h.engine.mem_reads,
+        ]
     };
-    let (mut oracle, _) = baseline_fabric(&cfg.with_cycle_skip(false), name, n, seed);
+    let (mut oracle, _) = solo_fabric(&cfg.with_cycle_skip(false), name, n, seed);
     let mut at = BTreeMap::new();
     let end = parks.last().map_or(0, |s| s.end);
     while oracle.cycle() <= end {
@@ -1226,7 +1258,7 @@ fn core_alone_baselines_match_the_per_cycle_oracle() {
                     } else {
                         base
                     };
-                    let mut eq = assert_core_alone_matches_per_cycle(&cfg, name, n, seed, None);
+                    let mut eq = assert_solo_matches_per_cycle(&cfg, name, n, seed, None);
                     books.push((eq.sched_stats(), eq.tile_sched_stats().to_vec()));
                     if traced {
                         let skips = eq.take_skip_spans();
@@ -1338,7 +1370,7 @@ fn faults_and_the_watchdog_inside_a_core_alone_run_match_per_cycle() {
             FaultEvent::new(full / 3, FaultKind::SramBitFlip { addr: last_value, bit: 30 }),
             FaultEvent::new(full / 2, FaultKind::DropResponse),
         ]);
-        let mut eq = assert_core_alone_matches_per_cycle(&traced, name, n, seed, Some(&plan));
+        let mut eq = assert_solo_matches_per_cycle(&traced, name, n, seed, Some(&plan));
         let faults = eq.stats().tiles[0].faults;
         assert_eq!((faults.injected, faults.dropped), (1, 0), "{name}: the flip alone applies");
         let flipped = eq.mem().read_u32s(last_value, 1)[0];
@@ -1347,7 +1379,7 @@ fn faults_and_the_watchdog_inside_a_core_alone_run_match_per_cycle() {
         for limit in [full / 2, full / 2 + 1, full - 3] {
             let mut cfg = traced;
             cfg.core.max_cycles = limit;
-            let eq = assert_core_alone_matches_per_cycle(&cfg, name, n, seed, None);
+            let eq = assert_solo_matches_per_cycle(&cfg, name, n, seed, None);
             assert_eq!(eq.cycle(), limit, "{name}: the watchdog stops the run at its limit");
         }
     }
@@ -1440,7 +1472,7 @@ fn horizons_inside_an_access_match_per_cycle() {
             for at in issue + 1..=next {
                 let mut cfg = base;
                 cfg.core.max_cycles = at;
-                let eq = assert_core_alone_matches_per_cycle(&cfg, name, n, seed, None);
+                let eq = assert_solo_matches_per_cycle(&cfg, name, n, seed, None);
                 assert_eq!(eq.cycle(), at, "{name}: the watchdog stops the run at {at}");
                 let mut events = vec![FaultEvent::new(at, FaultKind::DropResponse)];
                 events.extend(
@@ -1449,7 +1481,7 @@ fn horizons_inside_an_access_match_per_cycle() {
                         .map(|&addr| FaultEvent::new(at, FaultKind::SramBitFlip { addr, bit: 0 })),
                 );
                 let plan = FaultPlan::new(events);
-                let mut eq = assert_core_alone_matches_per_cycle(&base, name, n, seed, Some(&plan));
+                let mut eq = assert_solo_matches_per_cycle(&base, name, n, seed, Some(&plan));
                 assert!(
                     eq.take_skip_spans().iter().all(|s| s.end <= at || s.start >= at),
                     "{name}: a park crosses the fault at {at}"
@@ -1554,5 +1586,245 @@ fn a_window_read_with_no_engine_parks_at_once() {
         let ctx = format!("hht_timeout={timeout}");
         let eq = assert_fabric_matches_per_cycle(&cfg, &ctx, None, (0, 1), &build);
         assert_eq!(books(&eq), pinned, "{ctx}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Solo co-runs: a solo tile whose HHT engine is live
+// ---------------------------------------------------------------------------
+
+/// The HHT kernels. Each one-tile run under the event queue is one solo
+/// run from start to halt: the core alone until it starts the engine,
+/// core and engine stepped together while the engine is live.
+const HHT_KERNELS: [&str; 3] = ["spmv", "spmspv_v1", "spmspv_v2"];
+
+/// A one-tile fabric loaded with HHT kernel `name` on an `n`-square
+/// problem at 80% sparsity, plus the problem's layout.
+fn hht_fabric(
+    cfg: &SystemConfig,
+    name: &str,
+    n: usize,
+    seed: u64,
+) -> (hht::system::Fabric, hht::system::layout::ProblemLayout) {
+    use hht::mem::{ByteStore, SharedMemory};
+    use hht::system::{kernels, layout, Fabric, FabricConfig};
+    let m = generate::random_csr(n, n, 0.8, seed);
+    let mut image = ByteStore::new(cfg.ram_size);
+    let (l, program) = if name == "spmv" {
+        let v = generate::random_dense_vector(n, seed ^ 1);
+        let l = layout::layout_spmv(&mut image, &m, &v);
+        (l, kernels::spmv_hht(&l, cfg.core.vlen > 1))
+    } else {
+        let x = generate::random_sparse_vector(n, 0.8, seed ^ 2);
+        let l = layout::layout_spmspv(&mut image, &m, &x);
+        let program = if name == "spmspv_v1" {
+            kernels::spmspv_hht_v1(&l)
+        } else {
+            kernels::spmspv_hht_v2(&l)
+        };
+        (l, program)
+    };
+    let mem = SharedMemory::new(image, cfg.ram_word_cycles, 1, 1);
+    (Fabric::new(cfg, FabricConfig::single(), vec![program], mem), l)
+}
+
+/// The scheduler's books for one small fixed matrix per HHT kernel,
+/// pinned to the values the solo run produced when it stepped and
+/// re-planned the tile through the general loop's per-cycle helpers:
+/// `(stepped, skipped, skip spans)` then the tile's `(pops, stepped,
+/// skipped, parks)`.
+#[test]
+fn hht_solo_books_match_the_stepped_solo_run() {
+    let pinned: [(&str, u64, [u64; 3], [u64; 4]); 6] = [
+        ("spmv", 1, [1478, 220, 143], [1478, 1478, 220, 143]),
+        ("spmv", 4, [1519, 1278, 535], [1519, 1519, 1278, 535]),
+        ("spmspv_v1", 1, [1084, 67, 39], [1084, 1084, 67, 39]),
+        ("spmspv_v1", 4, [1406, 996, 421], [1406, 1406, 996, 421]),
+        ("spmspv_v2", 1, [1572, 124, 77], [1572, 1572, 124, 77]),
+        ("spmspv_v2", 4, [1662, 1515, 588], [1662, 1662, 1515, 588]),
+    ];
+    let got: Vec<_> = HHT_KERNELS
+        .iter()
+        .flat_map(|&name| [1, 4].map(|word_cycles| (name, word_cycles)))
+        .map(|(name, word_cycles)| {
+            let cfg = SystemConfig::paper_default().with_ram_word_cycles(word_cycles);
+            let (mut eq, _) = hht_fabric(&cfg, name, 32, 0xB00C);
+            eq.run().expect("HHT run");
+            let s = eq.sched_stats();
+            let t = eq.tile_sched_stats()[0];
+            (
+                name,
+                word_cycles,
+                [s.stepped_cycles, s.skipped_cycles, s.skip_spans],
+                [t.pops, t.stepped_cycles, t.skipped_cycles, t.parks],
+            )
+        })
+        .collect();
+    assert_eq!(got, pinned);
+}
+
+/// Each HHT kernel — SpMV, SpMSpV variant 1 and variant 2 — on one tile,
+/// on flat memory with one- and four-cycle words and on 300 ns DRAM,
+/// traced and untraced, clean, with an engine stall, and with a dropped
+/// response that the core's window-read timeout must catch, runs
+/// bit-identically to the per-cycle oracle in the solo co-run loop:
+/// result, stats, events, registers, instruction trace and per-tile
+/// books. Tracing does not move the books; when traced, the clock skips
+/// exactly where the tile parks, and every park is inert in the oracle.
+#[test]
+fn hht_solo_co_runs_match_the_per_cycle_oracle() {
+    use hht::fault::{FaultEvent, FaultKind, FaultPlan};
+    use hht::mem::DramConfig;
+    use hht::obs::{EventKind, Track};
+    let (n, seed) = (24, 0xC0DE);
+    let flat = SystemConfig::paper_default();
+    let memories = [
+        ("flat", flat),
+        ("flat_word4", flat.with_ram_word_cycles(4)),
+        ("slow_300ns", flat.with_dram(DramConfig::slow_300ns())),
+    ];
+    for name in HHT_KERNELS {
+        for &(mem, memory) in &memories {
+            let traced = memory.with_trace(TraceConfig::enabled()).with_cycle_skip(false);
+            let (mut probe, _) = hht_fabric(&traced, name, n, seed);
+            let full = probe.run().expect("clean HHT run").cycles;
+            // The drop lands the cycle after the engine leaves an element
+            // in the primary stream, in the second half of the run.
+            let drop_at = probe.take_all_events()[0]
+                .iter()
+                .find(|e| {
+                    e.cycle >= full / 2
+                        && e.track == Track::BufferPrimary
+                        && matches!(e.kind, EventKind::BufferLevel { level } if level > 0)
+                })
+                .map(|e| e.cycle + 1)
+                .unwrap_or_else(|| panic!("{name} on {mem}: the primary stream never fills"));
+            let mut base = memory;
+            base.core.max_cycles = 3 * full;
+            // A window-read timeout long enough never to fire before the
+            // drop, so the dropped element is what it catches.
+            let mut timed = base;
+            timed.core.hht_timeout = full / 4;
+            let stall = FaultPlan::new(vec![FaultEvent::new(
+                full / 3,
+                FaultKind::EngineStall { cycles: 40 },
+            )]);
+            let drop = FaultPlan::new(vec![FaultEvent::new(drop_at, FaultKind::DropResponse)]);
+            for (what, cfg, plan) in
+                [("clean", base, None), ("stall", base, Some(&stall)), ("drop", timed, Some(&drop))]
+            {
+                let mut books = Vec::new();
+                for traced in [false, true] {
+                    let cfg = if traced {
+                        cfg.with_trace(TraceConfig::enabled().with_instr_trace())
+                    } else {
+                        cfg
+                    };
+                    let mut eq = assert_solo_matches_per_cycle(&cfg, name, n, seed, plan);
+                    let faults = eq.stats().tiles[0].faults;
+                    assert_eq!(faults.injected, plan.is_some() as u64, "{name} on {mem}, {what}");
+                    let timeouts = eq.stats().tiles[0].core.hht_timeouts;
+                    assert_eq!(timeouts > 0, what == "drop", "{name} on {mem}, {what}: timeouts");
+                    books.push((eq.sched_stats(), eq.tile_sched_stats().to_vec()));
+                    if traced {
+                        let skips = eq.take_skip_spans();
+                        let parks = eq.take_park_spans();
+                        assert!(!skips.is_empty(), "{name} on {mem}, {what}: the run never parked");
+                        assert_eq!(
+                            skips, parks[0],
+                            "{name} on {mem}, {what}: skips and parks differ"
+                        );
+                        if plan.is_none() {
+                            assert_parks_inert(&cfg, name, n, seed, &skips);
+                        }
+                    }
+                }
+                assert_eq!(books[0], books[1], "{name} on {mem}, {what}: tracing moved the books");
+            }
+        }
+    }
+}
+
+/// A watchdog limit that lands inside the solo co-run — on each of
+/// several consecutive stepped cycles mid-run, and one cycle into a park
+/// that would otherwise be jumped in place — stops both schedulers at
+/// exactly that cycle with the same state and books that span the run.
+#[test]
+fn a_watchdog_inside_a_solo_co_run_matches_per_cycle() {
+    let (n, seed) = (24, 0xD0C);
+    for name in HHT_KERNELS {
+        for word_cycles in [1, 4] {
+            let base = SystemConfig::paper_default().with_ram_word_cycles(word_cycles);
+            let traced = base.with_trace(TraceConfig::enabled());
+            let mut probe = assert_solo_matches_per_cycle(&traced, name, n, seed, None);
+            let full = probe.cycle();
+            let skips = probe.take_skip_spans();
+            let park = skips
+                .iter()
+                .find(|s| s.start >= full / 2 && s.end - s.start >= 2)
+                .unwrap_or_else(|| panic!("{name}: no multi-cycle park in the second half"));
+            let limits = (full / 2..full / 2 + 8).chain([park.start + 1, full - 1]);
+            for limit in limits {
+                let mut cfg = base;
+                cfg.core.max_cycles = limit;
+                let eq = assert_solo_matches_per_cycle(&cfg, name, n, seed, None);
+                assert_eq!(eq.cycle(), limit, "{name}: the watchdog stops the run at {limit}");
+            }
+        }
+    }
+}
+
+/// Tile 0 starts an HHT SpMV gather and halts with the engine still
+/// live; tile 1 runs a load loop over eight-cycle words, parked inside
+/// each access, so tile 0 takes its last cycles in a solo co-run and
+/// halts there while tile 1 runs on. Tile 0's cycle count must freeze at
+/// its own halt, exactly as in the per-cycle oracle.
+#[test]
+fn a_tile_halting_with_its_engine_live_keeps_its_own_cycle_count() {
+    use hht::accel::mmr::reg;
+    use hht::accel::Mode;
+    use hht::isa::asm::assemble;
+    use hht::mem::{map, ByteStore, SharedMemory};
+    use hht::system::{layout, ArbPolicy, Fabric, FabricConfig};
+    let n = 24;
+    let m = generate::random_csr(n, n, 0.7, 0x4A17);
+    let v = generate::random_dense_vector(n, 0x4A18);
+    let build = |cfg: &SystemConfig| {
+        let mut image = ByteStore::new(cfg.ram_size);
+        let l = layout::layout_spmv(&mut image, &m, &v);
+        let mut start = format!("li t6, {}\n", map::HHT_MMR_BASE);
+        for (off, value) in [
+            (reg::M_NUM_ROWS, l.num_rows),
+            (reg::M_ROWS_BASE, l.rows_base),
+            (reg::M_COLS_BASE, l.cols_base),
+            (reg::M_VALS_BASE, l.vals_base),
+            (reg::V_BASE, l.v_base),
+            (reg::M_NNZ, l.m_nnz),
+            (reg::ELEMENT_SIZES, (l.num_cols << 16) | 4),
+            (reg::MODE, Mode::SpMV as u32),
+            (reg::START, 1),
+        ] {
+            start.push_str(&format!("li t5, {value}\nsw t5, {off}(t6)\n"));
+        }
+        start.push_str("ebreak\n");
+        let loads = format!(
+            "li t0, 60\nli a0, {vals}\nloop:\nlw a1, 0(a0)\naddi a0, a0, 4\naddi t0, t0, -1\n\
+             bnez t0, loop\nebreak\n",
+            vals = l.vals_base
+        );
+        let programs = [&start, &loads].map(|src| assemble(src).expect("program assembles"));
+        let fab = FabricConfig { tiles: 2, banks: 1, arb: ArbPolicy::RoundRobin };
+        let mem = SharedMemory::new(image, cfg.ram_word_cycles, 1, 2);
+        Fabric::new(cfg, fab, programs.to_vec(), mem)
+    };
+    for traced in [false, true] {
+        let mut cfg = SystemConfig::paper_default().with_ram_word_cycles(8);
+        if traced {
+            cfg = cfg.with_trace(TraceConfig::enabled());
+        }
+        let eq = assert_fabric_matches_per_cycle(&cfg, "live halt", None, (0, 1), &build);
+        let stats = eq.stats();
+        assert!(stats.tiles[0].cycles < stats.tiles[1].cycles, "tile 0 must halt first");
+        assert!(stats.tiles[0].hht.busy_cycles > 0, "tile 0's engine never ran");
     }
 }
