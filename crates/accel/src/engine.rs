@@ -14,6 +14,18 @@
 //! several `v[cols[k]]` gathers in flight, so neither stream waits a row
 //! response per element.
 //!
+//! # One decision per step
+//!
+//! Each engine decides its next step in one pure function of its state
+//! and the output FIFO levels: issue a read (which operand, at which
+//! address), make an internal move (a comparison, a bitmap scan, a header
+//! push), or record the output-full throttle. `step` lands any due
+//! response and then applies that decision. [`Engine::next_step`] reports
+//! the same decision to the cycle-skipping scheduler as a [`NextStep`];
+//! the wake hint ([`NextStep::wake`]) and the charges of a skipped inert
+//! span ([`NextStep::charge_inert`]) are derived from it in one place, so
+//! no engine states its schedule a second time.
+//!
 //! # The chunked count protocol
 //!
 //! Modes that produce a *variable* number of elements per row (SpMSpV
@@ -77,7 +89,8 @@ pub struct Outputs<'a> {
     pub counts: &'a mut ElemFifo,
 }
 
-/// Read-only occupancy snapshot of the output FIFOs for [`Engine::wake`].
+/// Read-only occupancy snapshot of the output FIFOs: all an engine's
+/// decision reads of them.
 #[derive(Debug, Clone, Copy)]
 pub struct OutputLevels {
     /// Free slots in the vector-value stream.
@@ -88,8 +101,20 @@ pub struct OutputLevels {
     pub counts_free: usize,
 }
 
+impl OutputLevels {
+    /// The free slots of the three streams.
+    pub fn of(primary: &ElemFifo, secondary: &ElemFifo, counts: &ElemFifo) -> Self {
+        OutputLevels {
+            primary_free: primary.free(),
+            secondary_free: secondary.free(),
+            counts_free: counts.free(),
+        }
+    }
+}
+
 /// When an engine can next make progress — the hint consumed by the
-/// cycle-skipping scheduler (`hht-system`'s `System::run`).
+/// cycle-skipping scheduler (`hht-system`'s `Fabric`), derived from the
+/// engine's [`NextStep`] by [`NextStep::wake`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Wake {
     /// The engine's next state-changing `step` happens at this absolute
@@ -98,10 +123,10 @@ pub enum Wake {
     /// The next step issues a read of `addr` the moment the port grants it;
     /// while the port refuses, each stepped cycle before `landing` loses
     /// arbitration and performs exactly the per-cycle charges
-    /// [`Engine::replay_inert`] replays (at least one `port_conflicts`),
+    /// [`NextStep::charge_inert`] records (at least one `port_conflicts`),
     /// changing nothing else. The scheduler resolves this against the free
-    /// cycle of the bank serving `addr`, which the engine cannot see from
-    /// `wake`, and caps it at `landing`.
+    /// cycle of the bank serving `addr`, which the engine cannot see, and
+    /// caps it at `landing`.
     NeedsPort {
         /// Target address of the read the next step will issue.
         addr: u32,
@@ -118,9 +143,93 @@ pub enum Wake {
     Never,
 }
 
+/// What an engine's next step does when no in-flight response lands
+/// first, in the terms the scheduler needs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Action {
+    /// Issue a read of `addr`; a refused request records one
+    /// `port_conflicts`. `throttled`: the step records the output-full
+    /// throttle too (a [`GatherEngine`] with its output full still
+    /// prefetches column indices).
+    Issue {
+        /// Target address of the read.
+        addr: u32,
+        /// The step also records one `stall_out_full`.
+        throttled: bool,
+    },
+    /// Change state without the port: a comparison, a bitmap scan, a
+    /// header push — or, for the programmable engine, one helper-core
+    /// cycle.
+    Move,
+    /// Record one `stall_out_full` and nothing else. Reported only with
+    /// nothing in flight: a throttled engine waits on the CPU alone.
+    OutputFull,
+    /// Nothing before an in-flight response lands: the engine is at its
+    /// in-flight cap, or has nothing to issue.
+    Idle,
+}
+
+/// An engine's next step as the scheduler sees it: the step's own
+/// decision and the earliest in-flight landing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NextStep {
+    /// What the step does when no response lands first.
+    pub action: Action,
+    /// Earliest cycle an in-flight response lands; `None` when nothing is
+    /// in flight.
+    pub landing: Option<u64>,
+}
+
+impl NextStep {
+    /// The wake at cycle `now` of an engine that is not done: a response
+    /// due by `now` changes state now; an issue waits on the port (capped
+    /// at the landing), a full output on the CPU, an idle engine on its
+    /// landing; a move happens now.
+    pub fn wake(self, now: u64) -> Wake {
+        match self.action {
+            _ if self.landing.is_some_and(|at| at <= now) => Wake::At(now),
+            Action::Issue { addr, .. } => Wake::NeedsPort { addr, landing: self.landing },
+            Action::OutputFull => Wake::OutputBlocked,
+            Action::Move => Wake::At(now),
+            Action::Idle => Wake::At(self.landing.unwrap_or(now)),
+        }
+    }
+
+    /// Charge `stats` for `span` cycles from `now` that the scheduler
+    /// skips in this state: exactly `span` times what one `step` records.
+    /// A port wait loses arbitration every cycle (and records the throttle
+    /// when the step does), an output-blocked state records the throttle,
+    /// and a waiting state charges nothing (the scheduler never skips a
+    /// move). Returns the address of the refused read, so the port can
+    /// record the same losses.
+    pub fn charge_inert(self, now: u64, span: u64, stats: &mut EngineStats) -> Option<u32> {
+        match self.wake(now) {
+            Wake::NeedsPort { addr, .. } => {
+                stats.port_conflicts += span;
+                if matches!(self.action, Action::Issue { throttled: true, .. }) {
+                    stats.stall_out_full += span;
+                }
+                Some(addr)
+            }
+            Wake::OutputBlocked => {
+                stats.stall_out_full += span;
+                None
+            }
+            Wake::At(_) | Wake::Never => None,
+        }
+    }
+}
+
 /// A back-end engine: stepped once per cycle while running.
+///
+/// An engine states its next step once: `step` applies the decision that
+/// [`Engine::next_step`] reports, and the scheduler's [`Engine::wake`] and
+/// inert-span charges ([`NextStep::charge_inert`]) are derived from that
+/// report.
 pub trait Engine {
-    /// Advance one cycle. `now` is the global cycle count.
+    /// Advance one cycle: land any due response, then apply the decision
+    /// [`Engine::next_step`] reports for the resulting state. `now` is the
+    /// global cycle count.
     fn step(
         &mut self,
         now: u64,
@@ -132,32 +241,17 @@ pub trait Engine {
     /// True once every element has been pushed to the FIFOs.
     fn done(&self) -> bool;
 
-    /// When this engine can next make progress. The default — "right now" —
-    /// is always safe: it merely disables skipping. Implementations must
-    /// guarantee that every step strictly before the returned wake point
-    /// performs exactly the per-cycle charges the scheduler replays in bulk
-    /// (`busy_cycles` plus whatever [`Engine::replay_inert`] records for
-    /// the current state).
-    fn wake(&self, now: u64, _out: OutputLevels) -> Wake {
-        Wake::At(now)
-    }
+    /// The next step, given the output levels: a pure function of the
+    /// engine's state, and the same decision `step` applies.
+    fn next_step(&self, out: OutputLevels) -> NextStep;
 
-    /// Charge the engine-side counters for `span` skipped cycles in the
-    /// current (provably inert) state, whose [`wake`] is `wake` — exactly
-    /// `span` times what one `step` would record. The scheduler never lets
-    /// the span reach a `NeedsPort` wake's `landing`. The default derives
-    /// the charge from `wake`: a port-starved state loses arbitration once
-    /// per cycle, an output-blocked state records one `stall_out_full` per
-    /// cycle, and a waiting/retired state charges nothing (its steps return
-    /// at the guard). Engines whose stepped states charge more than one
-    /// counter at once must override this.
-    ///
-    /// [`wake`]: Engine::wake
-    fn replay_inert(&self, wake: Wake, span: u64, _out: OutputLevels, stats: &mut EngineStats) {
-        match wake {
-            Wake::NeedsPort { .. } => stats.port_conflicts += span,
-            Wake::OutputBlocked => stats.stall_out_full += span,
-            Wake::At(_) | Wake::Never => {}
+    /// When this engine can next make progress: [`Wake::Never`] once
+    /// done, else the [`NextStep::wake`] of its next step.
+    fn wake(&self, now: u64, out: OutputLevels) -> Wake {
+        if self.done() {
+            Wake::Never
+        } else {
+            self.next_step(out).wake(now)
         }
     }
 }
@@ -168,6 +262,46 @@ pub trait Engine {
 struct Pending {
     ready_at: u64,
     value: u32,
+}
+
+/// A one-operation engine's decision in its own terms: a read of the
+/// address fetching operand `K`, an internal move `M`, the output-full
+/// throttle, or nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Decision<K, M> {
+    Fetch(K, u32),
+    Move(M),
+    OutputFull,
+    Idle,
+}
+
+impl<K, M> Decision<K, M> {
+    /// A move that pushes chunk headers: throttled while `counts` is full.
+    fn header(out: OutputLevels, mv: M) -> Self {
+        if out.counts_free == 0 {
+            Decision::OutputFull
+        } else {
+            Decision::Move(mv)
+        }
+    }
+}
+
+/// The [`NextStep`] of an engine with at most one read outstanding:
+/// waiting on `pending`, or else its `decide()`.
+fn one_op_next_step<K, M>(
+    pending: Option<Pending>,
+    decide: impl FnOnce() -> Decision<K, M>,
+) -> NextStep {
+    if let Some(p) = pending {
+        return NextStep { action: Action::Idle, landing: Some(p.ready_at) };
+    }
+    let action = match decide() {
+        Decision::Fetch(_, addr) => Action::Issue { addr, throttled: false },
+        Decision::Move(_) => Action::Move,
+        Decision::OutputFull => Action::OutputFull,
+        Decision::Idle => Action::Idle,
+    };
+    NextStep { action, landing: None }
 }
 
 /// Issue a timed read of `addr` over the split-transaction protocol;
@@ -264,8 +398,9 @@ pub struct GatherEngine {
     /// In-flight gathers in issue order: landing cycle and value.
     gathers: VecDeque<(u64, u32)>,
     /// Whether the memory charges row latency; latched from the port at
-    /// every step (a fabric's memory never changes kind).
-    row_timed: bool,
+    /// the first step (a fabric's memory never changes kind). Nothing is
+    /// in flight before that step, so nothing reads it unlatched.
+    row_timed: Option<bool>,
     supplied: u32,
 }
 
@@ -297,7 +432,7 @@ impl GatherEngine {
             col_q_cap: blen,
             col_pending: None,
             gathers: VecDeque::with_capacity(blen),
-            row_timed: false,
+            row_timed: None,
             supplied: 0,
         }
     }
@@ -306,7 +441,7 @@ impl GatherEngine {
     /// BLEN-deep `col_q` (capped by the columns left) on row-timed memory,
     /// one word otherwise.
     fn col_burst_len(&self) -> u32 {
-        if !self.row_timed {
+        if self.row_timed != Some(true) {
             return 1;
         }
         let room = (self.col_q_cap - self.col_q.len()) as u32;
@@ -322,15 +457,19 @@ impl GatherEngine {
 
     /// Nothing may issue: flat memory allows one operation in flight.
     fn at_cap(&self) -> bool {
-        !self.row_timed && (self.col_pending.is_some() || !self.gathers.is_empty())
+        self.row_timed != Some(true) && (self.col_pending.is_some() || !self.gathers.is_empty())
     }
 
     /// What a step issues with `primary_free` free output slots, and
-    /// whether it records the output-full throttle — the decision `step`,
-    /// `wake` and `replay_inert` share. A gather goes first when a column
-    /// index is visible and a primary slot is unreserved; otherwise a
-    /// column fetch, when no other is in flight and `col_q` has room.
+    /// whether it records the output-full throttle — the decision `step`
+    /// applies and [`Engine::next_step`] reports. Nothing at the in-flight
+    /// cap. A gather goes first when a column index is visible and a
+    /// primary slot is unreserved; otherwise a column fetch, when no other
+    /// is in flight and `col_q` has room.
     fn next_issue(&self, primary_free: usize) -> (Option<GatherIssue>, bool) {
+        if self.at_cap() {
+            return (None, false);
+        }
         let pending_words = self.col_pending.map_or(0, |(_, w)| w);
         let mut throttled = false;
         if self.col_q.len() > pending_words {
@@ -364,7 +503,9 @@ impl Engine for GatherEngine {
         out: Outputs<'_>,
         stats: &mut EngineStats,
     ) {
-        self.row_timed = sram.row_timed();
+        if self.row_timed.is_none() {
+            self.row_timed = Some(sram.row_timed());
+        }
         // Land responses: gathers in issue order, column indices whole.
         while let Some(&(at, value)) = self.gathers.front() {
             if at > now {
@@ -377,7 +518,7 @@ impl Engine for GatherEngine {
         if self.col_pending.is_some_and(|(at, _)| at <= now) {
             self.col_pending = None;
         }
-        if self.done() || self.at_cap() {
+        if self.done() {
             return;
         }
         let (issue, throttled) = self.next_issue(out.primary.free());
@@ -409,38 +550,13 @@ impl Engine for GatherEngine {
             && self.col_q.is_empty()
     }
 
-    fn wake(&self, now: u64, out: OutputLevels) -> Wake {
-        if self.done() {
-            return Wake::Never;
-        }
-        let landing = self.landing();
-        if let Some(at) = landing {
-            if at <= now || self.at_cap() {
-                // Steps before `at` return right after landing nothing.
-                return Wake::At(at.max(now));
-            }
-        }
-        match self.next_issue(out.primary_free) {
-            (Some(issue), _) => Wake::NeedsPort { addr: issue.addr(), landing },
-            (None, true) => Wake::OutputBlocked,
-            // Waiting on memory with nothing to issue.
-            (None, false) => Wake::At(landing.unwrap_or(now)),
-        }
-    }
-
-    fn replay_inert(&self, wake: Wake, span: u64, out: OutputLevels, stats: &mut EngineStats) {
-        if !matches!(wake, Wake::NeedsPort { .. } | Wake::OutputBlocked) {
-            return;
-        }
-        // Every stepped cycle repeats the step's decision: the throttle,
-        // and a refused issue.
-        let (issue, throttled) = self.next_issue(out.primary_free);
-        if throttled {
-            stats.stall_out_full += span;
-        }
-        if issue.is_some() {
-            stats.port_conflicts += span;
-        }
+    fn next_step(&self, out: OutputLevels) -> NextStep {
+        let action = match self.next_issue(out.primary_free) {
+            (Some(issue), throttled) => Action::Issue { addr: issue.addr(), throttled },
+            (None, true) => Action::OutputFull,
+            (None, false) => Action::Idle,
+        };
+        NextStep { action, landing: self.landing() }
     }
 }
 
@@ -482,6 +598,22 @@ enum MergePending {
     VVal,
     /// Matrix value (variant-1 second half of the pair).
     MVal,
+}
+
+/// The internal moves of a [`SpMSpVEngine`] step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum MergeMove {
+    /// Push a chunk header; `true` closes the row.
+    Header(bool),
+    /// The row's matrix non-zeros are exhausted: close it.
+    EndRow,
+    /// Variant-1 with the vector exhausted: no more matches in this row.
+    SkipRow,
+    /// The matrix column has no vector partner: drop it (variant-2 pushes
+    /// a zero for it).
+    Unmatched,
+    /// The vector index is behind: advance it.
+    AdvanceVector,
 }
 
 /// The SpMSpV merge engine: per row, a two-pointer merge of the row's
@@ -569,6 +701,73 @@ impl SpMSpVEngine {
             self.phase = MergePhase::EmitChunkHeader;
         }
     }
+
+    /// What a step does with nothing in flight — the decision `step`
+    /// applies and [`Engine::next_step`] reports. `levels` reads the
+    /// output FIFOs, only on the branches that look at them.
+    fn decide(&self, levels: impl Fn() -> OutputLevels) -> Decision<MergePending, MergeMove> {
+        let es = self.cfg.elem_size;
+        match self.phase {
+            MergePhase::Finished => Decision::Idle,
+            MergePhase::NeedRowEnd => {
+                Decision::Fetch(MergePending::RowEnd, self.cfg.rows_base + es * (self.r + 1))
+            }
+            MergePhase::EmitChunkHeader => Decision::header(levels(), MergeMove::Header(false)),
+            MergePhase::EmitRowHeader => Decision::header(levels(), MergeMove::Header(true)),
+            MergePhase::Merging => self.decide_merge(levels),
+        }
+    }
+
+    /// One step of the two-pointer merge.
+    fn decide_merge(&self, levels: impl Fn() -> OutputLevels) -> Decision<MergePending, MergeMove> {
+        let es = self.cfg.elem_size;
+        if self.k == self.row_end {
+            // Empty row (or exhausted immediately).
+            return Decision::Move(MergeMove::EndRow);
+        }
+        // A matched pair is half-done: fetch the matrix value.
+        if self.match_vval.is_some() {
+            return Decision::Fetch(MergePending::MVal, self.cfg.vals_base + es * self.k);
+        }
+        // Ensure the matrix-side index is loaded.
+        let Some(col) = self.cur_col else {
+            return Decision::Fetch(MergePending::ColIdx, self.cfg.cols_base + es * self.k);
+        };
+        let aligned = self.variant == SpMSpVVariant::Aligned;
+        // Variant-2 answers an unmatched column with a zero in `primary`.
+        let unmatched = || {
+            if !aligned && levels().primary_free == 0 {
+                Decision::OutputFull
+            } else {
+                Decision::Move(MergeMove::Unmatched)
+            }
+        };
+        // Vector exhausted: remaining matrix nnz have no partner.
+        if self.b >= self.cfg.v_nnz {
+            return if aligned { Decision::Move(MergeMove::SkipRow) } else { unmatched() };
+        }
+        // Ensure the vector-side index is loaded.
+        let Some(vidx) = self.cur_vidx else {
+            return Decision::Fetch(MergePending::VIdx, self.cfg.v_idx_base + es * self.b);
+        };
+        // The comparison itself.
+        match col.cmp(&vidx) {
+            // Match: fetch the vector value (both variants need space in
+            // `primary`; variant-1 also in `secondary`).
+            std::cmp::Ordering::Equal
+                if levels().primary_free == 0 || (aligned && levels().secondary_free == 0) =>
+            {
+                Decision::OutputFull
+            }
+            std::cmp::Ordering::Equal => {
+                Decision::Fetch(MergePending::VVal, self.cfg.v_vals_base + es * self.b)
+            }
+            // Matrix index behind: no vector partner for col.
+            std::cmp::Ordering::Less => unmatched(),
+            // Vector index behind: advance it.
+            std::cmp::Ordering::Greater => Decision::Move(MergeMove::AdvanceVector),
+        }
+    }
 }
 
 impl Engine for SpMSpVEngine {
@@ -613,143 +812,49 @@ impl Engine for SpMSpVEngine {
                 }
             }
         }
-        match self.phase {
-            MergePhase::Finished => {}
-            MergePhase::NeedRowEnd => {
-                let addr = self.cfg.rows_base + self.cfg.elem_size * (self.r + 1);
+        match self.decide(|| OutputLevels::of(out.primary, out.secondary, out.counts)) {
+            Decision::Fetch(kind, addr) => {
                 if let Some(p) = issue_read(sram, now, addr, stats) {
-                    self.pending = Some((p, MergePending::RowEnd));
+                    self.pending = Some((p, kind));
                 }
             }
-            MergePhase::EmitChunkHeader => {
-                if out.counts.is_full() {
-                    stats.stall_out_full += 1;
-                    return;
+            Decision::Move(MergeMove::Header(last)) => {
+                out.counts.push(chunk_header(self.chunk_elems, last));
+                if last {
+                    self.start_next_row();
+                } else {
+                    self.chunk_elems = 0;
+                    self.phase = MergePhase::Merging;
                 }
-                out.counts.push(chunk_header(self.chunk_elems, false));
-                self.chunk_elems = 0;
-                self.phase = MergePhase::Merging;
             }
-            MergePhase::EmitRowHeader => {
-                if out.counts.is_full() {
-                    stats.stall_out_full += 1;
-                    return;
+            Decision::Move(MergeMove::EndRow) => {
+                stats.internal_cycles += 1;
+                self.end_row();
+            }
+            Decision::Move(MergeMove::SkipRow) => {
+                stats.internal_cycles += 1;
+                self.k = self.row_end;
+                self.cur_col = None;
+                self.end_row();
+            }
+            Decision::Move(MergeMove::Unmatched) => {
+                if self.variant == SpMSpVVariant::ValueOrZero {
+                    out.primary.push(0);
                 }
-                out.counts.push(chunk_header(self.chunk_elems, true));
-                self.start_next_row();
-            }
-            MergePhase::Merging => {
+                stats.internal_cycles += 1;
+                self.cur_col = None;
+                self.k += 1;
                 if self.k == self.row_end {
-                    // Empty row (or exhausted immediately).
                     self.end_row();
-                    stats.internal_cycles += 1;
-                    return;
-                }
-                // A matched pair is half-done: fetch the matrix value.
-                if self.match_vval.is_some() {
-                    let addr = self.cfg.vals_base + self.cfg.elem_size * self.k;
-                    if let Some(p) = issue_read(sram, now, addr, stats) {
-                        self.pending = Some((p, MergePending::MVal));
-                    }
-                    return;
-                }
-                // Ensure the matrix-side index is loaded.
-                let col = match self.cur_col {
-                    Some(c) => c,
-                    None => {
-                        let addr = self.cfg.cols_base + self.cfg.elem_size * self.k;
-                        if let Some(p) = issue_read(sram, now, addr, stats) {
-                            self.pending = Some((p, MergePending::ColIdx));
-                        }
-                        return;
-                    }
-                };
-                // Vector exhausted: remaining matrix nnz have no partner.
-                if self.b >= self.cfg.v_nnz {
-                    match self.variant {
-                        SpMSpVVariant::Aligned => {
-                            // No more matches possible in this row.
-                            self.k = self.row_end;
-                            self.cur_col = None;
-                            stats.internal_cycles += 1;
-                            self.end_row();
-                        }
-                        SpMSpVVariant::ValueOrZero => {
-                            if out.primary.is_full() {
-                                stats.stall_out_full += 1;
-                                return;
-                            }
-                            out.primary.push(0);
-                            stats.internal_cycles += 1;
-                            self.cur_col = None;
-                            self.k += 1;
-                            if self.k == self.row_end {
-                                self.end_row();
-                            }
-                        }
-                    }
-                    return;
-                }
-                // Ensure the vector-side index is loaded.
-                let vidx = match self.cur_vidx {
-                    Some(v) => v,
-                    None => {
-                        let addr = self.cfg.v_idx_base + self.cfg.elem_size * self.b;
-                        if let Some(p) = issue_read(sram, now, addr, stats) {
-                            self.pending = Some((p, MergePending::VIdx));
-                        }
-                        return;
-                    }
-                };
-                // The comparison itself.
-                match col.cmp(&vidx) {
-                    std::cmp::Ordering::Equal => {
-                        // Match: fetch the vector value (both variants need
-                        // space in `primary`; variant-1 also in `secondary`).
-                        let need_secondary = matches!(self.variant, SpMSpVVariant::Aligned);
-                        if out.primary.is_full() || (need_secondary && out.secondary.is_full()) {
-                            stats.stall_out_full += 1;
-                            return;
-                        }
-                        let addr = self.cfg.v_vals_base + self.cfg.elem_size * self.b;
-                        if let Some(p) = issue_read(sram, now, addr, stats) {
-                            self.pending = Some((p, MergePending::VVal));
-                        }
-                    }
-                    std::cmp::Ordering::Less => {
-                        // Matrix index behind: no vector partner for col.
-                        match self.variant {
-                            SpMSpVVariant::Aligned => {
-                                self.cur_col = None;
-                                self.k += 1;
-                                stats.internal_cycles += 1;
-                                if self.k == self.row_end {
-                                    self.end_row();
-                                }
-                            }
-                            SpMSpVVariant::ValueOrZero => {
-                                if out.primary.is_full() {
-                                    stats.stall_out_full += 1;
-                                    return;
-                                }
-                                out.primary.push(0);
-                                stats.internal_cycles += 1;
-                                self.cur_col = None;
-                                self.k += 1;
-                                if self.k == self.row_end {
-                                    self.end_row();
-                                }
-                            }
-                        }
-                    }
-                    std::cmp::Ordering::Greater => {
-                        // Vector index behind: advance it.
-                        self.b += 1;
-                        self.cur_vidx = None;
-                        stats.internal_cycles += 1;
-                    }
                 }
             }
+            Decision::Move(MergeMove::AdvanceVector) => {
+                stats.internal_cycles += 1;
+                self.b += 1;
+                self.cur_vidx = None;
+            }
+            Decision::OutputFull => stats.stall_out_full += 1,
+            Decision::Idle => {}
         }
     }
 
@@ -757,83 +862,8 @@ impl Engine for SpMSpVEngine {
         self.phase == MergePhase::Finished && self.pending.is_none()
     }
 
-    /// Mirrors the decision tree in `step`: `OutputBlocked` exactly for the
-    /// states whose step records one `stall_out_full` and returns.
-    fn wake(&self, now: u64, out: OutputLevels) -> Wake {
-        if let Some((p, _)) = self.pending {
-            return Wake::At(p.ready_at.max(now));
-        }
-        match self.phase {
-            MergePhase::Finished => Wake::Never,
-            MergePhase::NeedRowEnd => Wake::NeedsPort {
-                // Row-pointer fetch.
-                addr: self.cfg.rows_base + self.cfg.elem_size * (self.r + 1),
-                landing: None,
-            },
-            MergePhase::EmitChunkHeader | MergePhase::EmitRowHeader => {
-                if out.counts_free == 0 {
-                    Wake::OutputBlocked
-                } else {
-                    Wake::At(now)
-                }
-            }
-            MergePhase::Merging => {
-                if self.k == self.row_end {
-                    return Wake::At(now); // end-of-row bookkeeping
-                }
-                if self.match_vval.is_some() {
-                    return Wake::NeedsPort {
-                        // Matrix-value fetch.
-                        addr: self.cfg.vals_base + self.cfg.elem_size * self.k,
-                        landing: None,
-                    };
-                }
-                let Some(col) = self.cur_col else {
-                    return Wake::NeedsPort {
-                        // Column-index fetch.
-                        addr: self.cfg.cols_base + self.cfg.elem_size * self.k,
-                        landing: None,
-                    };
-                };
-                let primary_blocked = out.primary_free == 0;
-                if self.b >= self.cfg.v_nnz {
-                    // Vector exhausted: variant-1 skips ahead internally,
-                    // variant-2 must emit a zero into `primary`.
-                    return match self.variant {
-                        SpMSpVVariant::Aligned => Wake::At(now),
-                        SpMSpVVariant::ValueOrZero if primary_blocked => Wake::OutputBlocked,
-                        SpMSpVVariant::ValueOrZero => Wake::At(now),
-                    };
-                }
-                let Some(vidx) = self.cur_vidx else {
-                    return Wake::NeedsPort {
-                        // Vector-index fetch.
-                        addr: self.cfg.v_idx_base + self.cfg.elem_size * self.b,
-                        landing: None,
-                    };
-                };
-                match col.cmp(&vidx) {
-                    std::cmp::Ordering::Equal => {
-                        let need_secondary = matches!(self.variant, SpMSpVVariant::Aligned);
-                        if primary_blocked || (need_secondary && out.secondary_free == 0) {
-                            Wake::OutputBlocked
-                        } else {
-                            Wake::NeedsPort {
-                                // Vector-value fetch.
-                                addr: self.cfg.v_vals_base + self.cfg.elem_size * self.b,
-                                landing: None,
-                            }
-                        }
-                    }
-                    std::cmp::Ordering::Less => match self.variant {
-                        SpMSpVVariant::Aligned => Wake::At(now),
-                        SpMSpVVariant::ValueOrZero if primary_blocked => Wake::OutputBlocked,
-                        SpMSpVVariant::ValueOrZero => Wake::At(now),
-                    },
-                    std::cmp::Ordering::Greater => Wake::At(now),
-                }
-            }
-        }
+    fn next_step(&self, out: OutputLevels) -> NextStep {
+        one_op_next_step(self.pending.map(|(p, _)| p), || self.decide(|| out))
     }
 }
 
@@ -879,6 +909,19 @@ enum SmashPending {
     VValue,
 }
 
+/// The internal moves of a [`SmashEngine`] step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SmashMove {
+    /// Publish the owed full-chunk header.
+    ChunkHeader,
+    /// The current level-0 word has no set bits left: retire it.
+    RetireWord,
+    /// Close rows up to (not including) this one.
+    CloseRows(u32),
+    /// The level-1 summary bit of the next level-0 word is clear: skip it.
+    SkipWord,
+}
+
 impl SmashEngine {
     /// Create the engine. `m_nnz` in the config must be the matrix's true
     /// non-zero count (drives `done`); `blen` is the chunk size.
@@ -916,6 +959,64 @@ impl SmashEngine {
         }
         true
     }
+
+    /// What a step does with nothing in flight — the decision `step`
+    /// applies and [`Engine::next_step`] reports. `levels` reads the
+    /// output FIFOs, only on the branches that look at them.
+    fn decide(&self, levels: impl Fn() -> OutputLevels) -> Decision<SmashPending, SmashMove> {
+        let es = self.cfg.elem_size;
+        if self.done() {
+            return Decision::Idle;
+        }
+        // A full chunk must be published before more elements flow.
+        if self.owe_full_header {
+            return Decision::header(levels(), SmashMove::ChunkHeader);
+        }
+        // Scan bits of the current word.
+        if let Some(bits) = self.cur_word {
+            if bits == 0 {
+                return Decision::Move(SmashMove::RetireWord);
+            }
+            let pos = self.cur_word_base_pos + bits.trailing_zeros();
+            let row = pos / self.cfg.num_cols;
+            // Close out any completed rows first.
+            if row > self.cur_row {
+                return Decision::header(levels(), SmashMove::CloseRows(row));
+            }
+            if levels().primary_free == 0 {
+                return Decision::OutputFull;
+            }
+            let col = pos % self.cfg.num_cols;
+            return Decision::Fetch(SmashPending::VValue, self.cfg.v_base + es * col);
+        }
+        // Need the next level-0 word.
+        if self.word < self.total_words {
+            // Consult the level-1 summary first when present.
+            if self.cfg.cols_base != 0 {
+                let group = self.word / 32;
+                match self.cur_l1 {
+                    // The summary bit covers one level-0 word (32 matrix
+                    // entries): all zero, skip the load.
+                    Some((g, l1)) if g == group && l1 & (1 << (self.word % 32)) == 0 => {
+                        return Decision::Move(SmashMove::SkipWord);
+                    }
+                    // Summary bit set: fetch this level-0 word.
+                    Some((g, _)) if g == group => {}
+                    _ => {
+                        let addr = self.cfg.cols_base + es * group;
+                        return Decision::Fetch(SmashPending::L1Word, addr);
+                    }
+                }
+            }
+            return Decision::Fetch(SmashPending::L0Word, self.cfg.rows_base + es * self.word);
+        }
+        // Scan finished: close every remaining row.
+        if self.rows_closed < self.cfg.num_rows {
+            Decision::header(levels(), SmashMove::CloseRows(self.cfg.num_rows))
+        } else {
+            Decision::Idle
+        }
+    }
 }
 
 impl Engine for SmashEngine {
@@ -950,85 +1051,36 @@ impl Engine for SmashEngine {
                 }
             }
         }
-        if self.done() {
-            return;
-        }
-        // A full chunk must be published before more elements flow.
-        if self.owe_full_header {
-            if out.counts.is_full() {
-                stats.stall_out_full += 1;
-                return;
+        match self.decide(|| OutputLevels::of(out.primary, out.secondary, out.counts)) {
+            Decision::Fetch(kind, addr) => {
+                if let Some(p) = issue_read(sram, now, addr, stats) {
+                    if kind == SmashPending::VValue {
+                        // The fetch consumes the word's lowest set bit.
+                        self.cur_word = self.cur_word.map(|bits| bits & (bits - 1));
+                    }
+                    self.pending = Some((p, kind));
+                }
             }
-            out.counts.push(chunk_header(self.chunk_elems, false));
-            self.chunk_elems = 0;
-            self.owe_full_header = false;
-            return;
-        }
-        // Scan bits of the current word.
-        if let Some(bits) = self.cur_word {
-            if bits == 0 {
+            Decision::Move(SmashMove::ChunkHeader) => {
+                out.counts.push(chunk_header(self.chunk_elems, false));
+                self.chunk_elems = 0;
+                self.owe_full_header = false;
+            }
+            Decision::Move(SmashMove::RetireWord) => {
                 self.cur_word = None;
                 stats.internal_cycles += 1;
-                return;
             }
-            let tz = bits.trailing_zeros();
-            let pos = self.cur_word_base_pos + tz;
-            let row = pos / self.cfg.num_cols;
-            let col = pos % self.cfg.num_cols;
-            // Close out any completed rows first.
-            if row > self.cur_row {
+            Decision::Move(SmashMove::CloseRows(row)) => {
                 if !self.close_rows_until(row, &mut out) {
                     stats.stall_out_full += 1;
                 }
-                return;
             }
-            if out.primary.is_full() {
-                stats.stall_out_full += 1;
-                return;
+            Decision::Move(SmashMove::SkipWord) => {
+                self.word += 1;
+                stats.internal_cycles += 1;
             }
-            let addr = self.cfg.v_base + self.cfg.elem_size * col;
-            if let Some(p) = issue_read(sram, now, addr, stats) {
-                self.cur_word = Some(bits & (bits - 1)); // clear lowest bit
-                self.pending = Some((p, SmashPending::VValue));
-            }
-            return;
-        }
-        // Need the next level-0 word.
-        if self.word < self.total_words {
-            // Consult the level-1 summary first when present.
-            if self.cfg.cols_base != 0 {
-                let group = self.word / 32;
-                match self.cur_l1 {
-                    Some((g, l1)) if g == group => {
-                        if l1 & (1 << (self.word % 32)) == 0 {
-                            // The summary bit covers one level-0 word (32
-                            // matrix entries): all zero, skip the load.
-                            self.word += 1;
-                            stats.internal_cycles += 1;
-                            return;
-                        }
-                        // Fall through to fetch this level-0 word.
-                    }
-                    _ => {
-                        let addr = self.cfg.cols_base + self.cfg.elem_size * group;
-                        if let Some(p) = issue_read(sram, now, addr, stats) {
-                            self.pending = Some((p, SmashPending::L1Word));
-                        }
-                        return;
-                    }
-                }
-            }
-            let addr = self.cfg.rows_base + self.cfg.elem_size * self.word;
-            if let Some(p) = issue_read(sram, now, addr, stats) {
-                self.pending = Some((p, SmashPending::L0Word));
-            }
-            return;
-        }
-        // Scan finished: close every remaining row.
-        if self.rows_closed < self.cfg.num_rows
-            && !self.close_rows_until(self.cfg.num_rows, &mut out)
-        {
-            stats.stall_out_full += 1;
+            Decision::OutputFull => stats.stall_out_full += 1,
+            Decision::Idle => {}
         }
     }
 
@@ -1039,66 +1091,8 @@ impl Engine for SmashEngine {
             && !self.owe_full_header
     }
 
-    fn wake(&self, now: u64, out: OutputLevels) -> Wake {
-        if let Some((p, _)) = self.pending {
-            return Wake::At(p.ready_at.max(now));
-        }
-        if self.done() {
-            return Wake::Never;
-        }
-        if self.owe_full_header {
-            return if out.counts_free == 0 { Wake::OutputBlocked } else { Wake::At(now) };
-        }
-        if let Some(bits) = self.cur_word {
-            if bits == 0 {
-                return Wake::At(now); // word retires internally
-            }
-            let pos = self.cur_word_base_pos + bits.trailing_zeros();
-            if pos / self.cfg.num_cols > self.cur_row {
-                // Row headers owed first; `close_rows_until` only advances
-                // when `counts` has a free slot.
-                return if out.counts_free == 0 { Wake::OutputBlocked } else { Wake::At(now) };
-            }
-            return if out.primary_free == 0 {
-                Wake::OutputBlocked
-            } else {
-                // V fetch for the lowest set bit (mirrors `step`).
-                Wake::NeedsPort {
-                    addr: self.cfg.v_base + self.cfg.elem_size * (pos % self.cfg.num_cols),
-                    landing: None,
-                }
-            };
-        }
-        if self.word < self.total_words {
-            if self.cfg.cols_base != 0 {
-                let group = self.word / 32;
-                match self.cur_l1 {
-                    Some((g, l1)) if g == group => {
-                        if l1 & (1 << (self.word % 32)) == 0 {
-                            return Wake::At(now); // level-1 summary skip (internal)
-                        }
-                        // Summary bit set: fall through to the level-0 fetch.
-                    }
-                    _ => {
-                        // Level-1 summary word fetch.
-                        return Wake::NeedsPort {
-                            addr: self.cfg.cols_base + self.cfg.elem_size * group,
-                            landing: None,
-                        };
-                    }
-                }
-            }
-            // Level-0 bitmap word fetch.
-            return Wake::NeedsPort {
-                addr: self.cfg.rows_base + self.cfg.elem_size * self.word,
-                landing: None,
-            };
-        }
-        // Tail: closing the remaining rows, gated on `counts` space.
-        if self.rows_closed < self.cfg.num_rows && out.counts_free == 0 {
-            return Wake::OutputBlocked;
-        }
-        Wake::At(now)
+    fn next_step(&self, out: OutputLevels) -> NextStep {
+        one_op_next_step(self.pending.map(|(p, _)| p), || self.decide(|| out))
     }
 }
 
@@ -1486,6 +1480,32 @@ mod tests {
         let (_, stalls) = step(&mut e, &mut port, 300, &mut primary);
         assert!(stalls > 0);
         assert_eq!(e.wake(301, levels(&primary)), Wake::OutputBlocked);
+    }
+
+    /// On flat memory the engine keeps one operation in flight however
+    /// long a response takes: a primary slot the CPU frees while a column
+    /// prefetch (issued while the output was full) is in flight waits for
+    /// that fetch to land, so no grant comes before the previous landing.
+    #[test]
+    fn gather_engine_keeps_one_operation_in_flight_on_flat_memory() {
+        let mut port = LogPort::new(8192, 1, false, 10);
+        let cfg = gather_fixture(&mut port, 6);
+        let mut e = GatherEngine::new(cfg, 8);
+        let mut primary = ElemFifo::new(1);
+        let mut got = Vec::new();
+        for now in 0..1000 {
+            step_once(&mut e, &mut port, now, &mut primary);
+            if now % 16 == 15 {
+                got.extend(primary.pop());
+            }
+            if e.done() {
+                break;
+            }
+        }
+        got.extend(primary.pop());
+        assert_eq!(got, vec![103, 108, 113, 102, 107, 112]);
+        // Each response lands 1 + 10 cycles after its grant.
+        assert!(port.log.windows(2).all(|w| w[1].0 >= w[0].0 + 11), "{:?}", port.log);
     }
 
     /// Shared fixture: 3x4 matrix rows=[0,2,3,5], cols=[0,2 | 1 | 0,3],

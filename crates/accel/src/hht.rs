@@ -245,12 +245,7 @@ impl Hht {
         let wake = match self.cached_wake {
             Some(w) => w,
             None => {
-                let out = OutputLevels {
-                    primary_free: self.primary.free(),
-                    secondary_free: self.secondary.free(),
-                    counts_free: self.counts.free(),
-                };
-                let w = engine.wake(now, out);
+                let w = engine.wake(now, self.levels());
                 self.cached_wake = Some(w);
                 w
             }
@@ -329,14 +324,16 @@ impl Hht {
     /// engine was provably inert: the per-cycle loop would have charged
     /// `busy_cycles` plus the engine's own per-cycle retry counters
     /// (`stall_out_full` while output-blocked, `port_conflicts` while
-    /// port-starved — see [`Engine::replay_inert`]) without any other state
-    /// change. A skipped span can contain one event transition of the
-    /// output-full stall interval, on its first live step: its *onset*
-    /// when the span records the throttle (the per-cycle loop stamps
-    /// `StallBegin` on the first throttled cycle), or its *end* when it
-    /// does not (for instance the engine waits on a read it issued while
-    /// throttled, a metadata prefetch: that wait records no throttle, so
-    /// the per-cycle loop stamps `StallEnd` on its first live cycle).
+    /// port-starved — see
+    /// [`NextStep::charge_inert`](crate::engine::NextStep::charge_inert))
+    /// without any other state change. A skipped span can contain one
+    /// event transition of the output-full stall interval, on its first
+    /// live step: its *onset* when the span records the throttle (the
+    /// per-cycle loop stamps `StallBegin` on the first throttled cycle),
+    /// or its *end* when it does not (for instance the engine waits on a
+    /// read it issued while throttled, a metadata prefetch: that wait
+    /// records no throttle, so the per-cycle loop stamps `StallEnd` on
+    /// its first live cycle).
     pub fn skip_idle(&mut self, now: u64, span: u64, sram: &mut dyn MemoryPort) {
         if span == 0 || self.engine_done {
             return;
@@ -354,24 +351,14 @@ impl Hht {
             return;
         }
         let out_full_before = self.stats.engine.stall_out_full;
-        let out = OutputLevels {
-            primary_free: self.primary.free(),
-            secondary_free: self.secondary.free(),
-            counts_free: self.counts.free(),
-        };
-        let wake = self.cached_wake.unwrap_or_else(|| engine.wake(now, out));
-        if !matches!(wake, Wake::At(_)) {
-            let conflicts_before = self.stats.engine.port_conflicts;
-            engine.replay_inert(wake, span, out, &mut self.stats.engine);
+        let next = engine.next_step(self.levels());
+        if let Some(addr) = next.charge_inert(now, span, &mut self.stats.engine) {
             // Each replayed arbitration loss is one failing request the
             // per-cycle loop would have issued — mirror it on the port
             // side, against the address the engine was actually retrying
             // (so a banked memory attributes the losses to the exact bank
             // the per-cycle loop would have rejected on).
-            let lost = self.stats.engine.port_conflicts - conflicts_before;
-            if let (true, Wake::NeedsPort { addr, .. }) = (lost > 0, wake) {
-                sram.skip_conflicts(now, lost, addr, Requester::Hht);
-            }
+            sram.skip_conflicts(now, span, addr, Requester::Hht);
         }
         let throttled = self.stats.engine.stall_out_full > out_full_before;
         if throttled != self.out_stall_open {
@@ -381,6 +368,12 @@ impl Hht {
                 self.out_stall_open = throttled;
             }
         }
+    }
+
+    /// Free slots of the output streams, as the engine's decision reads
+    /// them.
+    fn levels(&self) -> OutputLevels {
+        OutputLevels::of(&self.primary, &self.secondary, &self.counts)
     }
 
     /// Per-step event emission (cold path: only with a bus installed).

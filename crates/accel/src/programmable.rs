@@ -19,7 +19,7 @@
 //! figure quantifies the gap, and the area/power model
 //! (`hht_energy::inventory::programmable_hht_inventory`) prices the core.
 
-use crate::engine::{Engine, EngineStats, Outputs};
+use crate::engine::{Action, Engine, EngineStats, NextStep, OutputLevels, Outputs};
 use crate::mmr::EngineConfig;
 use hht_isa::builder::KernelBuilder;
 use hht_isa::{Program, Reg};
@@ -152,6 +152,11 @@ impl Engine for ProgrammableEngine {
 
     fn done(&self) -> bool {
         self.core.halted() && self.supplied == self.m_nnz
+    }
+
+    /// The helper core acts every cycle, so the scheduler steps it now.
+    fn next_step(&self, _out: OutputLevels) -> NextStep {
+        NextStep { action: Action::Move, landing: None }
     }
 }
 

@@ -183,30 +183,19 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// Bounded, optionally sampling sink for [`Event`]s.
+/// Bounded sink for [`Event`]s.
 #[derive(Debug, Clone)]
 pub struct EventBus {
     events: RingBuffer<Event>,
-    /// Record only every Nth `BufferLevel` sample (1 = keep all).
-    /// Begin/end pairs are never sampled out, so slices stay balanced.
-    sample_every: u64,
 }
 
 impl EventBus {
     pub fn new(capacity: usize) -> Self {
-        EventBus { events: RingBuffer::new(capacity), sample_every: 1 }
-    }
-
-    pub fn with_sampling(capacity: usize, sample_every: u64) -> Self {
-        EventBus { events: RingBuffer::new(capacity), sample_every: sample_every.max(1) }
+        EventBus { events: RingBuffer::new(capacity) }
     }
 
     #[inline]
     pub fn emit(&mut self, cycle: u64, track: Track, kind: EventKind) {
-        if matches!(kind, EventKind::BufferLevel { .. }) && !cycle.is_multiple_of(self.sample_every)
-        {
-            return;
-        }
         self.events.push(Event { cycle, track, kind });
     }
 
@@ -249,20 +238,6 @@ pub fn merge_events(streams: Vec<Vec<Event>>) -> Vec<Event> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sampling_drops_only_counter_events() {
-        let mut bus = EventBus::with_sampling(64, 4);
-        for cycle in 0..8 {
-            bus.emit(cycle, Track::BufferPrimary, EventKind::BufferLevel { level: 1 });
-            bus.emit(cycle, Track::CpuPipe, EventKind::StallBegin(StallCause::HhtWindowEmpty));
-        }
-        let counters =
-            bus.iter().filter(|e| matches!(e.kind, EventKind::BufferLevel { .. })).count();
-        let stalls = bus.iter().filter(|e| matches!(e.kind, EventKind::StallBegin(_))).count();
-        assert_eq!(counters, 2); // cycles 0 and 4
-        assert_eq!(stalls, 8);
-    }
 
     #[test]
     fn merge_is_cycle_ordered_and_deterministic() {

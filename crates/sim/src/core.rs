@@ -348,12 +348,7 @@ impl Core {
     /// bounded ring keeping the most recent [`DEFAULT_TRACE_CAPACITY`]
     /// entries; off by default.
     pub fn enable_trace(&mut self) {
-        self.enable_trace_with_capacity(DEFAULT_TRACE_CAPACITY);
-    }
-
-    /// Like [`Core::enable_trace`] with an explicit retention bound.
-    pub fn enable_trace_with_capacity(&mut self, capacity: usize) {
-        self.trace = Some(RingBuffer::new(capacity));
+        self.trace = Some(RingBuffer::new(DEFAULT_TRACE_CAPACITY));
     }
 
     /// The retained trace window, oldest first (empty when tracing is off).

@@ -18,26 +18,15 @@ pub struct TraceConfig {
     pub events: bool,
     /// Per-component event ring capacity (most recent events kept).
     pub event_capacity: usize,
-    /// Keep only every Nth buffer-occupancy sample (1 = keep all);
-    /// begin/end pairs are never sampled out.
-    pub sample_every: u64,
     /// Record the CPU instruction trace (bounded ring of
-    /// `instr_trace_capacity` entries).
+    /// [`hht_sim::core::DEFAULT_TRACE_CAPACITY`] entries).
     pub instr_trace: bool,
-    /// Instruction-trace ring capacity.
-    pub instr_trace_capacity: usize,
 }
 
 impl TraceConfig {
     /// Everything off (the measurement configuration).
     pub fn disabled() -> Self {
-        TraceConfig {
-            events: false,
-            event_capacity: 1 << 16,
-            sample_every: 1,
-            instr_trace: false,
-            instr_trace_capacity: 1 << 16,
-        }
+        TraceConfig { events: false, event_capacity: 1 << 16, instr_trace: false }
     }
 
     /// Event streams on with default retention; instruction trace off.
@@ -48,12 +37,6 @@ impl TraceConfig {
     /// Same configuration with a different event-ring capacity.
     pub fn with_capacity(mut self, capacity: usize) -> Self {
         self.event_capacity = capacity;
-        self
-    }
-
-    /// Same configuration keeping only every `n`th buffer-level sample.
-    pub fn with_sampling(mut self, n: u64) -> Self {
-        self.sample_every = n.max(1);
         self
     }
 
@@ -106,19 +89,12 @@ pub struct SystemConfig {
     /// software path instead of panicking, keeping results numerically
     /// correct at a degraded cycle count. On the fabric path the policy
     /// is per-tile fault domains instead: failed tiles are retried with
-    /// bounded exponential backoff (`tile_retries`/`tile_backoff`) and
+    /// bounded exponential backoff ([`crate::runner::TILE_RETRIES`],
+    /// [`crate::runner::TILE_BACKOFF`]) and
     /// then quarantined, their unfinished row shards failing over to the
     /// surviving tiles; the whole-run software fallback fires only when
     /// every tile is dead. Off by default (the seed behaviour).
     pub recovery: bool,
-    /// Failed attempts a suspected tile may accumulate before it is
-    /// quarantined (fatal faults quarantine immediately). Fabric recovery
-    /// only.
-    pub tile_retries: u32,
-    /// Base backoff in cycles charged before a suspected tile's retry;
-    /// doubles per accumulated failure (`base << (retries - 1)`). Fabric
-    /// recovery only.
-    pub tile_backoff: u64,
     /// DRAM-class memory timing for the fabric's [`hht_mem::Dram`]:
     /// split-transaction responses with row-buffer hit/miss latency, a
     /// per-tile bounded in-flight window (the MLP ceiling) and a
@@ -142,8 +118,6 @@ impl SystemConfig {
             cycle_skip: true,
             fault: FaultConfig::default(),
             recovery: false,
-            tile_retries: 2,
-            tile_backoff: 64,
             dram: None,
         }
     }

@@ -494,15 +494,14 @@ impl Fabric {
             let mut hht = Hht::new(cfg.hht);
             let mut obs = None;
             if cfg.trace.events {
-                let bus =
-                    || EventBus::with_sampling(cfg.trace.event_capacity, cfg.trace.sample_every);
+                let bus = || EventBus::new(cfg.trace.event_capacity);
                 core.set_event_bus(bus());
                 hht.set_event_bus(bus());
                 mem.set_event_bus_for(t, bus());
                 obs = Some(Box::new(bus()));
             }
             if cfg.trace.instr_trace {
-                core.enable_trace_with_capacity(cfg.trace.instr_trace_capacity);
+                core.enable_trace();
             }
             tiles.push(Tile {
                 core,

@@ -1,5 +1,5 @@
 //! Work-efficient CSC SpMSpV baseline (the algorithm class of the paper's
-//! related work [43], Azad & Buluç): instead of merging per row, iterate
+//! related work \[43\], Azad & Buluç): instead of merging per row, iterate
 //! only the non-zero entries of `x` and scatter each column's
 //! contribution:
 //!

@@ -433,11 +433,19 @@ pub struct FabricAttempt {
     pub failed: Vec<(usize, String)>,
 }
 
+/// Failed attempts a suspected tile may accumulate before the fabric
+/// recovery policy quarantines it (fatal faults quarantine immediately).
+pub const TILE_RETRIES: u32 = 2;
+
+/// Base backoff in cycles charged before a suspected tile's retry; doubles
+/// per accumulated failure (`TILE_BACKOFF << (retries - 1)`).
+pub const TILE_BACKOFF: u64 = 64;
+
 /// How the fabric recovery policy degraded a run across per-tile fault
 /// domains (see [`FabricRunOutput::recovery`]).
 ///
 /// Per-tile state machine: healthy → suspected (bounded exponential-backoff
-/// retries, `tile_retries`/`tile_backoff`) → quarantined; fatal faults
+/// retries, [`TILE_RETRIES`]/[`TILE_BACKOFF`]) → quarantined; fatal faults
 /// ([`hht_fault::FaultKind::TileKill`]) quarantine immediately. A
 /// quarantined tile's unfinished row shard is re-sharded (nnz-balanced)
 /// across the surviving tiles and re-run; the whole-run software fallback
@@ -605,7 +613,7 @@ fn run_fabric(
     let mut fallback_cycles = 0u64;
     // Retry-storm backstop: enough for every tile to burn its full retry
     // budget plus the quarantine cascade, with slack.
-    let max_attempts = (cfg.tile_retries as usize + 2) * n0 + 2;
+    let max_attempts = (TILE_RETRIES as usize + 2) * n0 + 2;
 
     let mut attempt = 0usize;
     loop {
@@ -693,12 +701,12 @@ fn run_fabric(
                     TileHealth::Suspected { retries } => retries,
                     _ => 0,
                 };
-                if fabric.tile_fatal(lt) || prev_retries + 1 > cfg.tile_retries {
+                if fabric.tile_fatal(lt) || prev_retries + 1 > TILE_RETRIES {
                     health[g] = TileHealth::Quarantined;
                 } else {
                     let retries = prev_retries + 1;
                     health[g] = TileHealth::Suspected { retries };
-                    let backoff = cfg.tile_backoff << (retries - 1);
+                    let backoff = TILE_BACKOFF << (retries - 1);
                     acc[g].cycles += backoff;
                     acc[g].faults.failed_cycles += backoff;
                     max_backoff = max_backoff.max(backoff);

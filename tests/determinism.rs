@@ -1596,10 +1596,11 @@ fn a_window_read_with_no_engine_parks_at_once() {
 /// The HHT kernels. Each one-tile run under the event queue is one solo
 /// run from start to halt: the core alone until it starts the engine,
 /// core and engine stepped together while the engine is live.
-const HHT_KERNELS: [&str; 3] = ["spmv", "spmspv_v1", "spmspv_v2"];
+const HHT_KERNELS: [&str; 4] = ["spmv", "spmspv_v1", "spmspv_v2", "smash"];
 
 /// A one-tile fabric loaded with HHT kernel `name` on an `n`-square
-/// problem at 80% sparsity, plus the problem's layout.
+/// problem at 80% sparsity, plus the problem's layout. `smash` is SpMV
+/// over the same matrix in SMASH encoding.
 fn hht_fabric(
     cfg: &SystemConfig,
     name: &str,
@@ -1614,6 +1615,12 @@ fn hht_fabric(
         let v = generate::random_dense_vector(n, seed ^ 1);
         let l = layout::layout_spmv(&mut image, &m, &v);
         (l, kernels::spmv_hht(&l, cfg.core.vlen > 1))
+    } else if name == "smash" {
+        use hht::sparse::{SmashMatrix, SparseFormat};
+        let v = generate::random_dense_vector(n, seed ^ 1);
+        let sm = SmashMatrix::from_triplets(n, n, &m.triplets()).expect("valid triplets");
+        let l = layout::layout_smash_spmv(&mut image, &sm, &v);
+        (l, kernels::smash_spmv_hht(&l))
     } else {
         let x = generate::random_sparse_vector(n, 0.8, seed ^ 2);
         let l = layout::layout_spmspv(&mut image, &m, &x);
@@ -1630,18 +1637,22 @@ fn hht_fabric(
 
 /// The scheduler's books for one small fixed matrix per HHT kernel,
 /// pinned to the values the solo run produced when it stepped and
-/// re-planned the tile through the general loop's per-cycle helpers:
-/// `(stepped, skipped, skip spans)` then the tile's `(pops, stepped,
-/// skipped, parks)`.
+/// re-planned the tile through the general loop's per-cycle helpers
+/// (SMASH's: recorded from the co-run loop while each engine still kept
+/// its own hand-written wake): `(stepped, skipped, skip spans)` then the
+/// tile's `(pops, stepped, skipped, parks)`. A wake that is safe but
+/// lazier than the step's own decision moves these and nothing else.
 #[test]
 fn hht_solo_books_match_the_stepped_solo_run() {
-    let pinned: [(&str, u64, [u64; 3], [u64; 4]); 6] = [
+    let pinned: [(&str, u64, [u64; 3], [u64; 4]); 8] = [
         ("spmv", 1, [1478, 220, 143], [1478, 1478, 220, 143]),
         ("spmv", 4, [1519, 1278, 535], [1519, 1519, 1278, 535]),
         ("spmspv_v1", 1, [1084, 67, 39], [1084, 1084, 67, 39]),
         ("spmspv_v1", 4, [1406, 996, 421], [1406, 1406, 996, 421]),
         ("spmspv_v2", 1, [1572, 124, 77], [1572, 1572, 124, 77]),
         ("spmspv_v2", 4, [1662, 1515, 588], [1662, 1662, 1515, 588]),
+        ("smash", 1, [1520, 274, 179], [1520, 1520, 274, 179]),
+        ("smash", 4, [1517, 1093, 444], [1517, 1517, 1093, 444]),
     ];
     let got: Vec<_> = HHT_KERNELS
         .iter()
@@ -1663,8 +1674,9 @@ fn hht_solo_books_match_the_stepped_solo_run() {
     assert_eq!(got, pinned);
 }
 
-/// Each HHT kernel — SpMV, SpMSpV variant 1 and variant 2 — on one tile,
-/// on flat memory with one- and four-cycle words and on 300 ns DRAM,
+/// Each HHT kernel — SpMV, SpMSpV variant 1 and variant 2, and SMASH
+/// SpMV — on one tile, on flat memory with one- and four-cycle words and
+/// on 300 ns DRAM,
 /// traced and untraced, clean, with an engine stall, and with a dropped
 /// response that the core's window-read timeout must catch, runs
 /// bit-identically to the per-cycle oracle in the solo co-run loop:

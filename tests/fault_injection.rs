@@ -334,14 +334,14 @@ fn transient_tile_fault_is_retried_with_backoff_not_quarantined() {
     assert_eq!(rec.health[2], TileHealth::Suspected { retries: 1 });
     assert_eq!(rec.survivors(), 4, "a suspected tile is not quarantined");
     assert!(rec.fallback.is_none());
-    assert_eq!(rec.backoff_cycles, cfg.tile_backoff);
+    assert_eq!(rec.backoff_cycles, runner::TILE_BACKOFF);
     assert_eq!(rec.attempts.len(), 2);
     // The retry re-shards the unfinished range across all four survivors.
     assert_eq!(rec.attempts[1].shards.len(), 4);
     let merged = out.stats.merged();
     assert_eq!(merged.faults.failovers, 1);
     assert_eq!(merged.faults.fallbacks, 0);
-    assert!(out.stats.tiles[2].faults.failed_cycles >= cfg.tile_backoff);
+    assert!(out.stats.tiles[2].faults.failed_cycles >= runner::TILE_BACKOFF);
     merged.snapshot().validate().unwrap();
     FabricCpi::from_fabric(&out.stats).unwrap();
 }
