@@ -223,37 +223,31 @@ impl NextStep {
 /// A back-end engine: stepped once per cycle while running.
 ///
 /// An engine states its next step once: `step` applies the decision that
-/// [`Engine::next_step`] reports, and the scheduler's [`Engine::wake`] and
-/// inert-span charges ([`NextStep::charge_inert`]) are derived from that
-/// report.
+/// [`Engine::next_step`] reports, and the scheduler's wake
+/// ([`NextStep::wake`]) and inert-span charges
+/// ([`NextStep::charge_inert`]) are derived from that report.
 pub trait Engine {
     /// Advance one cycle: land any due response, then apply the decision
     /// [`Engine::next_step`] reports for the resulting state. `now` is the
-    /// global cycle count.
+    /// global cycle count. Returns the earliest cycle a response still in
+    /// flight lands (the [`NextStep::landing`] of the new state), `None`
+    /// when nothing is in flight.
     fn step(
         &mut self,
         now: u64,
         sram: &mut dyn MemoryPort,
         out: Outputs<'_>,
         stats: &mut EngineStats,
-    );
+    ) -> Option<u64>;
 
-    /// True once every element has been pushed to the FIFOs.
+    /// True once every element has been pushed to the FIFOs; never while
+    /// a response is in flight.
     fn done(&self) -> bool;
 
-    /// The next step, given the output levels: a pure function of the
-    /// engine's state, and the same decision `step` applies.
+    /// The next step of an engine that is not done, given the output
+    /// levels: a pure function of the engine's state, and the same
+    /// decision `step` applies.
     fn next_step(&self, out: OutputLevels) -> NextStep;
-
-    /// When this engine can next make progress: [`Wake::Never`] once
-    /// done, else the [`NextStep::wake`] of its next step.
-    fn wake(&self, now: u64, out: OutputLevels) -> Wake {
-        if self.done() {
-            Wake::Never
-        } else {
-            self.next_step(out).wake(now)
-        }
-    }
 }
 
 /// One outstanding memory read: data captured at issue, architecturally
@@ -502,7 +496,7 @@ impl Engine for GatherEngine {
         sram: &mut dyn MemoryPort,
         out: Outputs<'_>,
         stats: &mut EngineStats,
-    ) {
+    ) -> Option<u64> {
         if self.row_timed.is_none() {
             self.row_timed = Some(sram.row_timed());
         }
@@ -519,7 +513,7 @@ impl Engine for GatherEngine {
             self.col_pending = None;
         }
         if self.done() {
-            return;
+            return None;
         }
         let (issue, throttled) = self.next_issue(out.primary.free());
         if throttled {
@@ -541,6 +535,7 @@ impl Engine for GatherEngine {
             }
             None => {}
         }
+        self.landing()
     }
 
     fn done(&self) -> bool {
@@ -777,11 +772,11 @@ impl Engine for SpMSpVEngine {
         sram: &mut dyn MemoryPort,
         out: Outputs<'_>,
         stats: &mut EngineStats,
-    ) {
+    ) -> Option<u64> {
         // Commit a completed fetch.
         if let Some((p, kind)) = self.pending {
             if now < p.ready_at {
-                return;
+                return Some(p.ready_at);
             }
             self.pending = None;
             match kind {
@@ -856,6 +851,7 @@ impl Engine for SpMSpVEngine {
             Decision::OutputFull => stats.stall_out_full += 1,
             Decision::Idle => {}
         }
+        self.pending.map(|(p, _)| p.ready_at)
     }
 
     fn done(&self) -> bool {
@@ -1026,10 +1022,10 @@ impl Engine for SmashEngine {
         sram: &mut dyn MemoryPort,
         mut out: Outputs<'_>,
         stats: &mut EngineStats,
-    ) {
+    ) -> Option<u64> {
         if let Some((p, kind)) = self.pending {
             if now < p.ready_at {
-                return;
+                return Some(p.ready_at);
             }
             self.pending = None;
             match kind {
@@ -1082,6 +1078,7 @@ impl Engine for SmashEngine {
             Decision::OutputFull => stats.stall_out_full += 1,
             Decision::Idle => {}
         }
+        self.pending.map(|(p, _)| p.ready_at)
     }
 
     fn done(&self) -> bool {
@@ -1426,7 +1423,7 @@ mod tests {
                 // Gathers issued at 28 (lands 28 + 1 + 40) and 29 (lands
                 // 35, behind it): the next one issues as soon as the port
                 // allows, capped by the oldest landing.
-                let wake = e.wake(30, levels(&primary));
+                let wake = e.next_step(levels(&primary)).wake(30);
                 assert_eq!(wake, Wake::NeedsPort { addr: 0x1000 + 4 * 13, landing: Some(69) });
                 assert!(primary.is_empty());
             }
@@ -1479,7 +1476,7 @@ mod tests {
         assert_eq!(port.granted_from(0x1000).len(), 3);
         let (_, stalls) = step(&mut e, &mut port, 300, &mut primary);
         assert!(stalls > 0);
-        assert_eq!(e.wake(301, levels(&primary)), Wake::OutputBlocked);
+        assert_eq!(e.next_step(levels(&primary)).wake(301), Wake::OutputBlocked);
     }
 
     /// On flat memory the engine keeps one operation in flight however

@@ -96,6 +96,10 @@ pub struct Hht {
     /// state changes the hint depends on. `None` = recompute on demand, so
     /// cycles where the scheduler never asks cost nothing.
     cached_wake: Option<Wake>,
+    /// Earliest cycle an in-flight engine response lands, as the engine's
+    /// last step reported it; `None` when nothing is in flight (or no
+    /// engine is loaded). Only a step changes what is in flight.
+    landing: Option<u64>,
     /// Fault injection: stream-window reads stall while `now <
     /// delay_until` (a delayed HHT response).
     delay_until: u64,
@@ -138,6 +142,7 @@ impl Hht {
             out_stall_open: false,
             last_levels: [0; 3],
             cached_wake: None,
+            landing: None,
             delay_until: 0,
             frozen_until: 0,
             sticky_error: false,
@@ -207,7 +212,7 @@ impl Hht {
                 self.cached_wake = None;
                 self.stats.busy_cycles += 1;
                 let out_full_before = self.stats.engine.stall_out_full;
-                engine.step(
+                self.landing = engine.step(
                     now,
                     sram,
                     Outputs {
@@ -217,7 +222,8 @@ impl Hht {
                     },
                     &mut self.stats.engine,
                 );
-                if engine.done() {
+                // An engine with a response in flight is not done.
+                if self.landing.is_none() && engine.done() {
                     self.engine_done = true;
                 }
                 if self.obs.is_some() {
@@ -242,10 +248,13 @@ impl Hht {
         if self.engine_done {
             return Wake::Never;
         }
+        // `step` and `start` latch `engine_done` the moment the engine
+        // reports done, so a live engine here is never done.
+        debug_assert!(!engine.done(), "engine done but not latched");
         let wake = match self.cached_wake {
             Some(w) => w,
             None => {
-                let w = engine.wake(now, self.levels());
+                let w = engine.next_step(self.levels()).wake(now);
                 self.cached_wake = Some(w);
                 w
             }
@@ -256,7 +265,6 @@ impl Hht {
         let wake = if now < self.frozen_until {
             match wake {
                 Wake::At(t) => Wake::At(t.max(self.frozen_until)),
-                Wake::Never => Wake::Never,
                 _ => Wake::At(self.frozen_until),
             }
         } else {
@@ -264,10 +272,66 @@ impl Hht {
         };
         match wake {
             Wake::At(t) => Wake::At(t.max(now)),
-            // `done()` should already have latched `engine_done`; act now to
-            // latch it rather than trusting the claim.
-            Wake::Never => Wake::At(now),
             w => w,
+        }
+    }
+
+    /// Does an in-flight response land by `now` on a thawed, live engine?
+    /// Then its step at `now` changes state, whatever it decides: the
+    /// wake is `now` with no decision asked for.
+    #[inline]
+    pub fn lands_by(&self, now: u64) -> bool {
+        self.landing.is_some_and(|at| at <= now) && now >= self.frozen_until
+    }
+
+    /// The earliest cycle `>= now` at which the engine can next change
+    /// state, with [`Hht::next_event`]'s port wait resolved against `port`:
+    /// an issue waits for the bank serving its address (a busy bank's free
+    /// cycle cannot move while it is busy; a free bank means it issues
+    /// now), capped at an in-flight landing. `None` while it waits on the
+    /// CPU to drain an output, or has no live engine. A bound `<= now`
+    /// means the engine must be stepped at `now`.
+    #[inline]
+    pub fn next_bound(&mut self, now: u64, port: &dyn MemoryPort) -> Option<u64> {
+        if self.lands_by(now) {
+            return Some(now);
+        }
+        match self.next_event(now) {
+            Wake::At(at) => Some(at),
+            Wake::NeedsPort { addr, landing } => {
+                let free_at = port.next_event_at(addr, now).unwrap_or(now);
+                Some(landing.map_or(free_at, |at| at.min(free_at)))
+            }
+            Wake::OutputBlocked | Wake::Never => None,
+        }
+    }
+
+    /// Step the engine alone from `now`, where it is due, while the CPU is
+    /// inert: busy, or retrying the stream-window read of `window` (when
+    /// given), which provably stalls at `now`. Steps back to back, exactly
+    /// as [`Hht::step`] called every cycle, and stops at the first cycle
+    /// that is `end`, where the window read of `window` would no longer
+    /// stall, or where the engine is not due ([`Hht::next_bound`] past
+    /// it). Returns the number of cycles stepped (at least one, as `now <
+    /// end`). The caller books the CPU's side of those cycles: one failed
+    /// read each with a `window`, nothing while busy.
+    pub fn run_alone(
+        &mut self,
+        now: u64,
+        end: u64,
+        window: Option<u32>,
+        port: &mut dyn MemoryPort,
+    ) -> u64 {
+        let mut at = now;
+        loop {
+            self.step(at, port);
+            at += 1;
+            if at >= end
+                || window.is_some_and(|addr| !self.window_read_would_stall(addr, at))
+                || self.next_bound(at, port).is_none_or(|b| b > at)
+            {
+                return at - now;
+            }
         }
     }
 
@@ -483,6 +547,7 @@ impl Hht {
             self.engine = None;
             self.engine_done = false;
             self.cached_wake = None;
+            self.landing = None;
             if let Some(bus) = self.obs.as_mut() {
                 bus.emit(now, Track::Fault, EventKind::FaultDetect { what: "mmr_decode" });
             }
@@ -493,6 +558,7 @@ impl Hht {
         self.counts.clear();
         self.engine_done = false;
         self.cached_wake = None;
+        self.landing = None;
         self.engine = Some(match cfg.mode {
             Mode::SpMV => Box::new(GatherEngine::new(cfg, self.params.blen)),
             Mode::SpMSpVAligned => {
@@ -744,6 +810,30 @@ mod tests {
         hht.step(100, &mut port);
         assert_eq!(gathers(&port), 3);
         assert_eq!(hht.next_event(101), Wake::At(100 + 1 + 10));
+    }
+
+    /// A new START replaces the engine, and the old engine's in-flight
+    /// landing goes with it, whether the new configuration decodes or not:
+    /// a stale landing would make the scheduler step a tile it must park.
+    #[test]
+    fn a_restart_forgets_the_old_engines_landing() {
+        let mut port = crate::test_port::LogPort::new(4096, 1, false, 10);
+        port.store_mut().load_words(0x100, &[0, 1]);
+        let mut hht = Hht::new(HhtParams::default());
+        program_spmv(&mut hht, 0x100, 0x200, 2);
+        hht.step(0, &mut port);
+        assert_eq!(hht.next_event(1), Wake::At(11)); // issued at 0, 1 + 10 cycles late
+        assert!(hht.lands_by(11));
+        program_spmv(&mut hht, 0x100, 0x200, 2);
+        assert!(!hht.lands_by(11), "a valid restart kept the old landing");
+        hht.step(1, &mut port);
+        assert!(hht.lands_by(12));
+        let b = map::HHT_MMR_BASE;
+        hht.mmio_write(b + reg::ELEMENT_SIZES, 8, 2); // unsupported SEW
+        hht.mmio_write(b + reg::START, 1, 2);
+        assert!(hht.sticky_error());
+        assert!(!hht.lands_by(12), "a rejected restart kept the old landing");
+        assert_eq!(hht.next_bound(12, &port), None);
     }
 
     #[test]

@@ -123,16 +123,16 @@ impl Engine for ProgrammableEngine {
         sram: &mut dyn MemoryPort,
         out: Outputs<'_>,
         stats: &mut EngineStats,
-    ) {
+    ) -> Option<u64> {
         if self.core.halted() {
-            return;
+            return None;
         }
         // Throttle: never let the microprogram produce into a full FIFO
         // (the store would be lost). One store per instruction at most, so
         // one free slot suffices.
         if out.primary.is_full() {
             stats.stall_out_full += 1;
-            return;
+            return None;
         }
         self.core.step(now, sram, &mut self.capture);
         debug_assert!(
@@ -148,6 +148,9 @@ impl Engine for ProgrammableEngine {
             out.primary.push(v);
             self.supplied += 1;
         }
+        // The helper core's own loads are not landings the scheduler waits
+        // on: its next step is always a move.
+        None
     }
 
     fn done(&self) -> bool {

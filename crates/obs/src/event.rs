@@ -183,7 +183,11 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// Bounded sink for [`Event`]s.
+/// Bounded sink for [`Event`]s, kept in [`merge_events`] order: by cycle,
+/// then track, then emission. Once full it evicts the earliest, so the
+/// retained window is the latest `capacity` events whatever order they
+/// were emitted in — a scheduler that replays a parked span's events in
+/// bulk keeps the same window as one that emits them cycle by cycle.
 #[derive(Debug, Clone)]
 pub struct EventBus {
     events: RingBuffer<Event>,
@@ -196,7 +200,7 @@ impl EventBus {
 
     #[inline]
     pub fn emit(&mut self, cycle: u64, track: Track, kind: EventKind) {
-        self.events.push(Event { cycle, track, kind });
+        self.events.push_ordered_by(Event { cycle, track, kind }, |e| (e.cycle, e.track));
     }
 
     pub fn len(&self) -> usize {

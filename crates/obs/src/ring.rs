@@ -31,6 +31,30 @@ impl<T> RingBuffer<T> {
         self.buf.push_back(item);
     }
 
+    /// Insert a record in `key` order, after every retained record whose
+    /// key is not greater, evicting the lowest-keyed record once full (the
+    /// new one itself when its key is below every retained one). However
+    /// the records arrive, the window is then the `capacity` greatest of
+    /// everything pushed, ties broken by arrival order: two producers that
+    /// push the same records in different orders (but tied records in the
+    /// same order) keep the same window.
+    #[inline]
+    pub fn push_ordered_by<K: Ord>(&mut self, item: T, key: impl Fn(&T) -> K) {
+        let k = key(&item);
+        if self.buf.back().is_none_or(|last| key(last) <= k) {
+            return self.push(item);
+        }
+        if self.buf.len() == self.capacity {
+            self.dropped += 1;
+            if self.buf.front().is_some_and(|first| key(first) > k) {
+                return;
+            }
+            self.buf.pop_front();
+        }
+        let at = self.buf.partition_point(|r| key(r) <= k);
+        self.buf.insert(at, item);
+    }
+
     pub fn len(&self) -> usize {
         self.buf.len()
     }
@@ -81,6 +105,23 @@ mod tests {
         assert_eq!(rb.len(), 3);
         assert_eq!(rb.dropped(), 2);
         assert_eq!(rb.iter().copied().collect::<Vec<_>>(), [2, 3, 4]);
+    }
+
+    #[test]
+    fn ordered_push_keeps_the_greatest_window_whatever_the_arrival_order() {
+        // (key, arrival tag): records tied on key keep their arrival order.
+        let records = [(1, 'a'), (5, 'b'), (3, 'c'), (5, 'd'), (2, 'e'), (4, 'f'), (3, 'g')];
+        let window = |order: &[usize]| {
+            let mut rb = RingBuffer::new(4);
+            for &i in order {
+                rb.push_ordered_by(records[i], |r| r.0);
+            }
+            (rb.iter().copied().collect::<Vec<_>>(), rb.dropped())
+        };
+        let expected = (vec![(3, 'g'), (4, 'f'), (5, 'b'), (5, 'd')], 3);
+        assert_eq!(window(&[0, 1, 2, 3, 4, 5, 6]), expected);
+        assert_eq!(window(&[4, 2, 0, 6, 5, 1, 3]), expected);
+        assert_eq!(window(&[1, 3, 5, 2, 6, 0, 4]), expected);
     }
 
     #[test]

@@ -426,6 +426,14 @@ impl Core {
         }
     }
 
+    /// Is the core due at `now` with no memory op pending? Then its step at
+    /// `now` executes an instruction (or faults): the core acts, whatever
+    /// its port or device would answer.
+    #[inline]
+    pub fn acts_at(&self, now: u64) -> bool {
+        !self.halted && self.busy_until <= now && self.mem_op.is_none()
+    }
+
     /// When the core is runnable *now* but its next action is a stream-window
     /// load from the HHT buffer region, return that address. The scheduler
     /// combines this with the HHT's wake hint: if the window is empty and the

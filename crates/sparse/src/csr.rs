@@ -91,8 +91,12 @@ impl CsrMatrix {
     /// the first duplicate coordinate in row-major order, then a row,
     /// column or non-zero count past the `u32` index range.
     ///
-    /// Built directly: one counting pass buckets the entries by row, then
-    /// each row's columns are sorted on their own.
+    /// Built directly by two stable sorts: the entries are ordered by
+    /// column, then by row, so each row comes out with its columns
+    /// ascending (duplicates adjacent). Both are counting sorts, except
+    /// that a matrix with more columns than entries has its column order
+    /// merge-sorted instead, so nothing is allocated per column. Besides
+    /// the output it holds at most 8 bytes per entry.
     pub fn from_triplets(
         rows: usize,
         cols: usize,
@@ -116,20 +120,52 @@ impl CsrMatrix {
         for r in 0..rows {
             row_ptr[r + 1] += row_ptr[r];
         }
+        // Pass 2, fed pass 1's column order: stable by row, so each row's
+        // columns come out ascending.
         let mut next = row_ptr[..rows].to_vec();
-        let mut entries = vec![(0u32, 0f32); triplets.len()];
-        for &(r, c, v) in triplets {
-            entries[next[r] as usize] = (c as u32, v);
+        let mut col_idx = vec![0u32; triplets.len()];
+        let mut values = vec![0f32; triplets.len()];
+        let mut place = |r: usize, c: usize, v: f32| {
+            let k = next[r] as usize;
+            col_idx[k] = c as u32;
+            values[k] = v;
             next[r] += 1;
-        }
-        for (r, span) in row_ptr.windows(2).enumerate() {
-            let row = &mut entries[span[0] as usize..span[1] as usize];
-            row.sort_unstable_by_key(|&(c, _)| c);
-            if let Some(w) = row.windows(2).find(|w| w[0].0 == w[1].0) {
-                return Err(SparseError::DuplicateEntry { row: r, col: w[0].0 as usize });
+        };
+        // Pass 1: the entries in column order, input order within a
+        // column.
+        if cols <= triplets.len() {
+            let mut start = vec![0u32; cols + 1];
+            for &(_, c, _) in triplets {
+                start[c + 1] += 1;
+            }
+            for c in 0..cols {
+                start[c + 1] += start[c];
+            }
+            let mut fill = start.clone();
+            let mut by_col = vec![(0u32, 0f32); triplets.len()];
+            for &(r, c, v) in triplets {
+                by_col[fill[c] as usize] = (r as u32, v);
+                fill[c] += 1;
+            }
+            for (c, span) in start.windows(2).enumerate() {
+                for &(r, v) in &by_col[span[0] as usize..span[1] as usize] {
+                    place(r as usize, c, v);
+                }
+            }
+        } else {
+            let mut by_col: Vec<u32> = (0..triplets.len() as u32).collect();
+            by_col.sort_by_key(|&i| triplets[i as usize].1);
+            for i in by_col {
+                let (r, c, v) = triplets[i as usize];
+                place(r, c, v);
             }
         }
-        let (col_idx, values) = entries.into_iter().unzip();
+        for (r, span) in row_ptr.windows(2).enumerate() {
+            let row = &col_idx[span[0] as usize..span[1] as usize];
+            if let Some(w) = row.windows(2).find(|w| w[0] == w[1]) {
+                return Err(SparseError::DuplicateEntry { row: r, col: w[0] as usize });
+            }
+        }
         Ok(CsrMatrix { rows, cols, row_ptr, col_idx, values })
     }
 
@@ -336,6 +372,94 @@ mod tests {
         assert_eq!(e, SparseError::DuplicateEntry { row: 0, col: 3 });
     }
 
+    /// The row-bucketing construction the counting sort replaced: one
+    /// counting pass buckets the entries by row, then each row's columns
+    /// are comparison-sorted. Kept as the reference the counting sort must
+    /// match bit for bit, errors included.
+    fn bucket_sort_reference(
+        rows: usize,
+        cols: usize,
+        triplets: &[(usize, usize, f32)],
+    ) -> Result<CsrMatrix> {
+        for &(row, col, _) in triplets {
+            if row >= rows || col >= cols {
+                return Err(SparseError::IndexOutOfBounds { row, col, rows, cols });
+            }
+        }
+        let mut row_ptr = vec![0u32; rows + 1];
+        for &(r, _, _) in triplets {
+            row_ptr[r + 1] += 1;
+        }
+        for r in 0..rows {
+            row_ptr[r + 1] += row_ptr[r];
+        }
+        let mut next = row_ptr[..rows].to_vec();
+        let mut entries = vec![(0u32, 0f32); triplets.len()];
+        for &(r, c, v) in triplets {
+            entries[next[r] as usize] = (c as u32, v);
+            next[r] += 1;
+        }
+        for (r, span) in row_ptr.windows(2).enumerate() {
+            let row = &mut entries[span[0] as usize..span[1] as usize];
+            row.sort_unstable_by_key(|&(c, _)| c);
+            if let Some(w) = row.windows(2).find(|w| w[0].0 == w[1].0) {
+                return Err(SparseError::DuplicateEntry { row: r, col: w[0].0 as usize });
+            }
+        }
+        let (col_idx, values) = entries.into_iter().unzip();
+        Ok(CsrMatrix { rows, cols, row_ptr, col_idx, values })
+    }
+
+    /// The counting sort and the reference agree bit for bit: the same
+    /// arrays (values compared as bit patterns) or the same error.
+    fn assert_matches_reference(rows: usize, cols: usize, triplets: &[(usize, usize, f32)]) {
+        let bits = |r: Result<CsrMatrix>| {
+            r.map(|m| {
+                let v: Vec<u32> = m.values.iter().map(|v| v.to_bits()).collect();
+                (m.rows, m.cols, m.row_ptr, m.col_idx, v)
+            })
+        };
+        assert_eq!(
+            bits(CsrMatrix::from_triplets(rows, cols, triplets)),
+            bits(bucket_sort_reference(rows, cols, triplets)),
+            "{rows}x{cols} from {triplets:?}"
+        );
+    }
+
+    #[test]
+    fn the_counting_sort_matches_the_bucket_sort_on_edge_cases() {
+        type Triplets = &'static [(usize, usize, f32)];
+        let cases: &[(usize, usize, Triplets)] = &[
+            (0, 0, &[]),
+            (3, 3, &[]),
+            (1, 1, &[(0, 0, -0.0)]),
+            (1, 1, &[(0, 0, 1.5), (0, 0, 2.5)]),
+            (2, 5, &[(1, 4, 1.0), (0, 3, 2.0), (1, 0, 3.0), (0, 1, 4.0)]),
+            (5, 2, &[(4, 1, 1.0), (0, 1, 2.0), (4, 0, 3.0), (2, 0, 4.0)]),
+            // Duplicates in two rows: the lower row's is reported, and
+            // within it the lower column's.
+            (3, 4, &[(2, 1, 1.0), (1, 3, 1.0), (2, 1, 2.0), (1, 3, 2.0), (1, 2, 0.0), (1, 2, 3.0)]),
+            // Out of range outranks a duplicate, the first in input order
+            // wins.
+            (2, 2, &[(0, 0, 1.0), (0, 0, 1.0), (0, 2, 1.0), (3, 0, 1.0)]),
+            (2, 2, &[(2, 0, 1.0), (0, 5, 1.0)]),
+            // More columns than entries: the column order is merge-sorted.
+            (2, 9, &[(1, 8, 1.0), (0, 8, 2.0), (1, 2, 3.0)]),
+            (2, 9, &[(1, 8, 1.0), (1, 3, 2.0), (1, 8, 3.0)]),
+        ];
+        for &(rows, cols, triplets) in cases {
+            assert_matches_reference(rows, cols, triplets);
+        }
+        for seed in 0..8 {
+            let m = crate::generate::random_csr(40 + seed as usize, 33, 0.9, seed);
+            let mut t = m.triplets();
+            t.reverse();
+            let shift = seed as usize * 7 % t.len().max(1);
+            t.rotate_left(shift);
+            assert_matches_reference(m.rows(), m.cols(), &t);
+        }
+    }
+
     mod direct_build {
         use super::*;
         use proptest::prelude::*;
@@ -367,6 +491,7 @@ mod tests {
                 let via_coo = CooMatrix::from_triplets(rows, cols, &triplets)
                     .map(|coo| CsrMatrix::from_coo(&coo));
                 prop_assert_eq!(direct, via_coo);
+                assert_matches_reference(rows, cols, &triplets);
             }
         }
     }

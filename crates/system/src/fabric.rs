@@ -43,10 +43,10 @@
 
 use crate::config::SystemConfig;
 use crate::system::{FaultSummary, SystemStats};
-use hht_accel::{Hht, HhtStats, Wake};
+use hht_accel::{Hht, HhtStats};
 use hht_fault::{FaultKind, FaultPlan};
 use hht_isa::Program;
-use hht_mem::{Dram, DramConfig, FabricPort, SharedMemStats, SharedMemory, SramStats};
+use hht_mem::{Dram, DramConfig, FabricPort, MemoryPort, SharedMemStats, SharedMemory, SramStats};
 use hht_obs::{
     merge_events, Event, EventBus, EventKind, ObsDrops, SkipSpan, StallBreakdown, Track,
 };
@@ -463,6 +463,20 @@ pub struct Fabric {
     live: Vec<bool>,
 }
 
+/// One tile's scheduling bound from a cycle ([`Fabric::tile_bound`]).
+struct Bound {
+    /// The earliest cycle at which the tile can next change state.
+    at: u64,
+    /// What a parked span owes the tile.
+    replay: Replay,
+    /// The earliest cycle at which the core's step does more than nothing
+    /// (it is busy) or a stream-window read that fails: its busy end, or
+    /// the first cycle its stalled read can succeed by time alone or trips
+    /// the timeout. The current cycle when the core acts or waits on a
+    /// port.
+    core_at: u64,
+}
+
 /// Per-tile classification for one park: what bulk-replay the parked span
 /// owes this tile.
 enum Replay {
@@ -778,66 +792,53 @@ impl Fabric {
     /// the parked tile's responses occupy its window and a parked tile
     /// issues nothing. Everything else in the bound is the tile's own core
     /// and engine timing, which no other tile can touch.
-    fn tile_bound(&mut self, t: usize, now: u64) -> Option<(u64, Replay)> {
+    #[inline(always)]
+    fn tile_bound(&mut self, t: usize, now: u64) -> Option<Bound> {
         let tile = &mut self.tiles[t];
-        let core_at = tile.core.next_event(now)?;
+        let port = FabricPort::new(&mut self.mem, t);
+        let mut core_at = tile.core.next_event(now)?;
+        let due = Some(Bound { at: now, replay: Replay::Busy, core_at: now });
         let mut window_read = None;
         let mut port_wait = None;
         if core_at <= now {
             if let Some(addr) = tile.core.pending_hht_read(now) {
                 if !tile.hht.window_read_would_stall(addr, now) {
-                    return Some((now, Replay::Busy)); // the pop succeeds this cycle
+                    return due; // the pop succeeds this cycle
                 }
                 window_read = Some(addr);
+                // The read fails every cycle until the engine fills the
+                // stream, a fault delay lifts, or the timeout trips.
+                core_at = tile.hht.window_ready_at(addr, now).unwrap_or(u64::MAX);
+                if let Some(b) = tile.core.hht_timeout_bound(now) {
+                    core_at = core_at.min(b);
+                }
             } else if let Some(addr) = tile.core.pending_port_addr(now) {
-                match self.mem.next_event_for(t, addr, now) {
+                match port.next_event_at(addr, now) {
                     // The span replays one arbitration loss per cycle
                     // against `addr`'s bank, which provably stays busy
                     // until `free_at`.
                     Some(free_at) => port_wait = Some(free_at),
-                    None => return Some((now, Replay::Busy)), // bank free: the access lands
+                    None => return due, // bank free: the access lands
                 }
             } else {
-                return Some((now, Replay::Busy)); // the core acts this cycle
+                return due; // the core acts this cycle
             }
         }
-        let hht_bound = match tile.hht.next_event(now) {
-            Wake::At(at) => Some(at),
-            Wake::NeedsPort { addr, landing } => {
-                // Bank-exact resolution: the engine issues the moment
-                // the bank serving its named address frees (a busy
-                // bank's `free_at` cannot move while the bank is busy);
-                // a free bank means it could issue on the very next
-                // stepped cycle, so the bound is `now` (no park). An
-                // in-flight response landing first ends the wait sooner.
-                let free_at = self.mem.next_event_for(t, addr, now).unwrap_or(now);
-                Some(landing.map_or(free_at, |at| at.min(free_at)))
-            }
-            Wake::OutputBlocked | Wake::Never => None,
-        };
-        let bound = if let Some(free_at) = port_wait {
-            hht_bound.map_or(free_at, |b| b.min(free_at))
+        // Bank-exact resolution of an engine's port wait: see
+        // [`Hht::next_bound`].
+        let hht_bound = tile.hht.next_bound(now, &port);
+        let (at, replay) = if let Some(free_at) = port_wait {
+            core_at = now;
+            (hht_bound.map_or(free_at, |b| b.min(free_at)), Replay::Port)
         } else if let Some(addr) = window_read {
             // Only the engine can unpark the core; with no engine wake
             // this is a deadlock — jump straight to the watchdog limit
             // (unless a window refill, a timeout or a fault intervenes).
-            let mut bound = hht_bound.unwrap_or(self.max_cycles);
-            if let Some(ready) = tile.hht.window_ready_at(addr, now) {
-                bound = bound.min(ready);
-            }
-            if let Some(b) = tile.core.hht_timeout_bound(now) {
-                bound = bound.min(b);
-            }
-            bound
+            (hht_bound.unwrap_or(self.max_cycles).min(core_at), Replay::Window(addr))
         } else {
-            hht_bound.map_or(core_at, |b| b.min(core_at))
+            (hht_bound.map_or(core_at, |b| b.min(core_at)), Replay::Busy)
         };
-        let replay = match (window_read, port_wait) {
-            (Some(addr), _) => Replay::Window(addr),
-            (None, Some(_)) => Replay::Port,
-            (None, None) => Replay::Busy,
-        };
-        Some((bound, replay))
+        Some(Bound { at, replay, core_at })
     }
 
     /// Commit the bulk-replay charges a parked span `[now, now + span)`
@@ -1009,8 +1010,8 @@ impl Fabric {
         heap: &mut BinaryHeap<Reverse<(u64, usize)>>,
     ) -> bool {
         match self.park(t, fault_at) {
-            Some(wake) if wake > self.cycle => {
-                heap.push(Reverse((wake, t)));
+            Some(b) if b.at > self.cycle => {
+                heap.push(Reverse((b.at, t)));
                 false
             }
             Some(_) => true,
@@ -1020,17 +1021,18 @@ impl Fabric {
 
     /// Park stepped tile `t` from the current cycle to its bound, capped
     /// by the watchdog limit and the next live fault (`fault_at`),
-    /// committing the span's charges eagerly. Returns the wake cycle — at
-    /// most the current one when the tile is due now and nothing was
-    /// parked — or `None` once the tile has halted.
-    fn park(&mut self, t: usize, fault_at: Option<u64>) -> Option<u64> {
+    /// committing the span's charges eagerly. Returns the bound with its
+    /// wake cycle (`at`) capped — at most the current one when the tile is
+    /// due now and nothing was parked — or `None` once the tile has halted.
+    #[inline(always)]
+    fn park(&mut self, t: usize, fault_at: Option<u64>) -> Option<Bound> {
         let now = self.cycle;
-        let (bound, plan) = self.tile_bound(t, now)?;
-        let target = fault_at.map_or(bound, |f| bound.min(f)).min(self.max_cycles);
-        if target > now {
-            self.commit_park(t, now, target - now, &plan);
+        let mut b = self.tile_bound(t, now)?;
+        b.at = fault_at.map_or(b.at, |f| b.at.min(f)).min(self.max_cycles);
+        if b.at > now {
+            self.commit_park(t, now, b.at - now, &b.replay);
         }
-        Some(target)
+        Some(b)
     }
 
     /// Solo run: tile `t` is the only one due, so it runs in one co-run
@@ -1052,7 +1054,11 @@ impl Fabric {
     ///
     /// While the tile's HHT has no live engine, the core runs alone
     /// ([`Self::run_core_alone`]); the loop steps only what that hands
-    /// back.
+    /// back. A co-step after which the core acts (due with no memory op
+    /// pending) or an engine response lands is due next cycle, so it asks
+    /// no bound. While the tile is due with its core inert, the engine
+    /// runs alone ([`Self::run_engine_alone`]) and the tile is re-planned
+    /// where that stops.
     fn run_solo(
         &mut self,
         t: usize,
@@ -1085,8 +1091,28 @@ impl Fabric {
                 if tile.done_at.is_none() && tile.core.halted() {
                     tile.done_at = Some(self.cycle);
                 }
+                // The tile is due next cycle when its core acts (it is due
+                // with no memory op pending) or an engine response lands:
+                // no bound needs asking.
+                if tile.core.acts_at(self.cycle)
+                    || (!tile.core.halted() && tile.hht.lands_by(self.cycle))
+                {
+                    continue;
+                }
             }
-            match self.park(t, fault_at) {
+            // Due before the horizon with its core inert: only the engine
+            // changes state, so it runs alone while it may, then re-plan.
+            let wake = loop {
+                match self.park(t, fault_at) {
+                    Some(b)
+                        if b.at <= self.cycle && b.core_at > self.cycle && self.cycle < horizon =>
+                    {
+                        stepped += self.run_engine_alone(t, b.core_at.min(horizon), &b.replay);
+                    }
+                    b => break b.map(|b| b.at),
+                }
+            };
+            match wake {
                 Some(wake) if wake <= self.cycle => {}
                 Some(wake) if wake < horizon => self.skip_to(wake),
                 Some(wake) => {
@@ -1136,6 +1162,34 @@ impl Fabric {
         }
         self.cycle = run.end;
         run.replan
+    }
+
+    /// Solo engine run: tile `t` is due and alone before `end`, its engine
+    /// is due and its core inert — busy, or retrying a stream-window read
+    /// that stalls (`replay` is [`Replay::Window`]). [`Hht::run_alone`]
+    /// steps the engine alone until it may not be due, the window would
+    /// serve the read, or `end` (the core's own bound, or the horizon).
+    /// Every cycle it covers is one where [`Self::tile_bound`] answers
+    /// "due now", so no park can fall inside it; this books what the
+    /// co-run would have: each cycle one stepped cycle (the caller's
+    /// count) and, with a window, one failed read through the same
+    /// [`Core::skip_hht_wait`] and [`Hht::skip_stalled_reads`] a window
+    /// park replays. Returns the cycles stepped.
+    fn run_engine_alone(&mut self, t: usize, end: u64, replay: &Replay) -> u64 {
+        let now = self.cycle;
+        let tile = &mut self.tiles[t];
+        let mut port = FabricPort::new(&mut self.mem, t);
+        let window = match *replay {
+            Replay::Window(addr) => Some(addr),
+            Replay::Busy | Replay::Port => None,
+        };
+        let n = tile.hht.run_alone(now, end, window, &mut port);
+        if let Some(addr) = window {
+            tile.core.skip_hht_wait(now, n, addr);
+            tile.hht.skip_stalled_reads(n);
+        }
+        self.cycle = now + n;
+        n
     }
 
     /// Jump the clock to `wake`. The cycles in between were already paid
@@ -1329,7 +1383,7 @@ mod tests {
         while fabric.tiles.iter().any(|t| !t.core.halted()) {
             let now = fabric.cycle;
             for t in 0..fabric.tiles.len() {
-                if let Wake::NeedsPort { addr, landing: Some(at) } =
+                if let hht_accel::Wake::NeedsPort { addr, landing: Some(at) } =
                     fabric.tiles[t].hht.next_event(now)
                 {
                     if window > 0 && fabric.mem.in_flight(t, now) >= window {

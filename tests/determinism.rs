@@ -1757,6 +1757,104 @@ fn hht_solo_co_runs_match_the_per_cycle_oracle() {
     }
 }
 
+/// The stream-window stall episodes of a traced run's tile-0 events, as
+/// `(begin, end)` cycles: the CPU pipe waiting on an empty element window
+/// or on a chunk header.
+fn window_stall_episodes(events: &[hht::obs::Event]) -> Vec<(u64, u64)> {
+    use hht::obs::{EventKind, StallCause, Track};
+    let window =
+        |c: StallCause| matches!(c, StallCause::HhtWindowEmpty | StallCause::HhtHeaderWait);
+    let mut open = None;
+    let mut episodes = Vec::new();
+    for e in events.iter().filter(|e| e.track == Track::CpuPipe) {
+        match e.kind {
+            EventKind::StallBegin(c) if window(c) => open = Some(e.cycle),
+            EventKind::StallEnd(c) if window(c) => {
+                episodes.extend(open.take().map(|b| (b, e.cycle)))
+            }
+            _ => {}
+        }
+    }
+    episodes
+}
+
+/// Each HHT kernel, on each memory where its core waits on the engine for
+/// at least four cycles at a time, runs bit-identically to the per-cycle
+/// oracle (result, stats, events, registers, instruction trace, books;
+/// traced and untraced, which must book alike) when the waits that the
+/// solo engine run steps through are cut short: by a window-read timeout
+/// of half the longest wait, which trips inside the waits and retries
+/// after a busy backoff; by a response delay that starts one cycle into
+/// the longest wait and outlasts it, so the core keeps waiting on a window
+/// the engine has filled; and by an engine stall that starts halfway
+/// through it.
+#[test]
+fn hht_solo_engine_runs_match_the_per_cycle_oracle() {
+    use hht::fault::{FaultEvent, FaultKind, FaultPlan};
+    use hht::mem::DramConfig;
+    let (n, seed) = (24, 0xC0DE);
+    let flat = SystemConfig::paper_default();
+    let memories = [
+        ("flat", flat),
+        ("flat_word4", flat.with_ram_word_cycles(4)),
+        ("slow_300ns", flat.with_dram(DramConfig::slow_300ns())),
+    ];
+    for name in HHT_KERNELS {
+        let mut covered = 0;
+        for &(mem, memory) in &memories {
+            let traced = memory.with_trace(TraceConfig::enabled()).with_cycle_skip(false);
+            let (mut probe, _) = hht_fabric(&traced, name, n, seed);
+            let full = probe.run().expect("clean HHT run").cycles;
+            let episodes = window_stall_episodes(&probe.take_all_events()[0]);
+            let Some(&(begin, end)) = episodes.iter().max_by_key(|(b, e)| (e - b, *b)) else {
+                continue;
+            };
+            let longest = end - begin;
+            if longest < 4 {
+                continue;
+            }
+            covered += 1;
+            let mut base = memory;
+            base.core.max_cycles = 4 * full;
+            let mut timed = base;
+            timed.core.hht_timeout = longest / 2;
+            let delay = FaultPlan::new(vec![FaultEvent::new(
+                begin + 1,
+                FaultKind::DelayResponse { cycles: longest + 8 },
+            )]);
+            let stall = FaultPlan::new(vec![FaultEvent::new(
+                begin + longest / 2,
+                FaultKind::EngineStall { cycles: 20 },
+            )]);
+            for (what, cfg, plan) in [
+                ("timeout", timed, None),
+                ("delay", base, Some(&delay)),
+                ("stall", base, Some(&stall)),
+            ] {
+                let ctx = format!("{name} on {mem}, {what} (longest wait {longest} at {begin})");
+                let mut books = Vec::new();
+                for traced in [false, true] {
+                    let cfg = if traced {
+                        cfg.with_trace(TraceConfig::enabled().with_instr_trace())
+                    } else {
+                        cfg
+                    };
+                    let eq = assert_solo_matches_per_cycle(&cfg, name, n, seed, plan);
+                    let s = eq.stats().tiles[0];
+                    assert_eq!(s.faults.injected, plan.is_some() as u64, "{ctx}: faults");
+                    if what == "timeout" {
+                        assert!(s.core.hht_timeouts > 0, "{ctx}: the timeout never tripped");
+                        assert!(s.core.hht_retries > 0, "{ctx}: no retry was taken");
+                    }
+                    books.push((eq.sched_stats(), eq.tile_sched_stats().to_vec()));
+                }
+                assert_eq!(books[0], books[1], "{ctx}: tracing moved the books");
+            }
+        }
+        assert!(covered > 0, "{name}: its core never waits four cycles on the engine");
+    }
+}
+
 /// A watchdog limit that lands inside the solo co-run — on each of
 /// several consecutive stepped cycles mid-run, and one cycle into a park
 /// that would otherwise be jumped in place — stops both schedulers at
