@@ -21,10 +21,10 @@
 //! address), make an internal move (a comparison, a bitmap scan, a header
 //! push), or record the output-full throttle. `step` lands any due
 //! response and then applies that decision. [`Engine::next_step`] reports
-//! the same decision to the cycle-skipping scheduler as a [`NextStep`];
-//! the wake hint ([`NextStep::wake`]) and the charges of a skipped inert
-//! span ([`NextStep::charge_inert`]) are derived from it in one place, so
-//! no engine states its schedule a second time.
+//! the same decision to the cycle-skipping scheduler as a [`NextStep`]:
+//! the front end's bound (`Hht::next_bound`) and the charges of a skipped
+//! inert span ([`NextStep::charge_inert`]) both read it, so no engine
+//! states its schedule a second time.
 //!
 //! # The chunked count protocol
 //!
@@ -112,37 +112,6 @@ impl OutputLevels {
     }
 }
 
-/// When an engine can next make progress — the hint consumed by the
-/// cycle-skipping scheduler (`hht-system`'s `Fabric`), derived from the
-/// engine's [`NextStep`] by [`NextStep::wake`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Wake {
-    /// The engine's next state-changing `step` happens at this absolute
-    /// cycle; every step strictly before it only ticks `busy_cycles`.
-    At(u64),
-    /// The next step issues a read of `addr` the moment the port grants it;
-    /// while the port refuses, each stepped cycle before `landing` loses
-    /// arbitration and performs exactly the per-cycle charges
-    /// [`NextStep::charge_inert`] records (at least one `port_conflicts`),
-    /// changing nothing else. The scheduler resolves this against the free
-    /// cycle of the bank serving `addr`, which the engine cannot see, and
-    /// caps it at `landing`.
-    NeedsPort {
-        /// Target address of the read the next step will issue.
-        addr: u32,
-        /// Earliest cycle an in-flight response lands (and the step
-        /// changes state whatever the port does); `None` when nothing is
-        /// in flight.
-        landing: Option<u64>,
-    },
-    /// Inert until the CPU drains an output FIFO: every stepped cycle in
-    /// this state records exactly one `stall_out_full` and changes nothing
-    /// else.
-    OutputBlocked,
-    /// Retired — stepping does nothing at all.
-    Never,
-}
-
 /// What an engine's next step does when no in-flight response lands
 /// first, in the terms the scheduler needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -181,41 +150,31 @@ pub struct NextStep {
 }
 
 impl NextStep {
-    /// The wake at cycle `now` of an engine that is not done: a response
-    /// due by `now` changes state now; an issue waits on the port (capped
-    /// at the landing), a full output on the CPU, an idle engine on its
-    /// landing; a move happens now.
-    pub fn wake(self, now: u64) -> Wake {
-        match self.action {
-            _ if self.landing.is_some_and(|at| at <= now) => Wake::At(now),
-            Action::Issue { addr, .. } => Wake::NeedsPort { addr, landing: self.landing },
-            Action::OutputFull => Wake::OutputBlocked,
-            Action::Move => Wake::At(now),
-            Action::Idle => Wake::At(self.landing.unwrap_or(now)),
-        }
-    }
-
     /// Charge `stats` for `span` cycles from `now` that the scheduler
     /// skips in this state: exactly `span` times what one `step` records.
-    /// A port wait loses arbitration every cycle (and records the throttle
-    /// when the step does), an output-blocked state records the throttle,
-    /// and a waiting state charges nothing (the scheduler never skips a
-    /// move). Returns the address of the refused read, so the port can
-    /// record the same losses.
+    /// A refused issue loses arbitration every cycle (and records the
+    /// throttle when the step does), an output-full state records the
+    /// throttle, and a landing due by `now`, a move or an idle wait
+    /// charges nothing (the scheduler never skips a due step). Returns
+    /// the address of the refused read, so the port can record the same
+    /// losses.
     pub fn charge_inert(self, now: u64, span: u64, stats: &mut EngineStats) -> Option<u32> {
-        match self.wake(now) {
-            Wake::NeedsPort { addr, .. } => {
+        if self.landing.is_some_and(|at| at <= now) {
+            return None;
+        }
+        match self.action {
+            Action::Issue { addr, throttled } => {
                 stats.port_conflicts += span;
-                if matches!(self.action, Action::Issue { throttled: true, .. }) {
+                if throttled {
                     stats.stall_out_full += span;
                 }
                 Some(addr)
             }
-            Wake::OutputBlocked => {
+            Action::OutputFull => {
                 stats.stall_out_full += span;
                 None
             }
-            Wake::At(_) | Wake::Never => None,
+            Action::Move | Action::Idle => None,
         }
     }
 }
@@ -223,9 +182,9 @@ impl NextStep {
 /// A back-end engine: stepped once per cycle while running.
 ///
 /// An engine states its next step once: `step` applies the decision that
-/// [`Engine::next_step`] reports, and the scheduler's wake
-/// ([`NextStep::wake`]) and inert-span charges
-/// ([`NextStep::charge_inert`]) are derived from that report.
+/// [`Engine::next_step`] reports, and the scheduler's bound
+/// (`Hht::next_bound`) and inert-span charges
+/// ([`NextStep::charge_inert`]) read that report.
 pub trait Engine {
     /// Advance one cycle: land any due response, then apply the decision
     /// [`Engine::next_step`] reports for the resulting state. `now` is the
@@ -1406,7 +1365,7 @@ mod tests {
     /// visible column index and an unreserved primary slot, without
     /// waiting on earlier responses; they land in issue order even when a
     /// later one's response arrives first. While gathers are in flight the
-    /// wake names the next issue and caps it at the oldest landing.
+    /// next step names the next issue and the oldest landing.
     #[test]
     fn gather_engine_keeps_gathers_in_flight_on_row_timed_memory() {
         let mut port = LogPort::new(8192, 1, true, 20);
@@ -1423,8 +1382,9 @@ mod tests {
                 // Gathers issued at 28 (lands 28 + 1 + 40) and 29 (lands
                 // 35, behind it): the next one issues as soon as the port
                 // allows, capped by the oldest landing.
-                let wake = e.next_step(levels(&primary)).wake(30);
-                assert_eq!(wake, Wake::NeedsPort { addr: 0x1000 + 4 * 13, landing: Some(69) });
+                let next = e.next_step(levels(&primary));
+                let issue = Action::Issue { addr: 0x1000 + 4 * 13, throttled: false };
+                assert_eq!(next, NextStep { action: issue, landing: Some(69) });
                 assert!(primary.is_empty());
             }
             got.extend(std::iter::from_fn(|| primary.pop()));
@@ -1476,7 +1436,8 @@ mod tests {
         assert_eq!(port.granted_from(0x1000).len(), 3);
         let (_, stalls) = step(&mut e, &mut port, 300, &mut primary);
         assert!(stalls > 0);
-        assert_eq!(e.next_step(levels(&primary)).wake(301), Wake::OutputBlocked);
+        let throttle = NextStep { action: Action::OutputFull, landing: None };
+        assert_eq!(e.next_step(levels(&primary)), throttle);
     }
 
     /// On flat memory the engine keeps one operation in flight however

@@ -8,8 +8,8 @@
 //! the core.
 
 use crate::engine::{
-    Engine, EngineStats, GatherEngine, OutputLevels, Outputs, SmashEngine, SpMSpVEngine,
-    SpMSpVVariant, Wake,
+    Action, Engine, EngineStats, GatherEngine, NextStep, OutputLevels, Outputs, SmashEngine,
+    SpMSpVEngine, SpMSpVVariant,
 };
 use crate::fifo::ElemFifo;
 use crate::mmr::{reg, Mode, RegisterFile};
@@ -27,6 +27,23 @@ pub mod window {
     pub const SECONDARY: u32 = 0x400;
     /// Per-row count stream pop address (variant-1 and SMASH).
     pub const COUNTS: u32 = 0x800;
+}
+
+/// What a CPU load of a stream window gets at a cycle: the control unit's
+/// one decision per read (§3.1), which [`MmioDevice::mmio_read`] applies
+/// and the cycle-skipping scheduler reads ([`Hht::window_read`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WindowRead {
+    /// The read gets data: the stream's head element, or the open-bus
+    /// zero of an offset that is no stream.
+    Data,
+    /// The stream holds data but responses are fault-delayed: the read
+    /// stalls every cycle before this one and gets data at it.
+    DelayedUntil(u64),
+    /// The stream is empty, or the sticky error withholds it: the read
+    /// stalls until the engine pushes an element (or, for the sticky
+    /// error, for good, until the CPU-side timeout protocol gives up).
+    Stalled,
 }
 
 /// Design-time parameters of the accelerator (Table 1: N = 2 buffers,
@@ -91,11 +108,6 @@ pub struct Hht {
     /// Last emitted occupancy per stream buffer (primary, secondary,
     /// counts), so the counter tracks only record changes.
     last_levels: [u32; 3],
-    /// Memoized engine wake hint. Valid until the engine steps, a stream
-    /// pop changes buffer levels, or a new operation starts — the only
-    /// state changes the hint depends on. `None` = recompute on demand, so
-    /// cycles where the scheduler never asks cost nothing.
-    cached_wake: Option<Wake>,
     /// Earliest cycle an in-flight engine response lands, as the engine's
     /// last step reported it; `None` when nothing is in flight (or no
     /// engine is loaded). Only a step changes what is in flight.
@@ -141,7 +153,6 @@ impl Hht {
             run_slice_open: false,
             out_stall_open: false,
             last_levels: [0; 3],
-            cached_wake: None,
             landing: None,
             delay_until: 0,
             frozen_until: 0,
@@ -189,9 +200,10 @@ impl Hht {
     }
 
     /// Is an engine loaded and not yet retired? False exactly when
-    /// [`Hht::next_event`] answers [`Wake::Never`], without touching its
-    /// memoized wake; [`Hht::step`] and [`Hht::skip_idle`] are then no-ops,
-    /// so until the next device access the tile evolves as its core alone.
+    /// [`Hht::next_step`] answers `None`; [`Hht::step`] and
+    /// [`Hht::skip_idle`] are then no-ops and [`Hht::next_bound`] is
+    /// `None`, so until the next device access the tile evolves as its
+    /// core alone.
     #[inline]
     pub fn engine_live(&self) -> bool {
         self.engine.is_some() && !self.engine_done
@@ -204,12 +216,10 @@ impl Hht {
             if !self.engine_done {
                 if now < self.frozen_until {
                     // Injected engine stall: the cycle is consumed holding
-                    // state, no progress is made (and the memoized wake
-                    // stays valid — nothing changed).
+                    // state, no progress is made.
                     self.stats.busy_cycles += 1;
                     return;
                 }
-                self.cached_wake = None;
                 self.stats.busy_cycles += 1;
                 let out_full_before = self.stats.engine.stall_out_full;
                 self.landing = engine.step(
@@ -233,76 +243,60 @@ impl Hht {
         }
     }
 
-    /// When the back-end can next change state — the cycle-skipping
-    /// scheduler's hint. `Never` when no engine is running (or it already
-    /// retired); `At(t)` when the engine waits on a memory read;
-    /// `NeedsPort` when its next step issues a read and is throttled only
-    /// by SRAM-port arbitration (the scheduler resolves this against the
-    /// port's free cycle); and `OutputBlocked` when it is throttled by a
-    /// full output FIFO and can only re-check once the CPU pops an element.
+    /// The live engine's next step, as its own decision reports it
+    /// ([`Engine::next_step`]); `None` without a live engine. An injected
+    /// engine stall is not applied here: [`Hht::next_bound`] applies it.
     #[inline]
-    pub fn next_event(&mut self, now: u64) -> Wake {
-        let Some(engine) = self.engine.as_ref() else {
-            return Wake::Never;
-        };
-        if self.engine_done {
-            return Wake::Never;
-        }
+    pub fn next_step(&self) -> Option<NextStep> {
+        let engine = self.engine.as_ref().filter(|_| !self.engine_done)?;
         // `step` and `start` latch `engine_done` the moment the engine
         // reports done, so a live engine here is never done.
         debug_assert!(!engine.done(), "engine done but not latched");
-        let wake = match self.cached_wake {
-            Some(w) => w,
-            None => {
-                let w = engine.next_step(self.levels()).wake(now);
-                self.cached_wake = Some(w);
-                w
-            }
-        };
-        // An injected engine stall defers any wake to the thaw cycle; the
-        // frozen steps in between only tick `busy_cycles`, which is exactly
-        // the `Wake::At` contract.
-        let wake = if now < self.frozen_until {
-            match wake {
-                Wake::At(t) => Wake::At(t.max(self.frozen_until)),
-                _ => Wake::At(self.frozen_until),
-            }
-        } else {
-            wake
-        };
-        match wake {
-            Wake::At(t) => Wake::At(t.max(now)),
-            w => w,
-        }
+        let next = engine.next_step(self.levels());
+        debug_assert_eq!(next.landing, self.landing, "landing not recorded by step");
+        Some(next)
     }
 
     /// Does an in-flight response land by `now` on a thawed, live engine?
     /// Then its step at `now` changes state, whatever it decides: the
-    /// wake is `now` with no decision asked for.
+    /// bound is `now` with no decision asked for.
     #[inline]
     pub fn lands_by(&self, now: u64) -> bool {
         self.landing.is_some_and(|at| at <= now) && now >= self.frozen_until
     }
 
-    /// The earliest cycle `>= now` at which the engine can next change
-    /// state, with [`Hht::next_event`]'s port wait resolved against `port`:
-    /// an issue waits for the bank serving its address (a busy bank's free
-    /// cycle cannot move while it is busy; a free bank means it issues
-    /// now), capped at an in-flight landing. `None` while it waits on the
-    /// CPU to drain an output, or has no live engine. A bound `<= now`
-    /// means the engine must be stepped at `now`.
+    /// The earliest cycle `>= now` at which the engine's step can next
+    /// change state, read off its [`NextStep`] with the port wait resolved
+    /// against `port`: a landing due by `now` is now (no decision asked
+    /// for); an issue waits for the bank serving its address (a busy
+    /// bank's free cycle cannot move while it is busy; a free bank means
+    /// it issues now), capped at an in-flight landing; a move is now; an
+    /// idle engine waits on its landing. An injected engine stall defers
+    /// all of these to the thaw, except a landing after it: the frozen
+    /// steps in between only tick `busy_cycles`. `None` while the engine
+    /// waits on the CPU to drain an output, or has no live engine. A bound
+    /// `<= now` means the engine must be stepped at `now`.
     #[inline]
-    pub fn next_bound(&mut self, now: u64, port: &dyn MemoryPort) -> Option<u64> {
+    pub fn next_bound(&self, now: u64, port: &dyn MemoryPort) -> Option<u64> {
         if self.lands_by(now) {
             return Some(now);
         }
-        match self.next_event(now) {
-            Wake::At(at) => Some(at),
-            Wake::NeedsPort { addr, landing } => {
+        let next = self.next_step()?;
+        let thaw = self.frozen_until;
+        if now < thaw {
+            return Some(match next.action {
+                Action::Idle => next.landing.map_or(thaw, |at| at.max(thaw)),
+                _ => thaw,
+            });
+        }
+        match next.action {
+            Action::Issue { addr, .. } => {
                 let free_at = port.next_event_at(addr, now).unwrap_or(now);
-                Some(landing.map_or(free_at, |at| at.min(free_at)))
+                Some(next.landing.map_or(free_at, |at| at.min(free_at)))
             }
-            Wake::OutputBlocked | Wake::Never => None,
+            Action::Move => Some(now),
+            Action::Idle => Some(next.landing.unwrap_or(now)),
+            Action::OutputFull => None,
         }
     }
 
@@ -310,11 +304,12 @@ impl Hht {
     /// inert: busy, or retrying the stream-window read of `window` (when
     /// given), which provably stalls at `now`. Steps back to back, exactly
     /// as [`Hht::step`] called every cycle, and stops at the first cycle
-    /// that is `end`, where the window read of `window` would no longer
-    /// stall, or where the engine is not due ([`Hht::next_bound`] past
-    /// it). Returns the number of cycles stepped (at least one, as `now <
-    /// end`). The caller books the CPU's side of those cycles: one failed
-    /// read each with a `window`, nothing while busy.
+    /// that is `end`, where the window read of `window` gets data
+    /// ([`Hht::window_read`]), or where the engine is not due
+    /// ([`Hht::next_bound`] past it). Returns the number of cycles stepped
+    /// (at least one, as `now < end`). The caller books the CPU's side of
+    /// those cycles: one failed read each with a `window`, nothing while
+    /// busy.
     pub fn run_alone(
         &mut self,
         now: u64,
@@ -327,7 +322,7 @@ impl Hht {
             self.step(at, port);
             at += 1;
             if at >= end
-                || window.is_some_and(|addr| !self.window_read_would_stall(addr, at))
+                || window.is_some_and(|addr| self.window_read(addr, at) == WindowRead::Data)
                 || self.next_bound(at, port).is_none_or(|b| b > at)
             {
                 return at - now;
@@ -335,45 +330,27 @@ impl Hht {
         }
     }
 
-    /// Would a CPU load of `addr` stall at cycle `now`? Non-mutating mirror
-    /// of the [`MmioDevice::mmio_read`] stream-window path, used by the
-    /// cycle-skipping scheduler to recognise a core parked on a stalled
-    /// window (MMR reads never stall).
+    /// What a CPU load of `addr`, in the HHT buffer region, gets at cycle
+    /// `now`: the one stall decision [`MmioDevice::mmio_read`] applies.
+    /// A latched sticky error or an empty stream stalls the read until
+    /// the engine (or the CPU-side protocol) acts; a fault delay stalls a
+    /// stream that holds data until it lifts.
     #[inline]
-    pub fn window_read_would_stall(&self, addr: u32, now: u64) -> bool {
-        if !map::is_hht_buffer(addr) {
-            return false;
-        }
-        let off = ((addr - map::HHT_BUF_BASE) & !0x3) & 0xC00;
-        let is_window = matches!(off, window::PRIMARY | window::SECONDARY | window::COUNTS);
-        if is_window && (self.sticky_error || now < self.delay_until) {
-            return true;
-        }
-        match off {
-            window::PRIMARY => self.primary.is_empty(),
-            window::SECONDARY => self.secondary.is_empty(),
-            window::COUNTS => self.counts.is_empty(),
-            _ => false,
-        }
-    }
-
-    /// When a stalled window read of `addr` will succeed *by time alone*:
-    /// `Some(t)` when the stream has data but responses are fault-delayed
-    /// until `t`. `None` when the read needs engine progress (empty
-    /// stream) or can never succeed (sticky error latched) — the scheduler
-    /// falls back to the engine wake / timeout bounds in those cases.
-    #[inline]
-    pub fn window_ready_at(&self, addr: u32, now: u64) -> Option<u64> {
-        if !map::is_hht_buffer(addr) || self.sticky_error || now >= self.delay_until {
-            return None;
-        }
-        let has_data = match ((addr - map::HHT_BUF_BASE) & !0x3) & 0xC00 {
-            window::PRIMARY => !self.primary.is_empty(),
-            window::SECONDARY => !self.secondary.is_empty(),
-            window::COUNTS => !self.counts.is_empty(),
-            _ => false,
+    pub fn window_read(&self, addr: u32, now: u64) -> WindowRead {
+        debug_assert!(map::is_hht_buffer(addr), "{addr:#x} is no stream window");
+        let fifo = match (addr - map::HHT_BUF_BASE) & 0xC00 {
+            window::PRIMARY => &self.primary,
+            window::SECONDARY => &self.secondary,
+            window::COUNTS => &self.counts,
+            _ => return WindowRead::Data,
         };
-        has_data.then_some(self.delay_until)
+        if self.sticky_error || fifo.is_empty() {
+            WindowRead::Stalled
+        } else if now < self.delay_until {
+            WindowRead::DelayedUntil(self.delay_until)
+        } else {
+            WindowRead::Data
+        }
     }
 
     /// Account for `span` skipped cycles during which the CPU retried a
@@ -399,23 +376,22 @@ impl Hht {
     /// records no throttle, so the per-cycle loop stamps `StallEnd` on
     /// its first live cycle).
     pub fn skip_idle(&mut self, now: u64, span: u64, sram: &mut dyn MemoryPort) {
-        if span == 0 || self.engine_done {
+        if span == 0 {
             return;
         }
-        let Some(engine) = self.engine.as_ref() else {
+        let Some(next) = self.next_step() else {
             return;
         };
         self.stats.busy_cycles += span;
         // Injected engine stall: each frozen step only ticks `busy_cycles`
-        // (mirrors the early return in [`Hht::step`]). A `Wake::At` span
-        // may run past the thaw; its live steps only tick `busy_cycles`
-        // too. Any other span ends at the thaw.
+        // (mirrors the early return in [`Hht::step`]). Only a span waiting
+        // on a landing past the thaw runs past it ([`Hht::next_bound`]);
+        // its live steps only tick `busy_cycles` too.
         let live = now.max(self.frozen_until);
         if live >= now + span {
             return;
         }
         let out_full_before = self.stats.engine.stall_out_full;
-        let next = engine.next_step(self.levels());
         if let Some(addr) = next.charge_inert(now, span, &mut self.stats.engine) {
             // Each replayed arbitration loss is one failing request the
             // per-cycle loop would have issued — mirror it on the port
@@ -526,15 +502,7 @@ impl Hht {
     /// Silently discard the primary stream's head element (a dropped HHT
     /// response). Returns `false` when there was nothing to drop.
     pub fn drop_response(&mut self) -> bool {
-        match self.primary.pop() {
-            Some(_) => {
-                // Buffer levels changed: an output-blocked engine may now
-                // be runnable, so the memoized wake hint is stale.
-                self.cached_wake = None;
-                true
-            }
-            None => false,
-        }
+        self.primary.pop().is_some()
     }
 
     fn start(&mut self, now: u64) {
@@ -546,7 +514,6 @@ impl Hht {
             self.sticky_error = true;
             self.engine = None;
             self.engine_done = false;
-            self.cached_wake = None;
             self.landing = None;
             if let Some(bus) = self.obs.as_mut() {
                 bus.emit(now, Track::Fault, EventKind::FaultDetect { what: "mmr_decode" });
@@ -557,7 +524,6 @@ impl Hht {
         self.secondary.clear();
         self.counts.clear();
         self.engine_done = false;
-        self.cached_wake = None;
         self.landing = None;
         self.engine = Some(match cfg.mode {
             Mode::SpMV => Box::new(GatherEngine::new(cfg, self.params.blen)),
@@ -576,42 +542,29 @@ impl Hht {
         }
     }
 
-    fn pop_stream(&mut self, which: u32, now: u64) -> MmioReadResult {
-        let is_window = matches!(which, window::PRIMARY | window::SECONDARY | window::COUNTS);
-        if is_window && (self.sticky_error || now < self.delay_until) {
-            // Responses withheld: a latched error stalls the windows until
-            // the CPU-side protocol gives up; a delayed-response fault
-            // stalls them until the delay expires.
+    /// Apply [`Hht::window_read`] to a CPU load of `addr`: pop the head
+    /// element, or count one stalled read.
+    fn pop_stream(&mut self, addr: u32, now: u64) -> MmioReadResult {
+        if self.window_read(addr, now) != WindowRead::Data {
             self.stats.cpu_stall_reads += 1;
             return MmioReadResult::Stall;
         }
-        let fifo = match which {
+        let fifo = match (addr - map::HHT_BUF_BASE) & 0xC00 {
             window::PRIMARY => &mut self.primary,
             window::SECONDARY => &mut self.secondary,
             window::COUNTS => &mut self.counts,
             _ => return MmioReadResult::Data(0),
         };
-        match fifo.pop() {
-            Some(v) => {
-                // Buffer levels changed: an output-blocked engine may now
-                // be runnable, so the memoized wake hint is stale.
-                self.cached_wake = None;
-                self.stats.elements_delivered += 1;
-                MmioReadResult::Data(v)
-            }
-            None => {
-                self.stats.cpu_stall_reads += 1;
-                MmioReadResult::Stall
-            }
-        }
+        let value = fifo.pop().expect("a readable window holds data");
+        self.stats.elements_delivered += 1;
+        MmioReadResult::Data(value)
     }
 }
 
 impl MmioDevice for Hht {
     fn mmio_read(&mut self, addr: u32, now: u64) -> MmioReadResult {
         if map::is_hht_buffer(addr) {
-            let off = (addr - map::HHT_BUF_BASE) & !0x3;
-            return self.pop_stream(off & 0xC00, now);
+            return self.pop_stream(addr, now);
         }
         if map::is_hht_mmr(addr) {
             let off = addr - map::HHT_MMR_BASE;
@@ -722,7 +675,7 @@ mod tests {
         assert_eq!(hht.mmio_read(b + reg::STATUS, 1), MmioReadResult::Data(2));
         // Window reads stall rather than deliver garbage.
         assert_eq!(hht.mmio_read(map::HHT_BUF_BASE, 1), MmioReadResult::Stall);
-        assert!(hht.window_read_would_stall(map::HHT_BUF_BASE, 1));
+        assert_eq!(hht.window_read(map::HHT_BUF_BASE, 1), WindowRead::Stalled);
     }
 
     #[test]
@@ -747,8 +700,7 @@ mod tests {
             hht.step(now, &mut port(&mut sram));
         }
         hht.delay_responses(50, 10);
-        assert!(hht.window_read_would_stall(map::HHT_BUF_BASE, 50));
-        assert_eq!(hht.window_ready_at(map::HHT_BUF_BASE, 50), Some(60));
+        assert_eq!(hht.window_read(map::HHT_BUF_BASE, 50), WindowRead::DelayedUntil(60));
         assert_eq!(hht.mmio_read(map::HHT_BUF_BASE, 55), MmioReadResult::Stall);
         assert_eq!(hht.mmio_read(map::HHT_BUF_BASE, 60), MmioReadResult::Data(5.0f32.to_bits()));
     }
@@ -790,8 +742,9 @@ mod tests {
     }
 
     /// On row-timed memory a dropped response frees a primary slot: the
-    /// memoized wake is refreshed, the next step issues exactly one
-    /// gather, and the engine then waits on it rather than throttling.
+    /// engine's next step turns from the throttle into an issue, the step
+    /// issues exactly one gather, and the engine then waits on it rather
+    /// than throttling.
     #[test]
     fn dropped_response_frees_a_slot_for_an_in_flight_gather() {
         let mut port = crate::test_port::LogPort::new(4096, 1, true, 10);
@@ -802,14 +755,18 @@ mod tests {
         for now in 0..100 {
             hht.step(now, &mut port);
         }
-        assert_eq!(hht.next_event(100), Wake::OutputBlocked);
+        let throttle = NextStep { action: Action::OutputFull, landing: None };
+        assert_eq!(hht.next_step(), Some(throttle));
+        assert_eq!(hht.next_bound(100, &port), None);
         let gathers = |port: &crate::test_port::LogPort| port.granted_from(0x200).len();
         assert_eq!(gathers(&port), 2);
         assert!(hht.drop_response());
-        assert!(matches!(hht.next_event(100), Wake::NeedsPort { landing: None, .. }));
+        let next = hht.next_step().expect("live engine");
+        assert!(matches!(next.action, Action::Issue { .. }) && next.landing.is_none());
+        assert_eq!(hht.next_bound(100, &port), Some(100));
         hht.step(100, &mut port);
         assert_eq!(gathers(&port), 3);
-        assert_eq!(hht.next_event(101), Wake::At(100 + 1 + 10));
+        assert_eq!(hht.next_bound(101, &port), Some(100 + 1 + 10));
     }
 
     /// A new START replaces the engine, and the old engine's in-flight
@@ -822,7 +779,7 @@ mod tests {
         let mut hht = Hht::new(HhtParams::default());
         program_spmv(&mut hht, 0x100, 0x200, 2);
         hht.step(0, &mut port);
-        assert_eq!(hht.next_event(1), Wake::At(11)); // issued at 0, 1 + 10 cycles late
+        assert_eq!(hht.next_bound(1, &port), Some(11)); // issued at 0, 1 + 10 cycles late
         assert!(hht.lands_by(11));
         program_spmv(&mut hht, 0x100, 0x200, 2);
         assert!(!hht.lands_by(11), "a valid restart kept the old landing");
@@ -848,7 +805,7 @@ mod tests {
         for now in 0..20 {
             hht.step(now, &mut port(&mut sram));
             // No element can be produced while frozen.
-            assert!(hht.window_read_would_stall(map::HHT_BUF_BASE, now));
+            assert_eq!(hht.window_read(map::HHT_BUF_BASE, now), WindowRead::Stalled);
         }
         assert_eq!(hht.stats().busy_cycles, busy0 + 20);
         assert_eq!(hht.stats().engine.mem_reads, 0);
@@ -857,6 +814,51 @@ mod tests {
             hht.step(now, &mut port(&mut sram));
         }
         assert_eq!(hht.mmio_read(map::HHT_BUF_BASE, 80), MmioReadResult::Data(5.0f32.to_bits()));
+    }
+
+    /// An injected engine stall defers the engine's bound to the thaw in
+    /// every state — an issue to a free bank, the output-full throttle, a
+    /// landing before the thaw — except a landing after the thaw, which
+    /// is the bound itself.
+    #[test]
+    fn a_frozen_engine_is_bound_by_its_thaw_or_a_later_landing() {
+        let fresh = |row_timed, params| {
+            let mut port = crate::test_port::LogPort::new(4096, 1, row_timed, 10);
+            port.store_mut().load_words(0x100, &[0, 1, 2, 3]);
+            port.store_mut().load_words(0x200, &[5, 6, 7, 8]);
+            let mut hht = Hht::new(params);
+            program_spmv(&mut hht, 0x100, 0x200, 4);
+            (port, hht)
+        };
+        // An issue to a free bank: due now, or at the thaw.
+        let (port, mut hht) = fresh(false, HhtParams::default());
+        assert!(matches!(hht.next_step().unwrap().action, Action::Issue { .. }));
+        assert_eq!(hht.next_bound(0, &port), Some(0));
+        hht.freeze_engine(0, 20);
+        assert_eq!(hht.next_bound(0, &port), Some(20));
+        // A landing before the thaw (issued at 0, lands at 11), also once
+        // it is due: the thaw.
+        let (mut port, mut hht) = fresh(false, HhtParams::default());
+        hht.step(0, &mut port);
+        assert_eq!(hht.next_bound(1, &port), Some(11));
+        hht.freeze_engine(1, 20);
+        assert_eq!(hht.next_bound(1, &port), Some(21));
+        assert_eq!(hht.next_bound(12, &port), Some(21));
+        // A landing after the thaw: the landing.
+        let (mut port, mut hht) = fresh(false, HhtParams::default());
+        hht.step(0, &mut port);
+        hht.freeze_engine(1, 5);
+        assert_eq!(hht.next_bound(1, &port), Some(11));
+        // The output-full throttle: waits on the CPU, or the thaw.
+        let (mut port, mut hht) = fresh(true, HhtParams { num_buffers: 1, blen: 2 });
+        for now in 0..100 {
+            hht.step(now, &mut port);
+        }
+        let throttle = NextStep { action: Action::OutputFull, landing: None };
+        assert_eq!(hht.next_step(), Some(throttle));
+        assert_eq!(hht.next_bound(100, &port), None);
+        hht.freeze_engine(100, 20);
+        assert_eq!(hht.next_bound(100, &port), Some(120));
     }
 
     #[test]

@@ -30,7 +30,6 @@ pub mod programmable;
 #[cfg(test)]
 mod test_port;
 
-pub use engine::Wake;
 pub use fifo::ElemFifo;
-pub use hht::{Hht, HhtParams, HhtStats};
+pub use hht::{Hht, HhtParams, HhtStats, WindowRead};
 pub use mmr::{EngineConfig, Mode};

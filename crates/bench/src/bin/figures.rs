@@ -792,7 +792,7 @@ fn table1(cfg: &SystemConfig) {
         vec!["Element size (SEW)".into(), "32 bit".into()],
         vec![
             "Vector arithmetic latency".into(),
-            format!("{} cycles (not pipelined)", cfg.core.vector_arith_cycles),
+            format!("{} cycles (not pipelined)", hht_sim::config::VECTOR_ARITH_CYCLES),
         ],
         vec!["ASIC HHT".into(), format!("N={} buffers", cfg.hht.num_buffers)],
         vec!["Buffer size".into(), format!("{} B", cfg.hht.blen * 4)],

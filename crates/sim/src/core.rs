@@ -1,6 +1,10 @@
 //! The in-order core: functional execution + Table-1 timing.
 
-use crate::config::CoreConfig;
+use crate::config::{
+    CoreConfig, ALU_CYCLES, BRANCH_TAKEN_PENALTY, FPU_CYCLES, GATHER_ADDR_CYCLES,
+    GATHER_ISSUE_CYCLES, HHT_BEAT_CYCLES, HHT_MAX_RETRIES, HHT_RETRY_BACKOFF, MUL_CYCLES,
+    VECTOR_ARITH_CYCLES, VECTOR_ISSUE_CYCLES,
+};
 use hht_isa::instr::{MemWidth, MulDivOp};
 use hht_isa::{AluOp, BranchOp, FReg, Instr, Program, Reg, VReg};
 use hht_mem::map;
@@ -132,6 +136,39 @@ pub struct TraceEntry {
     pub pc: u32,
     /// The decoded instruction.
     pub instr: Instr,
+}
+
+/// What the core's step at a cycle does ([`Core::next_step`]), in the
+/// terms the fabric scheduler needs to bound and replay it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CoreStep {
+    /// Halted: the core never steps again.
+    Halted,
+    /// A multi-cycle op drains until this cycle: every step before it
+    /// returns at once.
+    Busy(u64),
+    /// The step changes state whatever the port or device answers: it
+    /// executes an instruction (or faults), or takes a beat its L1D
+    /// serves.
+    Acts,
+    /// The step takes a device beat that is no stream-window read: an
+    /// MMR read or a store to the accelerator.
+    Device,
+    /// The step reads the stream window at `addr`. While the read stalls
+    /// each step is one failed read, replayed in bulk by
+    /// [`Core::skip_hht_wait`] up to and including `timeout`, the last
+    /// cycle before the timeout protocol must run a real step (`None`
+    /// with the protocol off).
+    Window {
+        /// The window address read.
+        addr: u32,
+        /// Inclusive bound on a replayed stall run.
+        timeout: Option<u64>,
+    },
+    /// The step takes a RAM beat that must win the port at `addr`: while
+    /// the bank serving it is busy each step loses arbitration, replayed
+    /// in bulk by [`Core::skip_port_wait`].
+    Port(u32),
 }
 
 /// What one [`Core::run_alone`] call did, for the scheduler's books.
@@ -411,45 +448,33 @@ impl Core {
         self.error
     }
 
-    /// The earliest cycle `>= now` at which [`Core::step`] can do anything,
-    /// or `None` once halted. While `now < busy_until` the core is provably
-    /// inert (`step` returns immediately), so the scheduler may fast-forward
-    /// to the returned cycle. Stall-retry states (HHT window empty, port
-    /// arbitration loss) keep `busy_until <= now` and thus report `now`:
-    /// their per-cycle counter updates are never skipped.
+    /// What [`Core::step`] at `now` does, from the core's pending state:
+    /// the one decision the fabric scheduler and [`Core::run_alone`] read.
     #[inline]
-    pub fn next_event(&self, now: u64) -> Option<u64> {
+    pub fn next_step(&self, now: u64) -> CoreStep {
         if self.halted {
-            None
-        } else {
-            Some(self.busy_until.max(now))
+            return CoreStep::Halted;
         }
-    }
-
-    /// Is the core due at `now` with no memory op pending? Then its step at
-    /// `now` executes an instruction (or faults): the core acts, whatever
-    /// its port or device would answer.
-    #[inline]
-    pub fn acts_at(&self, now: u64) -> bool {
-        !self.halted && self.busy_until <= now && self.mem_op.is_none()
-    }
-
-    /// When the core is runnable *now* but its next action is a stream-window
-    /// load from the HHT buffer region, return that address. The scheduler
-    /// combines this with the HHT's wake hint: if the window is empty and the
-    /// engine cannot push before cycle `t`, every cycle in between is a
-    /// provably failing retry and can be replayed in bulk by
-    /// [`Core::skip_hht_wait`].
-    #[inline]
-    pub fn pending_hht_read(&self, now: u64) -> Option<u32> {
-        if self.halted || self.busy_until > now {
-            return None;
+        if self.busy_until > now {
+            return CoreStep::Busy(self.busy_until);
         }
-        let op = self.mem_op.as_ref()?;
-        let beat = op.beats.get(op.next)?;
+        let Some(beat) = self.mem_op.as_ref().and_then(|op| op.beats.get(op.next)) else {
+            return CoreStep::Acts;
+        };
         match beat.access {
-            BeatAccess::DevRead if map::is_hht_buffer(beat.addr) => Some(beat.addr),
-            _ => None,
+            BeatAccess::RamRead if self.l1d.as_ref().is_some_and(|c| c.probe(beat.addr)) => {
+                CoreStep::Acts
+            }
+            BeatAccess::RamRead | BeatAccess::RamWrite(_) => CoreStep::Port(beat.addr),
+            BeatAccess::DevRead if map::is_hht_buffer(beat.addr) => {
+                // At `timeout` the stall run reaches `hht_timeout - 1`, so
+                // the next stepped stall trips the timeout exactly as it
+                // would in the per-cycle loop.
+                let timeout = (self.cfg.hht_timeout > 0)
+                    .then(|| now + (self.cfg.hht_timeout - 1).saturating_sub(self.hht_stall_run));
+                CoreStep::Window { addr: beat.addr, timeout }
+            }
+            BeatAccess::DevRead | BeatAccess::DevWrite(_) => CoreStep::Device,
         }
     }
 
@@ -470,52 +495,15 @@ impl Core {
         Self::obs_stall(&mut self.obs, &mut self.open_stall, now, cause);
     }
 
-    /// Inclusive bound on how far window-wait retries may be bulk-replayed
-    /// before the timeout protocol must run a real step: at the returned
-    /// cycle the stall run reaches `hht_timeout - 1`, so the *next* stepped
-    /// stall trips the timeout exactly as it would in the per-cycle loop.
-    /// `None` when the protocol is disabled (`hht_timeout == 0`).
-    #[inline]
-    pub fn hht_timeout_bound(&self, now: u64) -> Option<u64> {
-        if self.cfg.hht_timeout == 0 {
-            return None;
-        }
-        let left = (self.cfg.hht_timeout - 1).saturating_sub(self.hht_stall_run);
-        Some(now + left)
-    }
-
-    /// When the core is runnable *now* but its next action is a RAM access
-    /// that must win a memory port (no L1D hit can serve it), the address
-    /// of the pending beat. The fabric scheduler resolves it to the
-    /// *bank*-specific free cycle on the banked shared memory: while that
-    /// bank is held, every stepped cycle loses arbitration and charges
-    /// exactly one `mem_port_stall_cycles`, replayed in bulk by
-    /// [`Core::skip_port_wait`].
-    #[inline]
-    pub fn pending_port_addr(&self, now: u64) -> Option<u32> {
-        if self.halted || self.busy_until > now {
-            return None;
-        }
-        let op = self.mem_op.as_ref()?;
-        let beat = op.beats.get(op.next)?;
-        match beat.access {
-            BeatAccess::RamRead => {
-                self.l1d.as_ref().is_none_or(|c| !c.probe(beat.addr)).then_some(beat.addr)
-            }
-            BeatAccess::RamWrite(_) => Some(beat.addr),
-            BeatAccess::DevRead | BeatAccess::DevWrite(_) => None,
-        }
-    }
-
     /// Account for `span` skipped cycles starting at `now` during which the
-    /// core retried SRAM-port arbitration against an in-flight HHT burst:
-    /// each cycle charges one `mem_port_stall_cycles` plus the
-    /// `ArbitrationLoss` bucket and one port conflict on the SRAM side,
-    /// exactly as the per-cycle retry path does. The stall interval opens
-    /// at `now` (a no-op when the first failing attempt already opened it).
-    pub fn skip_port_wait(&mut self, now: u64, span: u64, sram: &mut dyn MemoryPort) {
+    /// core retried port arbitration for its beat at `addr`
+    /// ([`CoreStep::Port`]) against a busy bank: each cycle charges one
+    /// `mem_port_stall_cycles` plus the `ArbitrationLoss` bucket and one
+    /// port conflict on the memory side, exactly as the per-cycle retry
+    /// path does. The stall interval opens at `now` (a no-op when the
+    /// first failing attempt already opened it).
+    pub fn skip_port_wait(&mut self, now: u64, span: u64, addr: u32, sram: &mut dyn MemoryPort) {
         let who = self.requester();
-        let addr = self.pending_port_addr(now).unwrap_or(0);
         self.stats.mem_port_stall_cycles += span;
         self.stats.stalls.record_many(StallCause::ArbitrationLoss, span);
         sram.skip_conflicts(now, span, addr, who);
@@ -574,24 +562,23 @@ impl Core {
                     }
                 },
                 // A pending memory op's beat, or a fetch fault.
-                None if self.next_beat_is_device() => break,
-                None => {
-                    self.step(solo.now, port, dev);
-                    self.book_step(&mut solo)
-                }
+                None => match self.next_step(solo.now) {
+                    CoreStep::Device | CoreStep::Window { .. } => break,
+                    _ => {
+                        self.step(solo.now, port, dev);
+                        self.book_step(&mut solo)
+                    }
+                },
             };
             let stop = match booked {
                 Booked::Stop => true,
                 Booked::Parked => false,
                 // Due now, but on a device beat or a busy bank.
-                Booked::Due => {
-                    let now = solo.now;
-                    self.mem_op.is_some()
-                        && (self.next_beat_is_device()
-                            || self
-                                .pending_port_addr(now)
-                                .is_some_and(|a| port.next_event_at(a, now).is_some()))
-                }
+                Booked::Due => match self.next_step(solo.now) {
+                    CoreStep::Device | CoreStep::Window { .. } => true,
+                    CoreStep::Port(addr) => port.next_event_at(addr, solo.now).is_some(),
+                    _ => false,
+                },
             };
             if stop {
                 solo.run.replan = true;
@@ -738,15 +725,6 @@ impl Core {
         } else {
             Requester::Cpu
         }
-    }
-
-    /// Is the pending memory op's next beat a device (MMIO) access?
-    #[inline]
-    fn next_beat_is_device(&self) -> bool {
-        self.mem_op
-            .as_ref()
-            .and_then(|op| op.beats.get(op.next))
-            .is_some_and(|b| matches!(b.access, BeatAccess::DevRead | BeatAccess::DevWrite(_)))
     }
 
     /// Current program counter.
@@ -967,7 +945,7 @@ impl Core {
                     self.hht_retries_used = 0;
                     op.collected.push(v);
                     op.next += 1;
-                    self.land_beats(now, now + self.cfg.hht_beat_cycles, 0);
+                    self.land_beats(now, now + HHT_BEAT_CYCLES, 0);
                 }
             },
             BeatAccess::DevWrite(v) => {
@@ -1015,11 +993,11 @@ impl Core {
         if let Some(bus) = self.obs.as_mut() {
             bus.emit(now, Track::Fault, EventKind::FaultDetect { what: "hht_timeout" });
         }
-        if self.hht_retries_used < self.cfg.hht_max_retries {
+        if self.hht_retries_used < HHT_MAX_RETRIES {
             self.hht_retries_used += 1;
             self.stats.hht_retries += 1;
             self.hht_stall_run = 0;
-            let backoff = self.cfg.hht_retry_backoff.max(1) << (self.hht_retries_used - 1).min(16);
+            let backoff = HHT_RETRY_BACKOFF << (self.hht_retries_used - 1).min(16);
             self.busy_until = now + backoff;
             Self::obs_unstall(&mut self.obs, &mut self.open_stall, now);
             Self::attribute_busy(
@@ -1200,16 +1178,15 @@ impl Core {
             self.stats.vector_instrs += 1;
         }
         let mut next_pc = self.pc.wrapping_add(4);
-        let alu_cycles = self.cfg.alu_cycles;
-        let taken_cycles = alu_cycles + self.cfg.branch_taken_penalty;
+        let taken_cycles = ALU_CYCLES + BRANCH_TAKEN_PENALTY;
         match instr {
             Lui { rd, imm20 } => {
                 self.write_x(rd, (imm20 as u32) << 12);
-                self.set_busy(now, alu_cycles);
+                self.set_busy(now, ALU_CYCLES);
             }
             Auipc { rd, imm20 } => {
                 self.write_x(rd, self.pc.wrapping_add((imm20 as u32) << 12));
-                self.set_busy(now, alu_cycles);
+                self.set_busy(now, ALU_CYCLES);
             }
             Jal { rd, offset } => {
                 self.write_x(rd, self.pc.wrapping_add(4));
@@ -1240,7 +1217,7 @@ impl Core {
                     self.set_busy(now, taken_cycles);
                     self.attribute_exec_busy(now, StallCause::BranchRefill);
                 } else {
-                    self.set_busy(now, alu_cycles);
+                    self.set_busy(now, ALU_CYCLES);
                 }
             }
             Lw { rd, rs1, offset } => {
@@ -1270,17 +1247,17 @@ impl Core {
             OpImm { op, rd, rs1, imm } => {
                 let v = alu(op, self.read_x(rs1), imm as u32);
                 self.write_x(rd, v);
-                self.set_busy(now, alu_cycles);
+                self.set_busy(now, ALU_CYCLES);
             }
             Op { op, rd, rs1, rs2 } => {
                 let v = alu(op, self.read_x(rs1), self.read_x(rs2));
                 self.write_x(rd, v);
-                self.set_busy(now, alu_cycles);
+                self.set_busy(now, ALU_CYCLES);
             }
             Mul { rd, rs1, rs2 } => {
                 let v = self.read_x(rs1).wrapping_mul(self.read_x(rs2));
                 self.write_x(rd, v);
-                self.set_busy(now, self.cfg.mul_cycles);
+                self.set_busy(now, MUL_CYCLES);
             }
             MulDiv { op, rd, rs1, rs2 } => {
                 let a = self.read_x(rs1);
@@ -1290,51 +1267,51 @@ impl Core {
                 // Divides take longer than multiplies on small cores.
                 let cost = match op {
                     MulDivOp::Div | MulDivOp::Divu | MulDivOp::Rem | MulDivOp::Remu => {
-                        self.cfg.mul_cycles * 8
+                        MUL_CYCLES * 8
                     }
-                    _ => self.cfg.mul_cycles,
+                    _ => MUL_CYCLES,
                 };
                 self.set_busy(now, cost);
             }
             FaddS { rd, rs1, rs2 } => {
                 let v = self.read_f(rs1) + self.read_f(rs2);
                 self.write_f(rd, v);
-                self.set_busy(now, self.cfg.fpu_cycles);
+                self.set_busy(now, FPU_CYCLES);
             }
             FsubS { rd, rs1, rs2 } => {
                 let v = self.read_f(rs1) - self.read_f(rs2);
                 self.write_f(rd, v);
-                self.set_busy(now, self.cfg.fpu_cycles);
+                self.set_busy(now, FPU_CYCLES);
             }
             FmulS { rd, rs1, rs2 } => {
                 let v = self.read_f(rs1) * self.read_f(rs2);
                 self.write_f(rd, v);
-                self.set_busy(now, self.cfg.fpu_cycles);
+                self.set_busy(now, FPU_CYCLES);
             }
             FmaddS { rd, rs1, rs2, rs3 } => {
                 let v = self.read_f(rs1) * self.read_f(rs2) + self.read_f(rs3);
                 self.write_f(rd, v);
-                self.set_busy(now, self.cfg.fpu_cycles);
+                self.set_busy(now, FPU_CYCLES);
             }
             FmvWX { rd, rs1 } => {
                 self.f[rd.index()] = self.read_x(rs1);
-                self.set_busy(now, alu_cycles);
+                self.set_busy(now, ALU_CYCLES);
             }
             FmvXW { rd, rs1 } => {
                 let v = self.f[rs1.index()];
                 self.write_x(rd, v);
-                self.set_busy(now, alu_cycles);
+                self.set_busy(now, ALU_CYCLES);
             }
             Vsetvli { rd, rs1, .. } => {
                 let vlen = self.cfg.vlen;
                 let avl = if rs1 == Reg::ZERO { vlen as u32 } else { self.read_x(rs1) };
                 self.vl = (avl as usize).min(vlen);
                 self.write_x(rd, self.vl as u32);
-                self.set_busy(now, alu_cycles);
+                self.set_busy(now, ALU_CYCLES);
             }
             Vle32 { vd, rs1 } => {
                 self.stage_vector(self.read_x(rs1), None);
-                let issue = self.cfg.vector_issue_cycles;
+                let issue = VECTOR_ISSUE_CYCLES;
                 return Some(MemAccess {
                     unit_stride: true,
                     ..MemAccess::vector(false, Dest::V(vd), issue, 0)
@@ -1344,13 +1321,13 @@ impl Core {
                 self.stage_vector(self.read_x(rs1), None);
                 self.val_scratch.clear();
                 self.val_scratch.extend_from_slice(&self.v[vs3.index()][..self.vl]);
-                let issue = self.cfg.vector_issue_cycles;
+                let issue = VECTOR_ISSUE_CYCLES;
                 return Some(MemAccess::vector(true, Dest::None, issue, 0));
             }
             Vluxei32 { vd, rs1, vs2 } => {
                 self.stage_vector(self.read_x(rs1), Some(vs2));
-                let issue = self.cfg.vector_issue_cycles + self.cfg.gather_issue_cycles;
-                let extra = self.cfg.gather_addr_cycles;
+                let issue = VECTOR_ISSUE_CYCLES + GATHER_ISSUE_CYCLES;
+                let extra = GATHER_ADDR_CYCLES;
                 return Some(MemAccess::vector(false, Dest::V(vd), issue, extra));
             }
             VfmaccVV { vd, vs1, vs2 } => {
@@ -1360,7 +1337,7 @@ impl Core {
                     let d = f32::from_bits(self.v[vd.index()][i]);
                     self.v[vd.index()][i] = (d + a * b).to_bits();
                 }
-                self.set_busy(now, self.cfg.vector_arith_cycles);
+                self.set_busy(now, VECTOR_ARITH_CYCLES);
                 self.attribute_exec_busy(now, StallCause::VectorBusy);
             }
             VfmulVV { vd, vs1, vs2 } => {
@@ -1369,7 +1346,7 @@ impl Core {
                     let b = f32::from_bits(self.v[vs2.index()][i]);
                     self.v[vd.index()][i] = (a * b).to_bits();
                 }
-                self.set_busy(now, self.cfg.vector_arith_cycles);
+                self.set_busy(now, VECTOR_ARITH_CYCLES);
                 self.attribute_exec_busy(now, StallCause::VectorBusy);
             }
             VfaddVV { vd, vs1, vs2 } => {
@@ -1378,7 +1355,7 @@ impl Core {
                     let b = f32::from_bits(self.v[vs2.index()][i]);
                     self.v[vd.index()][i] = (a + b).to_bits();
                 }
-                self.set_busy(now, self.cfg.vector_arith_cycles);
+                self.set_busy(now, VECTOR_ARITH_CYCLES);
                 self.attribute_exec_busy(now, StallCause::VectorBusy);
             }
             VfredosumVS { vd, vs1, vs2 } => {
@@ -1387,31 +1364,31 @@ impl Core {
                     s += f32::from_bits(self.v[vs2.index()][i]);
                 }
                 self.v[vd.index()][0] = s.to_bits();
-                self.set_busy(now, self.cfg.vector_arith_cycles);
+                self.set_busy(now, VECTOR_ARITH_CYCLES);
                 self.attribute_exec_busy(now, StallCause::VectorBusy);
             }
             VsllVI { vd, vs2, imm5 } => {
                 for i in 0..self.vl {
                     self.v[vd.index()][i] = self.v[vs2.index()][i].wrapping_shl(imm5 as u32);
                 }
-                self.set_busy(now, alu_cycles);
+                self.set_busy(now, ALU_CYCLES);
             }
             VmvVI { vd, imm5 } => {
                 for i in 0..self.vl {
                     self.v[vd.index()][i] = imm5 as u32;
                 }
-                self.set_busy(now, alu_cycles);
+                self.set_busy(now, ALU_CYCLES);
             }
             VmvVX { vd, rs1 } => {
                 let v = self.read_x(rs1);
                 for i in 0..self.vl {
                     self.v[vd.index()][i] = v;
                 }
-                self.set_busy(now, alu_cycles);
+                self.set_busy(now, ALU_CYCLES);
             }
             VfmvFS { rd, vs2 } => {
                 self.f[rd.index()] = self.v[vs2.index()][0];
-                self.set_busy(now, alu_cycles);
+                self.set_busy(now, ALU_CYCLES);
             }
             Csrrs { rd, csr, .. } => {
                 let v = match csr {
@@ -1420,10 +1397,10 @@ impl Core {
                     _ => 0,
                 };
                 self.write_x(rd, v);
-                self.set_busy(now, alu_cycles);
+                self.set_busy(now, ALU_CYCLES);
             }
             Ecall => {
-                self.set_busy(now, alu_cycles);
+                self.set_busy(now, ALU_CYCLES);
             }
             Ebreak => {
                 self.halted = true;
@@ -1729,10 +1706,9 @@ mod tests {
         sram_b.inner_mut().load_words(0x200, &[0, 4, 8, 12, 16, 20, 24, 28]);
         let (_, gather) =
             run(&format!("{pre}vluxei32.v v2, (a2), v1\nebreak"), &mut port(&mut sram_b));
-        // gather adds gather_addr_cycles per element plus the fixed
-        // gather_issue_cycles setup.
-        let cfg = CoreConfig::paper_default();
-        assert_eq!(gather - unit, 8 * cfg.gather_addr_cycles + cfg.gather_issue_cycles);
+        // gather adds GATHER_ADDR_CYCLES per element plus the fixed
+        // GATHER_ISSUE_CYCLES setup.
+        assert_eq!(gather - unit, 8 * GATHER_ADDR_CYCLES + GATHER_ISSUE_CYCLES);
     }
 
     #[test]

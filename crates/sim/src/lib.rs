@@ -25,5 +25,5 @@ pub mod config;
 pub mod core;
 pub mod profile;
 
-pub use crate::core::{AloneRun, Core, CoreStats, RunError, TraceEntry};
+pub use crate::core::{AloneRun, Core, CoreStats, CoreStep, RunError, TraceEntry};
 pub use config::CoreConfig;

@@ -22,14 +22,21 @@
 //!   Cycle counts, statistics and event streams are bit-identical to the
 //!   per-cycle loop; with one tile and one bank they reproduce the outputs
 //!   recorded from the seed machine (`tests/determinism.rs`).
+//! - **One decision per component.** `Fabric::tile_bound` matches on
+//!   what each component's own step will do next: the core's
+//!   ([`hht_sim::Core::next_step`]), the stream window's
+//!   ([`hht_accel::Hht::window_read`]) and the engine's
+//!   ([`hht_accel::Hht::next_bound`], read off the engine's
+//!   `NextStep`). The component's `step` applies the same decision, so no
+//!   schedule is stated twice.
 //! - **Skips are bank-exact.** Both CPU port waits
-//!   ([`hht_sim::Core::pending_port_addr`]) and engine port waits
-//!   (`Wake::NeedsPort { addr, .. }`) carry the address they are retrying,
-//!   so the scheduler bounds each wait by the exact bank's free cycle — a
-//!   busy bank's `free_at` cannot move while no tile steps, because only
-//!   a grant (which requires the bank to be free) reprograms it. An
-//!   engine with responses in flight also names its earliest `landing`,
-//!   which caps the wait.
+//!   ([`hht_sim::CoreStep::Port`]) and engine port waits (an issue in the
+//!   engine's `NextStep`) carry the address they are retrying, so the
+//!   scheduler bounds each wait by the exact bank's free cycle — a busy
+//!   bank's `free_at` cannot move while no tile steps, because only a
+//!   grant (which requires the bank to be free) reprograms it. An engine
+//!   with responses in flight also names its earliest `landing`, which
+//!   caps the wait.
 //! - **Parking is per-tile.** With [`SystemConfig::cycle_skip`] on (the
 //!   default), a queue of `(wake, tile)` entries advances each tile
 //!   independently to its own next wake, so one busy tile never forces
@@ -43,14 +50,14 @@
 
 use crate::config::SystemConfig;
 use crate::system::{FaultSummary, SystemStats};
-use hht_accel::{Hht, HhtStats};
+use hht_accel::{Hht, HhtStats, WindowRead};
 use hht_fault::{FaultKind, FaultPlan};
 use hht_isa::Program;
 use hht_mem::{Dram, DramConfig, FabricPort, MemoryPort, SharedMemStats, SharedMemory, SramStats};
 use hht_obs::{
     merge_events, Event, EventBus, EventKind, ObsDrops, SkipSpan, StallBreakdown, Track,
 };
-use hht_sim::{Core, CoreStats, RunError};
+use hht_sim::{Core, CoreStats, CoreStep, RunError};
 use hht_sparse::DenseVector;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -482,10 +489,10 @@ struct Bound {
 enum Replay {
     /// Core busy (or the engine merely idle): only `skip_idle` applies.
     Busy,
-    /// Core parked on an empty stream window at this address.
+    /// Core parked on a stalled stream-window read at this address.
     Window(u32),
     /// Core losing bank arbitration for this address.
-    Port,
+    Port(u32),
 }
 
 impl Fabric {
@@ -778,9 +785,11 @@ impl Fabric {
     /// which the tile can next change architectural state, plus the bulk
     /// replay a parked span `[now, bound)` owes it. `None` means the core
     /// halted (frozen forever); a bound ≤ `now` means the tile must be
-    /// stepped this cycle. A span up to the bound is inert for the tile: its core is
-    /// busy, parked on an empty stream window, or losing arbitration for a
-    /// bank that stays busy, and its engine's next wake lies beyond it.
+    /// stepped this cycle. The bound is a match over what the core, its
+    /// stream window and its engine each decide their next step does. A
+    /// span up to the bound is inert for the tile: its core is busy,
+    /// parked on a stalled stream-window read, or losing arbitration for a
+    /// bank that stays busy, and its engine's bound lies beyond it.
     ///
     /// Any park not exceeding the bound is *sound* even while other tiles
     /// keep stepping: the only cross-tile coupling is the shared banks, and
@@ -796,48 +805,41 @@ impl Fabric {
     fn tile_bound(&mut self, t: usize, now: u64) -> Option<Bound> {
         let tile = &mut self.tiles[t];
         let port = FabricPort::new(&mut self.mem, t);
-        let mut core_at = tile.core.next_event(now)?;
-        let due = Some(Bound { at: now, replay: Replay::Busy, core_at: now });
-        let mut window_read = None;
-        let mut port_wait = None;
-        if core_at <= now {
-            if let Some(addr) = tile.core.pending_hht_read(now) {
-                if !tile.hht.window_read_would_stall(addr, now) {
-                    return due; // the pop succeeds this cycle
-                }
-                window_read = Some(addr);
-                // The read fails every cycle until the engine fills the
-                // stream, a fault delay lifts, or the timeout trips.
-                core_at = tile.hht.window_ready_at(addr, now).unwrap_or(u64::MAX);
-                if let Some(b) = tile.core.hht_timeout_bound(now) {
-                    core_at = core_at.min(b);
-                }
-            } else if let Some(addr) = tile.core.pending_port_addr(now) {
-                match port.next_event_at(addr, now) {
-                    // The span replays one arbitration loss per cycle
-                    // against `addr`'s bank, which provably stays busy
-                    // until `free_at`.
-                    Some(free_at) => port_wait = Some(free_at),
-                    None => return due, // bank free: the access lands
-                }
-            } else {
-                return due; // the core acts this cycle
+        let due = Bound { at: now, replay: Replay::Busy, core_at: now };
+        // The core's bound and what a park owes it, from its next step.
+        let (core_at, replay) = match tile.core.next_step(now) {
+            CoreStep::Halted => return None,
+            CoreStep::Acts | CoreStep::Device => return Some(due),
+            CoreStep::Busy(until) => (until, Replay::Busy),
+            // The read fails every cycle until the engine fills the
+            // stream, a fault delay lifts, or the timeout trips.
+            CoreStep::Window { addr, timeout } => {
+                let ready = match tile.hht.window_read(addr, now) {
+                    WindowRead::Data => return Some(due), // the pop succeeds
+                    WindowRead::DelayedUntil(at) => at,
+                    WindowRead::Stalled => u64::MAX,
+                };
+                (timeout.map_or(ready, |b| ready.min(b)), Replay::Window(addr))
             }
-        }
+            // The span replays one arbitration loss per cycle against
+            // `addr`'s bank, which provably stays busy until `free_at`.
+            CoreStep::Port(addr) => match port.next_event_at(addr, now) {
+                Some(free_at) => (free_at, Replay::Port(addr)),
+                None => return Some(due), // bank free: the access lands
+            },
+        };
         // Bank-exact resolution of an engine's port wait: see
         // [`Hht::next_bound`].
-        let hht_bound = tile.hht.next_bound(now, &port);
-        let (at, replay) = if let Some(free_at) = port_wait {
-            core_at = now;
-            (hht_bound.map_or(free_at, |b| b.min(free_at)), Replay::Port)
-        } else if let Some(addr) = window_read {
-            // Only the engine can unpark the core; with no engine wake
-            // this is a deadlock — jump straight to the watchdog limit
-            // (unless a window refill, a timeout or a fault intervenes).
-            (hht_bound.unwrap_or(self.max_cycles).min(core_at), Replay::Window(addr))
-        } else {
-            (hht_bound.map_or(core_at, |b| b.min(core_at)), Replay::Busy)
+        let at = match (tile.hht.next_bound(now, &port), &replay) {
+            (Some(engine_at), _) => engine_at.min(core_at),
+            // Only the engine can unpark a stalled window read; with no
+            // engine bound this is a deadlock — jump straight to the
+            // watchdog limit (unless a timeout or a fault intervenes).
+            (None, Replay::Window(_)) => core_at.min(self.max_cycles),
+            (None, _) => core_at,
         };
+        // A core losing arbitration steps every cycle: it is not inert.
+        let core_at = if let Replay::Port(_) = replay { now } else { core_at };
         Some(Bound { at, replay, core_at })
     }
 
@@ -856,8 +858,8 @@ impl Fabric {
                 tile.core.skip_hht_wait(now, span, *addr);
                 tile.hht.skip_stalled_reads(span);
             }
-            Replay::Port => {
-                tile.core.skip_port_wait(now, span, &mut port);
+            Replay::Port(addr) => {
+                tile.core.skip_port_wait(now, span, *addr, &mut port);
             }
             Replay::Busy => {}
         }
@@ -1091,13 +1093,13 @@ impl Fabric {
                 if tile.done_at.is_none() && tile.core.halted() {
                     tile.done_at = Some(self.cycle);
                 }
-                // The tile is due next cycle when its core acts (it is due
-                // with no memory op pending) or an engine response lands:
-                // no bound needs asking.
-                if tile.core.acts_at(self.cycle)
-                    || (!tile.core.halted() && tile.hht.lands_by(self.cycle))
-                {
-                    continue;
+                // The tile is due next cycle when its core acts or an
+                // engine response lands: no bound needs asking.
+                match tile.core.next_step(self.cycle) {
+                    CoreStep::Acts => continue,
+                    CoreStep::Halted => {}
+                    _ if tile.hht.lands_by(self.cycle) => continue,
+                    _ => {}
                 }
             }
             // Due before the horizon with its core inert: only the engine
@@ -1181,7 +1183,7 @@ impl Fabric {
         let mut port = FabricPort::new(&mut self.mem, t);
         let window = match *replay {
             Replay::Window(addr) => Some(addr),
-            Replay::Busy | Replay::Port => None,
+            Replay::Busy | Replay::Port(_) => None,
         };
         let n = tile.hht.run_alone(now, end, window, &mut port);
         if let Some(addr) = window {
@@ -1319,6 +1321,7 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hht_accel::engine::{Action, NextStep};
     use hht_isa::asm::assemble;
     use hht_mem::ByteStore;
 
@@ -1383,8 +1386,10 @@ mod tests {
         while fabric.tiles.iter().any(|t| !t.core.halted()) {
             let now = fabric.cycle;
             for t in 0..fabric.tiles.len() {
-                if let hht_accel::Wake::NeedsPort { addr, landing: Some(at) } =
-                    fabric.tiles[t].hht.next_event(now)
+                // An issue waiting on the port, with a landing still ahead.
+                let next = fabric.tiles[t].hht.next_step().filter(|n| n.landing > Some(now));
+                if let Some(NextStep { action: Action::Issue { addr, .. }, landing: Some(at) }) =
+                    next
                 {
                     if window > 0 && fabric.mem.in_flight(t, now) >= window {
                         window_full += 1;
